@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -126,15 +126,7 @@ def _weld(a: Nfioa, channels: Iterable[Channel]) -> Nfioa:
         new_inputs[ch.in_component] = ComponentAlphabet(
             recv.name, recv.characters | send.characters
         )
-    return Nfioa(
-        name=a.name,
-        states=a.states,
-        inputs=tuple(new_inputs),
-        outputs=a.outputs,
-        initial=a.initial,
-        acceptance=a.acceptance,
-        transitions=a.transitions,
-    )
+    return replace(a, inputs=tuple(new_inputs))
 
 
 def _random_condition(rng: random.Random, a: Nfioa, tag: int) -> Condition:

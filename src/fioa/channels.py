@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
-
-import networkx as nx
 
 from .core import (
     Acceptance,
@@ -266,13 +264,9 @@ def cbr(
     for t in sorted(a.transitions):
         by_source.setdefault(t.source, []).append(t)
     graph = _explore(a.initial, lambda s: by_source.get(s, ()), chans, deny, cap=cap)
-    base = Nfioa(
+    base = replace(
+        a,
         name=name or a.name,
-        states=a.states,
-        inputs=a.inputs,
-        outputs=a.outputs,
-        initial=a.initial,
-        acceptance=a.acceptance,
         transitions=frozenset(e.transition for es in graph.edges.values() for e in es),
     )
     return RestrictedAutomaton(base, chans, graph, conditions, name or a.name)
@@ -375,20 +369,61 @@ def acceptance_anchors(
         if not inside:
             continue
         node_set = set(inside)
-        g = nx.DiGraph()
-        g.add_nodes_from(inside)
-        for n in inside:
-            for m in succ(n):
-                if m in node_set:
-                    g.add_edge(n, m)
-        for scc in nx.strongly_connected_components(g):
+        adj = {n: [m for m in succ(n) if m in node_set] for n in inside}
+        for scc in _sccs(inside, adj):
             if len(scc) == 1:
                 (only,) = scc
-                if not g.has_edge(only, only):
+                if only not in adj[only]:
                     continue
             if {state_of(n) for n in scc} == member:
                 anchors |= scc
     return frozenset(anchors)
+
+
+def _sccs(nodes: Iterable, adj: Mapping) -> list[set]:
+    """Strongly connected components of `adj` (Tarjan 1972).
+
+    Iterative rather than recursive, since one component can span tens of
+    thousands of configurations.  `adj` maps every node to its successors.
+    """
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out: list[set] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    scc = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.add(w)
+                        if w == v:
+                            break
+                    out.append(scc)
+    return out
 
 
 def graph_consistency(

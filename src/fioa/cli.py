@@ -31,7 +31,7 @@ from .channels import (
     run as run_graph,
 )
 from .conditions import is_consistent_cond, is_quasi_deterministic, is_unaffected
-from .core import EPSILON, Nfioa, Projection, active_slot, classify, reachable_states
+from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states, state_str
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
 from .errors import WorkbenchError
@@ -81,31 +81,19 @@ def _restricted(built: BuiltNetwork) -> RestrictedAutomaton:
     return built.restricted
 
 
-def _state_str(state) -> str:
-    return "|".join(state)
-
-
 def _cfg_str(built: BuiltNetwork, cfg) -> str:
     if cfg.pending is None:
-        return _state_str(cfg.state)
+        return state_str(cfg.state)
     ch, char = cfg.pending
-    return f"{_state_str(cfg.state)} !{char}@{built.compiled.channel_label(ch)}"
-
-
-def _label_str(comps, vec) -> str:
-    slot = active_slot(vec)
-    if slot is None:
-        return "-"
-    k, ch = slot
-    return f"{comps[k].name}.{ch}"
+    return f"{state_str(cfg.state)} !{char}@{built.compiled.channel_label(ch)}"
 
 
 def _print_trace(built: BuiltNetwork, res) -> None:
     a = built.automaton
     for i, t in enumerate(res.transitions):
         print(
-            f"{i}\t{_cfg_str(built, res.configs[i])}\t{_label_str(a.inputs, t.input)}"
-            f"\t{_label_str(a.outputs, t.output)}\t{_cfg_str(built, res.configs[i + 1])}"
+            f"{i}\t{_cfg_str(built, res.configs[i])}\t{label_str(t.input, a.inputs)}"
+            f"\t{label_str(t.output, a.outputs)}\t{_cfg_str(built, res.configs[i + 1])}"
         )
 
 
@@ -139,7 +127,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
         rep = is_consistent_cond(a)
         if rep.ok:
             return True, f"{len(rep.anchors)} anchor states"
-        return False, f"acceptance unreachable from {_state_str(rep.witness)}"
+        return False, f"acceptance unreachable from {state_str(rep.witness)}"
     if kind == "protocol":
         if r is None:
             return False, "needs a channel-coupled network"
@@ -389,7 +377,10 @@ def cmd_safety(args) -> int:
         raise _UsageError(f"predicate does not parse: {exc}") from exc
 
     def bad(cfg) -> bool:
+        # The scope goes in the globals: generator expressions open their
+        # own frame, which sees globals but not the eval's locals.
         scope = {
+            "__builtins__": {},
             "state": cfg.state,
             "pending": cfg.pending[1] if cfg.pending is not None else None,
             "len": len,
@@ -397,7 +388,7 @@ def cmd_safety(args) -> int:
             "all": all,
             "sum": sum,
         }
-        return bool(eval(code, {"__builtins__": {}}, scope))
+        return bool(eval(code, scope))
 
     try:
         rep = safety_query(r, bad)
@@ -417,8 +408,8 @@ def cmd_safety(args) -> int:
     a = built.automaton
     for e in rep.path:
         print(
-            f"  {_label_str(a.inputs, e.transition.input)} / "
-            f"{_label_str(a.outputs, e.transition.output)} -> {_cfg_str(built, e.target)}"
+            f"  {label_str(e.transition.input, a.inputs)} / "
+            f"{label_str(e.transition.output, a.outputs)} -> {_cfg_str(built, e.target)}"
         )
     return EX_FAIL
 

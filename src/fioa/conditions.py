@@ -16,7 +16,7 @@ would stop agreeing with restricting the coordinated parts alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .core import (
@@ -194,15 +194,7 @@ def cond(
         for t in a.transitions
         if t.source in reach and not any(c.matches(t) for c in conditions)
     )
-    return Nfioa(
-        name=name or a.name,
-        states=a.states,
-        inputs=a.inputs,
-        outputs=a.outputs,
-        initial=a.initial,
-        acceptance=a.acceptance,
-        transitions=surviving,
-    )
+    return replace(a, name=name or a.name, transitions=surviving)
 
 
 def cond_strict(

@@ -12,8 +12,8 @@ concatenate them without special cases.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidAutomaton, WiringError
 
@@ -44,6 +44,24 @@ def active_slot(vc: VectorChar) -> tuple[int, str] | None:
 
 def is_silent(vc: VectorChar) -> bool:
     return all(ch == EPSILON for ch in vc)
+
+
+def state_str(s: StateVector) -> str:
+    """A state as its slot values joined with `|`."""
+    return "|".join(s)
+
+
+def label_str(vc: VectorChar, comps: Sequence[ComponentAlphabet] | None = None) -> str:
+    """A label as its active `component.char`, or `-` when silent.
+
+    Components are named from `comps`; without it the slot index stands in.
+    """
+    slot = active_slot(vc)
+    if slot is None:
+        return "-"
+    k, ch = slot
+    name = comps[k].name if comps is not None else str(k)
+    return f"{name}.{ch}"
 
 
 @dataclass(frozen=True)
@@ -259,12 +277,9 @@ def prune(a: Nfioa) -> Nfioa:
         acc = Acceptance.final(acc.final_states & reach)
     else:
         acc = Acceptance.muller(m for m in acc.muller_sets if m <= reach)
-    return Nfioa(
-        name=a.name,
+    return replace(
+        a,
         states=reach,
-        inputs=a.inputs,
-        outputs=a.outputs,
-        initial=a.initial,
         acceptance=acc,
         transitions=frozenset(t for t in a.transitions if t.source in reach and t.target in reach),
     )
@@ -315,15 +330,7 @@ def with_initial(a: Nfioa, initial: StateVector, *, name: str | None = None) -> 
     initial = tuple(initial)
     if initial not in a.states:
         raise WiringError(f"{initial!r} is not a state of {a.name}")
-    return Nfioa(
-        name=name or a.name,
-        states=a.states,
-        inputs=a.inputs,
-        outputs=a.outputs,
-        initial=initial,
-        acceptance=a.acceptance,
-        transitions=a.transitions,
-    )
+    return replace(a, name=name or a.name, initial=initial)
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,12 @@ byte-identical and diffs of exports track real changes.
 
 from __future__ import annotations
 
-from .core import EPSILON, Nfioa, StateVector, VectorChar
+from .core import Nfioa, label_str, state_str
 from .channels import RestrictedAutomaton
 
 
 def _esc(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _state_str(s: StateVector) -> str:
-    return "|".join(s)
-
-
-def _label_str(vc: VectorChar, comps) -> str:
-    for k, ch in enumerate(vc):
-        if ch != EPSILON:
-            name = comps[k].name if k < len(comps) else str(k)
-            return f"{name}.{ch}"
-    return "-"
 
 
 def export_dot(subject: Nfioa | RestrictedAutomaton) -> str:
@@ -40,14 +28,14 @@ def _dot_nfioa(a: Nfioa) -> str:
     lines = [f'digraph "{_esc(a.name)}" {{', "  rankdir=LR;", '  node [shape=ellipse];']
     finals = a.acceptance.final_states if a.acceptance.mode == "final" else frozenset()
     for s in nodes:
-        attrs = [f'label="{_esc(_state_str(s))}"']
+        attrs = [f'label="{_esc(state_str(s))}"']
         if s == a.initial:
             attrs.append("penwidth=2")
         if s in finals:
             attrs.append("peripheries=2")
         lines.append(f"  {ids[s]} [{', '.join(attrs)}];")
     for t in sorted(a.transitions):
-        label = f"{_label_str(t.input, a.inputs)} / {_label_str(t.output, a.outputs)}"
+        label = f"{label_str(t.input, a.inputs)} / {label_str(t.output, a.outputs)}"
         lines.append(f'  {ids[t.source]} -> {ids[t.target]} [label="{_esc(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -58,7 +46,7 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
     ids = {c: f"c{i}" for i, c in enumerate(nodes)}
     lines = [f'digraph "{_esc(r.name)}" {{', "  rankdir=LR;", '  node [shape=ellipse];']
     for c in nodes:
-        text = _state_str(c.state)
+        text = state_str(c.state)
         attrs = []
         if c.pending is not None:
             chan, char = c.pending
@@ -71,8 +59,8 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
     for c in nodes:
         for e in r.graph.edges[c]:
             label = (
-                f"{_label_str(e.transition.input, r.base.inputs)} / "
-                f"{_label_str(e.transition.output, r.base.outputs)}"
+                f"{label_str(e.transition.input, r.base.inputs)} / "
+                f"{label_str(e.transition.output, r.base.outputs)}"
             )
             lines.append(f'  {ids[c]} -> {ids[e.target]} [label="{_esc(label)}"];')
     lines.append("}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import Acceptance, ComponentAlphabet, EPSILON, Nfioa, epsilon_char, single_char, validate
+from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, validate
 from .errors import DslError
 from .network import (
     BuiltNetwork,
@@ -652,13 +652,6 @@ def _fmt_acceptance(acc: Acceptance) -> str:
     return "accept muller {" + inner + "};"
 
 
-def _fmt_label(comps, vec) -> str:
-    for k, ch in enumerate(vec):
-        if ch != EPSILON:
-            return f"{comps[k].name}.{ch}"
-    return "-"
-
-
 def _fmt_interface(keyword: str, comps) -> str | None:
     if not comps:
         return None
@@ -682,7 +675,7 @@ def _serialize_automaton(a: Nfioa) -> list[str]:
     for t in sorted(a.transitions):
         lines.append(
             f"  trans {t.source[0]} -> {t.target[0]} on "
-            f"{_fmt_label(a.inputs, t.input)} / {_fmt_label(a.outputs, t.output)};"
+            f"{label_str(t.input, a.inputs)} / {label_str(t.output, a.outputs)};"
         )
     lines.append("}")
     return lines

@@ -19,6 +19,8 @@ command line.  The machines follow a request/confirm service discipline:
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import Acceptance, ComponentAlphabet, Nfioa, Transition, epsilon_char, single_char
 from .dsl import Directive, NetFactor, NetworkDef, ResolvedDocument, WorkbenchDocument, resolve
 from .network import ChannelSpec, ConditionSpec, PatternSpec
@@ -124,15 +126,7 @@ def deaf_server_role() -> Nfioa:
     dropped = frozenset(
         t for t in base.transitions if not (t.source == ("remn",) and t.target == ("try",))
     )
-    return Nfioa(
-        name="DeafServer",
-        states=base.states,
-        inputs=base.inputs,
-        outputs=base.outputs,
-        initial=base.initial,
-        acceptance=base.acceptance,
-        transitions=dropped,
-    )
+    return replace(base, name="DeafServer", transitions=dropped)
 
 
 def ring_role() -> Nfioa:
@@ -220,15 +214,7 @@ def sticky_admin_role() -> Nfioa:
     dropped = frozenset(
         t for t in base.transitions if not (t.source == ("avail",) and t.target == ("absent",))
     )
-    return Nfioa(
-        name="StickyAdmin",
-        states=base.states,
-        inputs=base.inputs,
-        outputs=base.outputs,
-        initial=base.initial,
-        acceptance=base.acceptance,
-        transitions=dropped,
-    )
+    return replace(base, name="StickyAdmin", transitions=dropped)
 
 
 # ---------------------------------------------------------------------------

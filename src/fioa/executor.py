@@ -9,11 +9,10 @@ new system, so histories can be branched and replayed freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    EPSILON,
     ComponentAlphabet,
     Nfioa,
     StateVector,
@@ -21,7 +20,9 @@ from .core import (
     VectorChar,
     classify,
     epsilon_char,
+    label_str,
     require_valid,
+    state_str,
 )
 from .errors import PreconditionError, StepRejected
 
@@ -32,7 +33,10 @@ class FiniteSystem:
 
     `time` counts completed steps; `input_reg`/`output_reg` hold the label
     consumed/emitted on the step that produced this snapshot (silent at
-    time zero).
+    time zero).  `table` is the `(state, input)` step lookup, built once
+    for the first snapshot and shared by every later one; it belongs to
+    `automaton`, so start a system for another automaton afresh rather
+    than by replacing the field.
     """
 
     automaton: Nfioa
@@ -40,9 +44,14 @@ class FiniteSystem:
     state: StateVector
     input_reg: VectorChar
     output_reg: VectorChar
+    table: Mapping[tuple[StateVector, VectorChar], Transition] | None = field(
+        default=None, compare=False, repr=False
+    )
 
-    def _table(self) -> dict[tuple[StateVector, VectorChar], Transition]:
-        return {(t.source, t.input): t for t in self.automaton.transitions}
+    def __post_init__(self):
+        if self.table is None:
+            table = {(t.source, t.input): t for t in self.automaton.transitions}
+            object.__setattr__(self, "table", table)
 
 
 def system_from_dfioa(a: Nfioa) -> FiniteSystem:
@@ -72,18 +81,12 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
 def step(s: FiniteSystem, input: VectorChar) -> tuple[VectorChar, FiniteSystem]:
     """Consume one input label; returns (emitted output, next snapshot)."""
     input = tuple(input)
-    t = s._table().get((s.state, input))
+    t = s.table.get((s.state, input))
     if t is None:
         raise StepRejected(
             f"no transition from {s.state!r} on input {input!r} at time {s.time}"
         )
-    nxt = FiniteSystem(
-        automaton=s.automaton,
-        time=s.time + 1,
-        state=t.target,
-        input_reg=input,
-        output_reg=t.output,
-    )
+    nxt = replace(s, time=s.time + 1, state=t.target, input_reg=input, output_reg=t.output)
     return t.output, nxt
 
 
@@ -130,16 +133,6 @@ def render_trace(
     silent); pass the interface to name components, otherwise the slot
     index stands in.  States join their slots with `|`.
     """
-
-    def state_str(s: StateVector) -> str:
-        return "|".join(s)
-
-    def label_str(vc: VectorChar, comps) -> str:
-        for k, ch in enumerate(vc):
-            if ch != EPSILON:
-                name = comps[k].name if comps is not None else str(k)
-                return f"{name}.{ch}"
-        return "-"
 
     lines = []
     for t, e in enumerate(trace):

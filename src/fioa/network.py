@@ -15,7 +15,7 @@ built eagerly so the result keeps its full state set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .core import Acceptance, Nfioa, StateVector, require_valid, with_initial
@@ -176,17 +176,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
         a = require_valid(ref.automaton)
         if ref.initial is not None:
             a = with_initial(a, ref.initial)
-        factors.append(
-            Nfioa(
-                name=ref.alias,
-                states=a.states,
-                inputs=a.inputs,
-                outputs=a.outputs,
-                initial=a.initial,
-                acceptance=a.acceptance,
-                transitions=a.transitions,
-            )
-        )
+        factors.append(replace(a, name=ref.alias))
     factors = tuple(factors)
     index = ProductIndex.for_factors(factors)
 
@@ -296,15 +286,7 @@ class BuiltNetwork:
 def _override_acceptance(a: Nfioa, acceptance: Acceptance | None) -> Nfioa:
     if acceptance is None:
         return a
-    return Nfioa(
-        name=a.name,
-        states=a.states,
-        inputs=a.inputs,
-        outputs=a.outputs,
-        initial=a.initial,
-        acceptance=acceptance,
-        transitions=a.transitions,
-    )
+    return replace(a, acceptance=acceptance)
 
 
 def build_network(spec: NetworkSpec) -> BuiltNetwork:

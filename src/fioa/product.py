@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from typing import Iterable, Sequence
+from math import prod
+from typing import Sequence
 
 from .core import (
     EPSILON,
@@ -174,93 +175,48 @@ def weak_product(
 ) -> tuple[Nfioa, ProductIndex]:
     """Eager weakly synchronized product of one or more automata.
 
-    Exactly one factor moves per product transition, with the factor's
-    input/output characters embedded at its slice of the flat interface
-    and every other factor's state carried along unchanged.  Moving-factor
-    sources and carried contexts are both restricted to the per-factor
-    reachable states.  States are materialized up front, guarded by caps.
+    The materialization of `LazyProduct`: every state of the Cartesian
+    product, and the moves `LazyProduct.outgoing` generates from each
+    state of the rectangle of per-factor reachable states — so moving-factor
+    sources and carried contexts are both restricted to reachable local
+    states.  The caps are checked before anything is materialized.
     """
-    factors = list(factors)
-    if not factors:
-        raise WiringError("product needs at least one factor")
-    for f in factors:
-        require_valid(f)
-    _check_modes(factors)
-    index = ProductIndex.for_factors(factors)
-
-    n_states = 1
-    for f in factors:
-        n_states *= len(f.states)
+    lazy = LazyProduct(factors, name=name)
+    factors = lazy.factors
+    n_states = prod(len(f.states) for f in factors)
     if n_states > state_cap:
         raise CapacityExceeded(f"product would have {n_states} states (cap {state_cap})")
 
-    reach = [sorted(reachable_states(f)) for f in factors]
+    reach = lazy._reach
     n_trans = 0
-    for k, f in enumerate(factors):
-        alive = sum(1 for t in f.transitions if t.source in f.states and t.source in set(reach[k]))
-        ctx = 1
-        for j in range(len(factors)):
-            if j != k:
-                ctx *= len(reach[j])
-        n_trans += alive * ctx
+    for k in range(len(factors)):
+        alive = sum(len(lazy._by_source[k].get(s, ())) for s in reach[k])
+        n_trans += alive * prod(len(r) for j, r in enumerate(reach) if j != k)
     if n_trans > transition_cap:
         raise CapacityExceeded(
             f"product would have {n_trans} transitions (cap {transition_cap}); "
             "explore it as a network instead"
         )
 
-    inputs, outputs = _concat_interfaces(factors)
-    in_width, out_width = len(inputs), len(outputs)
-
     states = frozenset(
         tuple(v for part in combo for v in part)
-        for combo in cartesian(*(sorted(f.states) for f in factors))
+        for combo in cartesian(*(f.states for f in factors))
     )
-    initial = tuple(v for f in factors for v in f.initial)
-
-    def embed(vc: tuple, k: int, slices, width: int) -> tuple:
-        out = [EPSILON] * width
-        off, _w = slices[k]
-        for i, ch in enumerate(vc):
-            out[off + i] = ch
-        return tuple(out)
-
-    transitions: list[Transition] = []
-    reach_sets = [set(r) for r in reach]
-    for k, f in enumerate(factors):
-        ctx_parts = [reach[j] for j in range(len(factors)) if j != k]
-        moving = sorted(t for t in f.transitions if t.source in reach_sets[k])
-        for ctx in cartesian(*ctx_parts):
-            for t in moving:
-                parts_src, parts_tgt = [], []
-                ci = 0
-                for j in range(len(factors)):
-                    if j == k:
-                        parts_src.append(t.source)
-                        parts_tgt.append(t.target)
-                    else:
-                        parts_src.append(ctx[ci])
-                        parts_tgt.append(ctx[ci])
-                        ci += 1
-                transitions.append(
-                    Transition(
-                        tuple(v for p in parts_src for v in p),
-                        tuple(v for p in parts_tgt for v in p),
-                        embed(t.input, k, index.input_slices, in_width),
-                        embed(t.output, k, index.output_slices, out_width),
-                    )
-                )
-
-    prod = Nfioa(
-        name=name or "(" + " x ".join(f.name for f in factors) + ")",
+    transitions = [
+        t
+        for combo in cartesian(*reach)
+        for t in lazy.outgoing(tuple(v for part in combo for v in part))
+    ]
+    product = Nfioa(
+        name=lazy.name,
         states=states,
-        inputs=inputs,
-        outputs=outputs,
-        initial=initial,
+        inputs=lazy.inputs,
+        outputs=lazy.outputs,
+        initial=lazy.initial,
         acceptance=_product_acceptance(factors),
         transitions=transitions,
     )
-    return prod, index
+    return product, lazy.index
 
 
 def associate(
@@ -278,10 +234,11 @@ def associate(
 class LazyProduct:
     """Weak product materialized on demand, for exploring large networks.
 
-    Semantically identical to `weak_product` restricted to what a forward
-    exploration can see: successors of a state are generated per factor
-    when asked.  Carries the same flat interface and index so channel and
-    condition machinery applies unchanged.
+    The one successor generator of the weak product: `weak_product`
+    materializes it, and forward explorations ask it for the successors of
+    each state they reach, generated per factor.  Carries the flat
+    interface and index so channel and condition machinery applies
+    unchanged.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):

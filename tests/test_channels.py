@@ -2,6 +2,8 @@
 taxonomy, well-formedness, consistency, protocols, and schedulers."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,7 @@ from fioa import (
     run,
 )
 from fioa.analysis import law_instance
-from fioa.channels import ALL_EDGE_CLASSES, check_channels
+from fioa.channels import ALL_EDGE_CLASSES, _sccs, check_channels
 from fioa.core import ComponentAlphabet, active_slot
 
 
@@ -353,3 +355,44 @@ def test_static_reflatten_reading_would_break_commutation():
     static = cbr(flatten(cbr(a, (c1,))), (c2,))
     assert spontaneous in flatten(static).transitions
     assert flatten(static).transitions != flatten(one_pass).transitions
+
+
+def _sccs_by_reachability(nodes, adj):
+    """Components as classes of mutual reachability, by brute force."""
+    reach = {}
+    for n in nodes:
+        seen, todo = {n}, [n]
+        while todo:
+            for m in adj[todo.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        reach[n] = seen
+    return {frozenset(m for m in reach[n] if n in reach[m]) for n in nodes}
+
+
+class TestSccs:
+    def test_tarjan_matches_mutual_reachability(self):
+        for seed in range(500):
+            rng = random.Random(seed)
+            n = rng.randint(0, 12)
+            density = rng.choice([0.0, 0.05, 0.15, 0.3, 0.6])
+            adj = {i: [j for j in range(n) if rng.random() < density] for i in range(n)}
+            nodes = list(range(n))
+            rng.shuffle(nodes)
+            found = _sccs(nodes, adj)
+            assert sum(map(len, found)) == n, seed  # a partition of the nodes
+            assert {frozenset(c) for c in found} == _sccs_by_reachability(nodes, adj), seed
+
+    def test_empty_graph_has_no_components(self):
+        assert _sccs([], {}) == []
+
+    def test_isolated_nodes_and_self_loops_are_singletons(self):
+        adj = {"a": [], "b": ["b"], "c": ["a"]}
+        assert sorted(map(sorted, _sccs(["a", "b", "c"], adj))) == [["a"], ["b"], ["c"]]
+
+    def test_long_cycle_does_not_recurse(self):
+        n = 100_000
+        adj = {i: [(i + 1) % n] for i in range(n)}
+        (only,) = _sccs(range(n), adj)
+        assert len(only) == n

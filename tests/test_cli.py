@@ -1,10 +1,14 @@
 """Command-line interface: exit codes and output contracts."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fioa
 from fioa import examples
 from fioa.cli import cli
 
@@ -254,6 +258,13 @@ class TestSafety:
     def test_pending_is_visible_to_predicates(self, capsys):
         assert cli(["safety", MUTEX, "closed_mutex", "--predicate", "pending == 'req'"]) == 1
 
+    def test_generator_expressions_see_the_state(self, capsys):
+        base = ["safety", RING2, "ring2", "--predicate"]
+        assert cli(base + ["state[0] == 'crit' and state[6] == 'crit'"]) == 1
+        expected = capsys.readouterr().out
+        assert cli(base + ["sum(state[k] == 'crit' for k in (0, 6)) >= 2"]) == 1
+        assert capsys.readouterr().out == expected
+
     def test_bad_predicate_syntax_is_a_usage_error(self, capsys):
         assert cli(["safety", MUTEX, "closed_mutex", "--predicate", "state[0]=="]) == 2
         assert "does not parse" in capsys.readouterr().err
@@ -296,3 +307,12 @@ class TestExamples:
 
     def test_emit_rejects_unknown_names(self, capsys):
         assert cli(["examples", "emit", "perpetuum_mobile"]) == 2
+
+
+def test_importing_the_cli_loads_no_graph_library():
+    src = Path(fioa.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, fioa.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from fioa import (
+    FiniteSystem,
     PreconditionError,
     StepRejected,
     Transition,
@@ -74,6 +75,14 @@ class TestStepping:
         out_b, _ = step(after, TIMEOUT_IN)
         assert out_a == single_char(3, 0, "cf_req")
         assert out_b == single_char(3, 2, "token")
+
+    def test_successors_share_the_step_table(self, det_admin_system):
+        _, after = step(det_admin_system, TOKEN_IN)
+        assert after.table is det_admin_system.table
+        assert "table" not in repr(after)
+        rebuilt = FiniteSystem(after.automaton, after.time, after.state, after.input_reg, after.output_reg)
+        assert rebuilt == after
+        assert step(rebuilt, REQ_IN) == step(after, REQ_IN)
 
     def test_unexpected_input_is_rejected_with_position(self, det_admin_system):
         with pytest.raises(StepRejected, match="time 0"):

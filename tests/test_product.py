@@ -1,6 +1,8 @@
 """Weakly synchronized products: eager, lazy, and re-bracketing."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,3 +243,51 @@ class TestRandomProducts:
                 elif not stayed_put:
                     pytest.fail(f"slot {i} changed without a factor move: {t}")
             assert movers, f"no factor owns {t}"
+
+
+def _product_by_definition(factors):
+    """The weak product written from its definition.
+
+    Every state of the Cartesian product; one factor moves by one of its
+    own transitions while every other factor sits in a reachable local
+    state, and silent characters fill the other factors' label slots.
+    """
+    reach = [reachable_states(f) for f in factors]
+    states = {sum(combo, ()) for combo in itertools.product(*(f.states for f in factors))}
+    transitions = set()
+    for k, f in enumerate(factors):
+        for t in f.transitions:
+            if t.source not in reach[k]:
+                continue
+            contexts = [reach[j] if j != k else [None] for j in range(len(factors))]
+            for ctx in itertools.product(*contexts):
+                src = tgt = inp = out = ()
+                for j, g in enumerate(factors):
+                    moving = j == k
+                    src += t.source if moving else ctx[j]
+                    tgt += t.target if moving else ctx[j]
+                    inp += t.input if moving else (EPSILON,) * len(g.inputs)
+                    out += t.output if moving else (EPSILON,) * len(g.outputs)
+                transitions.add(Transition(src, tgt, inp, out))
+    finals = {
+        sum(combo, ())
+        for combo in itertools.product(*(f.acceptance.final_states for f in factors))
+    }
+    return states, transitions, finals
+
+
+class TestProductDefinition:
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_eager_product_matches_its_definition(self, width):
+        for seed in range(30):
+            factors = [
+                random_nfioa(seed * 7 + j, n_states=3 + (seed + j) % 3, name=f"f{j}")
+                for j in range(width)
+            ]
+            prod, index = weak_product(factors)
+            states, transitions, finals = _product_by_definition(factors)
+            assert prod.states == states, seed
+            assert prod.transitions == transitions, seed
+            assert prod.initial == sum((f.initial for f in factors), ())
+            assert prod.acceptance == Acceptance.final(finals), seed
+            assert index == ProductIndex.for_factors(factors)
