@@ -24,7 +24,6 @@ from .core import (
     ComponentAlphabet,
     Nfioa,
     Transition,
-    active_slot,
     automata_equal,
 )
 from .channels import (
@@ -299,16 +298,7 @@ def run_law_suite(
 # Behavioral (trace) equivalence over channel events
 
 Event = tuple[Channel, str]
-
-
-def _event_of(r: RestrictedAutomaton, e: Edge) -> Event | None:
-    oa = active_slot(e.transition.output)
-    if oa is None:
-        return None
-    for ch in r.channels:
-        if ch.out_component == oa[0]:
-            return (ch, oa[1])
-    return None
+# An edge's send event is its target's `pending`, set by `channels._explore`.
 
 
 def _silent_closure(r: RestrictedAutomaton, cfgs: Iterable[Configuration]) -> frozenset:
@@ -317,7 +307,7 @@ def _silent_closure(r: RestrictedAutomaton, cfgs: Iterable[Configuration]) -> fr
     while frontier:
         c = frontier.popleft()
         for e in r.graph.edges[c]:
-            if _event_of(r, e) is None and e.target not in seen:
+            if e.target.pending is None and e.target not in seen:
                 seen.add(e.target)
                 frontier.append(e.target)
     return frozenset(seen)
@@ -327,14 +317,10 @@ def _event_steps(r: RestrictedAutomaton, closure: frozenset) -> dict[Event, froz
     steps: dict[Event, set] = {}
     for c in closure:
         for e in r.graph.edges[c]:
-            ev = _event_of(r, e)
+            ev = e.target.pending
             if ev is not None:
                 steps.setdefault(ev, set()).add(e.target)
     return {ev: _silent_closure(r, tgts) for ev, tgts in steps.items()}
-
-
-def _event_key(ev: Event):
-    return (ev[0], ev[1])
 
 
 def trace_language(r: RestrictedAutomaton, bound: int) -> frozenset[tuple[Event, ...]]:
@@ -400,9 +386,9 @@ def trace_equivalent(
             cache2[c2] = _event_steps(r2, c2)
         e1, e2 = cache1[c1], cache2[c2]
         if set(e1) != set(e2):
-            ev = sorted(set(e1) ^ set(e2), key=_event_key)[0]
+            ev = sorted(set(e1) ^ set(e2))[0]
             return TraceEquivalence(False, trace + (ev,), sufficient, bound)
-        for ev in sorted(e1, key=_event_key):
+        for ev in sorted(e1):
             pair = (e1[ev], e2[ev])
             if pair not in seen:
                 seen.add(pair)

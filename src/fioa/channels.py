@@ -28,6 +28,7 @@ from .core import (
     StateVector,
     Transition,
     active_slot,
+    is_silent,
     require_valid,
 )
 from .errors import (
@@ -293,20 +294,15 @@ class EdgeClass(NamedTuple):
 
 
 def classify_edge(r: RestrictedAutomaton, c: Configuration, e: Edge) -> EdgeClass:
-    mode = "excited" if c.pending is not None else "relaxed"
-    ia = active_slot(e.transition.input)
     if c.pending is not None:
-        input_kind = "consume"
-    elif ia is None:
-        input_kind = "silent-in"
+        mode, input_kind = "excited", "consume"
     else:
-        input_kind = "open-in"
-    oa = active_slot(e.transition.output)
-    out_chans = {ch.out_component for ch in r.channels}
-    if oa is None:
-        output_kind = "silent-out"
-    elif oa[0] in out_chans:
+        mode = "relaxed"
+        input_kind = "silent-in" if is_silent(e.transition.input) else "open-in"
+    if e.target.pending is not None:
         output_kind = "channel-out"
+    elif is_silent(e.transition.output):
+        output_kind = "silent-out"
     else:
         output_kind = "open-out"
     return EdgeClass(mode, input_kind, output_kind)

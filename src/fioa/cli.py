@@ -119,15 +119,14 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
             return True, "every sent character can be consumed"
         return False, f"stuck excited configuration {_cfg_str(built, wf.witness)}"
     if kind == "consistent":
-        if r is not None:
-            rep = is_consistent(r)
-            if rep.ok:
-                return True, f"{len(rep.anchors)} anchor configurations"
-            return False, f"acceptance unreachable from {_cfg_str(built, rep.witness)}"
-        rep = is_consistent_cond(a)
+        rep = is_consistent(r) if r is not None else is_consistent_cond(a)
+        nodes = "configurations" if r is not None else "states"
         if rep.ok:
-            return True, f"{len(rep.anchors)} anchor states"
-        return False, f"acceptance unreachable from {state_str(rep.witness)}"
+            return True, f"{len(rep.anchors)} anchor {nodes}"
+        if not rep.anchors:
+            return False, f"acceptance is met in none of the reachable {nodes} (0 anchors)"
+        where = _cfg_str(built, rep.witness) if r is not None else state_str(rep.witness)
+        return False, f"acceptance unreachable from {where}"
     if kind == "protocol":
         if r is None:
             return False, "needs a channel-coupled network"

@@ -137,9 +137,14 @@ class Nfioa:
         object.__setattr__(self, "outputs", tuple(outputs))
         object.__setattr__(self, "initial", tuple(initial))
         object.__setattr__(self, "acceptance", acceptance)
-        object.__setattr__(
-            self, "transitions", frozenset(Transition(*t) for t in transitions)
-        )
+        # A set that is already normal is kept, so `replace` of another
+        # field does not copy every transition.
+        if not (
+            isinstance(transitions, frozenset)
+            and all(isinstance(t, Transition) for t in transitions)
+        ):
+            transitions = frozenset(Transition(*t) for t in transitions)
+        object.__setattr__(self, "transitions", transitions)
 
     @property
     def state_width(self) -> int:

@@ -60,7 +60,6 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
     Nondeterminism or spontaneous moves make the step lookup ambiguous,
     so both are rejected up front.
     """
-    require_valid(a)
     cls = classify(a)
     if not cls.is_deterministic:
         trouble = []

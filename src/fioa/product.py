@@ -106,43 +106,26 @@ def _concat_interfaces(factors: Sequence[Nfioa]):
     return inputs, outputs
 
 
-def _product_acceptance(factors: Sequence[Nfioa]) -> Acceptance:
-    """Conjunction of the factor conditions on the flattened state space.
-
-    Final mode: the Cartesian product of the final sets.  Muller mode: one
-    member per choice of factor members — the set product, flattened.
-    """
-    mode = factors[0].acceptance.mode
-    if mode == "final":
-        finals = [sorted(f.acceptance.final_states) for f in factors]
-        return Acceptance.final(
-            tuple(v for part in combo for v in part) for combo in cartesian(*finals)
-        )
-    families = [sorted(f.acceptance.muller_sets, key=sorted) for f in factors]
-    members = []
-    for combo in cartesian(*families):
-        members.append(
-            frozenset(
-                tuple(v for part in pick for v in part)
-                for pick in cartesian(*(sorted(m) for m in combo))
-            )
-        )
-    return Acceptance.muller(members)
-
-
 def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector]) -> Acceptance:
-    """Product acceptance restricted to a known reachable state set.
+    """Product acceptance restricted to a known state set.
 
-    A Muller member that is not contained in `allowed` can never be the
+    The conjunction of the factor conditions on the flattened state space.
+    Final mode: the Cartesian product of the final sets.  Muller mode: one
+    member per choice of factor members — the set product, flattened.  A
+    Muller member that is not contained in `allowed` can never be the
     infinitely-visited set of a run staying inside it, so such members are
     dropped — without being materialized when a size count already rules
-    them out.  Used for lazily-explored networks whose full rectangles
-    would be enormous.
+    them out.  `weak_product` passes its whole Cartesian state set, which
+    keeps every member; lazily-explored networks pass their reachable
+    states, whose full rectangles would be enormous.
     """
     mode = factors[0].acceptance.mode
     if mode == "final":
-        acc = _product_acceptance(factors)
-        return Acceptance.final(acc.final_states & allowed)
+        finals = (
+            tuple(v for part in combo for v in part)
+            for combo in cartesian(*(f.acceptance.final_states for f in factors))
+        )
+        return Acceptance.final(s for s in finals if s in allowed)
     families = [sorted(f.acceptance.muller_sets, key=sorted) for f in factors]
     members = []
     for combo in cartesian(*families):
@@ -213,7 +196,7 @@ def weak_product(
         inputs=lazy.inputs,
         outputs=lazy.outputs,
         initial=lazy.initial,
-        acceptance=_product_acceptance(factors),
+        acceptance=acceptance_within(factors, states),
         transitions=transitions,
     )
     return product, lazy.index

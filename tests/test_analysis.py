@@ -1,6 +1,9 @@
 """Analysis toolkit: operator laws, trace equivalence, safety search."""
 from __future__ import annotations
 
+import random
+from collections import Counter, deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,9 +26,10 @@ from fioa import (
     trace_language,
     weak_product,
 )
-from fioa.analysis import law_instance
+from fioa.analysis import _weld, law_instance
+from fioa.channels import ALL_EDGE_CLASSES, EdgeClass, edge_census
 from fioa.conditions import Condition, IoPattern, Scope
-from fioa.core import ComponentAlphabet, Nfioa
+from fioa.core import ComponentAlphabet, Nfioa, active_slot
 from fioa.dsl import WorkbenchDocument, resolve
 
 
@@ -208,6 +212,96 @@ class TestTraceLanguage:
             for k in range(len(trace)):
                 assert trace[:k] in lang
         assert trace_language(r, 2) <= lang
+
+
+def _random_channel_network(seed):
+    """Two random factors, wired by one to three random valid channels."""
+    rng = random.Random(seed)
+    factors = [random_nfioa(rng.randrange(10**9), n_states=3, name=f"f{j}") for j in range(2)]
+    prod, _ = weak_product(factors)
+    k = rng.randint(1, 3)
+    outs = rng.sample(range(len(prod.outputs)), k)
+    ins = rng.sample(range(len(prod.inputs)), k)
+    chans = tuple(Channel(o, i) for o, i in zip(outs, ins))
+    return cbr(_weld(prod, chans), chans)
+
+
+def _event_from_labels(r, t):
+    """The send a transition makes, read off its output label."""
+    slot = active_slot(t.output)
+    if slot is not None:
+        for ch in r.channels:
+            if ch.out_component == slot[0]:
+                return (ch, slot[1])
+    return None
+
+
+def _census_from_labels(r):
+    census = Counter()
+    for c, es in r.graph.edges.items():
+        for e in es:
+            ia, oa = active_slot(e.transition.input), active_slot(e.transition.output)
+            if c.pending is not None:
+                mode, inp = "excited", "consume"
+            else:
+                mode, inp = "relaxed", "silent-in" if ia is None else "open-in"
+            if oa is None:
+                out = "silent-out"
+            elif _event_from_labels(r, e.transition) is not None:
+                out = "channel-out"
+            else:
+                out = "open-out"
+            census[EdgeClass(mode, inp, out)] += 1
+    return dict(census)
+
+
+def _traces_from_labels(r, bound):
+    """Every channel-event trace of length <= bound, by walking paths."""
+    seen = {(r.graph.initial, ())}
+    frontier = deque(seen)
+    while frontier:
+        c, trace = frontier.popleft()
+        for e in r.graph.edges[c]:
+            ev = _event_from_labels(r, e.transition)
+            nxt = (e.target, trace if ev is None else trace + (ev,))
+            if len(nxt[1]) <= bound and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(trace for _, trace in seen)
+
+
+@pytest.fixture(scope="module")
+def random_networks():
+    return [_random_channel_network(seed) for seed in range(120)]
+
+
+class TestChannelEventsAgainstLabels:
+    """The graph's `pending` against the send each output label makes."""
+
+    def test_every_edge_sends_what_its_label_says(self, random_networks):
+        sends = 0
+        for seed, r in enumerate(random_networks):
+            for es in r.graph.edges.values():
+                for e in es:
+                    assert e.target.pending == _event_from_labels(r, e.transition), seed
+                    sends += e.target.pending is not None
+        assert sends > 0
+
+    def test_edge_census_matches_the_label_census(self, random_networks):
+        total = Counter()
+        for seed, r in enumerate(random_networks):
+            census = edge_census(r)
+            assert census == _census_from_labels(r), seed
+            total.update(census)
+        assert set(total) == set(ALL_EDGE_CLASSES)
+
+    def test_trace_language_matches_the_label_traces(self, random_networks):
+        longest = 0
+        for seed, r in enumerate(random_networks):
+            lang = trace_language(r, 4)
+            assert lang == _traces_from_labels(r, 4), seed
+            longest = max(longest, max(map(len, lang)))
+        assert longest == 4
 
 
 class TestTraceEquivalence:

@@ -86,6 +86,50 @@ class TestCheck:
         assert cli(["check", "consistent", MUTEX, "closed_mutex"]) == 0
         assert "consistent: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "path, network, code, verdict",
+        [
+            (MUTEX, "closed_mutex", 0, "consistent: yes (8 anchor configurations)"),
+            (
+                RING2,
+                "ring2",
+                1,
+                "consistent: no (acceptance is met in none of the reachable "
+                "configurations (0 anchors))",
+            ),
+        ],
+    )
+    def test_consistent_verdict_names_its_cause(self, path, network, code, verdict, capsys):
+        assert cli(["check", "consistent", path, network]) == code
+        assert capsys.readouterr().out.strip() == verdict
+
+    def test_consistent_on_a_plain_automaton(self, tmp_path, capsys):
+        path = tmp_path / "fork.pw"
+        path.write_text(
+            "automaton Fork {\n"
+            "  states a, b, c;\n"
+            "  initial a;\n"
+            "  accept final {b};\n"
+            "  trans a -> b on - / -;\n"
+            "  trans a -> c on - / -;\n"
+            "}\n"
+            "automaton Lost {\n"
+            "  states a, z;\n"
+            "  initial a;\n"
+            "  accept final {z};\n"
+            "  trans a -> a on - / -;\n"
+            "}\n",
+            encoding="utf-8",
+        )
+        assert cli(["check", "consistent", str(path), "Fork"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            "consistent: no (acceptance unreachable from c)"
+        )
+        assert cli(["check", "consistent", str(path), "Lost"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            "consistent: no (acceptance is met in none of the reachable states (0 anchors))"
+        )
+
     def test_wellformed_failure_names_the_stuck_configuration(self, capsys):
         assert cli(["check", "wellformed", BROKEN, "closed_mutex"]) == 1
         out = capsys.readouterr().out

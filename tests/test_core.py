@@ -1,6 +1,8 @@
 """Core machine representation: validation, classification, equality."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from fioa import (
     with_initial,
 )
 from fioa.core import active_slot, epsilon_char, is_silent, single_char
+from fioa.dsl import parse
 from fioa import examples
 
 
@@ -52,6 +55,29 @@ class TestLabels:
 
     def test_active_slot_of_silence_is_none(self):
         assert active_slot(("", "")) is None
+
+
+class TestConstruction:
+    def test_replacing_a_field_keeps_the_transition_set(self):
+        a = examples.user_role()
+        assert replace(a, name="x").transitions is a.transitions
+
+    def test_plain_tuples_become_transitions(self):
+        doc = parse(
+            "automaton Blink {\n"
+            "  states dark, lit;\n"
+            "  initial dark;\n"
+            "  outputs led: {flash};\n"
+            "  accept final {dark};\n"
+            "  trans dark -> lit on - / led.flash;\n"
+            "  trans lit -> dark on - / -;\n"
+            "}\n"
+        )
+        (a,) = doc.automata
+        assert len(a.transitions) == 2
+        assert all(type(t) is Transition for t in a.transitions)
+        b = tiny(frozenset({(("p",), ("q",), ("a",), ("",))}))
+        assert [type(t) for t in b.transitions] == [Transition]
 
 
 class TestValidate:

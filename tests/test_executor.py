@@ -1,10 +1,13 @@
 """Clocked execution of deterministic machines."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from fioa import (
     FiniteSystem,
+    InvalidAutomaton,
     PreconditionError,
     StepRejected,
     Transition,
@@ -57,6 +60,13 @@ class TestSystemCreation:
         )
         with pytest.raises(PreconditionError, match="several transitions"):
             system_from_dfioa(relational)
+
+    def test_invalid_machines_are_refused(self):
+        base = examples.det_admin_role()
+        stray = Transition(("avail",), ("nowhere",), REQ_IN, epsilon_char(3))
+        invalid = replace(base, transitions=base.transitions | {stray})
+        with pytest.raises(InvalidAutomaton, match="not a state"):
+            system_from_dfioa(invalid)
 
 
 class TestStepping:

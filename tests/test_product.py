@@ -291,3 +291,23 @@ class TestProductDefinition:
             assert prod.initial == sum((f.initial for f in factors), ())
             assert prod.acceptance == Acceptance.final(finals), seed
             assert index == ProductIndex.for_factors(factors)
+
+    @pytest.mark.parametrize(
+        "factors, count",
+        [
+            ([examples.user_role(), examples.server_role(), examples.timer_role()], 1),
+            ([examples.det_admin_role()] * 3, 8),
+        ],
+        ids=["user-server-timer", "3xDetAdmin"],
+    )
+    def test_muller_product_keeps_every_member(self, factors, count):
+        prod, _ = weak_product(factors)
+        states, transitions, _ = _product_by_definition(factors)
+        assert prod.states == states
+        assert prod.transitions == transitions
+        members = {
+            frozenset(sum(pick, ()) for pick in itertools.product(*combo))
+            for combo in itertools.product(*(f.acceptance.muller_sets for f in factors))
+        }
+        assert len(members) == count
+        assert prod.acceptance == Acceptance.muller(members)
