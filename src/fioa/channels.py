@@ -27,7 +27,6 @@ from .core import (
     Nfioa,
     StateVector,
     Transition,
-    active_slot,
     is_silent,
     require_valid,
 )
@@ -37,7 +36,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct
+from .product import LazyProduct, MoveTable
 
 CONFIG_CAP = 2 * 10**6
 
@@ -121,7 +120,7 @@ Source = Union[Nfioa, LazyProduct, "RestrictedAutomaton"]
 
 def _explore(
     initial: StateVector,
-    outgoing: Callable[[StateVector], Sequence[Transition]],
+    successors: Callable[[StateVector, tuple[int, str] | None], Sequence[tuple]],
     channels: Sequence[Channel],
     deny: Callable[[Transition], bool] | None = None,
     *,
@@ -132,10 +131,11 @@ def _explore(
     Relaxed configurations take spontaneous and open-input transitions;
     a channel-fed input never fires unless its character is pending.
     Excited configurations take exactly the transitions consuming the
-    pending character on the pending channel's input side.  The outgoing
-    callback must return deterministically ordered transitions, which
-    makes the whole graph — and every witness derived from it —
-    reproducible.
+    pending character on the pending channel's input side, which
+    `successors` (see `product.MoveTable.successors`) returns alone when
+    given that `(input component, char)` slot.  Its moves come with their
+    active input and output slots, in a deterministic order, which makes
+    the whole graph — and every witness derived from it — reproducible.
     """
     out_chan = {ch.out_component: ch for ch in channels}
     in_chans = {ch.in_component for ch in channels}
@@ -145,19 +145,18 @@ def _explore(
     seen = {init}
     while frontier:
         cfg = frontier.popleft()
+        relaxed = cfg.pending is None
+        if relaxed:
+            moves = successors(cfg.state, None)
+        else:
+            chan, pending_char = cfg.pending
+            moves = successors(cfg.state, (chan.in_component, pending_char))
         here: list[Edge] = []
-        for t in outgoing(cfg.state):
+        for t, ia, oa in moves:
+            if relaxed and ia is not None and ia[0] in in_chans:
+                continue
             if deny is not None and deny(t):
                 continue
-            ia = active_slot(t.input)
-            if cfg.pending is None:
-                if ia is not None and ia[0] in in_chans:
-                    continue
-            else:
-                chan, pending_char = cfg.pending
-                if ia is None or ia != (chan.in_component, pending_char):
-                    continue
-            oa = active_slot(t.output)
             pend = None
             if oa is not None and oa[0] in out_chan:
                 pend = (out_chan[oa[0]], oa[1])
@@ -167,7 +166,9 @@ def _explore(
                 seen.add(nxt)
                 if len(seen) > cap:
                     raise CapacityExceeded(
-                        f"configuration graph exceeded {cap} nodes"
+                        f"configuration cap of {cap} exceeded after expanding "
+                        f"{len(edges)} configurations with {len(seen) - len(edges)} "
+                        "waiting; pass a larger cap= or restrict the network further"
                     )
                 frontier.append(nxt)
         edges[cfg] = tuple(here)
@@ -244,7 +245,7 @@ def cbr(
         diags = check_channels(source.inputs, source.outputs, chans)
         if diags:
             raise WiringError("; ".join(diags))
-        graph = _explore(source.initial, source.outgoing, chans, deny, cap=cap)
+        graph = _explore(source.initial, source.successors, chans, deny, cap=cap)
         states = frozenset(c.state for c in graph.edges)
         base = Nfioa(
             name=name or source.name,
@@ -261,10 +262,7 @@ def cbr(
     diags = check_channels(a.inputs, a.outputs, chans)
     if diags:
         raise WiringError("; ".join(diags))
-    by_source: dict[StateVector, list[Transition]] = {}
-    for t in sorted(a.transitions):
-        by_source.setdefault(t.source, []).append(t)
-    graph = _explore(a.initial, lambda s: by_source.get(s, ()), chans, deny, cap=cap)
+    graph = _explore(a.initial, MoveTable((a,)).successors, chans, deny, cap=cap)
     base = replace(
         a,
         name=name or a.name,

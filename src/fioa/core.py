@@ -172,29 +172,24 @@ def validate(a: Nfioa) -> list[str]:
     for s in a.states:
         if len(s) != width:
             out.append(f"state {s!r} has width {len(s)}, expected {width}")
-        if any(v == "" for v in s):
+        if "" in s:
             out.append(f"state {s!r} contains an empty component value")
     for side, comps in (("input", a.inputs), ("output", a.outputs)):
         for comp in comps:
             if EPSILON in comp.characters:
                 out.append(f"{side} component {comp.name!r} declares the empty string as a character")
+    # Transitions share few distinct labels; each is checked once.
+    label_diags: dict[tuple[str, VectorChar], list[str]] = {}
     for t in a.transitions:
         if t.source not in a.states:
             out.append(f"transition source {t.source!r} not a state")
         if t.target not in a.states:
             out.append(f"transition target {t.target!r} not a state")
         for side, vc, comps in (("input", t.input, a.inputs), ("output", t.output, a.outputs)):
-            if len(vc) != len(comps):
-                out.append(f"{side} label {vc!r} has width {len(vc)}, expected {len(comps)}")
-                continue
-            active = [(k, ch) for k, ch in enumerate(vc) if ch != EPSILON]
-            if len(active) > 1:
-                out.append(f"{side} label {vc!r} activates more than one component")
-            for k, ch in active:
-                if ch not in comps[k].characters:
-                    out.append(
-                        f"{side} character {ch!r} not in component {comps[k].name!r}"
-                    )
+            diags = label_diags.get((side, vc))
+            if diags is None:
+                diags = label_diags[side, vc] = _label_diagnostics(side, vc, comps)
+            out.extend(diags)
     acc = a.acceptance
     if acc.mode == "final":
         for s in acc.final_states:
@@ -211,6 +206,19 @@ def validate(a: Nfioa) -> list[str]:
             out.append("muller-mode acceptance carries final states")
     else:
         out.append(f"unknown acceptance mode {acc.mode!r}")
+    return out
+
+
+def _label_diagnostics(side: str, vc: VectorChar, comps: Sequence[ComponentAlphabet]) -> list[str]:
+    if len(vc) != len(comps):
+        return [f"{side} label {vc!r} has width {len(vc)}, expected {len(comps)}"]
+    out: list[str] = []
+    active = [(k, ch) for k, ch in enumerate(vc) if ch != EPSILON]
+    if len(active) > 1:
+        out.append(f"{side} label {vc!r} activates more than one component")
+    for k, ch in active:
+        if ch not in comps[k].characters:
+            out.append(f"{side} character {ch!r} not in component {comps[k].name!r}")
     return out
 
 

@@ -21,6 +21,9 @@ from .core import (
     Nfioa,
     StateVector,
     Transition,
+    VectorChar,
+    active_slot,
+    is_silent,
     reachable_states,
     require_valid,
 )
@@ -170,10 +173,10 @@ def weak_product(
     if n_states > state_cap:
         raise CapacityExceeded(f"product would have {n_states} states (cap {state_cap})")
 
-    reach = lazy._reach
+    reach = lazy._moves.reach
     n_trans = 0
-    for k in range(len(factors)):
-        alive = sum(len(lazy._by_source[k].get(s, ())) for s in reach[k])
+    for k, table in enumerate(lazy._moves.by_source):
+        alive = sum(len(moves) for moves in table.values())
         n_trans += alive * prod(len(r) for j, r in enumerate(reach) if j != k)
     if n_trans > transition_cap:
         raise CapacityExceeded(
@@ -214,14 +217,109 @@ def associate(
     return product, index.regroup(regrouping)
 
 
+def _placed(vc: VectorChar, offset: int, width: int) -> VectorChar:
+    """A factor label placed at `offset` in a flat label of `width` slots."""
+    return (EPSILON,) * offset + vc + (EPSILON,) * (width - offset - len(vc))
+
+
+def _shifted(slot: tuple[int, str] | None, offset: int) -> tuple[int, str] | None:
+    return None if slot is None else (slot[0] + offset, slot[1])
+
+
+def _spliced(state: StateVector, lo: int, hi: int, moves) -> list:
+    """The moves of the factor at `state[lo:hi]`, as flat transitions from `state`."""
+    head, tail = state[:lo], state[hi:]
+    return [
+        (Transition(state, head + tgt + tail, inp, outp), islot, oslot)
+        for tgt, inp, outp, islot, oslot in moves
+    ]
+
+
+class MoveTable:
+    """Every factor move of a weak product, placed in the flat vectors once.
+
+    A move changes only its factor's slice of the state, and its labels
+    are the factor's labels at the factor's offsets, silent elsewhere, so
+    the flat labels and their active `(component, char)` slots depend on
+    the factor transition alone.  They are built here once, together with
+    a receiver index keyed by `(local state, flat input component, char)`
+    and the factor owning each flat input component.  Only moves out of
+    factor-reachable local states are kept.  A plain automaton is the
+    one-factor case.
+    """
+
+    def __init__(self, factors: Sequence[Nfioa]):
+        self.index = ProductIndex.for_factors(factors)
+        in_width = sum(w for _, w in self.index.input_slices)
+        out_width = sum(w for _, w in self.index.output_slices)
+        self.reach = [reachable_states(f) for f in factors]
+        self._spans = [(off, off + w) for off, w in self.index.state_slices]
+        self._owner: dict[int, int] = {}
+        self.by_source: list[dict] = []
+        self._receivers: list[dict] = []
+        silent_loops = 0
+        for k, f in enumerate(factors):
+            in_off, in_w = self.index.input_slices[k]
+            out_off = self.index.output_slices[k][0]
+            self._owner.update((i, k) for i in range(in_off, in_off + in_w))
+            by_source: dict = {}
+            receivers: dict = {}
+            for t in sorted(f.transitions):
+                if t.source not in self.reach[k]:
+                    continue
+                islot = _shifted(active_slot(t.input), in_off)
+                oslot = _shifted(active_slot(t.output), out_off)
+                move = (
+                    t.target,
+                    _placed(t.input, in_off, in_width),
+                    _placed(t.output, out_off, out_width),
+                    islot,
+                    oslot,
+                )
+                by_source.setdefault(t.source, []).append(move)
+                if islot is not None:
+                    receivers.setdefault((t.source, *islot), []).append(move)
+            self.by_source.append(by_source)
+            self._receivers.append(receivers)
+            silent_loops += any(
+                t.source == t.target and is_silent(t.input) and is_silent(t.output)
+                for t in f.transitions
+            )
+        # Silent self-loops of two factors are one flat transition, which
+        # the eager product's transition set holds once; so do successors.
+        self._merge_loops = silent_loops > 1
+
+    def successors(
+        self, state: StateVector, pending_in: tuple[int, str] | None = None
+    ) -> list[tuple[Transition, tuple[int, str] | None, tuple[int, str] | None]]:
+        """`(transition, input slot, output slot)` of the moves from `state`.
+
+        Relaxed (`pending_in` None): every factor's moves.  Excited: only
+        the receiving factor's moves consuming the pending `(flat input
+        component, char)`.  Either way in `Transition` order.
+        """
+        if pending_in is not None:
+            k = self._owner[pending_in[0]]
+            lo, hi = self._spans[k]
+            return _spliced(state, lo, hi, self._receivers[k].get((state[lo:hi], *pending_in), ()))
+        out: list = []
+        for (lo, hi), table in zip(self._spans, self.by_source):
+            moves = table.get(state[lo:hi])
+            if moves:
+                out += _spliced(state, lo, hi, moves)
+        out.sort()
+        if self._merge_loops:
+            out = [m for i, m in enumerate(out) if i == 0 or m != out[i - 1]]
+        return out
+
+
 class LazyProduct:
     """Weak product materialized on demand, for exploring large networks.
 
     The one successor generator of the weak product: `weak_product`
     materializes it, and forward explorations ask it for the successors of
-    each state they reach, generated per factor.  Carries the flat
-    interface and index so channel and condition machinery applies
-    unchanged.
+    each configuration they reach.  Carries the flat interface and index
+    so channel and condition machinery applies unchanged.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):
@@ -232,39 +330,17 @@ class LazyProduct:
             require_valid(f)
         _check_modes(self.factors)
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
-        self.index = ProductIndex.for_factors(self.factors)
+        self._moves = MoveTable(self.factors)
+        self.index = self._moves.index
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)
-        self._reach = [reachable_states(f) for f in self.factors]
-        self._by_source: list[dict] = []
-        for f in self.factors:
-            table: dict = {}
-            for t in sorted(f.transitions):
-                table.setdefault(t.source, []).append(t)
-            self._by_source.append(table)
-        self._in_width = len(self.inputs)
-        self._out_width = len(self.outputs)
+
+    def successors(self, state: StateVector, pending_in: tuple[int, str] | None = None):
+        """See `MoveTable.successors`."""
+        return self._moves.successors(state, pending_in)
 
     def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
-        out: list[Transition] = []
-        index = self.index
-        for k in range(len(self.factors)):
-            local = index.state_of(state, k)
-            if local not in self._reach[k]:
-                continue
-            off, w = index.state_slices[k]
-            in_off = index.input_slices[k][0]
-            out_off = index.output_slices[k][0]
-            for t in self._by_source[k].get(local, ()):
-                tgt = state[:off] + t.target + state[off + w :]
-                inp = [EPSILON] * self._in_width
-                for i, ch in enumerate(t.input):
-                    inp[in_off + i] = ch
-                outp = [EPSILON] * self._out_width
-                for i, ch in enumerate(t.output):
-                    outp[out_off + i] = ch
-                out.append(Transition(state, tgt, tuple(inp), tuple(outp)))
-        return tuple(sorted(out))
+        return tuple(t for t, _, _ in self._moves.successors(state))
 
     def acceptance_for(self, allowed: frozenset[StateVector]) -> Acceptance:
         return acceptance_within(self.factors, allowed)

@@ -3,15 +3,23 @@ taxonomy, well-formedness, consistency, protocols, and schedulers."""
 from __future__ import annotations
 
 import random
+import re
+from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fioa import (
     Acceptance,
+    CapacityExceeded,
     Channel,
+    ComponentAlphabet,
+    Condition,
     Configuration,
+    Edge,
     EdgeClass,
+    LazyProduct,
     Nfioa,
     PreconditionError,
     Run,
@@ -28,11 +36,13 @@ from fioa import (
     is_protocol,
     is_well_formed,
     open_components,
+    random_nfioa,
     run,
+    weak_product,
 )
 from fioa.analysis import law_instance
 from fioa.channels import ALL_EDGE_CLASSES, _sccs, check_channels
-from fioa.core import ComponentAlphabet, active_slot
+from fioa.core import active_slot
 
 
 @pytest.fixture(scope="module")
@@ -396,3 +406,167 @@ class TestSccs:
         adj = {i: [(i + 1) % n] for i in range(n)}
         (only,) = _sccs(range(n), adj)
         assert len(only) == n
+
+
+def _random_wired_factors(seed):
+    """Two or three random factors, one to three random valid channels and,
+    in every third network, a condition vetoing one factor's move while
+    another factor sits in a given state."""
+    rng = random.Random(seed)
+    factors = [
+        random_nfioa(rng.randrange(10**9), n_states=3, name=f"f{j}")
+        for j in range(rng.randint(2, 3))
+    ]
+    flat_in = [(j, i) for j, f in enumerate(factors) for i in range(len(f.inputs))]
+    flat_out = [c for f in factors for c in f.outputs]
+    k = rng.randint(1, 3)
+    chans = tuple(
+        Channel(o, i)
+        for o, i in zip(rng.sample(range(len(flat_out)), k), rng.sample(range(len(flat_in)), k))
+    )
+    for ch in chans:  # let the receiver read everything the sender sends
+        j, i = flat_in[ch.in_component]
+        inputs = list(factors[j].inputs)
+        inputs[i] = ComponentAlphabet(
+            inputs[i].name, inputs[i].characters | flat_out[ch.out_component].characters
+        )
+        factors[j] = replace(factors[j], inputs=tuple(inputs))
+    conditions = ()
+    if seed % 3 == 0:
+        j, other = rng.sample(range(len(factors)), 2)
+        t = rng.choice(sorted(factors[j].transitions))
+        source = ["*"] * len(factors)
+        target = ["*"] * len(factors)
+        source[j], target[j] = t.source[0], t.target[0]
+        source[other] = target[other] = rng.choice(sorted(factors[other].states))[0]
+        conditions = (Condition("veto", source, target),)
+    return factors, chans, conditions
+
+
+def _naive_graph(factors, channels, conditions):
+    """The explorer before receiver indexing, as a reference.
+
+    Every factor's every move is placed in freshly built full-width
+    labels, the set of them is sorted, and each one is filtered with
+    `active_slot` against the configuration's pending character.
+    """
+    in_offs, out_offs, at_in, at_out = [], [], 0, 0
+    for f in factors:
+        in_offs.append(at_in)
+        out_offs.append(at_out)
+        at_in += len(f.inputs)
+        at_out += len(f.outputs)
+
+    def placed(vc, off, width):
+        flat = [""] * width
+        flat[off : off + len(vc)] = vc
+        return tuple(flat)
+
+    def moves(state):
+        out, at = set(), 0
+        for f, i_off, o_off in zip(factors, in_offs, out_offs):
+            w = len(f.initial)
+            for t in f.transitions:
+                if t.source == state[at : at + w]:
+                    out.add(
+                        Transition(
+                            state,
+                            state[:at] + t.target + state[at + w :],
+                            placed(t.input, i_off, at_in),
+                            placed(t.output, o_off, at_out),
+                        )
+                    )
+            at += w
+        return sorted(out)
+
+    out_chan = {ch.out_component: ch for ch in channels}
+    in_chans = {ch.in_component for ch in channels}
+    init = Configuration(tuple(v for f in factors for v in f.initial), None)
+    edges, seen, frontier = {}, {init}, deque([init])
+    while frontier:
+        cfg = frontier.popleft()
+        here = []
+        for t in moves(cfg.state):
+            if any(c.matches(t) for c in conditions):
+                continue
+            ia = active_slot(t.input)
+            if cfg.pending is None:
+                if ia is not None and ia[0] in in_chans:
+                    continue
+            elif ia != (cfg.pending[0].in_component, cfg.pending[1]):
+                continue
+            oa = active_slot(t.output)
+            pend = (out_chan[oa[0]], oa[1]) if oa is not None and oa[0] in out_chan else None
+            nxt = Configuration(t.target, pend)
+            here.append(Edge(t, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        edges[cfg] = tuple(here)
+    return init, edges
+
+
+def _silent_loop_factors(factors):
+    return sum(
+        any(t.source == t.target and not any(t.input + t.output) for t in f.transitions)
+        for f in factors
+    )
+
+
+class TestReceiverIndexedExploration:
+    """Lazy, eager and naive exploration agree exactly: node insertion
+    order and every node's edge tuple."""
+
+    def test_three_explorers_build_the_same_graph(self):
+        excited = vetoed = merged_loops = 0
+        for seed in range(100):
+            factors, chans, conds = _random_wired_factors(seed)
+            lazy = cbr(LazyProduct(factors), chans, conditions=conds).graph
+            eager = cbr(weak_product(factors)[0], chans, conditions=conds).graph
+            init, naive = _naive_graph(factors, chans, conds)
+            assert lazy.initial == eager.initial == init, seed
+            assert list(lazy.edges.items()) == list(naive.items()), seed
+            assert list(eager.edges.items()) == list(naive.items()), seed
+            excited += sum(1 for c in naive if c.excited)
+            if conds:
+                vetoed += lazy.edge_count < cbr(LazyProduct(factors), chans).graph.edge_count
+            merged_loops += _silent_loop_factors(factors) > 1
+        assert excited > 0 and vetoed > 0 and merged_loops > 0
+
+    def test_excited_successors_are_the_relaxed_moves_filtered_by_the_slot(self, ring2_env):
+        built = ring2_env.networks["ring2"]
+        lazy = LazyProduct(built.compiled.factors)
+        slots = [(i, ch) for i, comp in enumerate(lazy.inputs) for ch in sorted(comp.characters)]
+        pending = 0
+        for cfg in built.restricted.graph.edges:
+            every = lazy.successors(cfg.state, None)
+            assert tuple(t for t, _, _ in every) == lazy.outgoing(cfg.state)
+            for t, ia, oa in every:
+                assert (ia, oa) == (active_slot(t.input), active_slot(t.output))
+            for slot in slots:
+                assert lazy.successors(cfg.state, slot) == [m for m in every if m[1] == slot]
+            if cfg.pending is not None:
+                chan, char = cfg.pending
+                pending += bool(lazy.successors(cfg.state, (chan.in_component, char)))
+        assert pending == 122  # every excited configuration of ring2 can consume
+
+
+class TestCaps:
+    def test_cap_error_says_how_far_exploration_got(self, ring3_env):
+        built = ring3_env.networks["ring3"]
+        compiled = built.compiled
+        with pytest.raises(CapacityExceeded) as info:
+            cbr(LazyProduct(compiled.factors), compiled.channels,
+                conditions=compiled.conditions, cap=100)
+        msg = str(info.value)
+        assert msg.startswith("configuration cap of 100 exceeded")
+        assert "pass a larger cap= or restrict the network" in msg
+        expanded, waiting = map(int, re.search(r"expanding (\d+) .* with (\d+) waiting", msg).groups())
+        # Replay the full graph's breadth-first order up to the 101st node.
+        graph = built.restricted.graph
+        seen = {graph.initial}
+        for done, cfg in enumerate(graph.edges):
+            seen.update(e.target for e in graph.edges[cfg])
+            if len(seen) > 100:
+                break
+        assert (expanded, waiting) == (done, 101 - done)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,15 @@ class TestRestrictionReports:
 
     def test_cbr_needs_a_channel_network(self, capsys):
         assert cli(["cbr", ADMIN, "administrator"]) == 2
+
+    def test_hitting_the_configuration_cap_is_a_usage_error(self, monkeypatch, capsys):
+        import fioa.network
+
+        monkeypatch.setattr(fioa.network, "cbr", partial(fioa.network.cbr, cap=100))
+        assert cli(["cbr", str(CORPUS / "ring3.pw"), "ring3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: configuration cap of 100 exceeded after expanding")
 
     def test_cond_report(self, capsys):
         assert cli(["cond", ADMIN, "administrator"]) == 0

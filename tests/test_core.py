@@ -128,6 +128,21 @@ class TestValidate:
         with pytest.raises(InvalidAutomaton):
             require_valid(a)
 
+    def test_shared_bad_labels_are_reported_once_per_transition(self):
+        ins = (ComponentAlphabet("i0", ("a",)), ComponentAlphabet("i1", ("b",)))
+        outs = (ComponentAlphabet("o0", ("x",)),)
+        states = [(f"s{i}",) for i in range(40)]
+        bad = [("a", "b"), ("c", ""), ("", "a"), ("a",), ("a", "b", "")]
+        transitions = [
+            Transition(s, t, bad[i % len(bad)], ("y",) if i % 3 else ("",))
+            for i, (s, t) in enumerate(zip(states, states[1:] + [("zz",)]))
+        ]
+        a = Nfioa("shared", states, ins, outs, states[0], Acceptance.final([]), transitions)
+        diags = validate(a)
+        assert diags == _transition_diagnostics(a)
+        assert diags.count("input label ('a', 'b') activates more than one component") == 8
+        assert diags.count("output character 'y' not in component 'o0'") == 26
+
     def test_mixed_width_states_are_reported(self):
         a = Nfioa(
             name="widths",
@@ -139,6 +154,27 @@ class TestValidate:
             transitions=[],
         )
         assert any("width" in d for d in validate(a))
+
+
+def _transition_diagnostics(a):
+    """Per-transition reference: every label checked anew on each transition."""
+    out = []
+    for t in a.transitions:
+        if t.source not in a.states:
+            out.append(f"transition source {t.source!r} not a state")
+        if t.target not in a.states:
+            out.append(f"transition target {t.target!r} not a state")
+        for side, vc, comps in (("input", t.input, a.inputs), ("output", t.output, a.outputs)):
+            if len(vc) != len(comps):
+                out.append(f"{side} label {vc!r} has width {len(vc)}, expected {len(comps)}")
+                continue
+            active = [(k, ch) for k, ch in enumerate(vc) if ch != EPSILON]
+            if len(active) > 1:
+                out.append(f"{side} label {vc!r} activates more than one component")
+            for k, ch in active:
+                if ch not in comps[k].characters:
+                    out.append(f"{side} character {ch!r} not in component {comps[k].name!r}")
+    return out
 
 
 class TestClassify:

@@ -170,17 +170,32 @@ class TestBuild:
         )
 
 
+def _excited(r) -> int:
+    return sum(1 for cfg in r.graph.configs if cfg.excited)
+
+
 class TestTokenRings:
+    """Sizes as counted by the fioa-free explorer in `perfbench/reference.py`."""
+
     def test_two_cell_ring_size_is_frozen(self, ring2_env):
         r = ring2_env.networks["ring2"].restricted
         assert len(r.graph.configs) == 170
         assert r.graph.edge_count == 232
+        assert _excited(r) == 122
         assert is_well_formed(r).ok
 
     def test_three_cell_ring_size_is_frozen(self, ring3_env):
         r = ring3_env.networks["ring3"].restricted
         assert len(r.graph.configs) == 909
         assert r.graph.edge_count == 1332
+        assert _excited(r) == 693
+        assert is_well_formed(r).ok
+
+    def test_four_cell_ring_size_is_frozen(self):
+        r = resolve(examples.ring_document(4)).networks["ring4"].restricted
+        assert len(r.graph.configs) == 4212
+        assert r.graph.edge_count == 6480
+        assert _excited(r) == 3348
         assert is_well_formed(r).ok
 
     def test_exactly_one_token_alive_everywhere(self, ring2_env, ring3_env):
