@@ -164,13 +164,14 @@ def _explore(
             here.append(Edge(t, nxt))
             if nxt not in seen:
                 seen.add(nxt)
+                frontier.append(nxt)
                 if len(seen) > cap:
                     raise CapacityExceeded(
-                        f"configuration cap of {cap} exceeded after expanding "
-                        f"{len(edges)} configurations with {len(seen) - len(edges)} "
-                        "waiting; pass a larger cap= or restrict the network further"
+                        f"configuration cap of {cap} exceeded while expanding "
+                        f"configuration {len(edges) + 1} ({len(edges)} expanded, "
+                        f"{len(frontier)} waiting); library callers may pass a "
+                        "larger cap= to cbr, otherwise restrict the network further"
                     )
-                frontier.append(nxt)
         edges[cfg] = tuple(here)
     return ConfigGraph(initial=init, edges=edges)
 

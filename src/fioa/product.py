@@ -10,7 +10,7 @@ constructions be compared with plain equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as cartesian
+from itertools import groupby, product as cartesian
 from math import prod
 from typing import Sequence
 
@@ -23,7 +23,6 @@ from .core import (
     Transition,
     VectorChar,
     active_slot,
-    is_silent,
     reachable_states,
     require_valid,
 )
@@ -173,11 +172,7 @@ def weak_product(
     if n_states > state_cap:
         raise CapacityExceeded(f"product would have {n_states} states (cap {state_cap})")
 
-    reach = lazy._moves.reach
-    n_trans = 0
-    for k, table in enumerate(lazy._moves.by_source):
-        alive = sum(len(moves) for moves in table.values())
-        n_trans += alive * prod(len(r) for j, r in enumerate(reach) if j != k)
+    n_trans = lazy.transition_count
     if n_trans > transition_cap:
         raise CapacityExceeded(
             f"product would have {n_trans} transitions (cap {transition_cap}); "
@@ -190,7 +185,7 @@ def weak_product(
     )
     transitions = [
         t
-        for combo in cartesian(*reach)
+        for combo in cartesian(*lazy.reach)
         for t in lazy.outgoing(tuple(v for part in combo for v in part))
     ]
     product = Nfioa(
@@ -245,7 +240,9 @@ class MoveTable:
     a receiver index keyed by `(local state, flat input component, char)`
     and the factor owning each flat input component.  Only moves out of
     factor-reachable local states are kept.  A plain automaton is the
-    one-factor case.
+    one-factor case.  `reach` holds each factor's reachable local states;
+    `transition_count` is how many flat transitions the rectangle of
+    `reach` yields, counting a silent self-loop once per factor having it.
     """
 
     def __init__(self, factors: Sequence[Nfioa]):
@@ -255,9 +252,8 @@ class MoveTable:
         self.reach = [reachable_states(f) for f in factors]
         self._spans = [(off, off + w) for off, w in self.index.state_slices]
         self._owner: dict[int, int] = {}
-        self.by_source: list[dict] = []
+        self._by_source: list[dict] = []
         self._receivers: list[dict] = []
-        silent_loops = 0
         for k, f in enumerate(factors):
             in_off, in_w = self.index.input_slices[k]
             out_off = self.index.output_slices[k][0]
@@ -279,15 +275,13 @@ class MoveTable:
                 by_source.setdefault(t.source, []).append(move)
                 if islot is not None:
                     receivers.setdefault((t.source, *islot), []).append(move)
-            self.by_source.append(by_source)
+            self._by_source.append(by_source)
             self._receivers.append(receivers)
-            silent_loops += any(
-                t.source == t.target and is_silent(t.input) and is_silent(t.output)
-                for t in f.transitions
-            )
-        # Silent self-loops of two factors are one flat transition, which
-        # the eager product's transition set holds once; so do successors.
-        self._merge_loops = silent_loops > 1
+        self.transition_count = sum(
+            sum(len(moves) for moves in table.values())
+            * prod(len(r) for j, r in enumerate(self.reach) if j != k)
+            for k, table in enumerate(self._by_source)
+        )
 
     def successors(
         self, state: StateVector, pending_in: tuple[int, str] | None = None
@@ -303,14 +297,14 @@ class MoveTable:
             lo, hi = self._spans[k]
             return _spliced(state, lo, hi, self._receivers[k].get((state[lo:hi], *pending_in), ()))
         out: list = []
-        for (lo, hi), table in zip(self._spans, self.by_source):
+        for (lo, hi), table in zip(self._spans, self._by_source):
             moves = table.get(state[lo:hi])
             if moves:
                 out += _spliced(state, lo, hi, moves)
         out.sort()
-        if self._merge_loops:
-            out = [m for i, m in enumerate(out) if i == 0 or m != out[i - 1]]
-        return out
+        # Silent self-loops of two factors are one flat transition, which
+        # the eager product's transition set holds once; so do successors.
+        return [m for m, _ in groupby(out)]
 
 
 class LazyProduct:
@@ -319,7 +313,8 @@ class LazyProduct:
     The one successor generator of the weak product: `weak_product`
     materializes it, and forward explorations ask it for the successors of
     each configuration they reach.  Carries the flat interface and index
-    so channel and condition machinery applies unchanged.
+    so channel and condition machinery applies unchanged; `successors`,
+    `reach` and `transition_count` are those of its `MoveTable`.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):
@@ -330,17 +325,16 @@ class LazyProduct:
             require_valid(f)
         _check_modes(self.factors)
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
-        self._moves = MoveTable(self.factors)
-        self.index = self._moves.index
+        moves = MoveTable(self.factors)
+        self.index = moves.index
+        self.reach = moves.reach
+        self.transition_count = moves.transition_count
+        self.successors = moves.successors
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)
 
-    def successors(self, state: StateVector, pending_in: tuple[int, str] | None = None):
-        """See `MoveTable.successors`."""
-        return self._moves.successors(state, pending_in)
-
     def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
-        return tuple(t for t, _, _ in self._moves.successors(state))
+        return tuple(t for t, _, _ in self.successors(state))
 
     def acceptance_for(self, allowed: frozenset[StateVector]) -> Acceptance:
         return acceptance_within(self.factors, allowed)

@@ -560,13 +560,16 @@ class TestCaps:
                 conditions=compiled.conditions, cap=100)
         msg = str(info.value)
         assert msg.startswith("configuration cap of 100 exceeded")
-        assert "pass a larger cap= or restrict the network" in msg
-        expanded, waiting = map(int, re.search(r"expanding (\d+) .* with (\d+) waiting", msg).groups())
-        # Replay the full graph's breadth-first order up to the 101st node.
+        assert "may pass a larger cap= to cbr, otherwise restrict the network" in msg
+        current, expanded, waiting = map(
+            int, re.search(r"expanding configuration (\d+) \((\d+) expanded, (\d+) waiting\)", msg).groups()
+        )
+        # Replay the full graph's breadth-first order up to the 101st node:
+        # the one being expanded is neither expanded nor waiting.
         graph = built.restricted.graph
         seen = {graph.initial}
         for done, cfg in enumerate(graph.edges):
             seen.update(e.target for e in graph.edges[cfg])
             if len(seen) > 100:
                 break
-        assert (expanded, waiting) == (done, 101 - done)
+        assert (current, expanded, waiting) == (done + 1, done, 101 - done - 1)

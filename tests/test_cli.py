@@ -81,7 +81,7 @@ class TestRestrictionReports:
         assert cli(["cbr", str(CORPUS / "ring3.pw"), "ring3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: configuration cap of 100 exceeded after expanding")
+        assert captured.err.startswith("error: configuration cap of 100 exceeded while expanding")
 
     def test_cond_report(self, capsys):
         assert cli(["cond", ADMIN, "administrator"]) == 0
