@@ -69,12 +69,12 @@ DET_ADMIN = {
 IDLE_USER = {"name": "idle_user", "initial": "idle", "trans": []}
 
 
-def interleave(factors):
+def factor_moves(factors):
     """Weak product over factor tables: one factor moves per transition.
 
-    States are tuples of factor states; labels become (factor, component,
-    char).  Only reachable product states are generated (all the factor
-    tables here are fully reachable, so nothing is lost).
+    Returns the initial product state and `expand(state)`, the list of
+    `(target, input, output)` moves from a state.  States are tuples of
+    factor states; labels become (factor, component, char).
     """
     names = [f["name"] for f in factors]
     init = tuple(f["initial"] for f in factors)
@@ -82,7 +82,6 @@ def interleave(factors):
     for i, f in enumerate(factors):
         for (p, q, inp, out) in f["trans"]:
             by_source[i].setdefault(p, []).append((q, inp, out))
-    trans = {}
 
     def expand(state):
         res = []
@@ -93,6 +92,29 @@ def interleave(factors):
                 res.append((tgt, lift(inp), lift(out)))
         return res
 
+    return init, expand
+
+
+class OnDemand(dict):
+    """A transition table filled in as `explore` asks for each state."""
+
+    def __init__(self, expand):
+        super().__init__()
+        self.expand = expand
+
+    def __missing__(self, state):
+        self[state] = moves = self.expand(state)
+        return moves
+
+
+def interleave(factors):
+    """The weak product's moves from every reachable product state.
+
+    Only reachable product states are generated (all the factor tables
+    here are fully reachable, so nothing is lost).
+    """
+    init, expand = factor_moves(factors)
+    trans = {}
     seen = {init}
     frontier = deque([init])
     while frontier:
@@ -363,7 +385,10 @@ def main():
         timers = [dict(TIMER, initial=("triggered" if i == 0 else "wait")) for i in range(n)]
         users = [dict(USER) for _ in range(n)]
         facs = admins + timers + users
-        init, trans_r = interleave(facs)
+        # Expanded on demand: the unwired ring4 product is far larger than
+        # its configuration graph.
+        init, expand = factor_moves(facs)
+        trans_r = OnDemand(expand)
         tags = [facs[i]["name"] + str(i) for i in range(len(facs))]
         A, T, U = tags[:n], tags[n : 2 * n], tags[2 * n :]
         ch = {}
@@ -375,9 +400,10 @@ def main():
             ch[(T[i], "clk")] = (A[i], "clk")
         return explore(init, trans_r, ch)
 
-    for n in (2, 3):
+    for n in (2, 3, 4):
         start, order, graph = build_ring(n)
         edges = sum(len(v) for v in graph.values())
+        excited = sum(1 for (_state, pending) in order if pending is not None)
         viol_crit = viol_token = deadlocks = 0
         for (state, pending) in order:
             users = state[2 * n :]
@@ -392,7 +418,7 @@ def main():
             if not graph[(state, pending)]:
                 deadlocks += 1
         print(
-            f"ring n={n}: configs={len(order)}, edges={edges}, "
+            f"ring n={n}: configs={len(order)}, edges={edges}, excited={excited}, "
             f"two-crit={viol_crit}, token-viol={viol_token}, deadlocks={deadlocks}"
         )
 

@@ -298,7 +298,8 @@ def run_law_suite(
 # Behavioral (trace) equivalence over channel events
 
 Event = tuple[Channel, str]
-# An edge's send event is its target's `pending`, set by `channels._explore`.
+# An edge's send event is its target's `pending`, left by the move that
+# `product.LazyProduct.stepper`'s step function listed for the edge.
 
 
 def _silent_closure(r: RestrictedAutomaton, cfgs: Iterable[Configuration]) -> frozenset:

@@ -28,7 +28,6 @@ from .core import (
     StateVector,
     Transition,
     is_silent,
-    require_valid,
 )
 from .errors import (
     CapacityExceeded,
@@ -36,7 +35,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct, MoveTable
+from .product import LazyProduct
 
 CONFIG_CAP = 2 * 10**6
 
@@ -120,46 +119,29 @@ Source = Union[Nfioa, LazyProduct, "RestrictedAutomaton"]
 
 def _explore(
     initial: StateVector,
-    successors: Callable[[StateVector, tuple[int, str] | None], Sequence[tuple]],
-    channels: Sequence[Channel],
-    deny: Callable[[Transition], bool] | None = None,
+    step: Callable[[StateVector, tuple[Channel, str] | None], Sequence[tuple]],
+    deny: Callable[[Transition], bool] | None,
     *,
-    cap: int = CONFIG_CAP,
+    cap: int,
 ) -> ConfigGraph:
     """Build the configuration graph by BFS from the relaxed initial.
 
-    Relaxed configurations take spontaneous and open-input transitions;
-    a channel-fed input never fires unless its character is pending.
-    Excited configurations take exactly the transitions consuming the
-    pending character on the pending channel's input side, which
-    `successors` (see `product.MoveTable.successors`) returns alone when
-    given that `(input component, char)` slot.  Its moves come with their
-    active input and output slots, in a deterministic order, which makes
+    `step` (see `product.LazyProduct.stepper`) applies the channel
+    discipline: it returns the moves a configuration may take, each with
+    the character it leaves pending, in a deterministic order, which makes
     the whole graph — and every witness derived from it — reproducible.
+    `deny` vetoes moves by condition.
     """
-    out_chan = {ch.out_component: ch for ch in channels}
-    in_chans = {ch.in_component for ch in channels}
     init = Configuration(tuple(initial), None)
     edges: dict[Configuration, tuple[Edge, ...]] = {}
     frontier = deque([init])
     seen = {init}
     while frontier:
         cfg = frontier.popleft()
-        relaxed = cfg.pending is None
-        if relaxed:
-            moves = successors(cfg.state, None)
-        else:
-            chan, pending_char = cfg.pending
-            moves = successors(cfg.state, (chan.in_component, pending_char))
         here: list[Edge] = []
-        for t, ia, oa in moves:
-            if relaxed and ia is not None and ia[0] in in_chans:
-                continue
+        for t, pend in step(cfg.state, cfg.pending):
             if deny is not None and deny(t):
                 continue
-            pend = None
-            if oa is not None and oa[0] in out_chan:
-                pend = (out_chan[oa[0]], oa[1])
             nxt = Configuration(t.target, pend)
             here.append(Edge(t, nxt))
             if nxt not in seen:
@@ -242,34 +224,27 @@ def cbr(
         def deny(t: Transition) -> bool:
             return any(c.matches(t) for c in conds)
 
-    if isinstance(source, LazyProduct):
-        diags = check_channels(source.inputs, source.outputs, chans)
-        if diags:
-            raise WiringError("; ".join(diags))
-        graph = _explore(source.initial, source.successors, chans, deny, cap=cap)
+    lazy = source if isinstance(source, LazyProduct) else LazyProduct((source,))
+    diags = check_channels(source.inputs, source.outputs, chans)
+    if diags:
+        raise WiringError("; ".join(diags))
+    graph = _explore(lazy.initial, lazy.stepper(chans), deny, cap=cap)
+    transitions = frozenset(e.transition for es in graph.edges.values() for e in es)
+    name = name or source.name
+    if source is lazy:
         states = frozenset(c.state for c in graph.edges)
         base = Nfioa(
-            name=name or source.name,
+            name=name,
             states=states,
             inputs=source.inputs,
             outputs=source.outputs,
             initial=source.initial,
             acceptance=source.acceptance_for(states),
-            transitions=frozenset(e.transition for es in graph.edges.values() for e in es),
+            transitions=transitions,
         )
-        return RestrictedAutomaton(base, chans, graph, conditions, name or source.name)
-
-    a = require_valid(source)
-    diags = check_channels(a.inputs, a.outputs, chans)
-    if diags:
-        raise WiringError("; ".join(diags))
-    graph = _explore(a.initial, MoveTable((a,)).successors, chans, deny, cap=cap)
-    base = replace(
-        a,
-        name=name or a.name,
-        transitions=frozenset(e.transition for es in graph.edges.values() for e in es),
-    )
-    return RestrictedAutomaton(base, chans, graph, conditions, name or a.name)
+    else:
+        base = replace(source, name=name, transitions=transitions)
+    return RestrictedAutomaton(base, chans, graph, conditions, name)
 
 
 def classify_config(r: RestrictedAutomaton, c: Configuration) -> str:

@@ -16,6 +16,7 @@ parse, or capacity errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import sys
 
 from . import examples as _corpus
@@ -241,29 +242,22 @@ def cmd_cond(args) -> int:
 def _factor_projection(a: Nfioa, built: BuiltNetwork, keep: int) -> Projection:
     """Keep one factor's slots; pin other states, silence other lanes."""
     index = built.compiled.index
-    state_maps = []
-    for f, (off, width) in enumerate(index.state_slices):
-        for slot in range(off, off + width):
-            if f == keep:
-                state_maps.append({})
-            else:
-                values = sorted({s[slot] for s in a.states})
-                state_maps.append({v: "_" for v in values if v != "_"})
-    input_maps = []
-    for f, (off, width) in enumerate(index.input_slices):
-        for slot in range(off, off + width):
-            if f == keep:
-                input_maps.append({})
-            else:
-                input_maps.append({ch: EPSILON for ch in a.inputs[slot].characters})
-    output_maps = []
-    for f, (off, width) in enumerate(index.output_slices):
-        for slot in range(off, off + width):
-            if f == keep:
-                output_maps.append({})
-            else:
-                output_maps.append({ch: EPSILON for ch in a.outputs[slot].characters})
-    return Projection(tuple(state_maps), tuple(input_maps), tuple(output_maps))
+
+    def maps(slices, other) -> tuple[dict, ...]:
+        return tuple(
+            {} if f == keep else other(slot)
+            for f, (off, width) in enumerate(slices)
+            for slot in range(off, off + width)
+        )
+
+    def pinned(slot: int) -> dict:
+        return {v: "_" for v in sorted({s[slot] for s in a.states}) if v != "_"}
+
+    return Projection(
+        maps(index.state_slices, pinned),
+        maps(index.input_slices, lambda slot: {ch: EPSILON for ch in a.inputs[slot].characters}),
+        maps(index.output_slices, lambda slot: {ch: EPSILON for ch in a.outputs[slot].characters}),
+    )
 
 
 def cmd_check(args) -> int:
@@ -366,14 +360,48 @@ def cmd_equiv(args) -> int:
     return EX_FAIL
 
 
+# The safety predicate's surface.  Attribute access is not on it, so no
+# walk from a value to its class, its module or the builtins is expressible;
+# keyword and starred arguments are not on it either.
+_PREDICATE_NODES = (
+    ast.Expression, ast.Name, ast.Load, ast.Store, ast.Constant, ast.Subscript, ast.Slice,
+    ast.Tuple, ast.List, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not, ast.UAdd,
+    ast.USub, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn,
+    ast.Is, ast.IsNot, ast.IfExp, ast.GeneratorExp, ast.ListComp, ast.comprehension,
+    ast.Call,
+)
+_PREDICATE_CALLS = {"len": len, "any": any, "all": all, "sum": sum}
+
+
+def _predicate(text: str):
+    """The compiled predicate, once every node of it is on the surface."""
+    try:
+        tree = ast.parse(text, "<predicate>", "eval")
+    except SyntaxError as exc:
+        raise _UsageError(f"predicate does not parse: {exc}") from exc
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if not isinstance(node, _PREDICATE_NODES):
+            raise _UsageError(f"predicate rejected: {type(node).__name__} is not allowed")
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id.startswith("__"):
+            raise _UsageError(f"predicate rejected: the name {node.id} is not allowed")
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and node.func.id in _PREDICATE_CALLS
+        ):
+            raise _UsageError(
+                f"predicate rejected: {ast.unparse(node)} is not allowed; "
+                "only len, any, all and sum may be called"
+            )
+    return compile(tree, "<predicate>", "eval")
+
+
 def cmd_safety(args) -> int:
     _doc, env = _load(args.file)
     built = _network(env, args.network)
     r = _restricted(built)
-    try:
-        code = compile(args.predicate, "<predicate>", "eval")
-    except SyntaxError as exc:
-        raise _UsageError(f"predicate does not parse: {exc}") from exc
+    code = _predicate(args.predicate)
 
     def bad(cfg) -> bool:
         # The scope goes in the globals: generator expressions open their
@@ -382,10 +410,7 @@ def cmd_safety(args) -> int:
             "__builtins__": {},
             "state": cfg.state,
             "pending": cfg.pending[1] if cfg.pending is not None else None,
-            "len": len,
-            "any": any,
-            "all": all,
-            "sum": sum,
+            **_PREDICATE_CALLS,
         }
         return bool(eval(code, scope))
 

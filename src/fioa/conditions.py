@@ -214,6 +214,18 @@ class QuasiDeterminism(NamedTuple):
     witness: tuple | None  # (state-or-config, input label, clashing transitions)
 
 
+def _first_clash(places) -> QuasiDeterminism:
+    """The first `(place, moves)` with two moves on one input label."""
+    for where, moves in places:
+        by_input: dict[VectorChar, list[Transition]] = {}
+        for t in moves:
+            by_input.setdefault(t.input, []).append(t)
+        for label, ts in sorted(by_input.items()):
+            if len(ts) > 1:
+                return QuasiDeterminism(False, (where, label, tuple(sorted(ts))))
+    return QuasiDeterminism(True, None)
+
+
 def is_quasi_deterministic(
     source: Union[Nfioa, RestrictedAutomaton]
 ) -> QuasiDeterminism:
@@ -224,24 +236,13 @@ def is_quasi_deterministic(
     excited is checked per entry mode.
     """
     if isinstance(source, RestrictedAutomaton):
-        for cfg in source.graph.nodes():
-            by_input: dict[VectorChar, list[Transition]] = {}
-            for e in source.graph.edges[cfg]:
-                by_input.setdefault(e.transition.input, []).append(e.transition)
-            for label, ts in sorted(by_input.items()):
-                if len(ts) > 1:
-                    return QuasiDeterminism(False, (cfg, label, tuple(sorted(ts))))
-        return QuasiDeterminism(True, None)
+        g = source.graph
+        return _first_clash((cfg, (e.transition for e in g.edges[cfg])) for cfg in g.nodes())
     a = require_valid(source)
-    reach = reachable_states(a)
-    for s in sorted(reach):
-        by_input = {}
-        for t in a.outgoing(s):
-            by_input.setdefault(t.input, []).append(t)
-        for label, ts in sorted(by_input.items()):
-            if len(ts) > 1:
-                return QuasiDeterminism(False, (s, label, tuple(sorted(ts))))
-    return QuasiDeterminism(True, None)
+    by_source: dict[StateVector, list[Transition]] = {}
+    for t in a.transitions:
+        by_source.setdefault(t.source, []).append(t)
+    return _first_clash((s, by_source.get(s, ())) for s in sorted(reachable_states(a)))
 
 
 def is_unaffected(a: Nfioa, conditions: Iterable[Condition], p) -> bool:

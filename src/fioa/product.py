@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby, product as cartesian
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     EPSILON,
@@ -217,104 +217,33 @@ def _placed(vc: VectorChar, offset: int, width: int) -> VectorChar:
     return (EPSILON,) * offset + vc + (EPSILON,) * (width - offset - len(vc))
 
 
-def _shifted(slot: tuple[int, str] | None, offset: int) -> tuple[int, str] | None:
-    return None if slot is None else (slot[0] + offset, slot[1])
-
-
 def _spliced(state: StateVector, lo: int, hi: int, moves) -> list:
-    """The moves of the factor at `state[lo:hi]`, as flat transitions from `state`."""
+    """The moves of the factor at `state[lo:hi]`, as flat transitions from
+    `state`, each with the character it leaves pending."""
     head, tail = state[:lo], state[hi:]
     return [
-        (Transition(state, head + tgt + tail, inp, outp), islot, oslot)
-        for tgt, inp, outp, islot, oslot in moves
+        (Transition(state, head + tgt + tail, inp, outp), pend)
+        for tgt, inp, outp, pend in moves
     ]
-
-
-class MoveTable:
-    """Every factor move of a weak product, placed in the flat vectors once.
-
-    A move changes only its factor's slice of the state, and its labels
-    are the factor's labels at the factor's offsets, silent elsewhere, so
-    the flat labels and their active `(component, char)` slots depend on
-    the factor transition alone.  They are built here once, together with
-    a receiver index keyed by `(local state, flat input component, char)`
-    and the factor owning each flat input component.  Only moves out of
-    factor-reachable local states are kept.  A plain automaton is the
-    one-factor case.  `reach` holds each factor's reachable local states;
-    `transition_count` is how many flat transitions the rectangle of
-    `reach` yields, counting a silent self-loop once per factor having it.
-    """
-
-    def __init__(self, factors: Sequence[Nfioa]):
-        self.index = ProductIndex.for_factors(factors)
-        in_width = sum(w for _, w in self.index.input_slices)
-        out_width = sum(w for _, w in self.index.output_slices)
-        self.reach = [reachable_states(f) for f in factors]
-        self._spans = [(off, off + w) for off, w in self.index.state_slices]
-        self._owner: dict[int, int] = {}
-        self._by_source: list[dict] = []
-        self._receivers: list[dict] = []
-        for k, f in enumerate(factors):
-            in_off, in_w = self.index.input_slices[k]
-            out_off = self.index.output_slices[k][0]
-            self._owner.update((i, k) for i in range(in_off, in_off + in_w))
-            by_source: dict = {}
-            receivers: dict = {}
-            for t in sorted(f.transitions):
-                if t.source not in self.reach[k]:
-                    continue
-                islot = _shifted(active_slot(t.input), in_off)
-                oslot = _shifted(active_slot(t.output), out_off)
-                move = (
-                    t.target,
-                    _placed(t.input, in_off, in_width),
-                    _placed(t.output, out_off, out_width),
-                    islot,
-                    oslot,
-                )
-                by_source.setdefault(t.source, []).append(move)
-                if islot is not None:
-                    receivers.setdefault((t.source, *islot), []).append(move)
-            self._by_source.append(by_source)
-            self._receivers.append(receivers)
-        self.transition_count = sum(
-            sum(len(moves) for moves in table.values())
-            * prod(len(r) for j, r in enumerate(self.reach) if j != k)
-            for k, table in enumerate(self._by_source)
-        )
-
-    def successors(
-        self, state: StateVector, pending_in: tuple[int, str] | None = None
-    ) -> list[tuple[Transition, tuple[int, str] | None, tuple[int, str] | None]]:
-        """`(transition, input slot, output slot)` of the moves from `state`.
-
-        Relaxed (`pending_in` None): every factor's moves.  Excited: only
-        the receiving factor's moves consuming the pending `(flat input
-        component, char)`.  Either way in `Transition` order.
-        """
-        if pending_in is not None:
-            k = self._owner[pending_in[0]]
-            lo, hi = self._spans[k]
-            return _spliced(state, lo, hi, self._receivers[k].get((state[lo:hi], *pending_in), ()))
-        out: list = []
-        for (lo, hi), table in zip(self._spans, self._by_source):
-            moves = table.get(state[lo:hi])
-            if moves:
-                out += _spliced(state, lo, hi, moves)
-        out.sort()
-        # Silent self-loops of two factors are one flat transition, which
-        # the eager product's transition set holds once; so do successors.
-        return [m for m, _ in groupby(out)]
 
 
 class LazyProduct:
     """Weak product materialized on demand, for exploring large networks.
 
     The one successor generator of the weak product: `weak_product`
-    materializes it, and forward explorations ask it for the successors of
-    each configuration they reach.  Carries the flat interface and index
-    so channel and condition machinery applies unchanged; `successors`,
-    `reach` and `transition_count` are those of its `MoveTable`.
+    materializes it, and forward explorations ask its `stepper` for the
+    successors of each configuration they reach.  Carries the flat
+    interface and index so channel and condition machinery applies
+    unchanged.
+
+    A move changes only its factor's slice of the state, and its labels
+    are the factor's labels at the factor's offsets, silent elsewhere, so
+    the flat labels and their active `(component, char)` slots depend on
+    the factor transition alone.  They are placed here once, for the moves
+    out of factor-reachable local states.  A plain automaton is the
+    one-factor case.  `reach` holds each factor's reachable local states;
+    `transition_count` is how many flat transitions the rectangle of
+    `reach` yields, counting a silent self-loop once per factor having it.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):
@@ -325,16 +254,81 @@ class LazyProduct:
             require_valid(f)
         _check_modes(self.factors)
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
-        moves = MoveTable(self.factors)
-        self.index = moves.index
-        self.reach = moves.reach
-        self.transition_count = moves.transition_count
-        self.successors = moves.successors
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)
+        self.index = ProductIndex.for_factors(self.factors)
+        self.reach = [reachable_states(f) for f in self.factors]
+        spans = [(off, off + w) for off, w in self.index.state_slices]
+        # The state slice of the factor owning each flat input component.
+        self._input_span = tuple(
+            span for span, (_, w) in zip(spans, self.index.input_slices) for _ in range(w)
+        )
+        self._moves = []
+        for f, span, (in_off, _), (out_off, _), reach in zip(
+            self.factors, spans, self.index.input_slices, self.index.output_slices, self.reach
+        ):
+            moves = []
+            for t in sorted(f.transitions):
+                if t.source in reach:
+                    inp = _placed(t.input, in_off, len(self.inputs))
+                    outp = _placed(t.output, out_off, len(self.outputs))
+                    moves.append((t.source, t.target, inp, outp, active_slot(inp), active_slot(outp)))
+            self._moves.append((span, moves))
+        self.transition_count = sum(
+            len(moves) * prod(len(r) for j, r in enumerate(self.reach) if j != k)
+            for k, (_, moves) in enumerate(self._moves)
+        )
+        self._free = self.stepper(())
+
+    def stepper(self, channels: Sequence) -> Callable:
+        """The step function of this product wired by `channels`.
+
+        `step(state, pending)` lists `(transition, pending after)` for the
+        moves from `state`, in `Transition` order.  Relaxed (`pending`
+        None): every factor's moves except those reading a channel-fed
+        input.  Excited (`pending` a `(channel, char)`): only the receiving
+        factor's moves consuming that character on the channel's input.
+        A move writing a wired output leaves `(channel, char)` pending;
+        any other move leaves None.
+        """
+        fed = {ch.in_component for ch in channels}
+        sent = {ch.out_component: ch for ch in channels}
+        relaxed = []
+        receivers: dict = {}
+        for (lo, hi), moves in self._moves:
+            by_source: dict = {}
+            for source, target, inp, outp, islot, oslot in moves:
+                pend = None
+                if oslot is not None and oslot[0] in sent:
+                    pend = (sent[oslot[0]], oslot[1])
+                if islot is not None and islot[0] in fed:
+                    receivers.setdefault((source, *islot), []).append((target, inp, outp, pend))
+                else:
+                    by_source.setdefault(source, []).append((target, inp, outp, pend))
+            relaxed.append((lo, hi, by_source))
+        input_span = self._input_span
+
+        def step(state: StateVector, pending) -> list:
+            if pending is not None:
+                chan, char = pending
+                lo, hi = input_span[chan.in_component]
+                return _spliced(
+                    state, lo, hi, receivers.get((state[lo:hi], chan.in_component, char), ())
+                )
+            out: list = []
+            for lo, hi, table in relaxed:
+                moves = table.get(state[lo:hi])
+                if moves:
+                    out += _spliced(state, lo, hi, moves)
+            out.sort()
+            # Silent self-loops of two factors are one flat transition, which
+            # the eager product's transition set holds once; so does `step`.
+            return [m for m, _ in groupby(out)]
+
+        return step
 
     def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
-        return tuple(t for t, _, _ in self.successors(state))
+        return tuple(t for t, _ in self._free(state, None))
 
     def acceptance_for(self, allowed: frozenset[StateVector]) -> Acceptance:
         return acceptance_within(self.factors, allowed)

@@ -535,19 +535,38 @@ class TestReceiverIndexedExploration:
 
     def test_excited_successors_are_the_relaxed_moves_filtered_by_the_slot(self, ring2_env):
         built = ring2_env.networks["ring2"]
+        chans = built.restricted.channels
         lazy = LazyProduct(built.compiled.factors)
-        slots = [(i, ch) for i, comp in enumerate(lazy.inputs) for ch in sorted(comp.characters)]
+        free, step = lazy.stepper(()), lazy.stepper(chans)
+        fed = {ch.in_component for ch in chans}
+        sent = {ch.out_component: ch for ch in chans}
+
+        def left_pending(t):
+            oa = active_slot(t.output)
+            return (sent[oa[0]], oa[1]) if oa is not None and oa[0] in sent else None
+
         pending = 0
         for cfg in built.restricted.graph.edges:
-            every = lazy.successors(cfg.state, None)
-            assert tuple(t for t, _, _ in every) == lazy.outgoing(cfg.state)
-            for t, ia, oa in every:
-                assert (ia, oa) == (active_slot(t.input), active_slot(t.output))
-            for slot in slots:
-                assert lazy.successors(cfg.state, slot) == [m for m in every if m[1] == slot]
+            every = [t for t, _ in free(cfg.state, None)]
+            assert every == sorted(set(every))
+            assert tuple(every) == lazy.outgoing(cfg.state)
+            assert all(after is None for _, after in free(cfg.state, None))
+            relaxed = step(cfg.state, None)
+            assert [t for t, _ in relaxed] == [
+                t for t in every
+                if active_slot(t.input) is None or active_slot(t.input)[0] not in fed
+            ]
+            moves = list(relaxed)
+            for chan in chans:
+                for char in sorted(lazy.inputs[chan.in_component].characters):
+                    consumed = step(cfg.state, (chan, char))
+                    assert [t for t, _ in consumed] == [
+                        t for t in every if active_slot(t.input) == (chan.in_component, char)
+                    ]
+                    moves += consumed
+            assert all(after == left_pending(t) for t, after in moves)
             if cfg.pending is not None:
-                chan, char = cfg.pending
-                pending += bool(lazy.successors(cfg.state, (chan.in_component, char)))
+                pending += bool(step(cfg.state, cfg.pending))
         assert pending == 122  # every excited configuration of ring2 can consume
 
 

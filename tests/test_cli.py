@@ -327,6 +327,37 @@ class TestSafety:
         assert cli(["safety", MUTEX, "closed_mutex", "--predicate", "state[99]=='x'"]) == 2
         assert "predicate failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "predicate, construct",
+        [
+            ("().__class__.__base__.__subclasses__()", "Attribute"),
+            ("__import__('os')", "__import__('os')"),
+            ("[__x for __x in state]", "__x"),
+            ("state[0]()", "state[0]()"),
+            ("len(state, key=0)", "keyword"),
+            ("lambda: 0", "Lambda"),
+        ],
+    )
+    def test_predicates_off_the_surface_are_rejected_before_running(
+        self, predicate, construct, capsys
+    ):
+        assert cli(["safety", MUTEX, "closed_mutex", "--predicate", predicate]) == 2
+        err = capsys.readouterr().err
+        assert "predicate rejected" in err and construct in err
+
+    def test_the_whole_surface_is_accepted(self, capsys):
+        base = ["safety", MUTEX, "closed_mutex", "--predicate"]
+        assert cli(base + ["state[0]=='crit' and state[1]=='crit'"]) == 1
+        expected = capsys.readouterr().out
+        predicate = (
+            "(sum([x == 'crit' for x in state[0:2]]) + 0 * len(state) // 1 % 5 / 1 - -1 >= 3"
+            " and +1 > 0 and 'c' not in ('a',) and 'a' in 'ab' and all([state[-1] != 'x'])"
+            " and any(p is None or p is not None for p in (pending,)) and 1 <= 2 < 3)"
+            " if pending is None else not True"
+        )
+        assert cli(base + [predicate]) == 1
+        assert capsys.readouterr().out == expected
+
 
 class TestDot:
     def test_network_target_renders_the_config_graph(self, capsys):

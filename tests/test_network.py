@@ -175,7 +175,8 @@ def _excited(r) -> int:
 
 
 class TestTokenRings:
-    """Sizes as counted by the fioa-free explorer in `perfbench/reference.py`."""
+    """Sizes (configurations, edges, excited configurations) as printed by
+    the oracle `scripts/derive_expected.py` ("ring n=2..4")."""
 
     def test_two_cell_ring_size_is_frozen(self, ring2_env):
         r = ring2_env.networks["ring2"].restricted
