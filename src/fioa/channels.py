@@ -18,9 +18,9 @@ needs, which is what makes the algebraic-law comparisons in
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Acceptance,
@@ -58,10 +58,6 @@ class Configuration(NamedTuple):
         return self.pending is not None
 
 
-def _ckey(c: Configuration):
-    return (c.state, c.pending is not None, c.pending or (Channel(-1, -1), ""))
-
-
 class Edge(NamedTuple):
     transition: Transition
     target: Configuration
@@ -69,7 +65,12 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ConfigGraph:
-    """Forward-explored configuration graph; keys cover every node."""
+    """Forward-explored configuration graph; keys cover every node.
+
+    The keys of `edges` are in breadth-first order from `initial`.  Every
+    analysis walks them in that order and reports the first failure it
+    meets, so a witness is a failing configuration nearest the initial one.
+    """
 
     initial: Configuration
     edges: Mapping[Configuration, tuple[Edge, ...]]
@@ -77,9 +78,6 @@ class ConfigGraph:
     @property
     def configs(self) -> frozenset[Configuration]:
         return frozenset(self.edges)
-
-    def nodes(self) -> list[Configuration]:
-        return sorted(self.edges, key=_ckey)
 
     @property
     def edge_count(self) -> int:
@@ -267,7 +265,7 @@ class EdgeClass(NamedTuple):
     output_kind: str  # silent-out | channel-out | open-out
 
 
-def classify_edge(r: RestrictedAutomaton, c: Configuration, e: Edge) -> EdgeClass:
+def classify_edge(c: Configuration, e: Edge) -> EdgeClass:
     if c.pending is not None:
         mode, input_kind = "excited", "consume"
     else:
@@ -288,14 +286,9 @@ ALL_EDGE_CLASSES = tuple(
 )
 
 
-def edge_census(r: RestrictedAutomaton) -> dict[EdgeClass, int]:
+def edge_census(r: RestrictedAutomaton) -> Counter[EdgeClass]:
     """How many graph edges fall in each of the nine classes."""
-    census: dict[EdgeClass, int] = {}
-    for c in r.graph.nodes():
-        for e in r.graph.edges[c]:
-            row = classify_edge(r, c, e)
-            census[row] = census.get(row, 0) + 1
-    return census
+    return Counter(classify_edge(c, e) for c, es in r.graph.edges.items() for e in es)
 
 
 class WellFormedness(NamedTuple):
@@ -305,8 +298,8 @@ class WellFormedness(NamedTuple):
 
 def is_well_formed(r: RestrictedAutomaton) -> WellFormedness:
     """Every excited configuration must be able to consume its character."""
-    for c in r.graph.nodes():
-        if c.pending is not None and not r.graph.edges[c]:
+    for c, es in r.graph.edges.items():
+        if c.pending is not None and not es:
             return WellFormedness(False, c)
     return WellFormedness(True, None)
 
@@ -318,7 +311,7 @@ class Consistency(NamedTuple):
 
 
 def acceptance_anchors(
-    nodes: Sequence,
+    nodes: Collection,
     succ: Callable[[object], Iterable],
     state_of: Callable[[object], StateVector],
     acceptance: Acceptance,
@@ -397,13 +390,15 @@ def _sccs(nodes: Iterable, adj: Mapping) -> list[set]:
 
 
 def graph_consistency(
-    nodes: Sequence,
+    nodes: Collection,
     succ: Callable[[object], Iterable],
     state_of: Callable[[object], StateVector],
     acceptance: Acceptance,
-    sort_key=None,
 ) -> Consistency:
-    """Can every node still reach a point where acceptance is met?"""
+    """Can every node still reach a point where acceptance is met?
+
+    The witness is the first node, in the order of `nodes`, that cannot.
+    """
     anchors = acceptance_anchors(nodes, succ, state_of, acceptance)
     reverse: dict = {n: [] for n in nodes}
     for n in nodes:
@@ -418,11 +413,8 @@ def graph_consistency(
             if p not in covered:
                 covered.add(p)
                 frontier.append(p)
-    missing = [n for n in nodes if n not in covered]
-    if missing:
-        missing.sort(key=sort_key)
-        return Consistency(False, missing[0], anchors)
-    return Consistency(True, None, anchors)
+    witness = next((n for n in nodes if n not in covered), None)
+    return Consistency(witness is None, witness, anchors)
 
 
 def is_consistent(r: RestrictedAutomaton) -> Consistency:
@@ -434,11 +426,10 @@ def is_consistent(r: RestrictedAutomaton) -> Consistency:
             "cannot consume its pending character"
         )
     return graph_consistency(
-        r.graph.nodes(),
+        r.graph.edges,
         lambda c: (e.target for e in r.graph.edges[c]),
         lambda c: c.state,
         r.base.acceptance,
-        sort_key=_ckey,
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from functools import partial
 
 from . import examples as _corpus
 from .analysis import LAWS, check_law, safety_query, trace_equivalent
@@ -107,6 +108,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
     built = env.networks.get(target)
     a = _automaton(env, target)
     r = built.restricted if built is not None else None
+    place = partial(_cfg_str, built) if r is not None else state_str
     if kind == "valid":
         return True, f"{len(a.states)} states"
     if kind == "deterministic":
@@ -118,7 +120,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
         wf = is_well_formed(r)
         if wf.ok:
             return True, "every sent character can be consumed"
-        return False, f"stuck excited configuration {_cfg_str(built, wf.witness)}"
+        return False, f"stuck excited configuration {place(wf.witness)}"
     if kind == "consistent":
         rep = is_consistent(r) if r is not None else is_consistent_cond(a)
         nodes = "configurations" if r is not None else "states"
@@ -126,8 +128,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
             return True, f"{len(rep.anchors)} anchor {nodes}"
         if not rep.anchors:
             return False, f"acceptance is met in none of the reachable {nodes} (0 anchors)"
-        where = _cfg_str(built, rep.witness) if r is not None else state_str(rep.witness)
-        return False, f"acceptance unreachable from {where}"
+        return False, f"acceptance unreachable from {place(rep.witness)}"
     if kind == "protocol":
         if r is None:
             return False, "needs a channel-coupled network"
@@ -142,7 +143,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
         if qd.ok:
             return True, "at most one move per input everywhere"
         where, label, clashing = qd.witness
-        return False, f"{len(clashing)} moves on {label!r} from {where!r}"
+        return False, f"{len(clashing)} moves on {label_str(label, a.inputs)} from {place(where)}"
     raise _UsageError(f"unknown check kind {kind!r}")
 
 
@@ -212,7 +213,7 @@ def cmd_cbr(args) -> int:
     print(f"conditions: {len(r.conditions)}")
     census = edge_census(r)
     for row in ALL_EDGE_CLASSES:
-        n = census.get(row, 0)
+        n = census[row]
         if n:
             print(f"census {row.mode}/{row.input_kind}/{row.output_kind}: {n}")
     return EX_OK

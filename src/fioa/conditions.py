@@ -236,8 +236,8 @@ def is_quasi_deterministic(
     excited is checked per entry mode.
     """
     if isinstance(source, RestrictedAutomaton):
-        g = source.graph
-        return _first_clash((cfg, (e.transition for e in g.edges[cfg])) for cfg in g.nodes())
+        edges = source.graph.edges.items()
+        return _first_clash((cfg, (e.transition for e in es)) for cfg, es in edges)
     a = require_valid(source)
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
@@ -266,7 +266,7 @@ def is_consistent_cond(a: Nfioa) -> Consistency:
     require_valid(a)
     reach = reachable_states(a)
     succ: dict[StateVector, list[StateVector]] = {s: [] for s in reach}
-    for t in sorted(a.transitions):
+    for t in a.transitions:
         if t.source in reach and t.target in reach:
             succ[t.source].append(t.target)
     return graph_consistency(

@@ -8,7 +8,7 @@ byte-identical and diffs of exports track real changes.
 from __future__ import annotations
 
 from .core import Nfioa, label_str, state_str
-from .channels import RestrictedAutomaton
+from .channels import Channel, Configuration, RestrictedAutomaton
 
 
 def _esc(s: str) -> str:
@@ -41,8 +41,12 @@ def _dot_nfioa(a: Nfioa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ckey(c: Configuration):
+    return (c.state, c.pending is not None, c.pending or (Channel(-1, -1), ""))
+
+
 def _dot_restricted(r: RestrictedAutomaton) -> str:
-    nodes = r.graph.nodes()
+    nodes = sorted(r.graph.edges, key=_ckey)
     ids = {c: f"c{i}" for i, c in enumerate(nodes)}
     lines = [f'digraph "{_esc(r.name)}" {{', "  rankdir=LR;", '  node [shape=ellipse];']
     for c in nodes:

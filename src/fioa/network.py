@@ -283,12 +283,6 @@ class BuiltNetwork:
         return self.compiled.spec.name
 
 
-def _override_acceptance(a: Nfioa, acceptance: Acceptance | None) -> Nfioa:
-    if acceptance is None:
-        return a
-    return replace(a, acceptance=acceptance)
-
-
 def build_network(spec: NetworkSpec) -> BuiltNetwork:
     compiled = compile_network(spec)
     if compiled.channels:
@@ -300,11 +294,12 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
             name=spec.name,
         )
         if spec.acceptance is not None:
-            base = _override_acceptance(r.base, spec.acceptance)
-            r = RestrictedAutomaton(base, r.channels, r.graph, r.conditions, r.name)
+            r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
         automaton = require_valid(flatten(r))
         return BuiltNetwork(compiled, automaton, r)
     prod, _index = weak_product(compiled.factors, name=spec.name)
     automaton = cond(prod, compiled.conditions, name=spec.name)
-    automaton = require_valid(_override_acceptance(automaton, spec.acceptance))
+    if spec.acceptance is not None:
+        automaton = replace(automaton, acceptance=spec.acceptance)
+    automaton = require_valid(automaton)
     return BuiltNetwork(compiled, automaton, None)

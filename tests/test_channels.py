@@ -34,6 +34,7 @@ from fioa import (
     flatten,
     is_consistent,
     is_protocol,
+    is_quasi_deterministic,
     is_well_formed,
     open_components,
     random_nfioa,
@@ -121,7 +122,7 @@ class TestEdgeTaxonomy:
         for built in all_restrictions:
             r = built.restricted
             wired_in = {ch.in_component for ch in r.channels}
-            for cfg in r.graph.nodes():
+            for cfg in r.graph.edges:
                 if cfg.excited:
                     continue
                 for edge in r.graph.edges[cfg]:
@@ -132,7 +133,7 @@ class TestEdgeTaxonomy:
     def test_excited_moves_consume_exactly_the_pending_character(self, all_restrictions):
         for built in all_restrictions:
             r = built.restricted
-            for cfg in r.graph.nodes():
+            for cfg in r.graph.edges:
                 if not cfg.excited:
                     continue
                 chan, char = cfg.pending
@@ -143,7 +144,7 @@ class TestEdgeTaxonomy:
         for built in all_restrictions:
             r = built.restricted
             by_out = {ch.out_component: ch for ch in r.channels}
-            for cfg in r.graph.nodes():
+            for cfg in r.graph.edges:
                 for edge in r.graph.edges[cfg]:
                     slot = active_slot(edge.transition.output)
                     if slot is not None and slot[0] in by_out:
@@ -568,6 +569,68 @@ class TestReceiverIndexedExploration:
             if cfg.pending is not None:
                 pending += bool(step(cfg.state, cfg.pending))
         assert pending == 122  # every excited configuration of ring2 can consume
+
+
+def _distances(graph):
+    """Breadth-first distance of every configuration from `graph.initial`."""
+    dist = {graph.initial: 0}
+    frontier = deque([graph.initial])
+    while frontier:
+        cfg = frontier.popleft()
+        for edge in graph.edges[cfg]:
+            if edge.target not in dist:
+                dist[edge.target] = dist[cfg] + 1
+                frontier.append(edge.target)
+    return dist
+
+
+def _unable_to_reach(graph, anchors):
+    """Configurations with no path to any anchor."""
+    preds = {cfg: [] for cfg in graph.edges}
+    for cfg, es in graph.edges.items():
+        for edge in es:
+            preds[edge.target].append(cfg)
+    covered, frontier = set(anchors), deque(anchors)
+    while frontier:
+        for p in preds[frontier.popleft()]:
+            if p not in covered:
+                covered.add(p)
+                frontier.append(p)
+    return {cfg for cfg in graph.edges if cfg not in covered}
+
+
+class TestWitnesses:
+    def test_each_failing_check_names_a_nearest_failing_configuration(self, all_restrictions):
+        restrictions = [built.restricted for built in all_restrictions]
+        for seed in range(100):
+            factors, chans, conds = _random_wired_factors(seed)
+            restrictions.append(cbr(LazyProduct(factors), chans, conditions=conds))
+        failed = {"wellformed": 0, "consistent": 0, "quasidet": 0}
+
+        def check(kind, ok, witness, failing, dist):
+            assert ok == (not failing), kind
+            if failing:
+                assert witness in failing, kind
+                assert dist[witness] == min(dist[c] for c in failing), kind
+                failed[kind] += 1
+
+        for r in restrictions:
+            g = r.graph
+            dist = _distances(g)
+            assert set(dist) == set(g.edges)
+            stuck = {c for c, es in g.edges.items() if c.excited and not es}
+            wf = is_well_formed(r)
+            check("wellformed", wf.ok, wf.witness, stuck, dist)
+            if wf.ok:
+                cons = is_consistent(r)
+                check("consistent", cons.ok, cons.witness, _unable_to_reach(g, cons.anchors), dist)
+            clashing = {
+                c for c, es in g.edges.items()
+                if len({e.transition.input for e in es}) < len(es)
+            }
+            qd = is_quasi_deterministic(r)
+            check("quasidet", qd.ok, qd.witness and qd.witness[0], clashing, dist)
+        assert all(failed.values()), failed
 
 
 class TestCaps:

@@ -18,6 +18,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "src" / "fioa" / "corpus"
 MUTEX = str(CORPUS / "mutex.pw")
 BROKEN = str(CORPUS / "broken_mutex.pw")
 ADMIN = str(CORPUS / "administrator.pw")
+MITM = str(CORPUS / "mitm.pw")
 RING2 = str(CORPUS / "ring2.pw")
 RING_EQ = str(CORPUS / "ring2_eq.pw")
 
@@ -149,6 +150,30 @@ class TestCheck:
     def test_protocol_and_quasidet(self, capsys):
         assert cli(["check", "protocol", MUTEX, "closed_mutex"]) == 0
         assert cli(["check", "quasidet", MUTEX, "closed_mutex"]) == 0
+
+    @pytest.mark.parametrize(
+        "path, network, verdict",
+        [
+            (
+                RING2,
+                "ring2",
+                "quasidet: no (3 moves on - from remn|avlb|remn|abst|triggered|wait|remn|remn)",
+            ),
+            (MITM, "relay", "quasidet: no (2 moves on - from exit|crit)"),
+        ],
+        ids=["ring2", "relay"],
+    )
+    def test_quasidet_failure_names_the_nearest_clash(self, path, network, verdict, capsys):
+        assert cli(["check", "quasidet", path, network]) == 1
+        assert capsys.readouterr().out.strip() == verdict
+
+    def test_failing_quasidet_directive_uses_the_same_words(self, tmp_path, capsys):
+        doc = (CORPUS / "mitm.pw").read_text(encoding="utf-8")
+        path = tmp_path / "relay.pw"
+        path.write_text(doc + "\ncheck quasidet relay;\n", encoding="utf-8")
+        assert cli(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "check quasidet relay: FAIL (2 moves on - from exit|crit)" in out
 
     def test_unaffected_reports_each_factor(self, capsys):
         assert cli(["check", "unaffected", ADMIN, "administrator"]) == 0

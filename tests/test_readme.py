@@ -1,12 +1,16 @@
-"""The README's CLI tour: every `$ fioa ...` command prints what it shows.
+"""The README's examples print what they show.
 
-Each command is split with `shlex`, run through `fioa.cli.cli` from the
-repository root, and its stdout compared with the lines under it, up to
-the next command or the end of the block.  A `...` line, indented or
-not, stands for any run of lines.
+CLI tour: each `$ fioa ...` command is split with `shlex`, run through
+`fioa.cli.cli` from the repository root, and its stdout compared with the
+lines under it, up to the next command or the end of the block.  A `...`
+line, indented or not, stands for any run of lines.
+
+Python API: the first `python` block runs as written, and each `print`
+line ending in a `# value` comment must print exactly that value.
 """
 from __future__ import annotations
 
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -49,7 +53,7 @@ TOUR = _tour()
 
 
 def test_the_tour_shows_every_command():
-    assert len(TOUR) == 10
+    assert len(TOUR) == 11
     assert all(expected for _, expected in TOUR)
 
 
@@ -59,3 +63,21 @@ def test_tour_command_prints_what_the_readme_shows(command, expected, monkeypatc
     assert cli(shlex.split(command)) in (0, 1)
     out = _trimmed(capsys.readouterr().out.splitlines())
     assert _matches(expected, out), "\n".join(out)
+
+
+def test_the_python_api_block_prints_what_its_comments_show():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## Python API\n.*?```python\n(.*?)```", text, re.DOTALL).group(1)
+    expected = {
+        n: m.group(1)
+        for n, line in enumerate(block.splitlines(), 1)
+        if (m := re.match(r"print\(.*\)\s+# (.+)$", line))
+    }
+    shown: dict[int, list[str]] = {}
+
+    def record(*args):
+        shown.setdefault(inspect.currentframe().f_back.f_lineno, []).append(" ".join(map(str, args)))
+
+    exec(compile(block, "README.md", "exec"), {"print": record})
+    assert len(expected) == 3
+    assert {n: shown.get(n) for n in expected} == {n: [v] for n, v in expected.items()}
