@@ -460,6 +460,50 @@ def main():
 
     # ------------------------------------------------------------------
     print()
+    print("== n users in pairwise mutual exclusion (conditions mx_i_j) ==")
+
+    def pairwise_mutex_deny(n):
+        """Condition mx_i_j: user j may not enter crit while user i is in crit.
+
+        One test per ordered pair, the way the conditions are declared;
+        each matching move changes user j's slot, so it is active inside
+        the pair's scope.
+        """
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+
+        def deny(state, tgt, inp, out):
+            return any(
+                (state[i], state[j], tgt[i], tgt[j]) == ("crit", "try", "crit", "crit")
+                for (i, j) in pairs
+            )
+
+        return deny
+
+    for n in (3, 4):
+        deny_mx = pairwise_mutex_deny(n)
+        init, trans = interleave([USER] * n)
+        kept = {s: [e for e in es if not deny_mx(s, *e)] for s, es in trans.items()}
+        reach = {init}
+        fr = deque([init])
+        while fr:
+            s = fr.popleft()
+            for (t, _i, _o) in kept[s]:
+                if t not in reach:
+                    reach.add(t)
+                    fr.append(t)
+        server = f"server{n}"
+        init_w, trans_w = interleave([USER] * n + [SERVER])
+        ch = {("user0", "svc"): (server, "svc"), (server, "svc"): ("user0", "svc")}
+        start, order, graph = explore(init_w, trans_w, ch, deny=deny_mx)
+        edges = sum(len(v) for v in graph.values())
+        excited = sum(1 for (_state, pending) in order if pending is not None)
+        print(
+            f"mutex n={n}: reachable={len(reach)}, kept={sum(len(es) for es in kept.values())}; "
+            f"wired configs={len(order)}, edges={edges}, excited={excited}"
+        )
+
+    # ------------------------------------------------------------------
+    print()
     print("== man-in-the-middle separation: independent cross-check ==")
 
     def mitm_deny_flat(state, tgt, inp, out):

@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import (
     CapacityExceeded,
+    ChoiceOutOfRange,
     PreconditionError,
     SchedulerError,
     WiringError,
@@ -217,11 +218,9 @@ def cbr(
     chans = tuple(sorted(set(new_channels)))
     deny = None
     if conditions:
-        conds = conditions
+        from .conditions import veto  # conditions builds on this module
 
-        def deny(t: Transition) -> bool:
-            return any(c.matches(t) for c in conds)
-
+        deny = veto(conditions)
     lazy = source if isinstance(source, LazyProduct) else LazyProduct((source,))
     diags = check_channels(source.inputs, source.outputs, chans)
     if diags:
@@ -509,10 +508,7 @@ def run(
         for step_no, choice in enumerate(script[:step_bound]):
             es = r.graph.edges[cfg]
             if not (0 <= choice < len(es)):
-                raise SchedulerError(
-                    f"step {step_no}: choice {choice} out of range "
-                    f"({len(es)} enabled at {cfg!r})"
-                )
+                raise ChoiceOutOfRange(step_no, choice, len(es), cfg)
             e = es[choice]
             trans.append(e.transition)
             cfg = e.target

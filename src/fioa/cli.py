@@ -36,7 +36,7 @@ from .conditions import is_consistent_cond, is_quasi_deterministic, is_unaffecte
 from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states, state_str
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
-from .errors import WorkbenchError
+from .errors import ChoiceOutOfRange, WorkbenchError
 from .network import BuiltNetwork
 from .product import weak_product
 
@@ -283,12 +283,20 @@ def cmd_run(args) -> int:
     _doc, env = _load(args.file)
     built = _network(env, args.network)
     r = _restricted(built)
+    wf = is_well_formed(r)
+    if not wf.ok:
+        raise _UsageError(
+            f"cannot run {r.name}: excited configuration {_cfg_str(built, wf.witness)} is stuck"
+        )
     if args.scheduler == "script":
         if not args.script:
             raise _UsageError("--scheduler script needs --script FILE")
         with open(args.script, "r", encoding="utf-8") as handle:
             script = [int(line) for line in handle.read().split()]
-        res = run_graph(r, "scripted", step_bound=args.bound, script=script)
+        try:
+            res = run_graph(r, "scripted", step_bound=args.bound, script=script)
+        except ChoiceOutOfRange as exc:
+            raise _UsageError(exc.describe(partial(_cfg_str, built))) from None
         _print_trace(built, res)
         print(f"steps: {len(res)}")
         return EX_OK

@@ -12,12 +12,19 @@ non-silent).  Without the guard, a wildcard-heavy condition would also
 veto moves of completely unrelated parts of a composed system that merely
 pass through a matching state combination, and restricting a composite
 would stop agreeing with restricting the coordinated parts alone.
+
+`Condition.matches` is the per-transition definition.  A restriction
+(`cond`, or `channels.cbr` with `conditions=`) compiles its condition set
+once with `veto`, which indexes the conditions by their first pinned
+source slot, so each move is tested only against the conditions its
+source state can satisfy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence, Union
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .core import (
     EPSILON,
@@ -103,6 +110,21 @@ class Scope(NamedTuple):
     output_components: tuple[int, ...]
 
 
+def _no_slots(_vector) -> tuple:
+    return ()
+
+
+def _pinned(pattern: tuple[str, ...]) -> tuple[Callable, object]:
+    """One-call reader of a pattern's non-wildcard slots, and what it must read.
+
+    `itemgetter` returns a bare value for one slot and a tuple for several;
+    reading the pattern itself gives the expected value in the same shape.
+    """
+    slots = [i for i, p in enumerate(pattern) if p != WILDCARD]
+    get = itemgetter(*slots) if slots else _no_slots
+    return get, get(pattern)
+
+
 @dataclass(frozen=True)
 class Condition:
     """One veto: transitions matching all four patterns are eliminated.
@@ -110,6 +132,10 @@ class Condition:
     State patterns are per-slot literals or "*".  A `scope` of None means
     the condition owns the whole vector; either way the transition must
     show activity inside the scope to match (see module docstring).
+
+    The pinned (non-wildcard) state slots and the label checks are
+    compiled once at construction, into a field left out of equality,
+    hashing and repr.
     """
 
     name: str
@@ -118,6 +144,7 @@ class Condition:
     input: IoPattern
     output: IoPattern
     scope: Scope | None = None
+    _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -128,41 +155,83 @@ class Condition:
         output: IoPattern | None = None,
         scope: Scope | None = None,
     ):
+        source, target = tuple(source), tuple(target)
+        input, output = input or IoPattern.any(), output or IoPattern.any()
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", tuple(source))
-        object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "input", input or IoPattern.any())
-        object.__setattr__(self, "output", output or IoPattern.any())
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "output", output)
         object.__setattr__(self, "scope", scope)
-
-    def _state_match(self, pattern: tuple[str, ...], s: StateVector) -> bool:
-        if len(pattern) != len(s):
-            return False
-        return all(p == WILDCARD or p == v for p, v in zip(pattern, s))
+        object.__setattr__(
+            self,
+            "_compiled",
+            (
+                len(source),
+                len(target),
+                *_pinned(source),
+                *_pinned(target),
+                None if input.kind == "any" else input.matches,
+                None if output.kind == "any" else output.matches,
+            ),
+        )
 
     def _active_in_scope(self, t: Transition) -> bool:
         if self.scope is None:
-            state_idx: Sequence[int] = range(len(t.source))
-            in_idx: Sequence[int] = range(len(t.input))
-            out_idx: Sequence[int] = range(len(t.output))
-        else:
-            state_idx = self.scope.state_components
-            in_idx = self.scope.input_components
-            out_idx = self.scope.output_components
+            return t.source != t.target or not is_silent(t.input) or not is_silent(t.output)
         return (
-            any(t.source[i] != t.target[i] for i in state_idx)
-            or any(t.input[i] != EPSILON for i in in_idx)
-            or any(t.output[i] != EPSILON for i in out_idx)
+            any(t.source[i] != t.target[i] for i in self.scope.state_components)
+            or any(t.input[i] != EPSILON for i in self.scope.input_components)
+            or any(t.output[i] != EPSILON for i in self.scope.output_components)
         )
 
     def matches(self, t: Transition) -> bool:
+        width, target_width, source_at, source_is, target_at, target_is, input, output = (
+            self._compiled
+        )
         return (
-            self._state_match(self.source, t.source)
-            and self._state_match(self.target, t.target)
-            and self.input.matches(t.input)
-            and self.output.matches(t.output)
+            len(t.source) == width
+            and len(t.target) == target_width
+            and source_at(t.source) == source_is
+            and target_at(t.target) == target_is
+            and (input is None or input(t.input))
+            and (output is None or output(t.output))
             and self._active_in_scope(t)
         )
+
+
+def veto(conditions: Iterable[Condition]) -> Callable[[Transition], bool]:
+    """Build `deny(t)`: does some condition match `t`?
+
+    Built once per restriction.  Each condition is filed under its width,
+    its first pinned source slot and that slot's value, so a transition is
+    tested only against the conditions its own source selects, plus those
+    that pin no source slot.  `Condition.matches` decides each test.
+    """
+    free: dict[int, list[Condition]] = {}
+    pinned: dict[int, dict[int, dict[str, list[Condition]]]] = {}
+    for c in conditions:
+        width = len(c.source)
+        slot = next((i for i, p in enumerate(c.source) if p != WILDCARD), None)
+        if slot is None:
+            free.setdefault(width, []).append(c)
+            continue
+        by_slot = pinned.setdefault(width, {})
+        by_slot.setdefault(slot, {}).setdefault(c.source[slot], []).append(c)
+    slots = {width: tuple(by_slot.items()) for width, by_slot in pinned.items()}
+
+    def deny(t: Transition) -> bool:
+        s = t.source
+        for c in free.get(len(s), ()):
+            if c.matches(t):
+                return True
+        for slot, by_value in slots.get(len(s), ()):
+            for c in by_value.get(s[slot], ()):
+                if c.matches(t):
+                    return True
+        return False
+
+    return deny
 
 
 def cond(
@@ -189,11 +258,8 @@ def cond(
         )
     a = require_valid(source)
     reach = reachable_states(a)
-    surviving = frozenset(
-        t
-        for t in a.transitions
-        if t.source in reach and not any(c.matches(t) for c in conditions)
-    )
+    deny = veto(conditions)
+    surviving = frozenset(t for t in a.transitions if t.source in reach and not deny(t))
     return replace(a, name=name or a.name, transitions=surviving)
 
 

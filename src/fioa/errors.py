@@ -30,7 +30,26 @@ class PreconditionError(WorkbenchError):
 
 
 class SchedulerError(WorkbenchError):
-    """A scripted run asked for a choice that does not exist."""
+    """A run asked for a scheduler or a choice that does not exist."""
+
+
+class ChoiceOutOfRange(SchedulerError):
+    """A scripted run chose a move its configuration does not offer.
+
+    `describe(place)` words the error with `place` naming the
+    configuration, so a caller that knows the network's channel labels can
+    print them instead of the raw configuration.
+    """
+
+    def __init__(self, step: int, choice: int, enabled: int, config):
+        self.step, self.choice, self.enabled, self.config = step, choice, enabled, config
+        super().__init__(self.describe(repr))
+
+    def describe(self, place) -> str:
+        return (
+            f"step {self.step}: choice {self.choice} out of range "
+            f"({self.enabled} enabled at {place(self.config)})"
+        )
 
 
 class StepRejected(WorkbenchError):

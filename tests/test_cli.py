@@ -265,6 +265,23 @@ class TestRun:
     def test_running_an_ill_formed_network_fails_cleanly(self, capsys):
         assert cli(["run", BROKEN, "closed_mutex"]) == 2
 
+    def test_a_stuck_configuration_is_named_with_channel_labels(self, capsys):
+        assert cli(["run", BROKEN, "closed_mutex"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot run closed_mutex: excited configuration "
+            "try|remn !req@u.svc>c.svc is stuck\n"
+        )
+
+    def test_an_out_of_range_choice_names_its_configuration(self, tmp_path, capsys):
+        script = tmp_path / "choices.txt"
+        script.write_text("0\n3\n", encoding="utf-8")
+        argv = ["run", MUTEX, "closed_mutex", "--scheduler", "script", "--script", str(script)]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: step 1: choice 3 out of range "
+            "(1 enabled at try|remn !req@u.svc>c.svc)\n"
+        )
+
 
 class TestLaws:
     def test_single_law(self, capsys):

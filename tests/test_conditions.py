@@ -2,6 +2,9 @@
 quasi-determinism, and the coordinated token administrator."""
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from fioa import (
@@ -23,6 +26,7 @@ from fioa import (
     reachable_states,
     weak_product,
 )
+from fioa.conditions import veto
 from fioa.core import is_silent
 
 
@@ -121,6 +125,167 @@ class TestConditionMatching:
         )
         assert unscoped.matches(t)
         assert not scoped.matches(t)
+
+
+def _matches_by_definition(c: Condition, t: Transition) -> bool:
+    """A condition read straight off its definition, slot by slot."""
+
+    def states(pattern, vector):
+        return len(pattern) == len(vector) and all(
+            p == "*" or p == v for p, v in zip(pattern, vector)
+        )
+
+    def label(p, vc):
+        if p.kind == "any":
+            return True
+        if p.kind == "silent":
+            return all(ch == EPSILON for ch in vc)
+        if p.component >= len(vc):
+            return False
+        if p.kind == "literal":
+            return vc[p.component] == p.character
+        return vc[p.component] != EPSILON  # active
+
+    def active():
+        if c.scope is None:
+            scope = (range(len(t.source)), range(len(t.input)), range(len(t.output)))
+        else:
+            scope = c.scope
+        return (
+            any(t.source[i] != t.target[i] for i in scope[0])
+            or any(t.input[i] != EPSILON for i in scope[1])
+            or any(t.output[i] != EPSILON for i in scope[2])
+        )
+
+    return (
+        states(c.source, t.source)
+        and states(c.target, t.target)
+        and label(c.input, t.input)
+        and label(c.output, t.output)
+        and active()
+    )
+
+
+def _random_label(rng, width, active_share):
+    vc = [EPSILON] * width
+    if rng.random() < active_share:
+        vc[rng.randrange(width)] = rng.choice("xy")
+    return tuple(vc)
+
+
+def _random_world(rng):
+    """Random conditions and transitions over small alphabets.
+
+    State values come from "abc", so conditions often share a bucket; a
+    fifth of the transitions and conditions are one slot wider than the
+    rest, and some conditions' target patterns differ in width from their
+    source patterns.  About a third of the transitions are silent
+    self-loops or other moves with no activity at all.
+    """
+    width = rng.randint(2, 3)
+    n_in, n_out = rng.randint(1, 3), rng.randint(1, 3)
+
+    def pattern(w, wild):
+        return tuple("*" if rng.random() < wild else rng.choice("abc") for _ in range(w))
+
+    def io():
+        kind = rng.choice(("any", "any", "silent", "literal", "active"))
+        component = rng.randrange(max(n_in, n_out) + 1)  # sometimes off the end
+        if kind == "literal":
+            return IoPattern.literal(component, rng.choice("xy"))
+        if kind == "active":
+            return IoPattern.active(component)
+        return IoPattern(kind)
+
+    conditions = []
+    for k in range(rng.randint(1, 8)):
+        w = width + (rng.random() < 0.2)
+        wild = rng.choice((0.3, 0.6, 1.0))
+        source = pattern(w, wild)
+        target = pattern(w + (rng.random() < 0.1), wild)
+        scope = None
+        if rng.random() < 0.5:
+            scope = Scope(
+                tuple(sorted(rng.sample(range(w), rng.randint(0, w)))),
+                tuple(sorted(rng.sample(range(n_in), rng.randint(0, n_in)))),
+                tuple(sorted(rng.sample(range(n_out), rng.randint(0, n_out)))),
+            )
+        conditions.append(Condition(f"c{k}", source, target, io(), io(), scope))
+
+    transitions = []
+    for _ in range(60):
+        w = width + (rng.random() < 0.2)
+        source = tuple(rng.choice("abc") for _ in range(w))
+        if rng.random() < 0.3:  # no activity: a silent self-loop
+            transitions.append(
+                Transition(source, source, (EPSILON,) * n_in, (EPSILON,) * n_out)
+            )
+            continue
+        target = list(source)
+        for i in rng.sample(range(w), rng.randint(0, 2)):
+            target[i] = rng.choice("abc")
+        transitions.append(
+            Transition(
+                source, tuple(target), _random_label(rng, n_in, 0.5), _random_label(rng, n_out, 0.5)
+            )
+        )
+    return conditions, transitions
+
+
+class TestVeto:
+    def test_veto_and_matches_agree_with_the_definition(self):
+        seen = Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            conditions, transitions = _random_world(rng)
+            deny = veto(conditions)
+            for t in transitions:
+                expected = [_matches_by_definition(c, t) for c in conditions]
+                assert [c.matches(t) for c in conditions] == expected, (seed, t)
+                assert deny(t) == any(expected), (seed, t)
+                seen["denied" if any(expected) else "kept"] += 1
+                for c, hit in zip(conditions, expected):
+                    if len(c.source) != len(t.source):
+                        seen["width mismatch"] += 1
+                    elif len(c.target) != len(t.target):
+                        seen["target width mismatch"] += 1
+                    if hit:
+                        seen["unscoped hit" if c.scope is None else "scoped hit"] += 1
+                        if all(p == "*" for p in c.source):
+                            seen["all-wildcard source hit"] += 1
+                        if any(
+                            p != "*" and s != q for p, s, q in zip(c.target, t.source, t.target)
+                        ):
+                            seen["hit moving a pinned target slot"] += 1
+                    elif _matches_by_definition(
+                        Condition(c.name, c.source, c.target, c.input, c.output), t
+                    ) and c.scope is not None:
+                        seen["stopped by the scope guard"] += 1
+                if t.source == t.target and is_silent(t.input) and is_silent(t.output):
+                    seen["inactive move"] += 1
+            pinned = [
+                (len(c.source), i, v)
+                for c in conditions
+                for i, v in enumerate(c.source)
+                if v != "*"
+            ]
+            if len(pinned) > len(set(pinned)):
+                seen["shared pins"] += 1
+        assert min(seen.values()) >= 20, seen
+        assert len(seen) == 11, seen
+
+    def test_an_empty_condition_set_denies_nothing(self):
+        assert not veto(())(TestConditionMatching.T)
+
+    def test_compiled_fields_stay_out_of_equality_and_repr(self):
+        a = Condition("veto", ("remn", "*"), ("try", "*"))
+        b = Condition("veto", ["remn", "*"], ["try", "*"], IoPattern.any(), IoPattern.any())
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "Condition(name='veto', source=('remn', '*'), target=('try', '*'), "
+            "input=IoPattern(kind='any', component=None, character=None), "
+            "output=IoPattern(kind='any', component=None, character=None), scope=None)"
+        )
 
 
 class TestCondOperator:

@@ -2,6 +2,11 @@
 token-ring family built from them."""
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fioa import (
@@ -170,33 +175,36 @@ class TestBuild:
         )
 
 
-def _excited(r) -> int:
-    return sum(1 for cfg in r.graph.configs if cfg.excited)
+# Sizes as the oracle `scripts/derive_expected.py` prints them ("ring n=..."
+# and "mutex n=..." lines); the oracle test below keeps the two in step.
+
+# ring n: (configurations, edges, excited configurations)
+RING_SIZES = {2: (170, 232, 122), 3: (909, 1332, 693), 4: (4212, 6480, 3348)}
+
+# mutex n: (eager reachable states, kept transitions,
+#           server-wired configurations, edges, excited configurations)
+MUTEX_SIZES = {3: (54, 171, 108, 198, 54), 4: (189, 876, 378, 837, 189)}
+
+
+def _sizes(r) -> tuple[int, int, int]:
+    excited = sum(1 for cfg in r.graph.configs if cfg.excited)
+    return len(r.graph.configs), r.graph.edge_count, excited
 
 
 class TestTokenRings:
-    """Sizes (configurations, edges, excited configurations) as printed by
-    the oracle `scripts/derive_expected.py` ("ring n=2..4")."""
-
     def test_two_cell_ring_size_is_frozen(self, ring2_env):
         r = ring2_env.networks["ring2"].restricted
-        assert len(r.graph.configs) == 170
-        assert r.graph.edge_count == 232
-        assert _excited(r) == 122
+        assert _sizes(r) == RING_SIZES[2]
         assert is_well_formed(r).ok
 
     def test_three_cell_ring_size_is_frozen(self, ring3_env):
         r = ring3_env.networks["ring3"].restricted
-        assert len(r.graph.configs) == 909
-        assert r.graph.edge_count == 1332
-        assert _excited(r) == 693
+        assert _sizes(r) == RING_SIZES[3]
         assert is_well_formed(r).ok
 
     def test_four_cell_ring_size_is_frozen(self):
         r = resolve(examples.ring_document(4)).networks["ring4"].restricted
-        assert len(r.graph.configs) == 4212
-        assert r.graph.edge_count == 6480
-        assert _excited(r) == 3348
+        assert _sizes(r) == RING_SIZES[4]
         assert is_well_formed(r).ok
 
     def test_exactly_one_token_alive_everywhere(self, ring2_env, ring3_env):
@@ -219,6 +227,62 @@ class TestTokenRings:
             for cfg in r.graph.configs:
                 in_crit = sum(1 for i in user_slots if cfg.state[i] == "crit")
                 assert in_crit <= 1, (name, cfg)
+
+
+def pairwise_mutex_spec(n: int, wired: bool) -> NetworkSpec:
+    """n users; condition mx_i_j denies u_j entering crit while u_i is in
+    crit.  Wired, u0 talks to a server over both service channels."""
+    factors = [FactorRef(f"u{i}", examples.user_role()) for i in range(n)]
+    channels = ()
+    if wired:
+        factors.append(FactorRef("c", examples.server_role()))
+        channels = (ChannelSpec("u0", "svc", "c", "svc"), ChannelSpec("c", "svc", "u0", "svc"))
+    conditions = tuple(
+        ConditionSpec(f"mx_{i}_{j}", ("crit", "try"), ("crit", "crit"), on=(f"u{i}", f"u{j}"))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    )
+    return NetworkSpec(f"mutex{n}", tuple(factors), channels, conditions)
+
+
+class TestPairwiseMutex:
+    """Many conditions per network: n(n-1) pairwise exclusion vetoes."""
+
+    @pytest.mark.parametrize("n", sorted(MUTEX_SIZES))
+    def test_size_is_frozen(self, n):
+        eager = build_network(pairwise_mutex_spec(n, wired=False)).automaton
+        wired = build_network(pairwise_mutex_spec(n, wired=True)).restricted
+        sizes = (len(reachable_states(eager)), len(eager.transitions), *_sizes(wired))
+        assert sizes == MUTEX_SIZES[n]
+
+    @pytest.mark.parametrize("n", sorted(MUTEX_SIZES))
+    def test_no_two_users_are_ever_in_crit(self, n):
+        eager = build_network(pairwise_mutex_spec(n, wired=False)).automaton
+        for state in reachable_states(eager):
+            assert state.count("crit") <= 1, state
+
+
+def test_the_oracle_prints_the_frozen_sizes():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "derive_expected.py"
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, check=True
+    ).stdout
+    rings = {
+        int(m[0]): tuple(map(int, m[1:]))
+        for m in re.findall(r"^ring n=(\d+): configs=(\d+), edges=(\d+), excited=(\d+),", out, re.M)
+    }
+    mutexes = {
+        int(m[0]): tuple(map(int, m[1:]))
+        for m in re.findall(
+            r"^mutex n=(\d+): reachable=(\d+), kept=(\d+); "
+            r"wired configs=(\d+), edges=(\d+), excited=(\d+)$",
+            out,
+            re.M,
+        )
+    }
+    assert rings == RING_SIZES
+    assert mutexes == MUTEX_SIZES
 
 
 @pytest.fixture(scope="module")
