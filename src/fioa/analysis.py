@@ -10,6 +10,11 @@ occurrence (channel, character).  Internal moves are unobservable.  Both
 sides are determinized over silent closures and walked in lockstep, which
 is complete for these finite configuration graphs; the configuration
 count product is reported as the (conservative) sufficient trace bound.
+Each walk reads a graph through one event view, which computes each
+configuration's silent closure, and each closure's sorted events with
+their next closures, once and only when the walk first reaches them.  The
+lockstep walk keeps one parent pointer per visited pair of closures and
+spells out a trace only when it finds a divergence.
 """
 
 from __future__ import annotations
@@ -302,41 +307,73 @@ Event = tuple[Channel, str]
 # `product.LazyProduct.stepper`'s step function listed for the edge.
 
 
-def _silent_closure(r: RestrictedAutomaton, cfgs: Iterable[Configuration]) -> frozenset:
-    seen = set(cfgs)
-    frontier = deque(seen)
-    while frontier:
-        c = frontier.popleft()
-        for e in r.graph.edges[c]:
-            if e.target.pending is None and e.target not in seen:
-                seen.add(e.target)
-                frontier.append(e.target)
-    return frozenset(seen)
+class _EventView:
+    """The determinized channel-event view of one configuration graph.
 
+    A node of the view is a silent closure: a frozenset of configurations
+    closed under edges that send nothing.  Each configuration's closure and
+    each closure's events with their next closures are computed the first
+    time a walk asks for them and kept for the rest of that walk, so a
+    bounded walk touches only the configurations it reaches.
+    """
 
-def _event_steps(r: RestrictedAutomaton, closure: frozenset) -> dict[Event, frozenset]:
-    steps: dict[Event, set] = {}
-    for c in closure:
-        for e in r.graph.edges[c]:
-            ev = e.target.pending
-            if ev is not None:
-                steps.setdefault(ev, set()).add(e.target)
-    return {ev: _silent_closure(r, tgts) for ev, tgts in steps.items()}
+    def __init__(self, r: RestrictedAutomaton):
+        self._edges = r.graph.edges
+        self._closures: dict[Configuration, frozenset] = {}
+        self._steps: dict[frozenset, tuple[tuple[Event, ...], tuple[frozenset, ...]]] = {}
+        self.initial = self._closure(r.graph.initial)
+
+    def _closure(self, c: Configuration) -> frozenset:
+        """`c` and every configuration it reaches by edges that send nothing.
+
+        Callers look in `_closures` first; this computes and records it.
+        """
+        edges = self._edges
+        seen = {c}
+        todo = [c]
+        while todo:
+            for e in edges[todo.pop()]:
+                t = e.target
+                if t.pending is None and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        got = self._closures[c] = frozenset(seen)
+        return got
+
+    def steps(self, closure: frozenset) -> tuple[tuple[Event, ...], tuple[frozenset, ...]]:
+        """The events a closure can send, sorted, and the closure each leads to.
+
+        An event's next closure is the union of its send targets' closures.
+        """
+        got = self._steps.get(closure)
+        if got is None:
+            edges = self._edges
+            closures = self._closures
+            sent: dict[Event, frozenset] = {}
+            for c in closure:
+                for e in edges[c]:
+                    t = e.target
+                    ev = t.pending
+                    if ev is not None:
+                        nxt = closures.get(t)
+                        if nxt is None:
+                            nxt = self._closure(t)
+                        sent[ev] = sent[ev] | nxt if ev in sent else nxt
+            events = tuple(sorted(sent))
+            got = self._steps[closure] = (events, tuple(map(sent.__getitem__, events)))
+        return got
 
 
 def trace_language(r: RestrictedAutomaton, bound: int) -> frozenset[tuple[Event, ...]]:
     """All channel-event traces of length ≤ bound.  Prefix-closed."""
-    start = _silent_closure(r, [r.graph.initial])
+    view = _EventView(r)
     traces = {(): None}
-    frontier = deque([((), start)])
-    step_cache: dict[frozenset, dict[Event, frozenset]] = {}
+    frontier = deque([((), view.initial)])
     while frontier:
         trace, closure = frontier.popleft()
         if len(trace) >= bound:
             continue
-        if closure not in step_cache:
-            step_cache[closure] = _event_steps(r, closure)
-        for ev, nxt in step_cache[closure].items():
+        for ev, nxt in zip(*view.steps(closure)):
             t2 = trace + (ev,)
             if t2 not in traces:
                 traces[t2] = None
@@ -371,29 +408,31 @@ def trace_equivalent(
                 f"channel {ch} carries {sorted(o1)} on one side, {sorted(o2)} on the other"
             )
     sufficient = len(r1.graph.edges) * len(r2.graph.edges)
-    s1 = _silent_closure(r1, [r1.graph.initial])
-    s2 = _silent_closure(r2, [r2.graph.initial])
-    seen = {(s1, s2)}
-    frontier = deque([((), s1, s2)])
-    cache1: dict[frozenset, dict[Event, frozenset]] = {}
-    cache2: dict[frozenset, dict[Event, frozenset]] = {}
-    while frontier:
-        trace, c1, c2 = frontier.popleft()
-        if bound is not None and len(trace) >= bound:
-            continue
-        if c1 not in cache1:
-            cache1[c1] = _event_steps(r1, c1)
-        if c2 not in cache2:
-            cache2[c2] = _event_steps(r2, c2)
-        e1, e2 = cache1[c1], cache2[c2]
-        if set(e1) != set(e2):
-            ev = sorted(set(e1) ^ set(e2))[0]
-            return TraceEquivalence(False, trace + (ev,), sufficient, bound)
-        for ev in sorted(e1):
-            pair = (e1[ev], e2[ev])
-            if pair not in seen:
-                seen.add(pair)
-                frontier.append((trace + (ev,), e1[ev], e2[ev]))
+    v1, v2 = _EventView(r1), _EventView(r2)
+    start = (v1.initial, v2.initial)
+    # Each visited pair points at the pair and event it was first reached
+    # by; the trace is spelled out only for a divergence.
+    parent: dict[tuple[frozenset, frozenset], tuple | None] = {start: None}
+    level = [start]
+    depth = 0
+    while level and (bound is None or depth < bound):
+        reached = []
+        for pair in level:
+            events, to1 = v1.steps(pair[0])
+            other, to2 = v2.steps(pair[1])
+            if events != other:
+                trace = [min(set(events).symmetric_difference(other))]
+                while (link := parent[pair]) is not None:
+                    pair, ev = link
+                    trace.append(ev)
+                return TraceEquivalence(False, tuple(reversed(trace)), sufficient, bound)
+            for ev, n1, n2 in zip(events, to1, to2):
+                nxt = (n1, n2)
+                if nxt not in parent:
+                    parent[nxt] = (pair, ev)
+                    reached.append(nxt)
+        level = reached
+        depth += 1
     return TraceEquivalence(True, None, sufficient, bound)
 
 

@@ -122,6 +122,13 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
             return True, "every sent character can be consumed"
         return False, f"stuck excited configuration {place(wf.witness)}"
     if kind == "consistent":
+        if r is not None:
+            wf = is_well_formed(r)
+            if not wf.ok:
+                raise _UsageError(
+                    f"{r.name} is not well-formed: excited configuration "
+                    f"{place(wf.witness)} cannot consume its pending character"
+                )
         rep = is_consistent(r) if r is not None else is_consistent_cond(a)
         nodes = "configurations" if r is not None else "states"
         if rep.ok:
@@ -265,12 +272,13 @@ def cmd_check(args) -> int:
     _doc, env = _load(args.file)
     if args.kind == "unaffected":
         built = _network(env, args.network)
-        full, _index = weak_product(built.compiled.factors)
         conds = built.compiled.conditions
+        # Without conditions nothing is restricted, so no factor can be
+        # affected, and the product (too large for the rings) is not built.
+        full = weak_product(built.compiled.factors)[0] if conds else None
         affected = 0
         for k, ref in enumerate(built.spec.factors):
-            p = _factor_projection(full, built, k)
-            ok = is_unaffected(full, conds, p)
+            ok = full is None or is_unaffected(full, conds, _factor_projection(full, built, k))
             print(f"factor {ref.alias}: {'unaffected' if ok else 'affected'}")
             affected += 0 if ok else 1
         return EX_FAIL if affected else EX_OK

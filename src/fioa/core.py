@@ -17,6 +17,8 @@ from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidAutomaton, WiringError
 
+# The silent character.  It is the only false string, so `is_silent` and
+# `active_slot` test a character's truth instead of comparing with it.
 EPSILON = ""
 
 StateVector = tuple[str, ...]
@@ -37,13 +39,13 @@ def single_char(width: int, component: int, char: str) -> VectorChar:
 def active_slot(vc: VectorChar) -> tuple[int, str] | None:
     """The (component, character) pair carried by a label, or None if silent."""
     for k, ch in enumerate(vc):
-        if ch != EPSILON:
+        if ch:
             return (k, ch)
     return None
 
 
 def is_silent(vc: VectorChar) -> bool:
-    return all(ch == EPSILON for ch in vc)
+    return not any(vc)
 
 
 def state_str(s: StateVector) -> str:

@@ -7,7 +7,7 @@ byte-identical and diffs of exports track real changes.
 
 from __future__ import annotations
 
-from .core import Nfioa, label_str, state_str
+from .core import Nfioa, VectorChar, label_str, state_str
 from .channels import Channel, Configuration, RestrictedAutomaton
 
 
@@ -60,12 +60,16 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
         if c == r.graph.initial:
             attrs.append("penwidth=2")
         lines.append(f"  {ids[c]} [{', '.join(attrs)}];")
+    # Edges share few distinct labels; each is formatted once.
+    labels: dict[tuple[VectorChar, VectorChar], str] = {}
     for c in nodes:
         for e in r.graph.edges[c]:
-            label = (
-                f"{label_str(e.transition.input, r.base.inputs)} / "
-                f"{label_str(e.transition.output, r.base.outputs)}"
-            )
-            lines.append(f'  {ids[c]} -> {ids[e.target]} [label="{_esc(label)}"];')
+            key = (e.transition.input, e.transition.output)
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = _esc(
+                    f"{label_str(key[0], r.base.inputs)} / {label_str(key[1], r.base.outputs)}"
+                )
+            lines.append(f'  {ids[c]} -> {ids[e.target]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

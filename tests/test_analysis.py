@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from fioa import (
     LAWS,
     Acceptance,
     Channel,
+    TraceEquivalence,
     Transition,
     WiringError,
     automata_equal,
@@ -214,8 +216,8 @@ class TestTraceLanguage:
         assert trace_language(r, 2) <= lang
 
 
-def _random_channel_network(seed):
-    """Two random factors, wired by one to three random valid channels."""
+def _random_wiring(seed):
+    """Two random factors' product, welded to one to three random valid channels."""
     rng = random.Random(seed)
     factors = [random_nfioa(rng.randrange(10**9), n_states=3, name=f"f{j}") for j in range(2)]
     prod, _ = weak_product(factors)
@@ -223,7 +225,11 @@ def _random_channel_network(seed):
     outs = rng.sample(range(len(prod.outputs)), k)
     ins = rng.sample(range(len(prod.inputs)), k)
     chans = tuple(Channel(o, i) for o, i in zip(outs, ins))
-    return cbr(_weld(prod, chans), chans)
+    return _weld(prod, chans), chans
+
+
+def _random_channel_network(seed):
+    return cbr(*_random_wiring(seed))
 
 
 def _event_from_labels(r, t):
@@ -414,6 +420,131 @@ class TestTraceEquivalence:
             if not is_well_formed(r).ok:
                 continue
             assert trace_equivalent(r, r).equal
+
+
+class _NaiveLockstep:
+    """The lockstep walk that recomputes every silent closure from scratch.
+
+    It is the reference for `trace_equivalent`: a closure is rebuilt by
+    breadth-first search for every set of send targets, and every frontier
+    entry carries its whole trace.  It also tallies the closure sizes and
+    the silent cycles it meets, so a test can show those cases occurred.
+    """
+
+    def __init__(self):
+        self.closure_sizes = Counter()
+        self.silent_cycles = 0
+
+    def closure(self, r, cfgs):
+        seen = set(cfgs)
+        frontier = deque(seen)
+        while frontier:
+            c = frontier.popleft()
+            for e in r.graph.edges[c]:
+                if e.target.pending is None:
+                    if e.target in seen:
+                        # back to a start through another configuration
+                        self.silent_cycles += e.target != c and e.target in cfgs
+                    else:
+                        seen.add(e.target)
+                        frontier.append(e.target)
+        self.closure_sizes[len(seen)] += 1
+        return frozenset(seen)
+
+    def event_steps(self, r, closure):
+        steps = {}
+        for c in closure:
+            for e in r.graph.edges[c]:
+                ev = e.target.pending
+                if ev is not None:
+                    steps.setdefault(ev, set()).add(e.target)
+        return {ev: self.closure(r, tgts) for ev, tgts in steps.items()}
+
+    def trace_equivalent(self, r1, r2, bound):
+        if set(r1.channels) != set(r2.channels):
+            raise WiringError("networks have different channel structure")
+        for ch in r1.channels:
+            o1 = r1.base.outputs[ch.out_component].characters
+            o2 = r2.base.outputs[ch.out_component].characters
+            if o1 != o2:
+                raise WiringError(f"channel {ch} carries different characters")
+        sufficient = len(r1.graph.edges) * len(r2.graph.edges)
+        s1 = self.closure(r1, [r1.graph.initial])
+        s2 = self.closure(r2, [r2.graph.initial])
+        seen = {(s1, s2)}
+        frontier = deque([((), s1, s2)])
+        while frontier:
+            trace, c1, c2 = frontier.popleft()
+            if bound is not None and len(trace) >= bound:
+                continue
+            e1, e2 = self.event_steps(r1, c1), self.event_steps(r2, c2)
+            if set(e1) != set(e2):
+                ev = sorted(set(e1) ^ set(e2))[0]
+                return TraceEquivalence(False, trace + (ev,), sufficient, bound)
+            for ev in sorted(e1):
+                pair = (e1[ev], e2[ev])
+                if pair not in seen:
+                    seen.add(pair)
+                    frontier.append((trace + (ev,), e1[ev], e2[ev]))
+        return TraceEquivalence(True, None, sufficient, bound)
+
+
+def _ring(n):
+    return resolve(examples.ring_document(n)).networks[f"ring{n}"].restricted
+
+
+class TestTraceEquivalenceAgainstTheNaiveLockstep:
+    BOUNDS = (None, 1, 2, 4)
+
+    def _compare(self, naive, r1, r2):
+        """Both walks on one ordered pair at every bound; False if incomparable."""
+        for bound in self.BOUNDS:
+            try:
+                want = naive.trace_equivalent(r1, r2, bound)
+            except WiringError:
+                with pytest.raises(WiringError):
+                    trace_equivalent(r1, r2, bound=bound)
+                return False
+            got = trace_equivalent(r1, r2, bound=bound)
+            assert isinstance(got, TraceEquivalence)
+            assert got == want, (r1.name, r2.name, bound)
+            self.verdicts[got.equal] += 1
+        return True
+
+    @pytest.fixture(autouse=True)
+    def _tally(self):
+        self.verdicts = Counter()
+
+    def test_every_corpus_pair_with_the_same_channel_skeleton(self, all_restrictions):
+        naive = _NaiveLockstep()
+        nets = [b.restricted for b in all_restrictions]
+        compared = sum(self._compare(naive, r1, r2) for r1 in nets for r2 in nets)
+        assert compared > len(nets)  # more than the self-pairs
+        assert self.verdicts[False] and self.verdicts[True]
+        assert max(naive.closure_sizes) >= 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rings_against_a_rebuilt_copy(self, n):
+        naive = _NaiveLockstep()
+        r, copy = _ring(n), _ring(n)
+        assert r is not copy
+        assert self._compare(naive, r, copy)
+        assert self.verdicts == {True: len(self.BOUNDS)}
+        assert max(naive.closure_sizes) >= 2
+
+    def test_random_networks_against_a_copy_with_a_transition_dropped(self):
+        naive = _NaiveLockstep()
+        for seed in range(100):
+            a, chans = _random_wiring(seed)
+            r1 = cbr(a, chans)
+            rng = random.Random(seed)
+            drop = rng.choice(sorted(r1.base.transitions or a.transitions))
+            r2 = cbr(replace(a, transitions=a.transitions - {drop}), chans)
+            assert self._compare(naive, r1, r2), seed
+            assert self._compare(naive, r2, r1), seed
+        assert self.verdicts[False] >= 20 and self.verdicts[True] >= 20
+        assert sum(k for k in naive.closure_sizes if k >= 2) > 0
+        assert naive.silent_cycles > 0
 
 
 class TestSafety:

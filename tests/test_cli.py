@@ -141,6 +141,23 @@ class TestCheck:
             "consistent: no (acceptance is met in none of the reachable states (0 anchors))"
         )
 
+    @pytest.mark.parametrize(
+        "path, network, stuck",
+        [
+            (BROKEN, "closed_mutex", "try|remn !req@u.svc>c.svc"),
+            (RING_EQ, "ring_sticky", "avail|absent|wait|wait|idle|idle !timeout@t1.clk>a1.clk"),
+        ],
+        ids=["closed_mutex", "ring_sticky"],
+    )
+    def test_consistency_of_an_ill_formed_network_names_the_stuck_configuration(
+        self, path, network, stuck, capsys
+    ):
+        assert cli(["check", "consistent", path, network]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {network} is not well-formed: excited configuration {stuck} "
+            "cannot consume its pending character\n"
+        )
+
     def test_wellformed_failure_names_the_stuck_configuration(self, capsys):
         assert cli(["check", "wellformed", BROKEN, "closed_mutex"]) == 1
         out = capsys.readouterr().out
@@ -180,6 +197,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "factor c: unaffected" in out
         assert "factor r: unaffected" in out
+
+    def test_a_network_without_conditions_leaves_every_factor_unaffected(self, capsys):
+        # ring3's full product is over the transition cap, so this also
+        # shows that the product is not built when there are no conditions.
+        assert cli(["check", "unaffected", str(CORPUS / "ring3.pw"), "ring3"]) == 0
+        out = capsys.readouterr().out
+        aliases = [f"{kind}{i}" for kind in "atu" for i in (1, 2, 3)]
+        assert out == "".join(f"factor {alias}: unaffected\n" for alias in aliases)
 
     def test_gagging_condition_marks_the_factor_affected(self, tmp_path, capsys):
         doc = (CORPUS / "administrator.pw").read_text(encoding="utf-8")

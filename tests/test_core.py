@@ -1,6 +1,8 @@
 """Core machine representation: validation, classification, equality."""
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -55,6 +57,24 @@ class TestLabels:
 
     def test_active_slot_of_silence_is_none(self):
         assert active_slot(("", "")) is None
+
+    def test_label_tests_agree_with_their_definitions(self):
+        """`is_silent` and `active_slot` test truth; EPSILON is the only
+        false string, so they must agree with comparisons against it."""
+        assert EPSILON == ""
+        rng = random.Random(7)
+        chars = [EPSILON, "a", "req", " ", "0", "False", "\u03b5"]
+        seen = Counter()
+        for _ in range(2000):
+            vc = tuple(
+                rng.choice(chars) if rng.random() < 0.4 else EPSILON
+                for _ in range(rng.randint(0, 5))
+            )
+            active = [(k, ch) for k, ch in enumerate(vc) if ch != EPSILON]
+            assert is_silent(vc) == all(ch == EPSILON for ch in vc), vc
+            assert active_slot(vc) == (active[0] if active else None), vc
+            seen[min(len(active), 2), len(vc) == 0] += 1
+        assert set(seen) == {(0, True), (0, False), (1, False), (2, False)}
 
 
 class TestConstruction:
