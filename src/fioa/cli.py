@@ -36,7 +36,7 @@ from .conditions import is_consistent_cond, is_quasi_deterministic, is_unaffecte
 from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states, state_str
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
-from .errors import ChoiceOutOfRange, WorkbenchError
+from .errors import CapacityExceeded, ChoiceOutOfRange, WorkbenchError
 from .network import BuiltNetwork
 from .product import weak_product
 
@@ -275,7 +275,13 @@ def cmd_check(args) -> int:
         conds = built.compiled.conditions
         # Without conditions nothing is restricted, so no factor can be
         # affected, and the product (too large for the rings) is not built.
-        full = weak_product(built.compiled.factors)[0] if conds else None
+        try:
+            full = weak_product(built.compiled.factors)[0] if conds else None
+        except CapacityExceeded:
+            raise _UsageError(
+                f"check unaffected needs the full product of {built.name}, "
+                "which is larger than the product cap allows"
+            ) from None
         affected = 0
         for k, ref in enumerate(built.spec.factors):
             ok = full is None or is_unaffected(full, conds, _factor_projection(full, built, k))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidAutomaton, WiringError
 
@@ -163,47 +163,67 @@ def validate(a: Nfioa) -> list[str]:
     membership of every character in its component's alphabet, the
     at-most-one-active-slot rule on both sides of every transition, and
     that the acceptance condition only mentions real states.
+
+    The all-valid case is decided on whole sets: sources and targets
+    against the states, and each distinct label once.  States and
+    transitions are walked one by one only when such a check found a
+    fault, to report each fault in order.
     """
     out: list[str] = []
-    if not a.states:
+    states = a.states
+    if not states:
         out.append("state set is empty")
         return out
     width = len(a.initial)
-    if a.initial not in a.states:
+    if a.initial not in states:
         out.append(f"initial state {a.initial!r} not in state set")
-    for s in a.states:
-        if len(s) != width:
-            out.append(f"state {s!r} has width {len(s)}, expected {width}")
-        if "" in s:
-            out.append(f"state {s!r} contains an empty component value")
+    # A state with an empty slot has a false slot (see `EPSILON`).
+    if not (all(map(width.__eq__, map(len, states))) and all(map(all, states))):
+        for s in states:
+            if len(s) != width:
+                out.append(f"state {s!r} has width {len(s)}, expected {width}")
+            if "" in s:
+                out.append(f"state {s!r} contains an empty component value")
     for side, comps in (("input", a.inputs), ("output", a.outputs)):
         for comp in comps:
             if EPSILON in comp.characters:
                 out.append(f"{side} component {comp.name!r} declares the empty string as a character")
     # Transitions share few distinct labels; each is checked once.
-    label_diags: dict[tuple[str, VectorChar], list[str]] = {}
-    for t in a.transitions:
-        if t.source not in a.states:
-            out.append(f"transition source {t.source!r} not a state")
-        if t.target not in a.states:
-            out.append(f"transition target {t.target!r} not a state")
-        for side, vc, comps in (("input", t.input, a.inputs), ("output", t.output, a.outputs)):
-            diags = label_diags.get((side, vc))
-            if diags is None:
-                diags = label_diags[side, vc] = _label_diagnostics(side, vc, comps)
-            out.extend(diags)
+    ts = a.transitions
+    label_diags = {
+        (side, vc): _label_diagnostics(side, vc, comps)
+        for side, labels, comps in (
+            ("input", {t.input for t in ts}, a.inputs),
+            ("output", {t.output for t in ts}, a.outputs),
+        )
+        for vc in labels
+    }
+    if not (
+        {t.source for t in ts} <= states
+        and {t.target for t in ts} <= states
+        and not any(label_diags.values())
+    ):
+        for t in ts:
+            if t.source not in states:
+                out.append(f"transition source {t.source!r} not a state")
+            if t.target not in states:
+                out.append(f"transition target {t.target!r} not a state")
+            out.extend(label_diags["input", t.input])
+            out.extend(label_diags["output", t.output])
     acc = a.acceptance
     if acc.mode == "final":
-        for s in acc.final_states:
-            if s not in a.states:
-                out.append(f"final state {s!r} not a state")
+        if not states.issuperset(acc.final_states):
+            for s in acc.final_states:
+                if s not in states:
+                    out.append(f"final state {s!r} not a state")
         if acc.muller_sets:
             out.append("final-mode acceptance carries muller sets")
     elif acc.mode == "muller":
-        for member in acc.muller_sets:
-            for s in member:
-                if s not in a.states:
-                    out.append(f"muller member mentions non-state {s!r}")
+        if not all(map(states.issuperset, acc.muller_sets)):
+            for member in acc.muller_sets:
+                for s in member:
+                    if s not in states:
+                        out.append(f"muller member mentions non-state {s!r}")
         if acc.final_states:
             out.append("muller-mode acceptance carries final states")
     else:
@@ -246,15 +266,20 @@ def classify(a: Nfioa) -> AutomatonClass:
     a Mealy machine.
     """
     require_valid(a)
-    spontaneous = any(is_silent(t.input) for t in a.transitions)
-    seen: set[tuple[StateVector, VectorChar]] = set()
-    functional = True
-    for t in a.transitions:
-        key = (t.source, t.input)
-        if key in seen:
-            functional = False
-            break
-        seen.add(key)
+    return _classify_valid(a, {(t.source, t.input) for t in a.transitions})
+
+
+def _classify_valid(a: Nfioa, keys: Collection[tuple[StateVector, VectorChar]]) -> AutomatonClass:
+    """`classify` of a valid automaton, given its distinct (source, input) pairs.
+
+    Validity makes every source a state and every silent input the one
+    all-silent label of the input width, so a spontaneous move shows as a
+    (state, silent) pair.  The pairs may be a step table's keys, so a
+    caller that needs the table anyway builds it only once.
+    """
+    silent = epsilon_char(len(a.inputs))
+    spontaneous = any((s, silent) in keys for s in a.states)
+    functional = len(keys) == len(a.transitions)
     return AutomatonClass(
         has_spontaneous=spontaneous,
         is_function=functional,

@@ -9,7 +9,7 @@ new system, so histories can be branched and replayed freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -18,7 +18,7 @@ from .core import (
     StateVector,
     Transition,
     VectorChar,
-    classify,
+    _classify_valid,
     epsilon_char,
     label_str,
     require_valid,
@@ -58,9 +58,19 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
     """Initial snapshot; the machine must be deterministic.
 
     Nondeterminism or spontaneous moves make the step lookup ambiguous,
-    so both are rejected up front.
+    so both are rejected up front.  The machine is validated once, and
+    `classify`'s test reads the step table's keys, so the table is built
+    once too.
     """
-    cls = classify(a)
+    require_valid(a)
+    s = FiniteSystem(
+        automaton=a,
+        time=0,
+        state=a.initial,
+        input_reg=epsilon_char(len(a.inputs)),
+        output_reg=epsilon_char(len(a.outputs)),
+    )
+    cls = _classify_valid(a, s.table)
     if not cls.is_deterministic:
         trouble = []
         if cls.has_spontaneous:
@@ -68,13 +78,7 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
         if not cls.is_function:
             trouble.append("some (state, input) pair has several transitions")
         raise PreconditionError(f"{a.name} cannot run as a system: " + "; ".join(trouble))
-    return FiniteSystem(
-        automaton=a,
-        time=0,
-        state=a.initial,
-        input_reg=epsilon_char(len(a.inputs)),
-        output_reg=epsilon_char(len(a.outputs)),
-    )
+    return s
 
 
 def step(s: FiniteSystem, input: VectorChar) -> tuple[VectorChar, FiniteSystem]:
@@ -85,8 +89,7 @@ def step(s: FiniteSystem, input: VectorChar) -> tuple[VectorChar, FiniteSystem]:
         raise StepRejected(
             f"no transition from {s.state!r} on input {input!r} at time {s.time}"
         )
-    nxt = replace(s, time=s.time + 1, state=t.target, input_reg=input, output_reg=t.output)
-    return t.output, nxt
+    return t.output, FiniteSystem(s.automaton, s.time + 1, t.target, input, t.output, s.table)
 
 
 def drive(
@@ -94,28 +97,45 @@ def drive(
 ) -> tuple[tuple[Transition, ...], FiniteSystem]:
     """Step through a whole input word, collecting the trace.
 
-    Each trace entry is (state before, state after, input, output) — the
-    same shape as a transition, which is what `specifies` checks against.
+    Each trace entry is the automaton's own transition taken on that step
+    (state before, state after, input, output), which is what `specifies`
+    checks against.  The word is walked through the step table and only
+    the final snapshot is built; the result, and the `StepRejected` raised
+    on an input with no transition, are those of repeated `step` calls.
     """
     entries: list[Transition] = []
+    state = s.state
     for vc in inputs:
-        before = s.state
-        out, s = step(s, vc)
-        entries.append(Transition(before, s.state, tuple(vc), out))
-    return tuple(entries), s
+        key = (state, tuple(vc))
+        t = s.table.get(key)
+        if t is None:
+            raise StepRejected(
+                f"no transition from {state!r} on input {key[1]!r} at time {s.time + len(entries)}"
+            )
+        entries.append(t)
+        state = t.target
+    if not entries:
+        return (), s
+    last = entries[-1]
+    return tuple(entries), FiniteSystem(
+        s.automaton, s.time + len(entries), state, last.input, last.output, s.table
+    )
 
 
 def specifies(a: Nfioa, trace: Sequence[Transition]) -> bool:
-    """Is the trace a behavior of this automaton?
+    """Is the trace a run of this automaton?
 
-    Every entry must be one of the automaton's transitions and the run
-    must start at the initial state.  An empty trace is vacuously fine.
+    Every entry must be one of the automaton's transitions, the run must
+    start at the initial state, and each entry must start where the one
+    before it ended.  An empty trace is vacuously fine.
     """
     require_valid(a)
     trace = [Transition(*e) for e in trace]
     if not trace:
         return True
     if trace[0].source != a.initial:
+        return False
+    if any(prev.target != e.source for prev, e in zip(trace, trace[1:])):
         return False
     return all(e in a.transitions for e in trace)
 

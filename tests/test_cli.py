@@ -206,6 +206,25 @@ class TestCheck:
         aliases = [f"{kind}{i}" for kind in "atu" for i in (1, 2, 3)]
         assert out == "".join(f"factor {alias}: unaffected\n" for alias in aliases)
 
+    def test_unaffected_over_the_product_cap_names_the_check(self, tmp_path, capsys):
+        # One condition makes the check build ring3's full product, which
+        # is over the transition cap; exploring the network does not help.
+        doc = (CORPUS / "ring3.pw").read_text(encoding="utf-8").rstrip()
+        assert doc.endswith("}")
+        doc = doc[:-1] + (
+            "  condition no_double_crit on (u1, u2): "
+            "from (crit, *) to (*, crit) input spontaneous deny;\n}\n"
+        )
+        path = tmp_path / "ring3_cond.pw"
+        path.write_text(doc, encoding="utf-8")
+        assert cli(["check", "unaffected", str(path), "ring3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: check unaffected needs the full product of ring3, "
+            "which is larger than the product cap allows\n"
+        )
+
     def test_gagging_condition_marks_the_factor_affected(self, tmp_path, capsys):
         doc = (CORPUS / "administrator.pw").read_text(encoding="utf-8")
         gagged = doc + (

@@ -26,6 +26,7 @@ from fioa import (
     reachable_states,
     require_valid,
     validate,
+    weak_product,
     with_initial,
 )
 from fioa.core import active_slot, epsilon_char, is_silent, single_char
@@ -216,6 +217,158 @@ class TestClassify:
         )
         c = classify(a)
         assert not c.is_function and not c.is_deterministic
+
+
+def _reference_validate(a):
+    """The per-transition validator: states, then transitions, walked one
+    by one whether or not anything is wrong."""
+    out = []
+    if not a.states:
+        return ["state set is empty"]
+    width = len(a.initial)
+    if a.initial not in a.states:
+        out.append(f"initial state {a.initial!r} not in state set")
+    for s in a.states:
+        if len(s) != width:
+            out.append(f"state {s!r} has width {len(s)}, expected {width}")
+        if "" in s:
+            out.append(f"state {s!r} contains an empty component value")
+    for side, comps in (("input", a.inputs), ("output", a.outputs)):
+        for comp in comps:
+            if EPSILON in comp.characters:
+                out.append(f"{side} component {comp.name!r} declares the empty string as a character")
+    out.extend(_transition_diagnostics(a))
+    acc = a.acceptance
+    if acc.mode == "final":
+        for s in acc.final_states:
+            if s not in a.states:
+                out.append(f"final state {s!r} not a state")
+        if acc.muller_sets:
+            out.append("final-mode acceptance carries muller sets")
+    elif acc.mode == "muller":
+        for member in acc.muller_sets:
+            for s in member:
+                if s not in a.states:
+                    out.append(f"muller member mentions non-state {s!r}")
+        if acc.final_states:
+            out.append("muller-mode acceptance carries final states")
+    else:
+        out.append(f"unknown acceptance mode {acc.mode!r}")
+    return out
+
+
+def _reference_classify(a):
+    """`classify` by its definition, one transition at a time."""
+    spontaneous = False
+    pairs = set()
+    functional = True
+    for t in a.transitions:
+        spontaneous = spontaneous or all(ch == EPSILON for ch in t.input)
+        if (t.source, t.input) in pairs:
+            functional = False
+        pairs.add((t.source, t.input))
+    return (spontaneous, functional, functional and not spontaneous)
+
+
+def _inject(a, kind, rng):
+    """`a` with one fault of the given kind."""
+    ts = sorted(a.transitions)
+    t = rng.choice(ts)
+    side = rng.choice(("input", "output"))
+    comps = a.inputs if side == "input" else a.outputs
+    label = getattr(t, side)
+    if kind == "bad source":
+        return replace(a, transitions=a.transitions - {t} | {t._replace(source=("zz",))})
+    if kind == "bad target":
+        return replace(a, transitions=a.transitions - {t} | {t._replace(target=("zz",))})
+    if kind == "wrong-width label":
+        return replace(a, transitions=a.transitions | {t._replace(**{side: label + ("",)})})
+    if kind == "two active slots":
+        both = tuple(sorted(c.characters)[0] for c in comps)
+        return replace(a, transitions=a.transitions | {t._replace(**{side: both})})
+    if kind == "unknown character":
+        odd = single_char(len(comps), rng.randrange(len(comps)), "z")
+        return replace(a, transitions=a.transitions | {t._replace(**{side: odd})})
+    if kind == "empty state slot":
+        return replace(a, states=a.states | {("",)})
+    if kind == "wrong-width state":
+        return replace(a, states=a.states | {("s0", "s9")})
+    if kind == "final state outside":
+        return replace(a, acceptance=Acceptance.final(a.acceptance.final_states | {("zz",)}))
+    if kind == "muller member outside":
+        return replace(a, acceptance=Acceptance.muller([sorted(a.states)[:2], [a.initial, ("zz",)]]))
+    raise AssertionError(kind)
+
+
+FAULTS = (
+    "bad source",
+    "bad target",
+    "wrong-width label",
+    "two active slots",
+    "unknown character",
+    "empty state slot",
+    "wrong-width state",
+    "final state outside",
+    "muller member outside",
+)
+
+
+class TestValidateAndClassifyAgainstTheirDefinitions:
+    """`validate` decides the all-valid case on whole sets and walks the
+    transitions only to report faults; `classify` reads distinct pairs.
+    Both must agree with the one-at-a-time definitions, diagnostics in
+    the same order."""
+
+    def _cases(self):
+        rng = random.Random(2026)
+        for seed in range(150):
+            a = random_nfioa(
+                rng.randrange(10**9),
+                n_states=rng.randint(1, 5),
+                n_inputs=rng.randint(2, 3),
+                n_outputs=rng.randint(2, 3),
+                n_transitions=rng.randint(1, 14),
+            )
+            yield (), a
+            if a.transitions:
+                kind = FAULTS[seed % len(FAULTS)]
+                yield (kind,), _inject(a, kind, rng)
+                first, second = rng.sample(FAULTS, 2)
+                yield (first, second), _inject(_inject(a, first, rng), second, rng)
+
+    def test_diagnostics_equal_the_per_transition_walk(self):
+        seen = Counter()
+        for kinds, a in self._cases():
+            diags = validate(a)
+            assert diags == _reference_validate(a), kinds
+            if not kinds:
+                assert diags == []
+            else:
+                assert diags
+            seen.update(kinds)
+            seen["two faults"] += len(kinds) == 2
+        assert set(FAULTS) <= set(seen)
+        assert seen["two faults"] >= 100
+
+    def test_classify_matches_its_definition(self):
+        classes = Counter()
+        for kinds, a in self._cases():
+            if kinds:
+                with pytest.raises(InvalidAutomaton):
+                    classify(a)
+                continue
+            c = classify(a)
+            assert tuple(c) == _reference_classify(a)
+            classes[c] += 1
+        assert {c.has_spontaneous for c in classes} == {True, False}
+        assert {c.is_function for c in classes} == {True, False}
+        assert any(c.is_deterministic for c in classes)
+
+    def test_products_of_deterministic_administrators(self):
+        for k in range(1, 4):
+            a, _ = weak_product([examples.det_admin_role()] * k)
+            assert validate(a) == _reference_validate(a) == []
+            assert tuple(classify(a)) == _reference_classify(a) == (False, True, True)
 
 
 class TestReachabilityAndPrune:

@@ -1,6 +1,7 @@
 """Clocked execution of deterministic machines."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from fioa import (
     specifies,
     step,
     system_from_dfioa,
+    weak_product,
 )
 from fioa.core import epsilon_char, single_char
 
@@ -127,6 +129,79 @@ class TestDrive:
 
     def test_empty_trace_is_vacuously_specified(self):
         assert specifies(examples.det_admin_role(), ())
+
+    def test_disconnected_entries_are_not_a_run(self, det_admin_system):
+        # Each entry is a transition and the first starts at the initial
+        # state, but the second starts at absent while the machine is at avail.
+        (first,), _ = drive(det_admin_system, [TOKEN_IN])
+        assert first.source == ("absent",) and first.target == ("avail",)
+        assert not specifies(examples.det_admin_role(), (first, first))
+
+
+def _stepwise(s, word):
+    """`drive` by its definition: one `step` per input."""
+    entries = []
+    for vc in word:
+        before = s.state
+        out, s = step(s, vc)
+        entries.append(Transition(before, s.state, tuple(vc), out))
+    return tuple(entries), s
+
+
+def _seeded_word(a, rng, length, reject_at):
+    """An accepted word for deterministic `a`, walked from its initial
+    state; at `reject_at` (if any) an input the machine has no move for."""
+    by_source = {}
+    for t in sorted(a.transitions):
+        by_source.setdefault(t.source, []).append(t)
+    state, word = a.initial, []
+    for i in range(length):
+        if i == reject_at:
+            enabled = {t.input for t in by_source[state]}
+            bad = next(vc for vc in sorted({t.input for t in a.transitions}) if vc not in enabled)
+            word.append(list(bad) if rng.random() < 0.5 else bad)
+            return word
+        t = rng.choice(by_source[state])
+        word.append(list(t.input) if rng.random() < 0.2 else t.input)
+        state = t.target
+    return word
+
+
+class TestDriveAgainstRepeatedSteps:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_traces_snapshots_and_rejections_agree(self, k):
+        a, _ = weak_product([examples.det_admin_role()] * k)
+        start = system_from_dfioa(a)
+        rng = random.Random(9000 + k)
+        rejected = 0
+        for n in range(30):
+            length = rng.randint(0, 300)
+            reject_at = rng.randrange(length) if length and n % 3 == 0 else None
+            word = _seeded_word(a, rng, length, reject_at)
+            # Some words are driven from a later snapshot than the first.
+            cut = rng.randint(0, max(0, len(word) - 1)) if n % 2 else 0
+            _, s0 = _stepwise(start, word[:cut])
+            word = word[cut:]
+            try:
+                expected = _stepwise(s0, word)
+            except StepRejected as exc:
+                with pytest.raises(StepRejected) as got:
+                    drive(s0, word)
+                assert str(got.value) == str(exc)
+                rejected += 1
+                continue
+            trace, final = drive(s0, word)
+            assert trace == expected[0]
+            assert all(e is start.table[e.source, e.input] for e in trace)
+            assert final == expected[1]
+            assert (final.time, final.input_reg, final.output_reg) == (
+                expected[1].time,
+                expected[1].input_reg,
+                expected[1].output_reg,
+            )
+            assert final.table is start.table
+            assert specifies(a, trace) == (not trace or s0.state == a.initial)
+        assert rejected == 10
 
 
 class TestRenderTrace:
