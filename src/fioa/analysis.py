@@ -39,6 +39,7 @@ from .channels import (
     cbr,
     flatten,
     is_protocol,
+    open_components,
 )
 from .conditions import Condition, IoPattern, cond
 from .errors import WiringError
@@ -242,10 +243,7 @@ def check_law(law: str, instance=None, *, seed: int = 0) -> LawReport:
             return Channel(ch.out_component + out_off, ch.in_component + in_off)
 
         local = tuple(c1s) + tuple(shift(c) for c in c2s)
-        wired_in = {c.in_component for c in local}
-        wired_out = {c.out_component for c in local}
-        open_out = [k for k in range(len(prod_raw.outputs)) if k not in wired_out]
-        open_in = [k for k in range(len(prod_raw.inputs)) if k not in wired_in]
+        open_in, open_out = open_components(prod_raw, local)
         if len(open_out) != len(open_in):
             return LawReport(law, False, False, "interfaces cannot be closed pairwise")
         cross = [Channel(o, i) for o, i in zip(open_out, open_in)]
@@ -254,9 +252,8 @@ def check_law(law: str, instance=None, *, seed: int = 0) -> LawReport:
         p1 = flatten(cbr(a1, tuple(c1s)))
         p2 = flatten(cbr(a2, tuple(c2s)))
         pre_restricted, _ = weak_product([p1, p2])
-        raw2, _ = weak_product([a1, a2])
         lhs = cbr(_weld(pre_restricted, everything), everything)
-        rhs = cbr(_weld(raw2, everything), everything)
+        rhs = cbr(_weld(prod_raw, everything), everything)
         ok, why = _eq(flatten(lhs), flatten(rhs))
         if ok and not is_protocol(lhs):
             ok, why = False, "closed wiring did not yield a protocol"

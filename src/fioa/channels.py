@@ -36,7 +36,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct
+from .product import LazyProduct, acceptance_within
 
 CONFIG_CAP = 2 * 10**6
 
@@ -174,10 +174,6 @@ class RestrictedAutomaton:
     conditions: tuple = ()
     name: str = ""
 
-    @property
-    def initial_config(self) -> Configuration:
-        return self.graph.initial
-
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", self.base.name)
@@ -236,7 +232,7 @@ def cbr(
             inputs=source.inputs,
             outputs=source.outputs,
             initial=source.initial,
-            acceptance=source.acceptance_for(states),
+            acceptance=acceptance_within(source.factors, states),
             transitions=transitions,
         )
     else:

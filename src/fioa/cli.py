@@ -495,11 +495,6 @@ def cmd_examples(args) -> int:
     return EX_OK
 
 
-def examples() -> list[str]:
-    """Names of the bundled example documents."""
-    return list(_corpus.names())
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------

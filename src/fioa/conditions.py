@@ -22,6 +22,7 @@ source state can satisfy.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
@@ -248,14 +249,8 @@ def cond(
     channel-restricted automaton the conditions join its edge filter and
     the configuration graph is re-explored.
     """
-    conditions = tuple(conditions)
     if isinstance(source, RestrictedAutomaton):
-        return cbr(
-            source.base,
-            source.channels,
-            conditions=tuple(source.conditions) + conditions,
-            name=name or source.name,
-        )
+        return cbr(source, conditions=conditions, name=name)
     a = require_valid(source)
     reach = reachable_states(a)
     deny = veto(conditions)
@@ -292,23 +287,41 @@ def _first_clash(places) -> QuasiDeterminism:
     return QuasiDeterminism(True, None)
 
 
+def _moves_from_initial(a: Nfioa) -> dict[StateVector, list[Transition]]:
+    """Each reachable state's moves, in `Transition` order.
+
+    The keys run in breadth-first order from the initial state, the order
+    in which `cbr` explores the same automaton, so a walk over them meets
+    a failing state nearest the initial one first.
+    """
+    by_source: dict[StateVector, list[Transition]] = {}
+    for t in a.transitions:
+        by_source.setdefault(t.source, []).append(t)
+    moves = {a.initial: sorted(by_source.get(a.initial, ()))}
+    frontier = deque(moves)
+    while frontier:
+        for t in moves[frontier.popleft()]:
+            if t.target not in moves:
+                moves[t.target] = sorted(by_source.get(t.target, ()))
+                frontier.append(t.target)
+    return moves
+
+
 def is_quasi_deterministic(
     source: Union[Nfioa, RestrictedAutomaton]
 ) -> QuasiDeterminism:
     """At most one move per input label — silent included — anywhere reachable.
 
-    Plain automata are checked over reachable states; restricted automata
+    Plain automata are checked over reachable states, restricted automata
     over their configuration graph, so a state entered both relaxed and
-    excited is checked per entry mode.
+    excited is checked per entry mode.  Either way places are walked in
+    breadth-first order from the initial one, and the witness is a clash
+    nearest it.
     """
     if isinstance(source, RestrictedAutomaton):
         edges = source.graph.edges.items()
         return _first_clash((cfg, (e.transition for e in es)) for cfg, es in edges)
-    a = require_valid(source)
-    by_source: dict[StateVector, list[Transition]] = {}
-    for t in a.transitions:
-        by_source.setdefault(t.source, []).append(t)
-    return _first_clash((s, by_source.get(s, ())) for s in sorted(reachable_states(a)))
+    return _first_clash(_moves_from_initial(require_valid(source)).items())
 
 
 def is_unaffected(a: Nfioa, conditions: Iterable[Condition], p) -> bool:
@@ -327,17 +340,10 @@ def is_consistent_cond(a: Nfioa) -> Consistency:
 
     The condition-restricted operator returns ordinary automata, so
     consistency for them is the channel check with configurations
-    replaced by reachable states.
+    replaced by reachable states, walked in the same breadth-first order:
+    the witness is a stuck state nearest the initial one.
     """
-    require_valid(a)
-    reach = reachable_states(a)
-    succ: dict[StateVector, list[StateVector]] = {s: [] for s in reach}
-    for t in a.transitions:
-        if t.source in reach and t.target in reach:
-            succ[t.source].append(t.target)
-    return graph_consistency(
-        sorted(reach),
-        lambda s: succ[s],
-        lambda s: s,
-        a.acceptance,
-    )
+    succ = {
+        s: [t.target for t in ts] for s, ts in _moves_from_initial(require_valid(a)).items()
+    }
+    return graph_consistency(succ, succ.__getitem__, lambda s: s, a.acceptance)

@@ -152,9 +152,6 @@ class Nfioa:
     def state_width(self) -> int:
         return len(self.initial)
 
-    def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
-        return tuple(sorted(t for t in self.transitions if t.source == state))
-
 
 def validate(a: Nfioa) -> list[str]:
     """Structural diagnostics for an automaton; empty list means valid.

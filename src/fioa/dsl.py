@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, validate
 from .errors import DslError
@@ -61,6 +62,11 @@ RESERVED = frozenset(
 CHECK_KINDS = frozenset(
     {"wellformed", "consistent", "protocol", "quasidet", "deterministic", "valid"}
 )
+
+# Block sections that may appear more than once; every other one at most once.
+_REPEATABLE = frozenset({"trans", "use", "channel", "condition"})
+
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +203,36 @@ class _Parser:
         tok = tok or self.peek()
         return DslError(message, line=tok.line, col=tok.col)
 
-    def expect_punct(self, value: str) -> Token:
+    def unexpected(self, wanted: str, tok: Token) -> DslError:
+        return self.fail(f"expected {wanted}, found {tok.value or 'end of input'!r}", tok)
+
+    # Keywords and punctuation match on their text alone: no identifier
+    # spells a punctuation mark, and no keyword is a number.
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].value == text
+
+    def take(self, text: str) -> bool:
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.fail(f"expected {value!r}, found {tok.value or 'end of input'!r}", tok)
+        if tok.value != text:
+            raise self.unexpected(repr(text), tok)
         return tok
+
+    def end(self, value: _T) -> _T:
+        """Close a statement with ';' and return what it read."""
+        self.expect(";")
+        return value
 
     def expect_ident(self, what: str = "name") -> Token:
         tok = self.next()
         if tok.kind != "ident":
-            raise self.fail(f"expected {what}, found {tok.value or 'end of input'!r}", tok)
+            raise self.unexpected(what, tok)
         return tok
 
     def expect_name(self, what: str = "name") -> Token:
@@ -215,31 +241,39 @@ class _Parser:
             raise self.fail(f"{tok.value!r} is a reserved word and cannot be used as a {what}", tok)
         return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "ident" or tok.value != word:
-            raise self.fail(f"expected {word!r}, found {tok.value or 'end of input'!r}", tok)
-        return tok
+    def expect_alias(self, aliases: set[str], tok: Token | None = None) -> str:
+        """Read a factor alias (or check `tok`, one already read) against `aliases`."""
+        tok = tok or self.expect_name("factor alias")
+        if tok.value not in aliases:
+            raise self.fail(f"unknown factor alias {tok.value!r}", tok)
+        return tok.value
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def comma_list(self, read: Callable[[], _T]) -> list[_T]:
+        items = [read()]
+        while self.take(","):
+            items.append(read())
+        return items
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+    def parse_body(self, kind: str, readers: dict[str, Callable[[Token], object]]) -> dict:
+        """Read a ``{ ... }`` block of sections, each led by its keyword.
 
-    def take_punct(self, value: str) -> bool:
-        if self.at_punct(value):
-            self.next()
-            return True
-        return False
-
-    def take_keyword(self, word: str) -> bool:
-        if self.at_keyword(word):
-            self.next()
-            return True
-        return False
+        A reader gets its keyword's token.  Repeatable sections collect a
+        list; any other section may appear once.
+        """
+        self.expect("{")
+        found: dict = {}
+        while not self.take("}"):
+            tok = self.next()
+            read = readers.get(tok.value)
+            if read is None:
+                raise self.unexpected(f"{kind} section", tok)
+            if tok.value in _REPEATABLE:
+                found.setdefault(tok.value, []).append(read(tok))
+            elif tok.value in found:
+                raise self.fail(f"duplicate {tok.value!r} section", tok)
+            else:
+                found[tok.value] = read(tok)
+        return found
 
     # --- document ---
 
@@ -249,26 +283,20 @@ class _Parser:
         directives: list[Directive] = []
         seen: set[str] = set()
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if self.take_keyword("automaton"):
-                a = self.parse_automaton()
-                if a.name in seen:
-                    raise self.fail(f"name {a.name!r} is declared twice", tok)
-                seen.add(a.name)
-                automata.append(a)
-            elif self.take_keyword("network"):
-                n = self.parse_network()
-                if n.name in seen:
-                    raise self.fail(f"name {n.name!r} is declared twice", tok)
-                seen.add(n.name)
-                networks.append(n)
-            elif self.take_keyword("check"):
+            tok = self.next()
+            if tok.value == "check":
                 directives.append(self.parse_directive())
+                continue
+            if tok.value == "automaton":
+                decl, into = self.parse_automaton(), automata
+            elif tok.value == "network":
+                decl, into = self.parse_network(), networks
             else:
-                raise self.fail(
-                    f"expected 'automaton', 'network', or 'check', found {tok.value or 'end of input'!r}",
-                    tok,
-                )
+                raise self.unexpected("'automaton', 'network', or 'check'", tok)
+            if decl.name in seen:
+                raise self.fail(f"name {decl.name!r} is declared twice", tok)
+            seen.add(decl.name)
+            into.append(decl)
         return WorkbenchDocument(tuple(automata), tuple(networks), tuple(directives))
 
     def parse_directive(self) -> Directive:
@@ -279,58 +307,29 @@ class _Parser:
                 kind_tok,
             )
         target = self.expect_name("target name")
-        self.expect_punct(";")
-        return Directive(kind_tok.value, target.value)
+        return self.end(Directive(kind_tok.value, target.value))
 
     # --- automaton blocks ---
 
     def parse_automaton(self) -> Nfioa:
         name_tok = self.expect_name("automaton name")
-        self.expect_punct("{")
-        states: list[str] | None = None
-        initial: str | None = None
-        inputs: tuple[ComponentAlphabet, ...] | None = None
-        outputs: tuple[ComponentAlphabet, ...] | None = None
-        acceptance: Acceptance | None = None
-        transitions: list[tuple[Token, str, str, str | None, str | None, str | None, str | None]] = []
-        while not self.take_punct("}"):
-            tok = self.peek()
-            if self.take_keyword("states"):
-                if states is not None:
-                    raise self.fail("duplicate 'states' section", tok)
-                states = self.parse_name_list()
-                self.expect_punct(";")
-            elif self.take_keyword("initial"):
-                if initial is not None:
-                    raise self.fail("duplicate 'initial' section", tok)
-                initial = self.expect_name("state").value
-                self.expect_punct(";")
-            elif self.take_keyword("inputs"):
-                if inputs is not None:
-                    raise self.fail("duplicate 'inputs' section", tok)
-                inputs = self.parse_interface()
-            elif self.take_keyword("outputs"):
-                if outputs is not None:
-                    raise self.fail("duplicate 'outputs' section", tok)
-                outputs = self.parse_interface()
-            elif self.take_keyword("accept"):
-                if acceptance is not None:
-                    raise self.fail("duplicate 'accept' section", tok)
-                acceptance = self.parse_acceptance(width=1)
-            elif self.take_keyword("trans"):
-                transitions.append(self.parse_transition(tok))
-            else:
-                raise self.fail(
-                    f"expected an automaton section, found {tok.value or 'end of input'!r}", tok
-                )
-        if states is None:
-            raise self.fail(f"automaton {name_tok.value!r} has no 'states' section", name_tok)
-        if initial is None:
-            raise self.fail(f"automaton {name_tok.value!r} has no 'initial' section", name_tok)
-        if acceptance is None:
-            raise self.fail(f"automaton {name_tok.value!r} has no 'accept' section", name_tok)
-        inputs = inputs or ()
-        outputs = outputs or ()
+        found = self.parse_body(
+            "an automaton",
+            {
+                "states": lambda _: self.end(self.comma_list(lambda: self.expect_name().value)),
+                "initial": lambda _: self.end(self.expect_name("state").value),
+                "inputs": lambda _: self.parse_interface(),
+                "outputs": lambda _: self.parse_interface(),
+                "accept": lambda _: self.parse_acceptance(width=1),
+                "trans": self.parse_transition,
+            },
+        )
+        for section in ("states", "initial", "accept"):
+            if section not in found:
+                raise self.fail(f"automaton {name_tok.value!r} has no {section!r} section", name_tok)
+        states, initial, acceptance = found["states"], found["initial"], found["accept"]
+        inputs = found.get("inputs", ())
+        outputs = found.get("outputs", ())
         state_set = set(states)
         if initial not in state_set:
             raise self.fail(f"initial state {initial!r} is not declared", name_tok)
@@ -345,7 +344,7 @@ class _Parser:
         built: list = []
         in_names = [c.name for c in inputs]
         out_names = [c.name for c in outputs]
-        for tok, src, tgt, icomp, ichar, ocomp, ochar in transitions:
+        for tok, src, tgt, icomp, ichar, ocomp, ochar in found.get("trans", ()):
             if src not in state_set or tgt not in state_set:
                 missing = src if src not in state_set else tgt
                 raise self.fail(f"transition names undeclared state {missing!r}", tok)
@@ -386,90 +385,66 @@ class _Parser:
             raise self.fail(f"character {char!r} is not declared for {side} component {comp!r}", tok)
         return single_char(len(comps), k, char)
 
-    def parse_name_list(self) -> list[str]:
-        names = [self.expect_name().value]
-        while self.take_punct(","):
-            names.append(self.expect_name().value)
-        return names
-
     def parse_interface(self) -> tuple[ComponentAlphabet, ...]:
         comps: list[ComponentAlphabet] = []
-        if self.take_punct(";"):
+        if self.take(";"):
             return ()
-        while True:
+
+        def component() -> None:
             name_tok = self.expect_name("component name")
-            self.expect_punct(":")
-            self.expect_punct("{")
-            chars: list[str] = []
-            if not self.at_punct("}"):
-                chars.append(self.expect_name("character").value)
-                while self.take_punct(","):
-                    chars.append(self.expect_name("character").value)
-            self.expect_punct("}")
+            self.expect(":")
+            self.expect("{")
+            chars = [] if self.at("}") else self.comma_list(lambda: self.expect_name("character").value)
+            self.expect("}")
             if any(c.name == name_tok.value for c in comps):
                 raise self.fail(f"duplicate component {name_tok.value!r}", name_tok)
             comps.append(ComponentAlphabet(name_tok.value, frozenset(chars)))
-            if not self.take_punct(","):
-                break
-        self.expect_punct(";")
-        return tuple(comps)
+
+        self.comma_list(component)
+        return self.end(tuple(comps))
 
     def parse_acceptance(self, width: int | None) -> Acceptance:
-        if self.take_keyword("muller"):
-            self.expect_punct("{")
-            members: list[frozenset[tuple[str, ...]]] = []
-            while True:
-                members.append(frozenset(self.parse_state_set(width)))
-                if not self.take_punct(","):
-                    break
-            self.expect_punct("}")
-            self.expect_punct(";")
-            return Acceptance.muller(members)
-        if self.take_keyword("final"):
-            finals = self.parse_state_set(width)
-            self.expect_punct(";")
-            return Acceptance.final(finals)
+        if self.take("muller"):
+            self.expect("{")
+            members = self.comma_list(lambda: self.parse_state_set(width))
+            self.expect("}")
+            return self.end(Acceptance.muller(members))
+        if self.take("final"):
+            return self.end(Acceptance.final(self.parse_state_set(width)))
         raise self.fail("expected 'muller' or 'final' after 'accept'")
 
     def parse_state_set(self, width: int | None) -> list[tuple[str, ...]]:
-        self.expect_punct("{")
-        states = [self.parse_state_vector(width)]
-        while self.take_punct(","):
-            states.append(self.parse_state_vector(width))
-        self.expect_punct("}")
+        self.expect("{")
+        states = self.comma_list(lambda: self.parse_state_vector(width))
+        self.expect("}")
         return states
 
     def parse_state_vector(self, width: int | None) -> tuple[str, ...]:
-        if self.at_punct("("):
-            tok = self.next()
-            parts = [self.expect_name("state").value]
-            while self.take_punct(","):
-                parts.append(self.expect_name("state").value)
-            self.expect_punct(")")
-            if width is not None and len(parts) != width:
-                raise self.fail(f"state tuple has {len(parts)} slots, expected {width}", tok)
-            return tuple(parts)
-        tok = self.expect_name("state")
-        if width is not None and width != 1:
-            raise self.fail(f"expected a state tuple with {width} slots", tok)
-        return (tok.value,)
+        """A bare state name, or a parenthesised tuple of `width` slots (any when None)."""
+        if not self.at("("):
+            return (self.expect_name("state").value,)
+        tok = self.next()
+        parts = self.comma_list(lambda: self.expect_name("state").value)
+        self.expect(")")
+        if width is not None and len(parts) != width:
+            raise self.fail(f"state tuple has {len(parts)} slots, expected {width}", tok)
+        return tuple(parts)
 
     def parse_transition(self, tok: Token):
         src = self.expect_name("state").value
-        self.expect_punct("->")
+        self.expect("->")
         tgt = self.expect_name("state").value
-        self.expect_keyword("on")
+        self.expect("on")
         icomp, ichar = self.parse_label()
-        self.expect_punct("/")
+        self.expect("/")
         ocomp, ochar = self.parse_label()
-        self.expect_punct(";")
-        return (tok, src, tgt, icomp, ichar, ocomp, ochar)
+        return self.end((tok, src, tgt, icomp, ichar, ocomp, ochar))
 
     def parse_label(self) -> tuple[str | None, str | None]:
-        if self.take_punct("-"):
+        if self.take("-"):
             return None, None
         comp = self.expect_name("component").value
-        self.expect_punct(".")
+        self.expect(".")
         char = self.expect_name("character").value
         return comp, char
 
@@ -477,145 +452,110 @@ class _Parser:
 
     def parse_network(self) -> NetworkDef:
         name_tok = self.expect_name("network name")
-        self.expect_punct("{")
-        factors: list[NetFactor] = []
-        channels: list[ChannelSpec] = []
-        conditions: list[ConditionSpec] = []
-        acceptance: Acceptance | None = None
         aliases: set[str] = set()
-        while not self.take_punct("}"):
-            tok = self.peek()
-            if self.take_keyword("use"):
-                f = self.parse_factor(tok)
-                if f.alias in aliases:
-                    raise self.fail(f"duplicate factor alias {f.alias!r}", tok)
-                aliases.add(f.alias)
-                factors.append(f)
-            elif self.take_keyword("channel"):
-                channels.append(self.parse_channel(aliases))
-            elif self.take_keyword("condition"):
-                conditions.append(self.parse_condition(aliases))
-            elif self.take_keyword("accept"):
-                if acceptance is not None:
-                    raise self.fail("duplicate 'accept' section", tok)
-                acceptance = self.parse_acceptance(width=None)
-            else:
-                raise self.fail(
-                    f"expected a network section, found {tok.value or 'end of input'!r}", tok
-                )
-        if not factors:
+
+        def use(tok: Token) -> NetFactor:
+            f = self.parse_factor()
+            if f.alias in aliases:
+                raise self.fail(f"duplicate factor alias {f.alias!r}", tok)
+            aliases.add(f.alias)
+            return f
+
+        found = self.parse_body(
+            "a network",
+            {
+                "use": use,
+                "channel": lambda _: self.parse_channel(aliases),
+                "condition": lambda _: self.parse_condition(aliases),
+                "accept": lambda _: self.parse_acceptance(width=None),
+            },
+        )
+        if "use" not in found:
             raise self.fail(f"network {name_tok.value!r} has no 'use' lines", name_tok)
         return NetworkDef(
             name=name_tok.value,
-            factors=tuple(factors),
-            channels=tuple(channels),
-            conditions=tuple(conditions),
-            acceptance=acceptance,
+            factors=tuple(found["use"]),
+            channels=tuple(found.get("channel", ())),
+            conditions=tuple(found.get("condition", ())),
+            acceptance=found.get("accept"),
         )
 
-    def parse_factor(self, tok: Token) -> NetFactor:
+    def parse_factor(self) -> NetFactor:
         alias = self.expect_name("factor alias").value
-        self.expect_punct("=")
+        self.expect("=")
         ref = self.expect_name("machine name").value
-        initial: tuple[str, ...] | None = None
-        if self.take_keyword("init"):
-            initial = self.parse_state_vector(width=None)
-        self.expect_punct(";")
-        return NetFactor(alias, ref, initial)
+        initial = self.parse_state_vector(width=None) if self.take("init") else None
+        return self.end(NetFactor(alias, ref, initial))
 
     def parse_channel(self, aliases: set[str]) -> ChannelSpec:
-        out_alias, out_comp = self.parse_channel_end(aliases, "out")
-        self.expect_punct("->")
-        in_alias, in_comp = self.parse_channel_end(aliases, "in")
-        self.expect_punct(";")
-        return ChannelSpec(out_alias, out_comp, in_alias, in_comp)
+        out_end = self.parse_channel_end(aliases, "out")
+        self.expect("->")
+        in_end = self.parse_channel_end(aliases, "in")
+        return self.end(ChannelSpec(*out_end, *in_end))
 
     def parse_channel_end(self, aliases: set[str], side: str) -> tuple[str, int | str]:
-        alias_tok = self.expect_name("factor alias")
-        if alias_tok.value not in aliases:
-            raise self.fail(f"unknown factor alias {alias_tok.value!r}", alias_tok)
-        self.expect_punct(".")
+        alias = self.expect_alias(aliases)
+        self.expect(".")
         tok = self.expect_ident("component")
-        if tok.value in ("out", "in") and self.at_punct("["):
+        if tok.value in ("out", "in") and self.at("["):
             if tok.value != side:
                 raise self.fail(
                     f"the {'sending' if side == 'out' else 'receiving'} end must use {side!r} indexing",
                     tok,
                 )
-            self.expect_punct("[")
+            self.next()
             idx = self.next()
             if idx.kind != "int":
                 raise self.fail("expected a component index", idx)
-            self.expect_punct("]")
-            return alias_tok.value, int(idx.value)
+            self.expect("]")
+            return alias, int(idx.value)
         if tok.value in RESERVED:
             raise self.fail(f"{tok.value!r} is a reserved word and cannot name a component", tok)
-        return alias_tok.value, tok.value
+        return alias, tok.value
 
     def parse_condition(self, aliases: set[str]) -> ConditionSpec:
         name = self.expect_name("condition name").value
         on: tuple[str, ...] | None = None
-        if self.take_keyword("on"):
-            self.expect_punct("(")
-            scoped = [self.expect_name("factor alias").value]
-            while self.take_punct(","):
-                scoped.append(self.expect_name("factor alias").value)
-            self.expect_punct(")")
-            for a in scoped:
-                if a not in aliases:
-                    raise self.fail(f"unknown factor alias {a!r}")
-            on = tuple(scoped)
-        self.expect_punct(":")
-        self.expect_keyword("from")
+        if self.take("on"):
+            self.expect("(")
+            scoped = self.comma_list(lambda: self.expect_name("factor alias"))
+            self.expect(")")
+            on = tuple(self.expect_alias(aliases, tok) for tok in scoped)
+        self.expect(":")
+        self.expect("from")
         source = self.parse_pattern_vector()
-        self.expect_keyword("to")
+        self.expect("to")
         target = self.parse_pattern_vector()
-        input_pat: PatternSpec | None = None
-        output_pat: PatternSpec | None = None
-        if self.take_keyword("input"):
-            input_pat = self.parse_io_pattern(aliases)
-        if self.take_keyword("output"):
-            output_pat = self.parse_io_pattern(aliases)
-        self.expect_keyword("deny")
-        self.expect_punct(";")
-        return ConditionSpec(name, source, target, input=input_pat, output=output_pat, on=on)
+        input_pat = self.parse_io_pattern(aliases) if self.take("input") else None
+        output_pat = self.parse_io_pattern(aliases) if self.take("output") else None
+        self.expect("deny")
+        return self.end(ConditionSpec(name, source, target, input=input_pat, output=output_pat, on=on))
 
     def parse_pattern_vector(self) -> tuple[str, ...]:
-        self.expect_punct("(")
-        parts = [self.parse_pattern_slot()]
-        while self.take_punct(","):
-            parts.append(self.parse_pattern_slot())
-        self.expect_punct(")")
+        self.expect("(")
+        parts = self.comma_list(lambda: "*" if self.take("*") else self.expect_name("state or '*'").value)
+        self.expect(")")
         return tuple(parts)
 
-    def parse_pattern_slot(self) -> str:
-        if self.take_punct("*"):
-            return "*"
-        return self.expect_name("state or '*'").value
-
     def parse_io_pattern(self, aliases: set[str]) -> PatternSpec:
-        tok = self.peek()
-        if self.take_keyword("any"):
+        if self.take("any"):
             return PatternSpec.any()
-        if self.take_keyword("spontaneous"):
+        if self.take("spontaneous"):
             return PatternSpec.spontaneous()
-        if self.take_keyword("active"):
-            self.expect_punct("(")
-            alias = self.expect_name("factor alias").value
-            if alias not in aliases:
-                raise self.fail(f"unknown factor alias {alias!r}", tok)
-            self.expect_punct(".")
-            comp = self.expect_name("component").value
-            self.expect_punct(")")
-            return PatternSpec.active(alias, comp)
-        alias_tok = self.expect_name("factor alias")
-        if alias_tok.value not in aliases:
-            raise self.fail(f"unknown factor alias {alias_tok.value!r}", alias_tok)
-        self.expect_punct(".")
-        comp = self.expect_name("component").value
-        self.expect_punct(".")
-        char = self.expect_name("character").value
-        return PatternSpec.literal(alias_tok.value, comp, char)
+        if self.take("active"):
+            self.expect("(")
+            port = self.parse_port(aliases)
+            self.expect(")")
+            return PatternSpec.active(*port)
+        port = self.parse_port(aliases)
+        self.expect(".")
+        return PatternSpec.literal(*port, self.expect_name("character").value)
+
+    def parse_port(self, aliases: set[str]) -> tuple[str, str]:
+        """``alias.component``: a factor's interface slot."""
+        alias = self.expect_alias(aliases)
+        self.expect(".")
+        return alias, self.expect_name("component").value
 
 
 def parse(text: str) -> WorkbenchDocument:
@@ -717,9 +657,8 @@ def _serialize_network(n: NetworkDef) -> list[str]:
             "from (" + ", ".join(cond.source) + ")",
             "to (" + ", ".join(cond.target) + ")",
         ]
-        input_pat = cond.input or PatternSpec.any()
-        parts.append(f"input {_fmt_pattern(input_pat)}")
-        if cond.output is not None and cond.output.kind != "any":
+        parts.append(f"input {_fmt_pattern(cond.input)}")
+        if cond.output.kind != "any":
             parts.append(f"output {_fmt_pattern(cond.output)}")
         parts.append("deny;")
         lines.append(" ".join(parts))

@@ -128,9 +128,8 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
             for combo in cartesian(*(f.acceptance.final_states for f in factors))
         )
         return Acceptance.final(s for s in finals if s in allowed)
-    families = [sorted(f.acceptance.muller_sets, key=sorted) for f in factors]
     members = []
-    for combo in cartesian(*families):
+    for combo in cartesian(*(f.acceptance.muller_sets for f in factors)):
         size = 1
         for m in combo:
             size *= len(m)
@@ -138,7 +137,7 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
             continue
         member = frozenset(
             tuple(v for part in pick for v in part)
-            for pick in cartesian(*(sorted(m) for m in combo))
+            for pick in cartesian(*combo)
         )
         if member <= allowed:
             members.append(member)
@@ -329,6 +328,3 @@ class LazyProduct:
 
     def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
         return tuple(t for t, _ in self._free(state, None))
-
-    def acceptance_for(self, allowed: frozenset[StateVector]) -> Acceptance:
-        return acceptance_within(self.factors, allowed)

@@ -176,7 +176,7 @@ class TestCheck:
                 "ring2",
                 "quasidet: no (3 moves on - from remn|avlb|remn|abst|triggered|wait|remn|remn)",
             ),
-            (MITM, "relay", "quasidet: no (2 moves on - from exit|crit)"),
+            (MITM, "relay", "quasidet: no (2 moves on - from try|crit)"),
         ],
         ids=["ring2", "relay"],
     )
@@ -190,7 +190,7 @@ class TestCheck:
         path.write_text(doc + "\ncheck quasidet relay;\n", encoding="utf-8")
         assert cli(["validate", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "check quasidet relay: FAIL (2 moves on - from exit|crit)" in out
+        assert "check quasidet relay: FAIL (2 moves on - from try|crit)" in out
 
     def test_unaffected_reports_each_factor(self, capsys):
         assert cli(["check", "unaffected", ADMIN, "administrator"]) == 0

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from fioa import (
+    Acceptance,
     Condition,
     EPSILON,
     IoPattern,
@@ -15,14 +17,17 @@ from fioa import (
     Scope,
     Transition,
     WiringError,
+    cbr,
     classify,
     cond,
     cond_strict,
     examples,
+    is_consistent,
     is_consistent_cond,
     is_quasi_deterministic,
     is_unaffected,
     project,
+    random_nfioa,
     reachable_states,
     weak_product,
 )
@@ -375,9 +380,62 @@ class TestConsistencyOverPlainGraphs:
         vetoed = cond(user, [Condition("no_exit", ("crit",), ("exit",))])
         verdict = is_consistent_cond(vetoed)
         assert not verdict.ok
-        assert verdict.witness == ("crit",)
+        # No run can visit all four states any more, so nothing anchors and
+        # every state is stuck; the nearest one is the initial state.
+        assert verdict.anchors == frozenset()
+        assert verdict.witness == ("remn",)
 
     def test_untouched_cycle_is_consistent(self):
         verdict = is_consistent_cond(examples.user_role())
         assert verdict.ok
         assert len(verdict.anchors) == 4
+
+
+class TestPlainChecksWalkLikeTheirConfigurationGraph:
+    """On an automaton without channels, `is_quasi_deterministic` and
+    `is_consistent_cond` answer as the same checks over its one-factor
+    configuration graph `cbr(a)` do, each configuration read as its state:
+    the same verdict, the same nearest witness, the same anchors."""
+
+    def _cases(self):
+        rng = random.Random(1010)
+        for seed in range(300):
+            a = random_nfioa(
+                rng.randrange(10**9),
+                n_states=rng.randint(2, 6),
+                n_transitions=rng.randint(2, 14),
+            )
+            states = sorted(a.states)
+            if seed % 2:
+                members = [
+                    rng.sample(states, rng.randint(1, len(states))) for _ in range(rng.randint(1, 2))
+                ]
+                a = replace(a, acceptance=Acceptance.muller(members))
+            yield a
+            pin = lambda: rng.choice(states)[0] if rng.random() < 0.6 else "*"
+            silent = rng.random() < 0.5
+            veto_one = Condition("v", (pin(),), (pin(),), IoPattern.silent() if silent else None)
+            yield cond(a, [veto_one])
+        for name in sorted(examples.names()):
+            for built in examples.build(name).networks.values():
+                if built.restricted is None:
+                    yield built.automaton
+
+    def test_verdicts_match_the_configuration_graph(self):
+        seen = Counter()
+        for a in self._cases():
+            graph = cbr(a)
+            qd, graph_qd = is_quasi_deterministic(a), is_quasi_deterministic(graph)
+            if graph_qd.witness is not None:
+                where, label, moves = graph_qd.witness
+                graph_qd = graph_qd._replace(witness=(where.state, label, moves))
+            assert qd == graph_qd, a.name
+            cons, graph_cons = is_consistent_cond(a), is_consistent(graph)
+            assert cons.ok == graph_cons.ok, a.name
+            assert cons.witness == (graph_cons.witness and graph_cons.witness.state), a.name
+            assert cons.anchors == frozenset(c.state for c in graph_cons.anchors), a.name
+            seen[a.acceptance.mode, qd.ok, cons.ok] += 1
+        # Both acceptance modes, and failing as well as passing verdicts.
+        assert {mode for mode, _, _ in seen} == {"final", "muller"}
+        assert {qd_ok for _, qd_ok, _ in seen} == {True, False}
+        assert {cons_ok for _, _, cons_ok in seen} == {True, False}

@@ -15,6 +15,7 @@ from fioa import (
     serialize,
 )
 from fioa.dsl import Directive, NetFactor, NetworkDef, WorkbenchDocument, load
+from fioa.network import ConditionSpec, PatternSpec
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "fioa" / "corpus"
 
@@ -102,6 +103,136 @@ class TestParsing:
         )
 
 
+NETWORK = MINIMAL + """
+network Loop {
+  use b1 = Blinker;
+  use b2 = Blinker init lit;
+  channel b1.lamp -> b2.btn;
+  condition hush on (b1, b2): from (dark, *) to (*, lit) input b1.btn.push output active(b2.lamp) deny;
+  accept muller {{(dark, lit)}};
+}
+"""
+
+
+def _edit(base: str, old: str, new: str) -> str:
+    assert old in base, old
+    return base.replace(old, new, 1)
+
+
+# One row per place the tokenizer or parser raises: a malformed document
+# and the exact error, position included (`resolve`'s error is pinned in
+# `TestNetworkBlocks`).  The `validate` call on a parsed automaton has
+# no row: no text reaches it, since every fault it reports is caught earlier.
+PARSE_ERRORS = [
+    ("unexpected-character", _edit(MINIMAL, "trans lit", "trans $lit"),
+     "line 9, col 9: unexpected character '$'"),
+    ("expected-punct", _edit(MINIMAL, "initial dark;", "initial dark"),
+     "line 5, col 3: expected ';', found 'inputs'"),
+    ("expected-punct-at-end", "automaton Blinker",
+     "line 1, col 18: expected '{', found 'end of input'"),
+    ("expected-ident", "automaton 42 {}",
+     "line 1, col 11: expected automaton name, found '42'"),
+    ("reserved-name", _edit(MINIMAL, "Blinker", "network"),
+     "line 2, col 11: 'network' is a reserved word and cannot be used as a automaton name"),
+    ("expected-keyword", _edit(MINIMAL, "lit on btn", "lit by btn"),
+     "line 8, col 21: expected 'on', found 'by'"),
+    ("expected-keyword-not-punct", _edit(NETWORK, "input b1", "; b1"),
+     "line 16, col 58: expected 'deny', found ';'"),
+    ("automaton-declared-twice", MINIMAL + MINIMAL,
+     "line 12, col 1: name 'Blinker' is declared twice"),
+    ("network-declared-twice", NETWORK + NETWORK[len(MINIMAL):],
+     "line 20, col 1: name 'Loop' is declared twice"),
+    ("unknown-top-level", "blueprint X {}",
+     "line 1, col 1: expected 'automaton', 'network', or 'check', found 'blueprint'"),
+    ("unknown-check-kind", MINIMAL + "check sparkling Blinker;",
+     "line 11, col 7: unknown check kind 'sparkling' (expected one of consistent, "
+     "deterministic, protocol, quasidet, valid, wellformed)"),
+    ("duplicate-states", _edit(MINIMAL, "initial dark;", "initial dark;\n  states dark;"),
+     "line 5, col 3: duplicate 'states' section"),
+    ("duplicate-initial", _edit(MINIMAL, "initial dark;", "initial dark;\n  initial lit;"),
+     "line 5, col 3: duplicate 'initial' section"),
+    ("duplicate-inputs", _edit(MINIMAL, "initial dark;", "initial dark;\n  inputs;"),
+     "line 6, col 3: duplicate 'inputs' section"),
+    ("duplicate-outputs", _edit(MINIMAL, "initial dark;", "initial dark;\n  outputs;\n  outputs;"),
+     "line 6, col 3: duplicate 'outputs' section"),
+    ("duplicate-automaton-accept", _edit(MINIMAL, "}\n", "  accept final {dark};\n}\n"),
+     "line 10, col 3: duplicate 'accept' section"),
+    ("unknown-automaton-section", _edit(MINIMAL, "initial dark;", "initial dark;\n  colour red;"),
+     "line 5, col 3: expected an automaton section, found 'colour'"),
+    ("unclosed-automaton", MINIMAL.rstrip()[:-1],
+     "line 10, col 1: expected an automaton section, found 'end of input'"),
+    ("missing-states", _edit(MINIMAL, "states dark, lit;", ""),
+     "line 2, col 11: automaton 'Blinker' has no 'states' section"),
+    ("missing-initial", _edit(MINIMAL, "initial dark;", ""),
+     "line 2, col 11: automaton 'Blinker' has no 'initial' section"),
+    ("missing-accept", _edit(MINIMAL, "accept muller {{dark, lit}};", ""),
+     "line 2, col 11: automaton 'Blinker' has no 'accept' section"),
+    ("undeclared-initial", _edit(MINIMAL, "initial dark;", "initial dusk;"),
+     "line 2, col 11: initial state 'dusk' is not declared"),
+    ("undeclared-acceptance-state", _edit(MINIMAL, "{{dark, lit}}", "{{dark, dawn}}"),
+     "line 2, col 11: acceptance names undeclared state 'dawn'"),
+    ("undeclared-transition-state", _edit(MINIMAL, "trans lit -> dark", "trans lit -> dusk"),
+     "line 9, col 3: transition names undeclared state 'dusk'"),
+    ("unknown-label-component", _edit(MINIMAL, "btn.push /", "dial.push /"),
+     "line 8, col 3: unknown input component 'dial'"),
+    ("undeclared-label-character", _edit(MINIMAL, "/ lamp.glow", "/ lamp.flash"),
+     "line 8, col 3: character 'flash' is not declared for output component 'lamp'"),
+    ("duplicate-component", _edit(MINIMAL, "btn: {push}", "btn: {push}, btn: {pull}"),
+     "line 5, col 23: duplicate component 'btn'"),
+    ("unknown-acceptance-mode", _edit(MINIMAL, "muller {{", "buchi {{"),
+     "line 7, col 10: expected 'muller' or 'final' after 'accept'"),
+    ("state-tuple-width", _edit(MINIMAL, "{{dark, lit}}", "{{dark, (lit, dark)}}"),
+     "line 7, col 25: state tuple has 2 slots, expected 1"),
+    ("duplicate-factor-alias", _edit(NETWORK, "use b2 =", "use b1 ="),
+     "line 14, col 3: duplicate factor alias 'b1'"),
+    ("duplicate-network-accept",
+     _edit(NETWORK, "accept muller {{(dark, lit)}};", "accept muller {{(dark, lit)}};\n  accept final {(dark, dark)};"),
+     "line 18, col 3: duplicate 'accept' section"),
+    ("unknown-network-section", _edit(NETWORK, "channel b1", "wire b1"),
+     "line 15, col 3: expected a network section, found 'wire'"),
+    ("network-without-use", "network Empty {\n  accept final {(a, b)};\n}\n",
+     "line 1, col 9: network 'Empty' has no 'use' lines"),
+    ("unknown-channel-alias", _edit(NETWORK, "channel b1.lamp", "channel b3.lamp"),
+     "line 15, col 11: unknown factor alias 'b3'"),
+    ("wrong-channel-indexing", _edit(NETWORK, "channel b1.lamp", "channel b1.in[0]"),
+     "line 15, col 14: the sending end must use 'out' indexing"),
+    ("channel-index-not-int", _edit(NETWORK, "channel b1.lamp", "channel b1.out[x]"),
+     "line 15, col 18: expected a component index"),
+    ("reserved-channel-component", _edit(NETWORK, "-> b2.btn", "-> b2.any"),
+     "line 15, col 25: 'any' is a reserved word and cannot name a component"),
+    ("unknown-scope-alias", _edit(NETWORK, "on (b1, b2)", "on (b1, zz)"),
+     "line 16, col 26: unknown factor alias 'zz'"),
+    ("unknown-active-alias", _edit(NETWORK, "active(b2.lamp)", "active(zz.lamp)"),
+     "line 16, col 90: unknown factor alias 'zz'"),
+    ("unknown-literal-alias", _edit(NETWORK, "input b1.btn.push", "input zz.btn.push"),
+     "line 16, col 64: unknown factor alias 'zz'"),
+]
+
+
+class TestErrorTable:
+    def test_the_base_document_parses_and_round_trips(self):
+        doc = parse(NETWORK)
+        assert doc.networks[0].conditions == (
+            ConditionSpec(
+                "hush",
+                ("dark", "*"),
+                ("*", "lit"),
+                input=PatternSpec.literal("b1", "btn", "push"),
+                output=PatternSpec.active("b2", "lamp"),
+                on=("b1", "b2"),
+            ),
+        )
+        assert parse(serialize(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "text, message", [row[1:] for row in PARSE_ERRORS], ids=[row[0] for row in PARSE_ERRORS]
+    )
+    def test_each_error_site_reports_its_text_and_position(self, text, message):
+        with pytest.raises(DslError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
 class TestNetworkBlocks:
     WIRED = MINIMAL + """
 network Loop {
@@ -125,7 +256,7 @@ network Loop {
             resolve(parse(self.WIRED))
 
     def test_factor_references_resolve_in_declaration_order(self):
-        with pytest.raises(DslError, match="not declared before it"):
+        with pytest.raises(DslError) as err:
             resolve(
                 WorkbenchDocument(
                     automata=(),
@@ -133,6 +264,7 @@ network Loop {
                     directives=(),
                 )
             )
+        assert str(err.value) == "network 'ghost_net' uses 'Ghost', which is not declared before it"
 
     def test_networks_can_be_factors_of_later_networks(self, mitm_env):
         # the relay network is consumed as a machine by the wrapper
