@@ -179,7 +179,7 @@ def law_instance(law: str, seed: int):
         conds = tuple(_random_condition(rng, a, i) for i in range(rng.randint(1, 2)))
         return (a, (c,), conds)
     if law == "separation":
-        return None  # fixed composite; see examples.mitm_instance
+        return None  # fixed composite; see examples.separation_sides
     raise WiringError(f"unknown law {law!r}")
 
 

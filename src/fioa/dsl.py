@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, validate
 from .errors import DslError
@@ -81,6 +81,8 @@ class NetFactor:
     alias: str
     ref: str
     initial: tuple[str, ...] | None = None
+    # (line, col) of the ``use`` keyword when parsed from text
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,20 @@ class ResolvedDocument:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     value: str
     line: int
     col: int
 
 
+# Group names are token kinds; ``skip`` (blanks and comments) makes no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
-  | (?P<arrow>->)
-  | (?P<punct>[{}()\[\],;:./=*-])
+  | (?P<punct>->|[{}()\[\],;:./=*-])
     """,
     re.VERBOSE,
 )
@@ -153,28 +153,21 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line=line, col=col)
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "ident":
-            tokens.append(Token("ident", lexeme, line, col))
-        elif kind == "int":
-            tokens.append(Token("int", lexeme, line, col))
-        elif kind in ("arrow", "punct"):
-            tokens.append(Token("punct", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break  # the character at `pos` starts no token
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        kind = m.lastgroup
+        if kind != "skip":
+            tokens.append(Token._make((kind, m.group(), line, start - line_start + 1)))
+        elif (newline := text.rfind("\n", start, pos)) >= 0:
+            line += text.count("\n", start, pos)
+            line_start = newline + 1
+    if pos != len(text):
+        raise DslError(f"unexpected character {text[pos]!r}", line=line, col=pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -238,7 +231,8 @@ class _Parser:
     def expect_name(self, what: str = "name") -> Token:
         tok = self.expect_ident(what)
         if tok.value in RESERVED:
-            raise self.fail(f"{tok.value!r} is a reserved word and cannot be used as a {what}", tok)
+            article = "an" if what[0] in "aeiou" else "a"
+            raise self.fail(f"{tok.value!r} is a reserved word and cannot be used as {article} {what}", tok)
         return tok
 
     def expect_alias(self, aliases: set[str], tok: Token | None = None) -> str:
@@ -320,25 +314,20 @@ class _Parser:
                 "initial": lambda _: self.end(self.expect_name("state").value),
                 "inputs": lambda _: self.parse_interface(),
                 "outputs": lambda _: self.parse_interface(),
-                "accept": lambda _: self.parse_acceptance(width=1),
+                "accept": lambda _: self.parse_named_acceptance(),
                 "trans": self.parse_transition,
             },
         )
         for section in ("states", "initial", "accept"):
             if section not in found:
                 raise self.fail(f"automaton {name_tok.value!r} has no {section!r} section", name_tok)
-        states, initial, acceptance = found["states"], found["initial"], found["accept"]
+        states, initial, (acceptance, named) = found["states"], found["initial"], found["accept"]
         inputs = found.get("inputs", ())
         outputs = found.get("outputs", ())
         state_set = set(states)
         if initial not in state_set:
             raise self.fail(f"initial state {initial!r} is not declared", name_tok)
-        named = (
-            {s for member in acceptance.muller_sets for s in member}
-            if acceptance.mode == "muller"
-            else set(acceptance.final_states)
-        )
-        for (s,) in named:
+        for s in named:
             if s not in state_set:
                 raise self.fail(f"acceptance names undeclared state {s!r}", name_tok)
         built: list = []
@@ -403,6 +392,16 @@ class _Parser:
         self.comma_list(component)
         return self.end(tuple(comps))
 
+    def parse_named_acceptance(self) -> tuple[Acceptance, list[str]]:
+        """An automaton's acceptance, and the states it names in text order."""
+        start = self.pos
+        acceptance = self.parse_acceptance(width=1)
+        # Between `accept` and `;` every non-reserved identifier is a state.
+        named = [
+            t.value for t in self.tokens[start : self.pos] if t.kind == "ident" and t.value not in RESERVED
+        ]
+        return acceptance, named
+
     def parse_acceptance(self, width: int | None) -> Acceptance:
         if self.take("muller"):
             self.expect("{")
@@ -455,7 +454,7 @@ class _Parser:
         aliases: set[str] = set()
 
         def use(tok: Token) -> NetFactor:
-            f = self.parse_factor()
+            f = self.parse_factor(tok)
             if f.alias in aliases:
                 raise self.fail(f"duplicate factor alias {f.alias!r}", tok)
             aliases.add(f.alias)
@@ -480,12 +479,12 @@ class _Parser:
             acceptance=found.get("accept"),
         )
 
-    def parse_factor(self) -> NetFactor:
+    def parse_factor(self, use: Token) -> NetFactor:
         alias = self.expect_name("factor alias").value
         self.expect("=")
         ref = self.expect_name("machine name").value
         initial = self.parse_state_vector(width=None) if self.take("init") else None
-        return self.end(NetFactor(alias, ref, initial))
+        return self.end(NetFactor(alias, ref, initial, pos=(use.line, use.col)))
 
     def parse_channel(self, aliases: set[str]) -> ChannelSpec:
         out_end = self.parse_channel_end(aliases, "out")
@@ -701,8 +700,9 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
         factors = []
         for f in n.factors:
             if f.ref not in env.automata:
+                line, col = f.pos or (None, None)
                 raise DslError(
-                    f"network {n.name!r} uses {f.ref!r}, which is not declared before it"
+                    f"network {n.name!r} uses {f.ref!r}, which is not declared before it", line, col
                 )
             factors.append(FactorRef(f.alias, env.automata[f.ref], initial=f.initial))
         spec = NetworkSpec(

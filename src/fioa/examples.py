@@ -1,8 +1,8 @@
 """Worked examples: mutual exclusion, token-ring coordination, relaying.
 
-Every example is exposed as a :class:`~fioa.dsl.WorkbenchDocument` so it
-can be serialized to workbench text, rebuilt, and exercised from the
-command line.  The machines follow a request/confirm service discipline:
+The shipped corpus, ``src/fioa/corpus/*.pw``, is the one definition of
+every example; this module loads it.  The machines follow a
+request/confirm service discipline:
 
 * ``User`` asks for a resource (``req``), enters its critical phase once
   the grant (``cf_req``) arrives, then releases (``fin``/``cf_fin``).
@@ -16,14 +16,20 @@ command line.  The machines follow a request/confirm service discipline:
 * ``mitm`` chains two service protocols through a relaying middle pair
   and shows that scoping deny rules to that pair is the same as
   restricting the pair standalone and then wiring it.
+
+Only token rings are generated here (:func:`ring_def`), since rings of
+any size are needed.  Documents and automata are frozen, so
+:func:`document` parses each file once and shares the result.
 """
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import replace
 
-from .core import Acceptance, ComponentAlphabet, Nfioa, Transition, epsilon_char, single_char
-from .dsl import Directive, NetFactor, NetworkDef, ResolvedDocument, WorkbenchDocument, resolve
-from .network import ChannelSpec, ConditionSpec, PatternSpec
+from .core import Nfioa
+from .dsl import NetFactor, NetworkDef, ResolvedDocument, WorkbenchDocument, parse, resolve
+from .network import ChannelSpec
 
 __all__ = [
     "names",
@@ -39,13 +45,54 @@ __all__ = [
     "idle_user_role",
     "det_admin_role",
     "sticky_admin_role",
-    "closed_mutex_def",
     "administrator_def",
     "lax_administrator_def",
     "ring_def",
+    "ring_document",
+    "ring_eq_document",
     "MUTEX_CYCLE",
     "ADMIN_LIVE_STATES",
 ]
+
+_CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+# Teaching order.
+_NAMES = ("mutex", "broken_mutex", "administrator", "mitm", "ring2", "ring3", "ring2_eq")
+
+
+# ---------------------------------------------------------------------------
+# documents
+# ---------------------------------------------------------------------------
+
+
+def names() -> tuple[str, ...]:
+    """The shipped example documents, in teaching order."""
+
+    return _NAMES
+
+
+def text(name: str) -> str:
+    """The shipped workbench text of an example document."""
+
+    if name not in _NAMES:
+        raise KeyError(f"unknown example {name!r}; available: {', '.join(_NAMES)}")
+    with open(os.path.join(_CORPUS, f"{name}.pw"), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@functools.cache
+def document(name: str) -> WorkbenchDocument:
+    return parse(text(name))
+
+
+def build(name: str) -> ResolvedDocument:
+    """Resolve an example document (a fresh, mutable result on every call)."""
+
+    return resolve(document(name))
+
+
+def _automaton(doc: str, name: str) -> Nfioa:
+    return next(a for a in document(doc).automata if a.name == name)
 
 
 # ---------------------------------------------------------------------------
@@ -53,126 +100,40 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _vec(comps: tuple[ComponentAlphabet, ...], label: str | None):
-    if label is None:
-        return epsilon_char(len(comps))
-    comp, char = label.split(".")
-    for k, c in enumerate(comps):
-        if c.name == comp:
-            return single_char(len(comps), k, char)
-    raise ValueError(f"unknown component {comp!r}")
-
-
-def _machine(name, *, states, initial, inputs, outputs, rows, accept=None) -> Nfioa:
-    in_comps = tuple(ComponentAlphabet(n, frozenset(cs)) for n, cs in inputs)
-    out_comps = tuple(ComponentAlphabet(n, frozenset(cs)) for n, cs in outputs)
-    transitions = [
-        Transition((src,), (tgt,), _vec(in_comps, ilab), _vec(out_comps, olab))
-        for src, tgt, ilab, olab in rows
-    ]
-    if accept is None:
-        accept = Acceptance.muller([frozenset((s,) for s in states)])
-    return Nfioa(
-        name=name,
-        states=frozenset((s,) for s in states),
-        inputs=in_comps,
-        outputs=out_comps,
-        initial=(initial,),
-        acceptance=accept,
-        transitions=frozenset(transitions),
-    )
-
-
 def user_role() -> Nfioa:
     """A client cycling request -> critical -> release."""
 
-    return _machine(
-        "User",
-        states=("remn", "try", "crit", "exit"),
-        initial="remn",
-        inputs=(("svc", ("cf_req", "cf_fin")),),
-        outputs=(("svc", ("req", "fin")),),
-        rows=(
-            ("remn", "try", None, "svc.req"),
-            ("try", "crit", "svc.cf_req", None),
-            ("crit", "exit", None, "svc.fin"),
-            ("exit", "remn", "svc.cf_fin", None),
-        ),
-    )
+    return _automaton("mutex", "User")
 
 
 def server_role() -> Nfioa:
     """The matching granter for :func:`user_role`."""
 
-    return _machine(
-        "Server",
-        states=("remn", "try", "crit", "exit"),
-        initial="remn",
-        inputs=(("svc", ("req", "fin")),),
-        outputs=(("svc", ("cf_req", "cf_fin")),),
-        rows=(
-            ("remn", "try", "svc.req", None),
-            ("try", "crit", None, "svc.cf_req"),
-            ("crit", "exit", "svc.fin", None),
-            ("exit", "remn", None, "svc.cf_fin"),
-        ),
-    )
+    return _automaton("mutex", "Server")
 
 
 def deaf_server_role() -> Nfioa:
     """A server that never picks up requests: breaks well-formedness."""
 
-    base = server_role()
-    dropped = frozenset(
-        t for t in base.transitions if not (t.source == ("remn",) and t.target == ("try",))
-    )
-    return replace(base, name="DeafServer", transitions=dropped)
+    return _automaton("broken_mutex", "DeafServer")
 
 
 def ring_role() -> Nfioa:
     """One cell of a token ring; announces token arrival on ``trig``."""
 
-    return _machine(
-        "Ring",
-        states=("abst", "avlb", "interm"),
-        initial="abst",
-        inputs=(("ring", ("token",)), ("clk", ("timeout",))),
-        outputs=(("trig", ("trigger",)), ("ring", ("token",))),
-        rows=(
-            ("abst", "avlb", "ring.token", "trig.trigger"),
-            ("avlb", "interm", "clk.timeout", None),
-            ("interm", "abst", None, "ring.token"),
-        ),
-    )
+    return _automaton("ring2", "Ring")
 
 
 def timer_role() -> Nfioa:
     """Armed by a trigger, eventually fires a timeout."""
 
-    return _machine(
-        "Timer",
-        states=("wait", "triggered"),
-        initial="wait",
-        inputs=(("trig", ("trigger",)),),
-        outputs=(("clk", ("timeout",)),),
-        rows=(
-            ("wait", "triggered", "trig.trigger", None),
-            ("triggered", "wait", None, "clk.timeout"),
-        ),
-    )
+    return _automaton("ring2", "Timer")
 
 
 def idle_user_role() -> Nfioa:
     """A client that never asks for anything (its send alphabet is empty)."""
 
-    return _machine(
-        "IdleUser",
-        states=("idle",),
-        initial="idle",
-        inputs=(("svc", ("cf_req", "cf_fin")),),
-        outputs=(("svc", ()),),
-        rows=(),
-    )
+    return _automaton("ring2_eq", "IdleUser")
 
 
 def det_admin_role() -> Nfioa:
@@ -184,37 +145,13 @@ def det_admin_role() -> Nfioa:
     compared channel-for-channel.
     """
 
-    return _machine(
-        "DetAdmin",
-        states=("absent", "avail", "serving"),
-        initial="absent",
-        inputs=(("svc", ("req", "fin")), ("ring", ("token",)), ("clk", ("timeout",))),
-        outputs=(("svc", ("cf_req", "cf_fin")), ("trig", ("trigger",)), ("ring", ("token",))),
-        rows=(
-            ("absent", "avail", "ring.token", "trig.trigger"),
-            ("avail", "serving", "svc.req", "svc.cf_req"),
-            ("serving", "avail", "svc.fin", "svc.cf_fin"),
-            ("avail", "absent", "clk.timeout", "ring.token"),
-        ),
-        # Two fair loops: circulating the token without ever serving, and
-        # the full service cycle.  Both count as accepting runs.
-        accept=Acceptance.muller(
-            [
-                frozenset({("absent",), ("avail",)}),
-                frozenset({("absent",), ("avail",), ("serving",)}),
-            ]
-        ),
-    )
+    return _automaton("ring2_eq", "DetAdmin")
 
 
 def sticky_admin_role() -> Nfioa:
     """A deterministic administrator that never passes the token on."""
 
-    base = det_admin_role()
-    dropped = frozenset(
-        t for t in base.transitions if not (t.source == ("avail",) and t.target == ("absent",))
-    )
-    return replace(base, name="StickyAdmin", transitions=dropped)
+    return _automaton("ring2_eq", "StickyAdmin")
 
 
 # ---------------------------------------------------------------------------
@@ -249,59 +186,10 @@ ADMIN_LIVE_STATES: tuple[tuple[str, str], ...] = (
 )
 
 
-def closed_mutex_def(*, server_ref: str = "Server", with_acceptance: bool = True) -> NetworkDef:
-    """User and server wired to each other on the service lane."""
-
-    acceptance = Acceptance.muller([frozenset(MUTEX_CYCLE)]) if with_acceptance else None
-    return NetworkDef(
-        name="closed_mutex",
-        factors=(NetFactor("u", "User"), NetFactor("c", server_ref)),
-        channels=(
-            ChannelSpec("u", "svc", "c", "svc"),
-            ChannelSpec("c", "svc", "u", "svc"),
-        ),
-        acceptance=acceptance,
-    )
-
-
-_ADMIN_CONDITIONS: tuple[ConditionSpec, ...] = (
-    ConditionSpec(
-        "need_token_to_serve",
-        ("*", "abst"),
-        ("crit", "*"),
-        input=PatternSpec.spontaneous(),
-    ),
-    ConditionSpec(
-        "keep_token_while_entering",
-        ("try", "*"),
-        ("*", "abst"),
-        input=PatternSpec.spontaneous(),
-    ),
-    ConditionSpec(
-        "keep_token_while_serving",
-        ("crit", "*"),
-        ("*", "abst"),
-        input=PatternSpec.spontaneous(),
-    ),
-    ConditionSpec(
-        "confirm_before_handover",
-        ("*", "interm"),
-        ("remn", "*"),
-        input=PatternSpec.spontaneous(),
-        output=PatternSpec.literal("c", "svc", "cf_fin"),
-    ),
-)
-
-
 def administrator_def() -> NetworkDef:
     """Server and ring cell coordinated by deny rules (no channels)."""
 
-    return NetworkDef(
-        name="administrator",
-        factors=(NetFactor("c", "Server"), NetFactor("r", "Ring")),
-        conditions=_ADMIN_CONDITIONS,
-        acceptance=Acceptance.muller([frozenset(ADMIN_LIVE_STATES)]),
-    )
+    return next(n for n in document("ring2").networks if n.name == "administrator")
 
 
 def lax_administrator_def() -> NetworkDef:
@@ -312,12 +200,8 @@ def lax_administrator_def() -> NetworkDef:
     once.
     """
 
-    return NetworkDef(
-        name="lax_administrator",
-        factors=(NetFactor("c", "Server"), NetFactor("r", "Ring")),
-        conditions=_ADMIN_CONDITIONS[2:],
-        acceptance=None,
-    )
+    admin = administrator_def()
+    return replace(admin, name="lax_administrator", conditions=admin.conditions[2:], acceptance=None)
 
 
 def ring_def(
@@ -336,15 +220,14 @@ def ring_def(
     clockwise neighbour when its timer fires.
     """
 
-    factors: list[NetFactor] = []
-    for i in range(1, n + 1):
-        factors.append(NetFactor(f"a{i}", admin_ref, admin_first_init if i == 1 else None))
-    for i in range(1, n + 1):
-        factors.append(NetFactor(f"t{i}", "Timer", ("triggered",) if i == 1 else None))
-    for i in range(1, n + 1):
-        factors.append(NetFactor(f"u{i}", user_ref))
+    cells = range(1, n + 1)
+    factors = (
+        [NetFactor(f"a{i}", admin_ref, admin_first_init if i == 1 else None) for i in cells]
+        + [NetFactor(f"t{i}", "Timer", ("triggered",) if i == 1 else None) for i in cells]
+        + [NetFactor(f"u{i}", user_ref) for i in cells]
+    )
     channels: list[ChannelSpec] = []
-    for i in range(1, n + 1):
+    for i in cells:
         succ = i % n + 1
         channels.append(ChannelSpec(f"u{i}", "svc", f"a{i}", "svc"))
         channels.append(ChannelSpec(f"a{i}", "svc", f"u{i}", "svc"))
@@ -354,202 +237,15 @@ def ring_def(
     return NetworkDef(name=name, factors=tuple(factors), channels=tuple(channels))
 
 
-_RELAY_PATTERNS: tuple[tuple[str, tuple[str, str], tuple[str, str]], ...] = (
-    ("no_entry_while_relay_remn", ("*", "remn"), ("crit", "*")),
-    ("no_entry_while_relay_try", ("*", "try"), ("crit", "*")),
-    ("no_relay_exit_while_crit", ("crit", "*"), ("*", "exit")),
-    ("no_reset_while_relay_exit", ("*", "exit"), ("remn", "*")),
-)
-
-
-def _relay_conditions(on: tuple[str, str] | None) -> tuple[ConditionSpec, ...]:
-    return tuple(
-        ConditionSpec(name, source, target, input=PatternSpec.spontaneous(), on=on)
-        for name, source, target in _RELAY_PATTERNS
-    )
-
-
-def mitm_def() -> NetworkDef:
-    """Two service protocols chained through the pair (c1, u2).
-
-    The deny rules are scoped to the middle pair: the first server only
-    grants entry once the relayed request has been granted, and only
-    resets after the relay has reset.
-    """
-
-    return NetworkDef(
-        name="mitm",
-        factors=(
-            NetFactor("u1", "User"),
-            NetFactor("c1", "Server"),
-            NetFactor("u2", "User"),
-            NetFactor("c2", "Server"),
-        ),
-        channels=(
-            ChannelSpec("u1", "svc", "c1", "svc"),
-            ChannelSpec("c1", "svc", "u1", "svc"),
-            ChannelSpec("u2", "svc", "c2", "svc"),
-            ChannelSpec("c2", "svc", "u2", "svc"),
-        ),
-        conditions=_relay_conditions(("c1", "u2")),
-    )
-
-
-def relay_def() -> NetworkDef:
-    """The middle pair on its own: a server and a user under the same rules."""
-
-    return NetworkDef(
-        name="relay",
-        factors=(NetFactor("c", "Server"), NetFactor("u", "User")),
-        conditions=_relay_conditions(None),
-    )
-
-
-def mitm_relayed_def() -> NetworkDef:
-    """The chained protocol built from the standalone restricted relay.
-
-    The relay's flat interface keeps both halves' lanes, so its
-    components are addressed by index: input/output 0 is the server
-    side, input/output 1 the user side.
-    """
-
-    return NetworkDef(
-        name="mitm_relayed",
-        factors=(
-            NetFactor("u1", "User"),
-            NetFactor("m", "relay"),
-            NetFactor("c2", "Server"),
-        ),
-        channels=(
-            ChannelSpec("u1", "svc", "m", 0),
-            ChannelSpec("m", 0, "u1", "svc"),
-            ChannelSpec("m", 1, "c2", "svc"),
-            ChannelSpec("c2", "svc", "m", 1),
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# documents
-# ---------------------------------------------------------------------------
-
-
-def mutex_document() -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(user_role(), server_role()),
-        networks=(closed_mutex_def(),),
-        directives=(
-            Directive("wellformed", "closed_mutex"),
-            Directive("consistent", "closed_mutex"),
-            Directive("protocol", "closed_mutex"),
-            Directive("quasidet", "closed_mutex"),
-        ),
-    )
-
-
-def broken_mutex_document() -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(user_role(), deaf_server_role()),
-        networks=(closed_mutex_def(server_ref="DeafServer", with_acceptance=False),),
-    )
-
-
-def administrator_document() -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(server_role(), ring_role()),
-        networks=(administrator_def(),),
-        directives=(
-            Directive("quasidet", "administrator"),
-            Directive("consistent", "administrator"),
-        ),
-    )
-
-
-def mitm_document() -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(user_role(), server_role()),
-        networks=(mitm_def(), relay_def(), mitm_relayed_def()),
-    )
-
-
 def ring_document(n: int) -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(user_role(), server_role(), ring_role(), timer_role()),
-        networks=(
-            administrator_def(),
-            ring_def(n, name=f"ring{n}"),
-        ),
-    )
+    """``ring2``'s machines and administrator around a ring of ``n`` cells."""
+
+    ring2 = document("ring2")
+    return replace(ring2, networks=(administrator_def(), ring_def(n, name=f"ring{n}")))
 
 
 def ring_eq_document() -> WorkbenchDocument:
-    return WorkbenchDocument(
-        automata=(
-            server_role(),
-            ring_role(),
-            timer_role(),
-            idle_user_role(),
-            det_admin_role(),
-            sticky_admin_role(),
-        ),
-        networks=(
-            administrator_def(),
-            ring_def(2, name="ring_quasi", user_ref="IdleUser"),
-            ring_def(
-                2,
-                name="ring_det",
-                admin_ref="DetAdmin",
-                admin_first_init=("avail",),
-                user_ref="IdleUser",
-            ),
-            ring_def(
-                2,
-                name="ring_sticky",
-                admin_ref="StickyAdmin",
-                admin_first_init=("avail",),
-                user_ref="IdleUser",
-            ),
-        ),
-    )
-
-
-_BUILDERS = {
-    "mutex": mutex_document,
-    "broken_mutex": broken_mutex_document,
-    "administrator": administrator_document,
-    "mitm": mitm_document,
-    "ring2": lambda: ring_document(2),
-    "ring3": lambda: ring_document(3),
-    "ring2_eq": ring_eq_document,
-}
-
-
-def names() -> tuple[str, ...]:
-    """The shipped example documents, in teaching order."""
-
-    return tuple(_BUILDERS)
-
-
-def document(name: str) -> WorkbenchDocument:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown example {name!r}; available: {', '.join(_BUILDERS)}") from None
-    return builder()
-
-
-def text(name: str) -> str:
-    """Canonical workbench text for an example document."""
-
-    from .dsl import serialize
-
-    return serialize(document(name))
-
-
-def build(name: str) -> ResolvedDocument:
-    """Parse nothing, build everything: resolve the example in memory."""
-
-    return resolve(document(name))
+    return document("ring2_eq")
 
 
 def separation_sides() -> tuple[Nfioa, Nfioa]:

@@ -487,3 +487,32 @@ def test_importing_the_cli_loads_no_graph_library():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """A document's errors and verdicts read the same under any PYTHONHASHSEED."""
+    bad = tmp_path / "bad.pw"
+    bad.write_text(
+        "automaton Blinker {\n"
+        "  states dark, lit;\n"
+        "  initial dark;\n"
+        "  accept muller {{dark, lit}, {dusk, dawn, noon}};\n"
+        "}\n",
+        encoding="utf-8",
+    )
+    src = Path(fioa.__file__).resolve().parent.parent
+
+    def fioa_under(seed: str, *args: str) -> tuple[int, str, str]:
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "fioa", *args], env=env, capture_output=True, text=True
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    # Seeds 0 and 4 once named different states here, when the parser read them from a set.
+    first = fioa_under("0", "validate", str(bad))
+    assert first == (2, "", "error: line 1, col 11: acceptance names undeclared state 'dusk'\n")
+    assert fioa_under("4", "validate", str(bad)) == first
+    verdicts = fioa_under("0", "validate", RING_EQ)
+    assert verdicts[0] == 0
+    assert fioa_under("4", "validate", RING_EQ) == verdicts

@@ -1,5 +1,5 @@
 """Workbench text format: parsing, canonical serialization, resolution,
-and the shipped corpus staying in sync with its builders."""
+and the shipped corpus, which `fioa.examples` loads."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -14,7 +14,7 @@ from fioa import (
     resolve,
     serialize,
 )
-from fioa.dsl import Directive, NetFactor, NetworkDef, WorkbenchDocument, load
+from fioa.dsl import Directive, NetFactor, NetworkDef, Token, WorkbenchDocument, load, tokenize
 from fioa.network import ConditionSpec, PatternSpec
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "fioa" / "corpus"
@@ -46,6 +46,23 @@ class TestParsing:
             "states dark, lit;", "states dark, lit;  # the two phases\n"
         )
         assert parse(commented) == parse(MINIMAL)
+
+    def test_tokens_carry_kind_text_and_position(self):
+        text = "trans a->b # note\n\t on x.c_1 / 42;"
+        assert tokenize(text) == [
+            Token("ident", "trans", 1, 1),
+            Token("ident", "a", 1, 7),
+            Token("punct", "->", 1, 8),
+            Token("ident", "b", 1, 10),
+            Token("ident", "on", 2, 3),
+            Token("ident", "x", 2, 6),
+            Token("punct", ".", 2, 7),
+            Token("ident", "c_1", 2, 8),
+            Token("punct", "/", 2, 12),
+            Token("int", "42", 2, 14),
+            Token("punct", ";", 2, 16),
+            Token("eof", "", 2, 17),
+        ]
 
     def test_errors_carry_line_and_column(self):
         bad = MINIMAL.replace("initial dark;", "initial dark")
@@ -133,7 +150,7 @@ PARSE_ERRORS = [
     ("expected-ident", "automaton 42 {}",
      "line 1, col 11: expected automaton name, found '42'"),
     ("reserved-name", _edit(MINIMAL, "Blinker", "network"),
-     "line 2, col 11: 'network' is a reserved word and cannot be used as a automaton name"),
+     "line 2, col 11: 'network' is a reserved word and cannot be used as an automaton name"),
     ("expected-keyword", _edit(MINIMAL, "lit on btn", "lit by btn"),
      "line 8, col 21: expected 'on', found 'by'"),
     ("expected-keyword-not-punct", _edit(NETWORK, "input b1", "; b1"),
@@ -266,6 +283,14 @@ network Loop {
             )
         assert str(err.value) == "network 'ghost_net' uses 'Ghost', which is not declared before it"
 
+    def test_an_undeclared_reference_names_its_use_line(self):
+        doc = parse(MINIMAL + "\nnetwork ghost_net {\n  use b = Blinker;\n  use g = Ghost;\n}\n")
+        with pytest.raises(DslError) as err:
+            resolve(doc)
+        assert str(err.value) == (
+            "line 14, col 3: network 'ghost_net' uses 'Ghost', which is not declared before it"
+        )
+
     def test_networks_can_be_factors_of_later_networks(self, mitm_env):
         # the relay network is consumed as a machine by the wrapper
         assert "relay" in mitm_env.networks
@@ -293,17 +318,73 @@ class TestSerialization:
 class TestCorpus:
     @pytest.mark.parametrize("name", sorted(examples.names()))
     def test_builder_documents_round_trip(self, name):
-        doc = examples.document(name)
+        """`examples` serves each shipped file as it is, and every file is canonical."""
         text = examples.text(name)
-        assert parse(text) == doc
+        assert text == (CORPUS / f"{name}.pw").read_text(encoding="utf-8")
+        assert examples.document(name) == parse(text)
         assert serialize(parse(text)) == text
 
     @pytest.mark.parametrize("name", sorted(examples.names()))
     def test_shipped_files_match_their_builders(self, name):
-        on_disk = (CORPUS / f"{name}.pw").read_text(encoding="utf-8")
-        assert on_disk == examples.text(name), (
-            f"corpus/{name}.pw is stale; regenerate with scripts/regen_corpus.py"
-        )
+        """What Python still builds agrees with every shipped file.
+
+        Each machine is what its role accessor returns, ``administrator``
+        is :func:`examples.administrator_def`, every ring network is what
+        the ring generator makes, and ``ringN`` is ``ring_document(N)``.
+        """
+        roles = {
+            "User": examples.user_role,
+            "Server": examples.server_role,
+            "DeafServer": examples.deaf_server_role,
+            "Ring": examples.ring_role,
+            "Timer": examples.timer_role,
+            "IdleUser": examples.idle_user_role,
+            "DetAdmin": examples.det_admin_role,
+            "StickyAdmin": examples.sticky_admin_role,
+        }
+        det = {"admin_first_init": ("avail",), "user_ref": "IdleUser"}
+        nets = {
+            "administrator": examples.administrator_def,
+            "ring2": lambda: examples.ring_def(2, name="ring2"),
+            "ring3": lambda: examples.ring_def(3, name="ring3"),
+            "ring_quasi": lambda: examples.ring_def(2, name="ring_quasi", user_ref="IdleUser"),
+            "ring_det": lambda: examples.ring_def(2, name="ring_det", admin_ref="DetAdmin", **det),
+            "ring_sticky": lambda: examples.ring_def(2, name="ring_sticky", admin_ref="StickyAdmin", **det),
+        }
+        doc = examples.document(name)
+        for machine in doc.automata:
+            assert machine == roles[machine.name](), machine.name
+        for net in doc.networks:
+            if net.name in nets:
+                assert net == nets[net.name](), net.name
+        if name in ("ring2", "ring3"):
+            assert examples.ring_document(int(name[len("ring"):])) == doc
+
+    def test_documents_are_parsed_once_and_builds_are_fresh(self):
+        assert examples.document("mutex") is examples.document("mutex")
+        first, second = examples.build("mutex"), examples.build("mutex")
+        assert first.automata is not second.automata
+        assert first.networks is not second.networks
+
+    def test_machines_declared_in_several_files_agree(self):
+        """Role accessors read the first file declaring a machine; every other file agrees.
+
+        Networks may differ (``broken_mutex`` wires a deaf server into its
+        ``closed_mutex``), except the shared ``administrator``.
+        """
+        declared: dict[str, object] = {}
+        for name in examples.names():
+            doc = examples.document(name)
+            for decl in doc.automata + tuple(n for n in doc.networks if n.name == "administrator"):
+                assert declared.setdefault(decl.name, decl) == decl, (name, decl.name)
+        assert declared["User"] == examples.user_role()
+        assert declared["Ring"] == examples.ring_role()
+        assert declared["administrator"] == examples.administrator_def()
+
+    def test_the_lax_administrator_drops_the_token_possession_rules(self):
+        lax, admin = examples.lax_administrator_def(), examples.administrator_def()
+        assert [c.name for c in lax.conditions] == ["keep_token_while_serving", "confirm_before_handover"]
+        assert (lax.name, lax.factors, lax.acceptance) == ("lax_administrator", admin.factors, None)
 
     def test_corpus_directory_has_no_strays(self):
         assert {p.stem for p in CORPUS.glob("*.pw")} == set(examples.names())
