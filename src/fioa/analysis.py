@@ -37,6 +37,7 @@ from .channels import (
     Edge,
     RestrictedAutomaton,
     cbr,
+    channel_str,
     flatten,
     is_protocol,
     open_components,
@@ -402,7 +403,8 @@ def trace_equivalent(
         o2 = r2.base.outputs[ch.out_component].characters
         if o1 != o2:
             raise WiringError(
-                f"channel {ch} carries {sorted(o1)} on one side, {sorted(o2)} on the other"
+                f"channel {channel_str(r1, ch)} carries {sorted(o1)} on one side, "
+                f"{sorted(o2)} on the other"
             )
     sufficient = len(r1.graph.edges) * len(r2.graph.edges)
     v1, v2 = _EventView(r1), _EventView(r2)

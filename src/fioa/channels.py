@@ -28,10 +28,10 @@ from .core import (
     StateVector,
     Transition,
     is_silent,
+    state_str,
 )
 from .errors import (
     CapacityExceeded,
-    ChoiceOutOfRange,
     PreconditionError,
     SchedulerError,
     WiringError,
@@ -177,6 +177,19 @@ class RestrictedAutomaton:
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", self.base.name)
+
+
+def channel_str(r: RestrictedAutomaton, ch: Channel) -> str:
+    """`sender>receiver`, each end by its flat component name (`u.svc>c.svc`)."""
+    return f"{r.base.outputs[ch.out_component].name}>{r.base.inputs[ch.in_component].name}"
+
+
+def config_str(r: RestrictedAutomaton, c: Configuration) -> str:
+    """The state, then `!char@channel` while a character is in flight."""
+    if c.pending is None:
+        return state_str(c.state)
+    ch, char = c.pending
+    return f"{state_str(c.state)} !{char}@{channel_str(r, ch)}"
 
 
 def flatten(r: RestrictedAutomaton) -> Nfioa:
@@ -417,7 +430,7 @@ def is_consistent(r: RestrictedAutomaton) -> Consistency:
     wf = is_well_formed(r)
     if not wf.ok:
         raise PreconditionError(
-            f"{r.name} is not well-formed: excited configuration {wf.witness!r} "
+            f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
             "cannot consume its pending character"
         )
     return graph_consistency(
@@ -480,7 +493,7 @@ def run(
     wf = is_well_formed(r)
     if not wf.ok:
         raise PreconditionError(
-            f"cannot run {r.name}: excited configuration {wf.witness!r} is stuck"
+            f"cannot run {r.name}: excited configuration {config_str(r, wf.witness)} is stuck"
         )
     start = r.graph.initial
     if scheduler == "random":
@@ -504,7 +517,10 @@ def run(
         for step_no, choice in enumerate(script[:step_bound]):
             es = r.graph.edges[cfg]
             if not (0 <= choice < len(es)):
-                raise ChoiceOutOfRange(step_no, choice, len(es), cfg)
+                raise SchedulerError(
+                    f"step {step_no}: choice {choice} out of range "
+                    f"({len(es)} enabled at {config_str(r, cfg)})"
+                )
             e = es[choice]
             trans.append(e.transition)
             cfg = e.target

@@ -25,6 +25,8 @@ from .analysis import LAWS, check_law, safety_query, trace_equivalent
 from .channels import (
     ALL_EDGE_CLASSES,
     RestrictedAutomaton,
+    channel_str,
+    config_str,
     edge_census,
     is_consistent,
     is_protocol,
@@ -36,7 +38,7 @@ from .conditions import is_consistent_cond, is_quasi_deterministic, is_unaffecte
 from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states, state_str
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
-from .errors import CapacityExceeded, ChoiceOutOfRange, WorkbenchError
+from .errors import CapacityExceeded, WorkbenchError
 from .network import BuiltNetwork
 from .product import weak_product
 
@@ -83,19 +85,12 @@ def _restricted(built: BuiltNetwork) -> RestrictedAutomaton:
     return built.restricted
 
 
-def _cfg_str(built: BuiltNetwork, cfg) -> str:
-    if cfg.pending is None:
-        return state_str(cfg.state)
-    ch, char = cfg.pending
-    return f"{state_str(cfg.state)} !{char}@{built.compiled.channel_label(ch)}"
-
-
-def _print_trace(built: BuiltNetwork, res) -> None:
-    a = built.automaton
+def _print_trace(r: RestrictedAutomaton, res) -> None:
+    a = r.base
     for i, t in enumerate(res.transitions):
         print(
-            f"{i}\t{_cfg_str(built, res.configs[i])}\t{label_str(t.input, a.inputs)}"
-            f"\t{label_str(t.output, a.outputs)}\t{_cfg_str(built, res.configs[i + 1])}"
+            f"{i}\t{config_str(r, res.configs[i])}\t{label_str(t.input, a.inputs)}"
+            f"\t{label_str(t.output, a.outputs)}\t{config_str(r, res.configs[i + 1])}"
         )
 
 
@@ -108,7 +103,7 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
     built = env.networks.get(target)
     a = _automaton(env, target)
     r = built.restricted if built is not None else None
-    place = partial(_cfg_str, built) if r is not None else state_str
+    place = partial(config_str, r) if r is not None else state_str
     if kind == "valid":
         return True, f"{len(a.states)} states"
     if kind == "deterministic":
@@ -122,13 +117,6 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
             return True, "every sent character can be consumed"
         return False, f"stuck excited configuration {place(wf.witness)}"
     if kind == "consistent":
-        if r is not None:
-            wf = is_well_formed(r)
-            if not wf.ok:
-                raise _UsageError(
-                    f"{r.name} is not well-formed: excited configuration "
-                    f"{place(wf.witness)} cannot consume its pending character"
-                )
         rep = is_consistent(r) if r is not None else is_consistent_cond(a)
         nodes = "configurations" if r is not None else "states"
         if rep.ok:
@@ -295,28 +283,19 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     _doc, env = _load(args.file)
-    built = _network(env, args.network)
-    r = _restricted(built)
-    wf = is_well_formed(r)
-    if not wf.ok:
-        raise _UsageError(
-            f"cannot run {r.name}: excited configuration {_cfg_str(built, wf.witness)} is stuck"
-        )
+    r = _restricted(_network(env, args.network))
     if args.scheduler == "script":
         if not args.script:
             raise _UsageError("--scheduler script needs --script FILE")
         with open(args.script, "r", encoding="utf-8") as handle:
             script = [int(line) for line in handle.read().split()]
-        try:
-            res = run_graph(r, "scripted", step_bound=args.bound, script=script)
-        except ChoiceOutOfRange as exc:
-            raise _UsageError(exc.describe(partial(_cfg_str, built))) from None
-        _print_trace(built, res)
+        res = run_graph(r, "scripted", step_bound=args.bound, script=script)
+        _print_trace(r, res)
         print(f"steps: {len(res)}")
         return EX_OK
     if args.scheduler == "random":
         res = run_graph(r, "random", step_bound=args.bound, seed=args.seed)
-        _print_trace(built, res)
+        _print_trace(r, res)
         print(f"steps: {len(res)}")
         if len(res) < args.bound:
             print("halted: deadlock")
@@ -368,9 +347,8 @@ def cmd_laws(args) -> int:
 
 def cmd_equiv(args) -> int:
     _doc, env = _load(args.file)
-    b1 = _network(env, args.net1)
-    b2 = _network(env, args.net2)
-    te = trace_equivalent(_restricted(b1), _restricted(b2), bound=args.bound)
+    r1 = _restricted(_network(env, args.net1))
+    te = trace_equivalent(r1, _restricted(_network(env, args.net2)), bound=args.bound)
     print(f"sufficient bound: {te.sufficient_bound}")
     print(f"bound used: {te.bound_used}")
     if te.equal:
@@ -379,7 +357,7 @@ def cmd_equiv(args) -> int:
     print("equivalent: no")
     print(f"distinguishing trace ({len(te.distinguishing)} events):")
     for ch, char in te.distinguishing:
-        print(f"  {b1.compiled.channel_label(ch)} {char}")
+        print(f"  {channel_str(r1, ch)} {char}")
     return EX_FAIL
 
 
@@ -422,8 +400,7 @@ def _predicate(text: str):
 
 def cmd_safety(args) -> int:
     _doc, env = _load(args.file)
-    built = _network(env, args.network)
-    r = _restricted(built)
+    r = _restricted(_network(env, args.network))
     code = _predicate(args.predicate)
 
     def bad(cfg) -> bool:
@@ -448,15 +425,14 @@ def cmd_safety(args) -> int:
         print(f"configurations checked: {len(r.graph.edges)}")
         return EX_OK
     print("safe: no")
-    print(f"violation: {_cfg_str(built, rep.violation)}")
+    print(f"violation: {config_str(r, rep.violation)}")
     print(f"path length: {len(rep.path)}")
-    cfg = r.graph.initial
-    print(f"  start {_cfg_str(built, cfg)}")
-    a = built.automaton
+    print(f"  start {config_str(r, r.graph.initial)}")
+    a = r.base
     for e in rep.path:
         print(
             f"  {label_str(e.transition.input, a.inputs)} / "
-            f"{label_str(e.transition.output, a.outputs)} -> {_cfg_str(built, e.target)}"
+            f"{label_str(e.transition.output, a.outputs)} -> {config_str(r, e.target)}"
         )
     return EX_FAIL
 
@@ -591,9 +567,5 @@ def cli(argv=None) -> int:
         return EX_USAGE
 
 
-def main(argv=None) -> int:
-    return cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli())

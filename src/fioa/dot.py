@@ -8,7 +8,7 @@ byte-identical and diffs of exports track real changes.
 from __future__ import annotations
 
 from .core import Nfioa, VectorChar, label_str, state_str
-from .channels import Channel, Configuration, RestrictedAutomaton
+from .channels import Channel, Configuration, RestrictedAutomaton, config_str
 
 
 def _esc(s: str) -> str:
@@ -50,13 +50,9 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
     ids = {c: f"c{i}" for i, c in enumerate(nodes)}
     lines = [f'digraph "{_esc(r.name)}" {{', "  rankdir=LR;", '  node [shape=ellipse];']
     for c in nodes:
-        text = state_str(c.state)
-        attrs = []
+        attrs = [f'label="{_esc(config_str(r, c))}"']
         if c.pending is not None:
-            chan, char = c.pending
-            text += f" !{char}@{chan.out_component}>{chan.in_component}"
             attrs.append("style=dashed")
-        attrs.insert(0, f'label="{_esc(text)}"')
         if c == r.graph.initial:
             attrs.append("penwidth=2")
         lines.append(f"  {ids[c]} [{', '.join(attrs)}];")

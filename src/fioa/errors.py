@@ -1,4 +1,9 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench.
+
+Messages are worded for the user: the CLI prints each one as
+``error: <message>`` and exits 2, so a library caller reads the same text.
+A configuration in a message is spelled by `channels.config_str`.
+"""
 
 
 class WorkbenchError(Exception):
@@ -31,25 +36,6 @@ class PreconditionError(WorkbenchError):
 
 class SchedulerError(WorkbenchError):
     """A run asked for a scheduler or a choice that does not exist."""
-
-
-class ChoiceOutOfRange(SchedulerError):
-    """A scripted run chose a move its configuration does not offer.
-
-    `describe(place)` words the error with `place` naming the
-    configuration, so a caller that knows the network's channel labels can
-    print them instead of the raw configuration.
-    """
-
-    def __init__(self, step: int, choice: int, enabled: int, config):
-        self.step, self.choice, self.enabled, self.config = step, choice, enabled, config
-        super().__init__(self.describe(repr))
-
-    def describe(self, place) -> str:
-        return (
-            f"step {self.step}: choice {self.choice} out of range "
-            f"({self.enabled} enabled at {place(self.config)})"
-        )
 
 
 class StepRejected(WorkbenchError):

@@ -5,12 +5,15 @@ under local aliases (with optional initial-state overrides), channels
 between factor-qualified components, conditions scoped to factor subsets,
 and an optional acceptance override for the composite.  Compiling a
 network resolves every factor-qualified reference to flat indices;
-building it runs the product and restriction machinery.
+building it runs the product and restriction machinery.  Each flat
+component is named after its factor alias (`u.svc`); a network used as a
+factor keeps its inner alias too (`m.u.svc`).  Those names are how
+`channels.channel_str` prints a channel.
 
-Networks with channels are explored lazily — the ring examples have
-six-figure raw product state counts but only a few hundred reachable
-configurations.  Channel-free networks (pure condition coordination) are
-built eagerly so the result keeps its full state set.
+Networks with channels are explored lazily — `ring3` has 884,736 product
+states but only 909 reachable configurations.  Channel-free networks
+(pure condition coordination) are built eagerly so the result keeps its
+full state set.
 """
 
 from __future__ import annotations
@@ -127,23 +130,6 @@ class CompiledNetwork:
     index: ProductIndex
     channels: tuple[Channel, ...]
     conditions: tuple[Condition, ...]
-
-    def channel_label(self, ch: Channel) -> str:
-        """Human-readable 'sender.comp>receiver.comp' for a flat channel."""
-        send = self._locate(ch.out_component, self.index.output_slices)
-        recv = self._locate(ch.in_component, self.index.input_slices)
-        sf, sc = send
-        rf, rc = recv
-        return (
-            f"{self.factors[sf].name}.{self.factors[sf].outputs[sc].name.split('.')[-1]}"
-            f">{self.factors[rf].name}.{self.factors[rf].inputs[rc].name.split('.')[-1]}"
-        )
-
-    def _locate(self, flat: int, slices) -> tuple[int, int]:
-        for f, (off, width) in enumerate(slices):
-            if off <= flat < off + width:
-                return f, flat - off
-        raise WiringError(f"component index {flat} outside the network interface")
 
 
 def _alias_index(spec: NetworkSpec) -> dict[str, int]:

@@ -17,6 +17,7 @@ from fioa import (
     WiringError,
     automata_equal,
     cbr,
+    channel_str,
     check_law,
     cond,
     examples,
@@ -372,9 +373,8 @@ class TestTraceEquivalence:
             (Channel(6, 2), "timeout"),
             (Channel(8, 0), "req"),
         )
-        compiled = resolved.networks["busy_quasi"].compiled
-        labels = [compiled.channel_label(ch) for ch, _ in verdict.distinguishing]
-        assert labels == ["t1.clk>a1.clk", "u1.svc>a1.svc"]
+        labels = [channel_str(quasi, ch) for ch, _ in verdict.distinguishing]
+        assert labels == ["t1.clk>a1.r.clk", "u1.svc>a1.c.svc"]
 
     def test_too_small_a_bound_hides_the_difference(self, ring_eq_env):
         det = ring_eq_env.networks["ring_det"].restricted
@@ -409,8 +409,12 @@ class TestTraceEquivalence:
             transitions=base.transitions,
         )
         other = cbr(widened, mutex.channels)
-        with pytest.raises(WiringError, match="carries"):
+        with pytest.raises(WiringError) as caught:
             trace_equivalent(mutex, other)
+        assert str(caught.value) == (
+            "channel u.svc>c.svc carries ['fin', 'req'] on one side, "
+            "['fin', 'ping', 'req'] on the other"
+        )
 
     def test_every_network_is_equivalent_to_itself(self, all_restrictions):
         from fioa import is_well_formed

@@ -163,12 +163,19 @@ class TestWellFormedness:
         assert broken.graph.edges[verdict.witness] == ()
 
     def test_consistency_refuses_ill_formed_graphs(self, broken):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as caught:
             is_consistent(broken)
+        assert str(caught.value) == (
+            "closed_mutex is not well-formed: excited configuration "
+            "try|remn !req@u.svc>c.svc cannot consume its pending character"
+        )
 
     def test_running_an_ill_formed_graph_is_refused(self, broken):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as caught:
             run(broken, "random")
+        assert str(caught.value) == (
+            "cannot run closed_mutex: excited configuration try|remn !req@u.svc>c.svc is stuck"
+        )
 
 
 class TestConsistency:
@@ -264,8 +271,12 @@ class TestSchedulers:
         assert r.configs[0] == r.configs[-1] == mutex.graph.initial
 
     def test_scripted_run_rejects_out_of_range_choice(self, mutex):
-        with pytest.raises(SchedulerError, match="out of range"):
+        with pytest.raises(SchedulerError) as caught:
             run(mutex, "scripted", 8, script=[0, 3])
+        assert type(caught.value) is SchedulerError
+        assert str(caught.value) == (
+            "step 1: choice 3 out of range (1 enabled at try|remn !req@u.svc>c.svc)"
+        )
 
     def test_scripted_run_requires_a_script(self, mutex):
         with pytest.raises(SchedulerError):

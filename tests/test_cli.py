@@ -1,7 +1,10 @@
 """Command-line interface: exit codes and output contracts."""
 from __future__ import annotations
 
+import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 from functools import partial
@@ -249,6 +252,30 @@ class TestRun:
         assert out[0].startswith("0\tremn|remn\t-\tu.svc.req")
         assert "steps: 6" in out[-1]
 
+    @pytest.mark.parametrize(
+        "path, network, seed, bound, sends",
+        [
+            (MUTEX, "closed_mutex", "1", "6", ["!req@u.svc>c.svc", "!cf_req@c.svc>u.svc"]),
+            (MITM, "mitm_relayed", "3", "4", ["!req@m.u.svc>c2.svc", "!req@u1.svc>m.c.svc"]),
+        ],
+        ids=["closed_mutex", "mitm_relayed"],
+    )
+    def test_channel_ends_read_like_the_label_columns(
+        self, path, network, seed, bound, sends, capsys
+    ):
+        assert cli(["run", path, network, "--seed", seed, "--bound", bound]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert all(send in "\n".join(row[4] for row in rows) for send in sends)
+        for _step, before, consumed, emitted, after in rows:
+            if consumed != "-":  # the excited configuration names its reader
+                component, char = consumed.rsplit(".", 1)
+                _state, pending = before.split(" !")
+                assert pending.startswith(f"{char}@") and pending.endswith(f">{component}")
+            if " !" in after:  # and the one a send reaches names its writer
+                component, char = emitted.rsplit(".", 1)
+                _state, pending = after.split(" !")
+                assert pending.startswith(f"{char}@{component}>")
+
     def test_runs_are_reproducible_per_seed(self, capsys):
         cli(["run", MUTEX, "closed_mutex", "--bound", "9", "--seed", "4"])
         first = capsys.readouterr().out
@@ -489,8 +516,24 @@ def test_importing_the_cli_loads_no_graph_library():
     assert done.stdout.strip() == "False"
 
 
+_HASH_SEED_PROBE = """
+import contextlib, io, json, sys
+from fioa.cli import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
-    """A document's errors and verdicts read the same under any PYTHONHASHSEED."""
+    """Every command's output reads the same under any PYTHONHASHSEED.
+
+    One interpreter per seed runs the whole command list through `cli`.
+    """
     bad = tmp_path / "bad.pw"
     bad.write_text(
         "automaton Blinker {\n"
@@ -500,19 +543,54 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         "}\n",
         encoding="utf-8",
     )
+    commands = [["validate", str(bad)], ["validate", RING_EQ]]
+    for path, network in (
+        (MUTEX, "closed_mutex"),
+        (RING2, "ring2"),
+        (MITM, "mitm_relayed"),
+        (RING_EQ, "ring_quasi"),
+        (RING_EQ, "ring_sticky"),
+    ):
+        commands += [
+            ["cbr", path, network],
+            ["cond", path, network],
+            *(["check", kind, path, network] for kind in ("wellformed", "consistent", "quasidet")),
+            ["dot", path, network],
+            ["run", path, network, "--seed", "1", "--bound", "12"],
+        ]
+    commands += [
+        ["equiv", MITM, "mitm", "mitm_relayed"],
+        ["equiv", RING_EQ, "ring_quasi", "ring_det"],
+        ["equiv", RING_EQ, "ring_quasi", "ring_sticky"],
+    ]
     src = Path(fioa.__file__).resolve().parent.parent
 
-    def fioa_under(seed: str, *args: str) -> tuple[int, str, str]:
+    def outputs_under(seed: str) -> list:
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
         done = subprocess.run(
-            [sys.executable, "-m", "fioa", *args], env=env, capture_output=True, text=True
+            [sys.executable, "-c", _HASH_SEED_PROBE, json.dumps(commands)],
+            env=env,
+            capture_output=True,
+            text=True,
         )
-        return done.returncode, done.stdout, done.stderr
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
 
-    # Seeds 0 and 4 once named different states here, when the parser read them from a set.
-    first = fioa_under("0", "validate", str(bad))
-    assert first == (2, "", "error: line 1, col 11: acceptance names undeclared state 'dusk'\n")
-    assert fioa_under("4", "validate", str(bad)) == first
-    verdicts = fioa_under("0", "validate", RING_EQ)
-    assert verdicts[0] == 0
-    assert fioa_under("4", "validate", RING_EQ) == verdicts
+    # Seeds 0 and 4 once named different states in the first command, when
+    # the parser read them from a set.
+    first = outputs_under("0")
+    assert first[0] == [2, "", "error: line 1, col 11: acceptance names undeclared state 'dusk'\n"]
+    assert first[1][0] == 0
+    assert {code for code, _out, _err in first} == {0, 1, 2}
+    assert outputs_under("4") == first
+
+
+def test_the_entry_points_run_the_cli(monkeypatch, capsys):
+    """`python -m fioa` and the `fioa` console script both dispatch to `cli`."""
+    pyproject = (CORPUS.parent.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^fioa = "fioa\.cli:cli"$', pyproject, re.M)
+    monkeypatch.setattr(sys, "argv", ["fioa", "examples", "list"])
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_module("fioa", run_name="__main__")
+    assert caught.value.code == 0
+    assert tuple(capsys.readouterr().out.split()) == examples.names()

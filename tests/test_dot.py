@@ -68,7 +68,7 @@ class TestConfigGraphExport:
     def test_excited_configurations_are_marked(self, mutex):
         dot = export_dot(mutex)
         assert dot.count("style=dashed") == 4
-        assert "!req@0>1" in dot  # pending request, sender 0 to receiver 1
+        assert "!req@u.svc>c.svc" in dot  # pending request, named by its channel
 
     def test_initial_configuration_is_bold(self, mutex):
         dot = export_dot(mutex)

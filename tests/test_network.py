@@ -19,6 +19,7 @@ from fioa import (
     PatternSpec,
     WiringError,
     build_network,
+    channel_str,
     compile_network,
     examples,
     is_well_formed,
@@ -127,10 +128,8 @@ class TestCompile:
         assert c.scope.state_components == (1,)
 
     def test_channel_label_is_factor_qualified(self):
-        compiled = compile_network(
-            mutex_spec(channels=(ChannelSpec("u", "svc", "c", "svc"),))
-        )
-        assert compiled.channel_label(Channel(0, 1)) == "u.svc>c.svc"
+        built = build_network(mutex_spec(channels=(ChannelSpec("u", "svc", "c", "svc"),)))
+        assert channel_str(built.restricted, Channel(0, 1)) == "u.svc>c.svc"
 
     def test_literal_pattern_compiles_to_flat_component(self):
         spec = mutex_spec(
