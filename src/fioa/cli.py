@@ -9,6 +9,9 @@ seeded random instances; ``equiv`` compares channel-event traces;
 ``safety`` searches reachable configurations for a predicate; ``dot``
 renders diagrams; ``examples`` lists and emits the bundled corpus.
 
+Commands that ask about a configuration graph take any automaton or
+network name: without channels, the configurations are the reachable states.
+
 Exit codes: 0 when the command succeeds and any queried property holds,
 1 when a queried property fails (a witness is printed), 2 on usage,
 parse, or capacity errors.
@@ -18,13 +21,13 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from functools import partial
 
 from . import examples as _corpus
 from .analysis import LAWS, check_law, safety_query, trace_equivalent
 from .channels import (
     ALL_EDGE_CLASSES,
     RestrictedAutomaton,
+    cbr,
     channel_str,
     config_str,
     edge_census,
@@ -34,11 +37,11 @@ from .channels import (
     open_components,
     run as run_graph,
 )
-from .conditions import is_consistent_cond, is_quasi_deterministic, is_unaffected
-from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states, state_str
+from .conditions import is_quasi_deterministic, is_unaffected
+from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
-from .errors import CapacityExceeded, WorkbenchError
+from .errors import CapacityExceeded, PreconditionError, WorkbenchError
 from .network import BuiltNetwork
 from .product import weak_product
 
@@ -79,10 +82,15 @@ def _network(env: ResolvedDocument, name: str) -> BuiltNetwork:
         ) from None
 
 
-def _restricted(built: BuiltNetwork) -> RestrictedAutomaton:
-    if built.restricted is None:
-        raise _UsageError(f"network {built.name!r} wires no channels")
-    return built.restricted
+def _graph(env: ResolvedDocument, name: str) -> RestrictedAutomaton:
+    """A name's configuration graph; a channel-free network's is explored on
+    demand, under conditions its eager build already survived."""
+    built = env.networks.get(name)
+    if built is None:
+        return cbr(_automaton(env, name))
+    if built.restricted is not None:
+        return built.restricted
+    return cbr(built.automaton, conditions=built.compiled.conditions)
 
 
 def _print_trace(r: RestrictedAutomaton, res) -> None:
@@ -100,33 +108,26 @@ def _print_trace(r: RestrictedAutomaton, res) -> None:
 
 
 def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool, str]:
-    built = env.networks.get(target)
     a = _automaton(env, target)
-    r = built.restricted if built is not None else None
-    place = partial(config_str, r) if r is not None else state_str
     if kind == "valid":
         return True, f"{len(a.states)} states"
     if kind == "deterministic":
         c = classify(a)
         return c.is_deterministic, "at most one move per state and input" if c.is_deterministic else "nondeterministic"
+    r = _graph(env, target)
     if kind == "wellformed":
-        if r is None:
-            return False, "needs a channel-coupled network"
         wf = is_well_formed(r)
         if wf.ok:
             return True, "every sent character can be consumed"
-        return False, f"stuck excited configuration {place(wf.witness)}"
+        return False, f"stuck excited configuration {config_str(r, wf.witness)}"
     if kind == "consistent":
-        rep = is_consistent(r) if r is not None else is_consistent_cond(a)
-        nodes = "configurations" if r is not None else "states"
+        rep = is_consistent(r)
         if rep.ok:
-            return True, f"{len(rep.anchors)} anchor {nodes}"
+            return True, f"{len(rep.anchors)} anchor configurations"
         if not rep.anchors:
-            return False, f"acceptance is met in none of the reachable {nodes} (0 anchors)"
-        return False, f"acceptance unreachable from {place(rep.witness)}"
+            return False, "acceptance is met in none of the reachable configurations (0 anchors)"
+        return False, f"acceptance unreachable from {config_str(r, rep.witness)}"
     if kind == "protocol":
-        if r is None:
-            return False, "needs a channel-coupled network"
         if is_protocol(r):
             return True, "all components wired"
         open_in, open_out = open_components(r)
@@ -134,11 +135,11 @@ def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool,
         names += [f"output {a.outputs[k].name}" for k in open_out]
         return False, "open components: " + ", ".join(names)
     if kind == "quasidet":
-        qd = is_quasi_deterministic(r if r is not None else a)
+        qd = is_quasi_deterministic(r)
         if qd.ok:
             return True, "at most one move per input everywhere"
         where, label, clashing = qd.witness
-        return False, f"{len(clashing)} moves on {label_str(label, a.inputs)} from {place(where)}"
+        return False, f"{len(clashing)} moves on {label_str(label, a.inputs)} from {config_str(r, where)}"
     raise _UsageError(f"unknown check kind {kind!r}")
 
 
@@ -172,7 +173,10 @@ def cmd_validate(args) -> int:
             )
     failures = 0
     for d in doc.directives:
-        ok, detail = _run_directive(env, d.kind, d.target)
+        try:
+            ok, detail = _run_directive(env, d.kind, d.target)
+        except PreconditionError as exc:
+            ok, detail = False, str(exc)
         print(f"check {d.kind} {d.target}: {'ok' if ok else 'FAIL'} ({detail})")
         failures += 0 if ok else 1
     return EX_FAIL if failures else EX_OK
@@ -198,10 +202,9 @@ def cmd_product(args) -> int:
 
 def cmd_cbr(args) -> int:
     _doc, env = _load(args.file)
-    built = _network(env, args.network)
-    r = _restricted(built)
+    r = _graph(env, args.network)
     g = r.graph
-    print(f"network {built.name}")
+    print(f"{'network' if args.network in env.networks else 'automaton'} {r.name}")
     print(f"configurations: {len(g.edges)}")
     print(f"edges: {g.edge_count}")
     print(f"channels: {len(r.channels)}")
@@ -283,7 +286,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     _doc, env = _load(args.file)
-    r = _restricted(_network(env, args.network))
+    r = _graph(env, args.network)
     if args.scheduler == "script":
         if not args.script:
             raise _UsageError("--scheduler script needs --script FILE")
@@ -347,8 +350,8 @@ def cmd_laws(args) -> int:
 
 def cmd_equiv(args) -> int:
     _doc, env = _load(args.file)
-    r1 = _restricted(_network(env, args.net1))
-    te = trace_equivalent(r1, _restricted(_network(env, args.net2)), bound=args.bound)
+    r1 = _graph(env, args.net1)
+    te = trace_equivalent(r1, _graph(env, args.net2), bound=args.bound)
     print(f"sufficient bound: {te.sufficient_bound}")
     print(f"bound used: {te.bound_used}")
     if te.equal:
@@ -400,7 +403,7 @@ def _predicate(text: str):
 
 def cmd_safety(args) -> int:
     _doc, env = _load(args.file)
-    r = _restricted(_network(env, args.network))
+    r = _graph(env, args.network)
     code = _predicate(args.predicate)
 
     def bad(cfg) -> bool:
@@ -492,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="+")
     p.set_defaults(handler=cmd_product)
 
-    p = sub.add_parser("cbr", help="channel-based restriction report for a network")
+    p = sub.add_parser("cbr", help="configuration-graph report for an automaton or network")
     p.add_argument("file")
     p.add_argument("network")
     p.set_defaults(handler=cmd_cbr)
@@ -511,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("run", help="walk a network's configuration graph")
+    p = sub.add_parser("run", help="walk the configuration graph of an automaton or network")
     p.add_argument("file")
     p.add_argument("network")
     p.add_argument("--scheduler", choices=["random", "exhaustive", "script"], default="random")
@@ -525,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=200)
     p.set_defaults(handler=cmd_laws)
 
-    p = sub.add_parser("equiv", help="channel-event trace equivalence of two networks")
+    p = sub.add_parser("equiv", help="channel-event trace equivalence of two automata or networks")
     p.add_argument("file")
     p.add_argument("net1")
     p.add_argument("net2")

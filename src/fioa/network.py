@@ -253,7 +253,8 @@ class BuiltNetwork:
 
     `automaton` is always present (the flat result); `restricted` is the
     configuration-graph form, present exactly when the network wires
-    channels.
+    channels.  A channel-free network is built eagerly; the CLI explores its
+    graph, `cbr(automaton, conditions=compiled.conditions)`, on demand.
     """
 
     compiled: CompiledNetwork

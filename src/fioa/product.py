@@ -2,9 +2,9 @@
 
 The flattened representation is literal concatenation — product states are
 the factor state tuples glued together, and the input/output interfaces
-are the factor interfaces side by side.  That makes re-bracketing a pure
-bookkeeping operation (`associate`) and lets differently-grouped
-constructions be compared with plain equality.
+are the factor interfaces side by side.  So differently-grouped
+constructions such as ((A⊗B)⊗C) and (A⊗(B⊗C)) flatten to the same
+automaton and compare with plain equality.
 """
 
 from __future__ import annotations
@@ -78,24 +78,6 @@ class ProductIndex:
     def output_of(self, vec: tuple, k: int) -> tuple:
         off, w = self.output_slices[k]
         return vec[off : off + w]
-
-    def regroup(self, groups: Sequence[Sequence[int]]) -> "ProductIndex":
-        flat = [i for g in groups for i in g]
-        if flat != list(range(self.factor_count)):
-            raise WiringError(
-                "regrouping must re-bracket the factors in order; permutations are out of scope"
-            )
-
-        def merge(slices):
-            return tuple(
-                (slices[g[0]][0], sum(slices[i][1] for i in g)) for g in groups
-            )
-
-        return ProductIndex(
-            state_slices=merge(self.state_slices),
-            input_slices=merge(self.input_slices),
-            output_slices=merge(self.output_slices),
-        )
 
 
 def _qualified(factor: Nfioa, comps: tuple[ComponentAlphabet, ...]):
@@ -197,18 +179,6 @@ def weak_product(
         transitions=transitions,
     )
     return product, lazy.index
-
-
-def associate(
-    product: Nfioa, index: ProductIndex, regrouping: Sequence[Sequence[int]]
-) -> tuple[Nfioa, ProductIndex]:
-    """Re-bracket a product's factors without touching the automaton.
-
-    Because flattening is literal concatenation, ((A⊗B)⊗C) and (A⊗(B⊗C))
-    are the same flat automaton; only the index bookkeeping changes.
-    Permutations are rejected.
-    """
-    return product, index.regroup(regrouping)
 
 
 def _placed(vc: VectorChar, offset: int, width: int) -> VectorChar:

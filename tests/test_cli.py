@@ -75,9 +75,6 @@ class TestRestrictionReports:
         assert "census relaxed/silent-in/channel-out: 4" in out
         assert "census excited/consume/silent-out: 4" in out
 
-    def test_cbr_needs_a_channel_network(self, capsys):
-        assert cli(["cbr", ADMIN, "administrator"]) == 2
-
     def test_hitting_the_configuration_cap_is_a_usage_error(self, monkeypatch, capsys):
         import fioa.network
 
@@ -93,6 +90,77 @@ class TestRestrictionReports:
         assert "conditions: 4" in out
         assert "transitions kept: 20 of 24" in out
         assert "reachable states: 11" in out
+
+
+# A network without channels, like a plain automaton, is a restriction by
+# no channels; `{tmp}` is a directory holding broken_mutex.pw with three
+# checks appended, the second of which fails its precondition.
+_ANSWERS = [
+    (
+        "cbr-administrator",
+        ["cbr", ADMIN, "administrator"],
+        0,
+        ["network administrator", "configurations: 11", "edges: 18", "channels: 0", "conditions: 4"],
+    ),
+    (
+        "run-administrator",
+        ["run", ADMIN, "administrator", "--bound", "5"],
+        0,
+        ["0\tremn|abst\tc.svc.req\t-\ttry|abst"],
+    ),
+    (
+        "safety-administrator",
+        ["safety", ADMIN, "administrator", "--predicate", "state[0] == 'crit'"],
+        1,
+        ["safe: no", "violation: crit|avlb", "path length: 3"],
+    ),
+    (
+        "equiv-administrator",
+        ["equiv", ADMIN, "administrator", "administrator"],
+        0,
+        ["sufficient bound: 121", "bound used: None", "equivalent: yes"],
+    ),
+    (
+        "wellformed-administrator",
+        ["check", "wellformed", ADMIN, "administrator"],
+        0,
+        ["wellformed: yes (every sent character can be consumed)"],
+    ),
+    (
+        "protocol-administrator",
+        ["check", "protocol", ADMIN, "administrator"],
+        1,
+        [
+            "protocol: no (open components: input c.svc, input r.ring, input r.clk, "
+            "output c.svc, output r.trig, output r.ring)"
+        ],
+    ),
+    ("cbr-User", ["cbr", MUTEX, "User"], 0, ["automaton User", "configurations: 4"]),
+    (
+        "validate-precondition",
+        ["validate", "{tmp}/checks.pw"],
+        1,
+        [
+            "check wellformed closed_mutex: FAIL (stuck excited configuration try|remn !req@u.svc>c.svc)",
+            "check consistent closed_mutex: FAIL (closed_mutex is not well-formed: "
+            "excited configuration try|remn !req@u.svc>c.svc cannot consume its pending character)",
+            "check protocol closed_mutex: ok (all components wired)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown", [row[1:] for row in _ANSWERS], ids=[row[0] for row in _ANSWERS]
+)
+def test_every_name_has_a_configuration_graph(argv, code, shown, tmp_path, capsys):
+    checks = "check wellformed closed_mutex;\ncheck consistent closed_mutex;\ncheck protocol closed_mutex;\n"
+    (tmp_path / "checks.pw").write_text(
+        (CORPUS / "broken_mutex.pw").read_text(encoding="utf-8") + checks, encoding="utf-8"
+    )
+    assert cli([arg.format(tmp=tmp_path) for arg in argv]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line in shown] == shown
 
 
 class TestCheck:
@@ -141,7 +209,7 @@ class TestCheck:
         )
         assert cli(["check", "consistent", str(path), "Lost"]) == 1
         assert capsys.readouterr().out.strip() == (
-            "consistent: no (acceptance is met in none of the reachable states (0 anchors))"
+            "consistent: no (acceptance is met in none of the reachable configurations (0 anchors))"
         )
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Weakly synchronized products: eager, lazy, and re-bracketing."""
+"""Weakly synchronized products: eager, lazy, and differently grouped."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +15,6 @@ from fioa import (
     Transition,
     WiringError,
     acceptance_within,
-    associate,
     automata_equal,
     examples,
     random_nfioa,
@@ -123,14 +122,6 @@ class TestEagerProduct:
 
 
 class TestAssociate:
-    def test_rebracketing_keeps_the_flat_automaton(self):
-        factors = [examples.user_role(), examples.server_role(), examples.timer_role()]
-        prod, index = weak_product(factors)
-        regrouped, idx2 = associate(prod, index, [[0, 1], [2]])
-        assert regrouped is prod
-        assert idx2.factor_count == 2
-        assert idx2.state_slices == ((0, 2), (2, 1))
-
     def test_differently_built_groupings_flatten_identically(self):
         u, s, t = examples.user_role(), examples.server_role(), examples.timer_role()
         left, _ = weak_product([weak_product([u, s])[0], t])
@@ -138,11 +129,6 @@ class TestAssociate:
         flat, _ = weak_product([u, s, t])
         for other in (left, right):
             assert automata_equal(flat, other, up_to_reachability=False).equal
-
-    def test_permutations_are_rejected(self):
-        prod, index = weak_product([examples.user_role(), examples.server_role()])
-        with pytest.raises(WiringError):
-            index.regroup([[1], [0]])
 
 
 class TestLazyProduct:
