@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from functools import cache, partial
+from typing import Callable
 
 from . import examples as _corpus
 from .analysis import LAWS, check_law, safety_query, trace_equivalent
@@ -84,13 +86,13 @@ def _network(env: ResolvedDocument, name: str) -> BuiltNetwork:
 
 def _graph(env: ResolvedDocument, name: str) -> RestrictedAutomaton:
     """A name's configuration graph; a channel-free network's is explored on
-    demand, under conditions its eager build already survived."""
+    demand from its eager build, whose transitions survived its conditions."""
     built = env.networks.get(name)
     if built is None:
         return cbr(_automaton(env, name))
     if built.restricted is not None:
         return built.restricted
-    return cbr(built.automaton, conditions=built.compiled.conditions)
+    return cbr(built.automaton)
 
 
 def _print_trace(r: RestrictedAutomaton, res) -> None:
@@ -107,14 +109,17 @@ def _print_trace(r: RestrictedAutomaton, res) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool, str]:
+def _run_directive(
+    env: ResolvedDocument, kind: str, target: str, graph: Callable[[str], RestrictedAutomaton]
+) -> tuple[bool, str]:
+    """One check on `target`, whose configuration graph `graph` gives."""
     a = _automaton(env, target)
     if kind == "valid":
         return True, f"{len(a.states)} states"
     if kind == "deterministic":
         c = classify(a)
         return c.is_deterministic, "at most one move per state and input" if c.is_deterministic else "nondeterministic"
-    r = _graph(env, target)
+    r = graph(target)
     if kind == "wellformed":
         wf = is_well_formed(r)
         if wf.ok:
@@ -172,9 +177,11 @@ def cmd_validate(args) -> int:
                 f"{len(reachable_states(a))} reachable"
             )
     failures = 0
+    # Each target's graph is explored once, however many checks read it.
+    graph = cache(partial(_graph, env))
     for d in doc.directives:
         try:
-            ok, detail = _run_directive(env, d.kind, d.target)
+            ok, detail = _run_directive(env, d.kind, d.target, graph)
         except PreconditionError as exc:
             ok, detail = False, str(exc)
         print(f"check {d.kind} {d.target}: {'ok' if ok else 'FAIL'} ({detail})")
@@ -203,12 +210,13 @@ def cmd_product(args) -> int:
 def cmd_cbr(args) -> int:
     _doc, env = _load(args.file)
     r = _graph(env, args.network)
+    built = env.networks.get(args.network)
     g = r.graph
-    print(f"{'network' if args.network in env.networks else 'automaton'} {r.name}")
+    print(f"{'network' if built else 'automaton'} {r.name}")
     print(f"configurations: {len(g.edges)}")
     print(f"edges: {g.edge_count}")
     print(f"channels: {len(r.channels)}")
-    print(f"conditions: {len(r.conditions)}")
+    print(f"conditions: {len(built.compiled.conditions) if built else 0}")
     census = edge_census(r)
     for row in ALL_EDGE_CLASSES:
         n = census[row]
@@ -279,7 +287,7 @@ def cmd_check(args) -> int:
             print(f"factor {ref.alias}: {'unaffected' if ok else 'affected'}")
             affected += 0 if ok else 1
         return EX_FAIL if affected else EX_OK
-    ok, detail = _run_directive(env, args.kind, args.network)
+    ok, detail = _run_directive(env, args.kind, args.network, partial(_graph, env))
     print(f"{args.kind}: {'yes' if ok else 'no'} ({detail})")
     return EX_OK if ok else EX_FAIL
 

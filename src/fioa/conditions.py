@@ -38,7 +38,6 @@ from .core import (
     project,
     prune,
     reachable_states,
-    require_valid,
 )
 from .channels import (
     Consistency,
@@ -251,11 +250,10 @@ def cond(
     """
     if isinstance(source, RestrictedAutomaton):
         return cbr(source, conditions=conditions, name=name)
-    a = require_valid(source)
-    reach = reachable_states(a)
+    reach = reachable_states(source)
     deny = veto(conditions)
-    surviving = frozenset(t for t in a.transitions if t.source in reach and not deny(t))
-    return replace(a, name=name or a.name, transitions=surviving)
+    surviving = frozenset(t for t in source.transitions if t.source in reach and not deny(t))
+    return replace(source, name=name or source.name, transitions=surviving)
 
 
 def cond_strict(
@@ -321,7 +319,7 @@ def is_quasi_deterministic(
     if isinstance(source, RestrictedAutomaton):
         edges = source.graph.edges.items()
         return _first_clash((cfg, (e.transition for e in es)) for cfg, es in edges)
-    return _first_clash(_moves_from_initial(require_valid(source)).items())
+    return _first_clash(_moves_from_initial(source).items())
 
 
 def is_unaffected(a: Nfioa, conditions: Iterable[Condition], p) -> bool:
@@ -343,7 +341,5 @@ def is_consistent_cond(a: Nfioa) -> Consistency:
     replaced by reachable states, walked in the same breadth-first order:
     the witness is a stuck state nearest the initial one.
     """
-    succ = {
-        s: [t.target for t in ts] for s, ts in _moves_from_initial(require_valid(a)).items()
-    }
+    succ = {s: [t.target for t in ts] for s, ts in _moves_from_initial(a).items()}
     return graph_consistency(succ, succ.__getitem__, lambda s: s, a.acceptance)

@@ -113,7 +113,13 @@ class Acceptance:
 
 @dataclass(frozen=True)
 class Nfioa:
-    """Nondeterministic finite automaton with vector I/O labels."""
+    """Nondeterministic finite automaton with vector I/O labels.
+
+    Construction, `dataclasses.replace` included, runs `validate` and
+    raises `InvalidAutomaton` with every diagnostic it finds, so every
+    automaton that exists is valid and no operator checks its argument
+    again.
+    """
 
     name: str
     states: frozenset[StateVector]
@@ -133,20 +139,26 @@ class Nfioa:
         acceptance: Acceptance,
         transitions: Iterable[Transition],
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "states", frozenset(tuple(s) for s in states))
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "initial", tuple(initial))
-        object.__setattr__(self, "acceptance", acceptance)
-        # A set that is already normal is kept, so `replace` of another
-        # field does not copy every transition.
+        # Sets that are already normal are kept, so `replace` of another
+        # field copies neither, and the diagnostics walk the caller's sets
+        # in the caller's order.
+        if not (isinstance(states, frozenset) and all(type(s) is tuple for s in states)):
+            states = frozenset(tuple(s) for s in states)
         if not (
             isinstance(transitions, frozenset)
             and all(isinstance(t, Transition) for t in transitions)
         ):
             transitions = frozenset(Transition(*t) for t in transitions)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "initial", tuple(initial))
+        object.__setattr__(self, "acceptance", acceptance)
         object.__setattr__(self, "transitions", transitions)
+        diags = validate(self)
+        if diags:
+            raise InvalidAutomaton(diags)
 
     @property
     def state_width(self) -> int:
@@ -155,6 +167,8 @@ class Nfioa:
 
 def validate(a: Nfioa) -> list[str]:
     """Structural diagnostics for an automaton; empty list means valid.
+
+    `Nfioa` runs it on every automaton it builds.
 
     Checks state-set shape, label widths against the declared interfaces,
     membership of every character in its component's alphabet, the
@@ -255,24 +269,24 @@ class AutomatonClass(NamedTuple):
 
 
 def classify(a: Nfioa) -> AutomatonClass:
-    """Classify a validated automaton.
+    """Classify an automaton.
 
     `is_function`: at most one transition per (state, input label).
     `has_spontaneous`: some transition consumes the silent input.
     Deterministic means both: a function with no spontaneous moves, i.e.
     a Mealy machine.
     """
-    require_valid(a)
     return _classify_valid(a, {(t.source, t.input) for t in a.transitions})
 
 
 def _classify_valid(a: Nfioa, keys: Collection[tuple[StateVector, VectorChar]]) -> AutomatonClass:
-    """`classify` of a valid automaton, given its distinct (source, input) pairs.
+    """`classify` of an automaton, given its distinct (source, input) pairs.
 
-    Validity makes every source a state and every silent input the one
-    all-silent label of the input width, so a spontaneous move shows as a
-    (state, silent) pair.  The pairs may be a step table's keys, so a
-    caller that needs the table anyway builds it only once.
+    Validity, which construction guarantees, makes every source a state
+    and every silent input the one all-silent label of the input width,
+    so a spontaneous move shows as a (state, silent) pair.  The pairs may
+    be a step table's keys, so a caller that needs the table anyway
+    builds it only once.
     """
     silent = epsilon_char(len(a.inputs))
     spontaneous = any((s, silent) in keys for s in a.states)
@@ -412,7 +426,6 @@ def project(a: Nfioa, p: Projection, *, name: str | None = None) -> Nfioa:
     to one value and erasing its characters.  The image can collapse
     states and therefore merge or silence transitions.
     """
-    require_valid(a)
     if len(p.state_maps) != a.state_width:
         raise WiringError(
             f"projection has {len(p.state_maps)} state maps, automaton width is {a.state_width}"

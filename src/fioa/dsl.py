@@ -38,8 +38,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TypeVar
 
-from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, validate
-from .errors import DslError
+from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char
+from .errors import DslError, InvalidAutomaton
 from .network import (
     BuiltNetwork,
     ChannelSpec,
@@ -344,19 +344,20 @@ class _Parser:
             if ocomp is not None:
                 ovec = self._label_vector(tok, outputs, out_names, ocomp, ochar, "output")
             built.append(((src,), (tgt,), ivec, ovec))
-        automaton = Nfioa(
-            name=name_tok.value,
-            states=frozenset((s,) for s in states),
-            inputs=inputs,
-            outputs=outputs,
-            initial=(initial,),
-            acceptance=acceptance,
-            transitions=frozenset(built),
-        )
-        issues = validate(automaton)
-        if issues:
-            raise self.fail(f"automaton {name_tok.value!r} is malformed: {issues[0]}", name_tok)
-        return automaton
+        try:
+            return Nfioa(
+                name=name_tok.value,
+                states=frozenset((s,) for s in states),
+                inputs=inputs,
+                outputs=outputs,
+                initial=(initial,),
+                acceptance=acceptance,
+                transitions=frozenset(built),
+            )
+        except InvalidAutomaton as exc:
+            raise self.fail(
+                f"automaton {name_tok.value!r} is malformed: {exc.diagnostics[0]}", name_tok
+            ) from None
 
     def _label_vector(
         self,

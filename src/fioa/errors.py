@@ -13,8 +13,10 @@ class WorkbenchError(Exception):
 class InvalidAutomaton(WorkbenchError):
     """An automaton failed structural validation.
 
-    Carries the full diagnostic list so callers can report every problem
-    at once instead of fixing them one by one.
+    Raised by `core.Nfioa` when it is built (`dataclasses.replace`
+    included), so no invalid automaton exists.  Carries the full
+    diagnostic list so callers can report every problem at once instead
+    of fixing them one by one.
     """
 
     def __init__(self, diagnostics: list[str]):

@@ -21,7 +21,6 @@ from .core import (
     _classify_valid,
     epsilon_char,
     label_str,
-    require_valid,
     state_str,
 )
 from .errors import PreconditionError, StepRejected
@@ -58,11 +57,10 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
     """Initial snapshot; the machine must be deterministic.
 
     Nondeterminism or spontaneous moves make the step lookup ambiguous,
-    so both are rejected up front.  The machine is validated once, and
-    `classify`'s test reads the step table's keys, so the table is built
-    once too.
+    so both are rejected up front.  `Nfioa` validated the machine when it
+    was built, and `classify`'s test reads the step table's keys, so the
+    table is built once.
     """
-    require_valid(a)
     s = FiniteSystem(
         automaton=a,
         time=0,
@@ -83,13 +81,8 @@ def system_from_dfioa(a: Nfioa) -> FiniteSystem:
 
 def step(s: FiniteSystem, input: VectorChar) -> tuple[VectorChar, FiniteSystem]:
     """Consume one input label; returns (emitted output, next snapshot)."""
-    input = tuple(input)
-    t = s.table.get((s.state, input))
-    if t is None:
-        raise StepRejected(
-            f"no transition from {s.state!r} on input {input!r} at time {s.time}"
-        )
-    return t.output, FiniteSystem(s.automaton, s.time + 1, t.target, input, t.output, s.table)
+    (t,), after = drive(s, (input,))
+    return t.output, after
 
 
 def drive(
@@ -129,7 +122,6 @@ def specifies(a: Nfioa, trace: Sequence[Transition]) -> bool:
     start at the initial state, and each entry must start where the one
     before it ended.  An empty trace is vacuously fine.
     """
-    require_valid(a)
     trace = [Transition(*e) for e in trace]
     if not trace:
         return True

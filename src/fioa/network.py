@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .core import Acceptance, Nfioa, StateVector, require_valid, with_initial
+from .core import Acceptance, Nfioa, StateVector, with_initial
 from .channels import Channel, RestrictedAutomaton, cbr, flatten
 from .conditions import Condition, IoPattern, Scope, cond
 from .errors import WiringError
@@ -159,7 +159,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
     by_alias = _alias_index(spec)
     factors = []
     for ref in spec.factors:
-        a = require_valid(ref.automaton)
+        a = ref.automaton
         if ref.initial is not None:
             a = with_initial(a, ref.initial)
         factors.append(replace(a, name=ref.alias))
@@ -282,11 +282,9 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
         )
         if spec.acceptance is not None:
             r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
-        automaton = require_valid(flatten(r))
-        return BuiltNetwork(compiled, automaton, r)
+        return BuiltNetwork(compiled, flatten(r), r)
     prod, _index = weak_product(compiled.factors, name=spec.name)
     automaton = cond(prod, compiled.conditions, name=spec.name)
     if spec.acceptance is not None:
         automaton = replace(automaton, acceptance=spec.acceptance)
-    automaton = require_valid(automaton)
     return BuiltNetwork(compiled, automaton, None)

@@ -24,7 +24,6 @@ from .core import (
     VectorChar,
     active_slot,
     reachable_states,
-    require_valid,
 )
 from .errors import CapacityExceeded, WiringError
 
@@ -142,7 +141,7 @@ def weak_product(
     """Eager weakly synchronized product of one or more automata.
 
     The materialization of `LazyProduct`: every state of the Cartesian
-    product, and the moves `LazyProduct.outgoing` generates from each
+    product, and the moves its unwired `stepper` generates from each
     state of the rectangle of per-factor reachable states — so moving-factor
     sources and carried contexts are both restricted to reachable local
     states.  The caps are checked before anything is materialized.
@@ -164,10 +163,11 @@ def weak_product(
         tuple(v for part in combo for v in part)
         for combo in cartesian(*(f.states for f in factors))
     )
+    step = lazy.stepper(())
     transitions = [
         t
         for combo in cartesian(*lazy.reach)
-        for t in lazy.outgoing(tuple(v for part in combo for v in part))
+        for t, _ in step(tuple(v for part in combo for v in part), None)
     ]
     product = Nfioa(
         name=lazy.name,
@@ -219,8 +219,6 @@ class LazyProduct:
         self.factors = tuple(factors)
         if not self.factors:
             raise WiringError("product needs at least one factor")
-        for f in self.factors:
-            require_valid(f)
         _check_modes(self.factors)
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
         self.inputs, self.outputs = _concat_interfaces(self.factors)
@@ -247,7 +245,6 @@ class LazyProduct:
             len(moves) * prod(len(r) for j, r in enumerate(self.reach) if j != k)
             for k, (_, moves) in enumerate(self._moves)
         )
-        self._free = self.stepper(())
 
     def stepper(self, channels: Sequence) -> Callable:
         """The step function of this product wired by `channels`.
@@ -295,6 +292,3 @@ class LazyProduct:
             return [m for m, _ in groupby(out)]
 
         return step
-
-    def outgoing(self, state: StateVector) -> tuple[Transition, ...]:
-        return tuple(t for t, _ in self._free(state, None))

@@ -49,6 +49,19 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "check wellformed closed_mutex: FAIL" in out
 
+    def test_each_directive_target_is_explored_once(self, monkeypatch, capsys):
+        """`administrator.pw` checks two graph properties of one channel-free
+        network; both read one exploration of its graph."""
+        calls, real = [], fioa.cli.cbr
+        monkeypatch.setattr(
+            fioa.cli, "cbr", lambda source, *a, **kw: calls.append(source.name) or real(source, *a, **kw)
+        )
+        assert cli(["validate", ADMIN]) == 0
+        out = capsys.readouterr().out
+        assert "check quasidet administrator: ok" in out
+        assert "check consistent administrator: ok" in out
+        assert calls == ["administrator"]
+
     def test_missing_file_is_a_usage_error(self, capsys):
         assert cli(["validate", "/nonexistent/nowhere.pw"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -8,11 +8,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fioa.core
 from fioa import (
     Acceptance,
     ComponentAlphabet,
     EPSILON,
     InvalidAutomaton,
+    LazyProduct,
     Nfioa,
     Projection,
     Transition,
@@ -20,11 +22,15 @@ from fioa import (
     automata_equal,
     classify,
     identity_projection,
+    is_consistent_cond,
+    is_quasi_deterministic,
     project,
     prune,
     random_nfioa,
     reachable_states,
     require_valid,
+    specifies,
+    system_from_dfioa,
     validate,
     weak_product,
     with_initial,
@@ -44,6 +50,22 @@ def tiny(transitions, *, states=("p", "q"), initial="p", in_chars=("a",), out_ch
         acceptance=Acceptance.final([(states[-1],)]),
         transitions=transitions,
     )
+
+
+def _unchecked(build, *args, **kwargs):
+    """`build(*args, **kwargs)` with construction's validation switched off,
+    so the automaton it returns may be invalid: `validate` diagnoses it,
+    and `replace(it)` hands its fields to the constructor unchanged."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fioa.core, "validate", lambda a: [])
+        return build(*args, **kwargs)
+
+
+def _refusal(build, *args, **kwargs) -> list[str]:
+    """The diagnostics `build(*args, **kwargs)` is refused with."""
+    with pytest.raises(InvalidAutomaton) as info:
+        build(*args, **kwargs)
+    return info.value.diagnostics
 
 
 class TestLabels:
@@ -100,6 +122,38 @@ class TestConstruction:
         b = tiny(frozenset({(("p",), ("q",), ("a",), ("",))}))
         assert [type(t) for t in b.transitions] == [Transition]
 
+    def test_an_invalid_automaton_cannot_be_built(self):
+        fields = dict(
+            name="broken",
+            states=[("p",), ("p", "q")],
+            inputs=(ComponentAlphabet("in0", ("a",)),),
+            outputs=(),
+            initial=("zz",),
+            acceptance=Acceptance.final([("yy",)]),
+            transitions=[(("p",), ("zz",), ("b",), ())],
+        )
+        diags = _refusal(Nfioa, **fields)
+        assert diags == validate(_unchecked(Nfioa, **fields))
+        assert len(diags) == 5 and diags[0] == "initial state ('zz',) not in state set"
+
+    def test_replace_cannot_make_an_automaton_invalid(self):
+        a = examples.user_role()
+        diags = _refusal(replace, a, initial=("nowhere",))
+        assert diags == validate(_unchecked(replace, a, initial=("nowhere",)))
+        assert diags == ["initial state ('nowhere',) not in state set"]
+
+    def test_queries_do_not_validate_again(self, monkeypatch):
+        det, user = examples.det_admin_role(), examples.user_role()
+        calls = []
+        monkeypatch.setattr(fioa.core, "validate", lambda a: calls.append(a.name) or [])
+        classify(user)
+        is_consistent_cond(user)
+        is_quasi_deterministic(user)
+        s = system_from_dfioa(det)
+        specifies(det, [next(iter(s.table.values()))])
+        LazyProduct([det, user])
+        assert calls == []
+
 
 class TestValidate:
     def test_valid_machine_has_no_diagnostics(self):
@@ -108,12 +162,12 @@ class TestValidate:
         assert require_valid(a) is a
 
     def test_unknown_character_is_reported(self):
-        a = tiny([Transition(("p",), ("q",), ("b",), ("",))])
-        diags = validate(a)
+        diags = _refusal(tiny, [Transition(("p",), ("q",), ("b",), ("",))])
         assert any("'b'" in d for d in diags)
 
     def test_two_active_slots_are_rejected(self):
-        a = Nfioa(
+        diags = _refusal(
+            Nfioa,
             name="wide",
             states=[("p",)],
             inputs=(ComponentAlphabet("i0", ("a",)), ComponentAlphabet("i1", ("b",))),
@@ -122,18 +176,19 @@ class TestValidate:
             acceptance=Acceptance.final([("p",)]),
             transitions=[Transition(("p",), ("p",), ("a", "b"), ())],
         )
-        assert any("more than one component" in d for d in validate(a))
+        assert any("more than one component" in d for d in diags)
 
     def test_dangling_transition_endpoint_is_reported(self):
-        a = tiny([Transition(("p",), ("zz",), ("a",), ("",))])
-        assert any("not a state" in d for d in validate(a))
+        diags = _refusal(tiny, [Transition(("p",), ("zz",), ("a",), ("",))])
+        assert any("not a state" in d for d in diags)
 
     def test_initial_outside_states_is_reported(self):
-        a = tiny([], initial="zz", states=("p", "q"))
-        assert any("initial state" in d for d in validate(a))
+        diags = _refusal(tiny, [], initial="zz", states=("p", "q"))
+        assert any("initial state" in d for d in diags)
 
     def test_acceptance_must_mention_real_states(self):
-        a = Nfioa(
+        diags = _refusal(
+            Nfioa,
             name="acc",
             states=[("p",)],
             inputs=(),
@@ -142,12 +197,14 @@ class TestValidate:
             acceptance=Acceptance.muller([[("zz",)]]),
             transitions=[],
         )
-        assert any("muller member" in d for d in validate(a))
+        assert any("muller member" in d for d in diags)
 
     def test_require_valid_raises_with_diagnostics(self):
-        a = tiny([Transition(("p",), ("zz",), ("a",), ("",))])
-        with pytest.raises(InvalidAutomaton):
-            require_valid(a)
+        bad = [Transition(("p",), ("zz",), ("a",), ("",))]
+        diags = _refusal(tiny, bad)
+        assert diags == _refusal(require_valid, _unchecked(tiny, bad)) == [
+            "transition target ('zz',) not a state"
+        ]
 
     def test_shared_bad_labels_are_reported_once_per_transition(self):
         ins = (ComponentAlphabet("i0", ("a",)), ComponentAlphabet("i1", ("b",)))
@@ -158,14 +215,15 @@ class TestValidate:
             Transition(s, t, bad[i % len(bad)], ("y",) if i % 3 else ("",))
             for i, (s, t) in enumerate(zip(states, states[1:] + [("zz",)]))
         ]
-        a = Nfioa("shared", states, ins, outs, states[0], Acceptance.final([]), transitions)
-        diags = validate(a)
-        assert diags == _transition_diagnostics(a)
+        fields = ("shared", states, ins, outs, states[0], Acceptance.final([]), transitions)
+        diags = _refusal(Nfioa, *fields)
+        assert diags == _transition_diagnostics(_unchecked(Nfioa, *fields))
         assert diags.count("input label ('a', 'b') activates more than one component") == 8
         assert diags.count("output character 'y' not in component 'o0'") == 26
 
     def test_mixed_width_states_are_reported(self):
-        a = Nfioa(
+        diags = _refusal(
+            Nfioa,
             name="widths",
             states=[("p",), ("p", "q")],
             inputs=(),
@@ -174,7 +232,7 @@ class TestValidate:
             acceptance=Acceptance.final([("p",)]),
             transitions=[],
         )
-        assert any("width" in d for d in validate(a))
+        assert any("width" in d for d in diags)
 
 
 def _transition_diagnostics(a):
@@ -271,7 +329,7 @@ def _reference_classify(a):
 
 
 def _inject(a, kind, rng):
-    """`a` with one fault of the given kind."""
+    """`a` with one fault of the given kind; call it through `_unchecked`."""
     ts = sorted(a.transitions)
     t = rng.choice(ts)
     side = rng.choice(("input", "output"))
@@ -332,18 +390,21 @@ class TestValidateAndClassifyAgainstTheirDefinitions:
             yield (), a
             if a.transitions:
                 kind = FAULTS[seed % len(FAULTS)]
-                yield (kind,), _inject(a, kind, rng)
+                yield (kind,), _unchecked(_inject, a, kind, rng)
                 first, second = rng.sample(FAULTS, 2)
-                yield (first, second), _inject(_inject(a, first, rng), second, rng)
+                once = _unchecked(_inject, a, first, rng)
+                yield (first, second), _unchecked(_inject, once, second, rng)
 
     def test_diagnostics_equal_the_per_transition_walk(self):
+        """Every faulty case is rebuilt from its fields by `replace`, which
+        must refuse it with the reference's diagnostics."""
         seen = Counter()
         for kinds, a in self._cases():
-            diags = validate(a)
-            assert diags == _reference_validate(a), kinds
             if not kinds:
-                assert diags == []
+                assert validate(a) == _reference_validate(a) == [], kinds
             else:
+                diags = _refusal(replace, a)
+                assert diags == validate(a) == _reference_validate(a), kinds
                 assert diags
             seen.update(kinds)
             seen["two faults"] += len(kinds) == 2
@@ -354,8 +415,7 @@ class TestValidateAndClassifyAgainstTheirDefinitions:
         classes = Counter()
         for kinds, a in self._cases():
             if kinds:
-                with pytest.raises(InvalidAutomaton):
-                    classify(a)
+                _refusal(replace, a)
                 continue
             c = classify(a)
             assert tuple(c) == _reference_classify(a)

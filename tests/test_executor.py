@@ -64,11 +64,11 @@ class TestSystemCreation:
             system_from_dfioa(relational)
 
     def test_invalid_machines_are_refused(self):
+        """An invalid machine cannot be built, so none reaches the executor."""
         base = examples.det_admin_role()
         stray = Transition(("avail",), ("nowhere",), REQ_IN, epsilon_char(3))
-        invalid = replace(base, transitions=base.transitions | {stray})
         with pytest.raises(InvalidAutomaton, match="not a state"):
-            system_from_dfioa(invalid)
+            system_from_dfioa(replace(base, transitions=base.transitions | {stray}))
 
 
 class TestStepping:
