@@ -10,11 +10,13 @@ occurrence (channel, character).  Internal moves are unobservable.  Both
 sides are determinized over silent closures and walked in lockstep, which
 is complete for these finite configuration graphs; the configuration
 count product is reported as the (conservative) sufficient trace bound.
-Each walk reads a graph through one event view, which computes each
-configuration's silent closure, and each closure's sorted events with
-their next closures, once and only when the walk first reaches them.  The
-lockstep walk keeps one parent pointer per visited pair of closures and
-spells out a trace only when it finds a divergence.
+Each walk reads a graph through one event view, whose nodes are silent
+closures of configuration numbers (positions in `ConfigGraph.nodes`,
+followed through `ConfigGraph.succ`, so no configuration is hashed).  It
+computes each configuration's silent closure, and each closure's sorted
+events with their next closures, once and only when the walk first
+reaches them.  The lockstep walk keeps one parent pointer per visited
+pair of closures and spells out a trace only when it finds a divergence.
 """
 
 from __future__ import annotations
@@ -308,31 +310,32 @@ Event = tuple[Channel, str]
 class _EventView:
     """The determinized channel-event view of one configuration graph.
 
-    A node of the view is a silent closure: a frozenset of configurations
-    closed under edges that send nothing.  Each configuration's closure and
-    each closure's events with their next closures are computed the first
-    time a walk asks for them and kept for the rest of that walk, so a
-    bounded walk touches only the configurations it reaches.
+    A node of the view is a silent closure: a frozenset of configuration
+    numbers closed under edges that send nothing.  Each configuration's
+    closure and each closure's events with their next closures are
+    computed the first time a walk asks for them and kept for the rest of
+    that walk, so a bounded walk touches only the configurations it
+    reaches.
     """
 
     def __init__(self, r: RestrictedAutomaton):
-        self._edges = r.graph.edges
-        self._closures: dict[Configuration, frozenset] = {}
+        self._nodes = r.graph.nodes
+        self._succ = r.graph.succ
+        self._closures: dict[int, frozenset[int]] = {}
         self._steps: dict[frozenset, tuple[tuple[Event, ...], tuple[frozenset, ...]]] = {}
-        self.initial = self._closure(r.graph.initial)
+        self.initial = self._closure(0)
 
-    def _closure(self, c: Configuration) -> frozenset:
+    def _closure(self, c: int) -> frozenset[int]:
         """`c` and every configuration it reaches by edges that send nothing.
 
         Callers look in `_closures` first; this computes and records it.
         """
-        edges = self._edges
+        nodes, succ = self._nodes, self._succ
         seen = {c}
         todo = [c]
         while todo:
-            for e in edges[todo.pop()]:
-                t = e.target
-                if t.pending is None and t not in seen:
+            for t in succ[todo.pop()]:
+                if t not in seen and nodes[t].pending is None:
                     seen.add(t)
                     todo.append(t)
         got = self._closures[c] = frozenset(seen)
@@ -345,13 +348,12 @@ class _EventView:
         """
         got = self._steps.get(closure)
         if got is None:
-            edges = self._edges
+            nodes, succ = self._nodes, self._succ
             closures = self._closures
             sent: dict[Event, frozenset] = {}
             for c in closure:
-                for e in edges[c]:
-                    t = e.target
-                    ev = t.pending
+                for t in succ[c]:
+                    ev = nodes[t].pending
                     if ev is not None:
                         nxt = closures.get(t)
                         if nxt is None:
@@ -454,24 +456,27 @@ def safety_query(
     shortest edge path from the initial configuration (replayable through
     `enabled`).
     """
-    init = r.graph.initial
-    parent: dict[Configuration, tuple[Configuration, Edge] | None] = {init: None}
+    g = r.graph
+    init = g.initial
     if bad(init):
         return SafetyReport(False, init, ())
-    frontier = deque([init])
+    # parent[j] is (i, k) once node j is reached, by node i's k-th edge.
+    # Node 0, the initial configuration, is reached by no edge.
+    parent: list[tuple[int, int] | None] = [None] * len(g.nodes)
+    parent[0] = (0, -1)
+    frontier = deque([0])
     while frontier:
-        c = frontier.popleft()
-        for e in r.graph.edges[c]:
-            if e.target in parent:
+        i = frontier.popleft()
+        for k, j in enumerate(g.succ[i]):
+            if parent[j] is not None:
                 continue
-            parent[e.target] = (c, e)
-            if bad(e.target):
+            parent[j] = (i, k)
+            c = g.nodes[j]
+            if bad(c):
                 path = []
-                node = e.target
-                while parent[node] is not None:
-                    prev, edge = parent[node]
-                    path.append(edge)
-                    node = prev
-                return SafetyReport(False, e.target, tuple(reversed(path)))
-            frontier.append(e.target)
+                while j:
+                    j, k = parent[j]
+                    path.append(g.edges[g.nodes[j]][k])
+                return SafetyReport(False, c, tuple(reversed(path)))
+            frontier.append(j)
     return SafetyReport(True, None, None)

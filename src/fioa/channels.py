@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
@@ -71,10 +71,19 @@ class ConfigGraph:
     The keys of `edges` are in breadth-first order from `initial`.  Every
     analysis walks them in that order and reports the first failure it
     meets, so a witness is a failing configuration nearest the initial one.
+
+    A node's number is its position in that order: `nodes[i]` is the i-th
+    key of `edges`, and `nodes[0]` is `initial`.  Each edge's target is
+    the stored key itself, not an equal copy.  `succ[i]` holds the numbers
+    of node i's edge targets, in the order of `edges[nodes[i]]`, so a walk
+    can follow numbers instead of hashing configurations.  Both are left
+    out of `==` and `repr`; they are determined by `edges`.
     """
 
     initial: Configuration
     edges: Mapping[Configuration, tuple[Edge, ...]]
+    nodes: tuple[Configuration, ...] = field(compare=False, repr=False)
+    succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def configs(self) -> frozenset[Configuration]:
@@ -133,28 +142,39 @@ def _explore(
     """
     init = Configuration(tuple(initial), None)
     edges: dict[Configuration, tuple[Edge, ...]] = {}
-    frontier = deque([init])
-    seen = {init}
-    while frontier:
-        cfg = frontier.popleft()
+    succ: list[tuple[int, ...]] = []
+    # `nodes` doubles as the breadth-first queue: those not yet keys of
+    # `edges` are waiting.  A target is looked up by its plain (state,
+    # pending) tuple, which equals and hashes as the stored
+    # `Configuration`, so a configuration is built only the first time it
+    # is met and every edge to it shares that one.
+    nodes = [init]
+    number = {init: 0}
+    for cfg in nodes:
         here: list[Edge] = []
+        out: list[int] = []
         for t, pend in step(cfg.state, cfg.pending):
             if deny is not None and deny(t):
                 continue
-            nxt = Configuration(t.target, pend)
-            here.append(Edge(t, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-                if len(seen) > cap:
+            key = (t.target, pend)
+            k = number.get(key)
+            if k is None:
+                k = len(nodes)
+                nxt = Configuration(*key)
+                number[nxt] = k
+                nodes.append(nxt)
+                if len(nodes) > cap:
                     raise CapacityExceeded(
                         f"configuration cap of {cap} exceeded while expanding "
                         f"configuration {len(edges) + 1} ({len(edges)} expanded, "
-                        f"{len(frontier)} waiting); library callers may pass a "
+                        f"{len(nodes) - len(edges) - 1} waiting); library callers may pass a "
                         "larger cap= to cbr, otherwise restrict the network further"
                     )
+            here.append(Edge(t, nodes[k]))
+            out.append(k)
         edges[cfg] = tuple(here)
-    return ConfigGraph(initial=init, edges=edges)
+        succ.append(tuple(out))
+    return ConfigGraph(init, edges, tuple(nodes), tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -433,11 +453,17 @@ def is_consistent(r: RestrictedAutomaton) -> Consistency:
             f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
             "cannot consume its pending character"
         )
-    return graph_consistency(
-        r.graph.edges,
-        lambda c: (e.target for e in r.graph.edges[c]),
-        lambda c: c.state,
+    nodes = r.graph.nodes
+    found = graph_consistency(
+        range(len(nodes)),
+        r.graph.succ.__getitem__,
+        lambda i: nodes[i].state,
         r.base.acceptance,
+    )
+    return Consistency(
+        found.ok,
+        None if found.witness is None else nodes[found.witness],
+        frozenset(map(nodes.__getitem__, found.anchors)),
     )
 
 
@@ -495,43 +521,45 @@ def run(
         raise PreconditionError(
             f"cannot run {r.name}: excited configuration {config_str(r, wf.witness)} is stuck"
         )
+    nodes, succ = r.graph.nodes, r.graph.succ
+    out = list(r.graph.edges.values())  # node i's edges are out[i]
     start = r.graph.initial
     if scheduler == "random":
         rng = random.Random(seed)
         configs, trans = [start], []
-        cfg = start
+        i = 0
         for _ in range(step_bound):
-            es = r.graph.edges[cfg]
+            es = out[i]
             if not es:
                 break
-            e = rng.choice(es)
-            trans.append(e.transition)
-            cfg = e.target
-            configs.append(cfg)
+            # the same draw as `rng.choice(es)`, so seeded runs replay
+            k = rng.randrange(len(es))
+            trans.append(es[k].transition)
+            i = succ[i][k]
+            configs.append(nodes[i])
         return Run(tuple(configs), tuple(trans))
     if scheduler == "scripted":
         if script is None:
             raise SchedulerError("scripted scheduler needs a choice list")
         configs, trans = [start], []
-        cfg = start
+        i = 0
         for step_no, choice in enumerate(script[:step_bound]):
-            es = r.graph.edges[cfg]
+            es = out[i]
             if not (0 <= choice < len(es)):
                 raise SchedulerError(
                     f"step {step_no}: choice {choice} out of range "
-                    f"({len(es)} enabled at {config_str(r, cfg)})"
+                    f"({len(es)} enabled at {config_str(r, nodes[i])})"
                 )
-            e = es[choice]
-            trans.append(e.transition)
-            cfg = e.target
-            configs.append(cfg)
+            trans.append(es[choice].transition)
+            i = succ[i][choice]
+            configs.append(nodes[i])
         return Run(tuple(configs), tuple(trans))
     if scheduler == "exhaustive":
         complete: list[Run] = []
-        stack: list[tuple[Configuration, tuple, tuple]] = [(start, (start,), ())]
+        stack: list[tuple[int, tuple, tuple]] = [(0, (start,), ())]
         while stack:
-            cfg, cpath, tpath = stack.pop()
-            es = r.graph.edges[cfg]
+            i, cpath, tpath = stack.pop()
+            es = out[i]
             if not es or len(tpath) >= step_bound:
                 complete.append(Run(cpath, tpath))
                 if len(complete) > run_cap:
@@ -539,7 +567,7 @@ def run(
                         f"more than {run_cap} runs at bound {step_bound}"
                     )
                 continue
-            for e in reversed(es):
-                stack.append((e.target, cpath + (e.target,), tpath + (e.transition,)))
+            for e, j in zip(reversed(es), reversed(succ[i])):
+                stack.append((j, cpath + (e.target,), tpath + (e.transition,)))
         return tuple(complete)
     raise SchedulerError(f"unknown scheduler {scheduler!r}")

@@ -140,8 +140,7 @@ class Nfioa:
         transitions: Iterable[Transition],
     ):
         # Sets that are already normal are kept, so `replace` of another
-        # field copies neither, and the diagnostics walk the caller's sets
-        # in the caller's order.
+        # field copies neither.
         if not (isinstance(states, frozenset) and all(type(s) is tuple for s in states)):
             states = frozenset(tuple(s) for s in states)
         if not (
@@ -178,7 +177,10 @@ def validate(a: Nfioa) -> list[str]:
     The all-valid case is decided on whole sets: sources and targets
     against the states, and each distinct label once.  States and
     transitions are walked one by one only when such a check found a
-    fault, to report each fault in order.
+    fault, to report each fault.  That walk is sorted by `repr`, which
+    no value type can make raise, so the order of the diagnostics is a
+    property of the automaton, not of how its sets were built or of the
+    hash seed.
     """
     out: list[str] = []
     states = a.states
@@ -190,7 +192,7 @@ def validate(a: Nfioa) -> list[str]:
         out.append(f"initial state {a.initial!r} not in state set")
     # A state with an empty slot has a false slot (see `EPSILON`).
     if not (all(map(width.__eq__, map(len, states))) and all(map(all, states))):
-        for s in states:
+        for s in sorted(states, key=repr):
             if len(s) != width:
                 out.append(f"state {s!r} has width {len(s)}, expected {width}")
             if "" in s:
@@ -214,7 +216,7 @@ def validate(a: Nfioa) -> list[str]:
         and {t.target for t in ts} <= states
         and not any(label_diags.values())
     ):
-        for t in ts:
+        for t in sorted(ts, key=repr):
             if t.source not in states:
                 out.append(f"transition source {t.source!r} not a state")
             if t.target not in states:
@@ -224,15 +226,15 @@ def validate(a: Nfioa) -> list[str]:
     acc = a.acceptance
     if acc.mode == "final":
         if not states.issuperset(acc.final_states):
-            for s in acc.final_states:
+            for s in sorted(acc.final_states, key=repr):
                 if s not in states:
                     out.append(f"final state {s!r} not a state")
         if acc.muller_sets:
             out.append("final-mode acceptance carries muller sets")
     elif acc.mode == "muller":
         if not all(map(states.issuperset, acc.muller_sets)):
-            for member in acc.muller_sets:
-                for s in member:
+            for member in sorted(acc.muller_sets, key=lambda m: sorted(map(repr, m))):
+                for s in sorted(member, key=repr):
                     if s not in states:
                         out.append(f"muller member mentions non-state {s!r}")
         if acc.final_states:

@@ -492,6 +492,19 @@ class _NaiveLockstep:
                     frontier.append((trace + (ev,), e1[ev], e2[ev]))
         return TraceEquivalence(True, None, sufficient, bound)
 
+    def trace_language(self, r, bound):
+        """Every trace of length <= bound, each frontier entry with its closure."""
+        traces = {()}
+        frontier = deque([((), self.closure(r, [r.graph.initial]))])
+        while frontier:
+            trace, closure = frontier.popleft()
+            if len(trace) < bound:
+                for ev, nxt in self.event_steps(r, closure).items():
+                    if trace + (ev,) not in traces:
+                        traces.add(trace + (ev,))
+                        frontier.append((trace + (ev,), nxt))
+        return frozenset(traces)
+
 
 def _ring(n):
     return resolve(examples.ring_document(n)).networks[f"ring{n}"].restricted
@@ -525,6 +538,17 @@ class TestTraceEquivalenceAgainstTheNaiveLockstep:
         compared = sum(self._compare(naive, r1, r2) for r1 in nets for r2 in nets)
         assert compared > len(nets)  # more than the self-pairs
         assert self.verdicts[False] and self.verdicts[True]
+        assert max(naive.closure_sizes) >= 2
+
+    def test_bounded_trace_languages_of_the_corpus(self, all_restrictions):
+        naive = _NaiveLockstep()
+        longest = 0
+        for built in all_restrictions:
+            r = built.restricted
+            lang = trace_language(r, 4)
+            assert lang == naive.trace_language(r, 4), r.name
+            longest = max(longest, max(map(len, lang)))
+        assert longest == 4
         assert max(naive.closure_sizes) >= 2
 
     @pytest.mark.parametrize("n", [2, 3, 4])

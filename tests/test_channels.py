@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -28,6 +28,7 @@ from fioa import (
     WiringError,
     cbr,
     classify_config,
+    config_str,
     edge_census,
     enabled,
     examples,
@@ -39,10 +40,11 @@ from fioa import (
     open_components,
     random_nfioa,
     run,
+    safety_query,
     weak_product,
 )
 from fioa.analysis import law_instance
-from fioa.channels import ALL_EDGE_CLASSES, _sccs, check_channels
+from fioa.channels import ALL_EDGE_CLASSES, _sccs, check_channels, graph_consistency
 from fioa.core import active_slot
 
 
@@ -613,12 +615,19 @@ def _unable_to_reach(graph, anchors):
     return {cfg for cfg in graph.edges if cfg not in covered}
 
 
+@pytest.fixture(scope="module")
+def corpus_and_random(all_restrictions):
+    """Every corpus configuration graph, then 100 seeded random networks'."""
+    restrictions = [built.restricted for built in all_restrictions]
+    for seed in range(100):
+        factors, chans, conds = _random_wired_factors(seed)
+        restrictions.append(cbr(LazyProduct(factors), chans, conditions=conds))
+    return restrictions
+
+
 class TestWitnesses:
-    def test_each_failing_check_names_a_nearest_failing_configuration(self, all_restrictions):
-        restrictions = [built.restricted for built in all_restrictions]
-        for seed in range(100):
-            factors, chans, conds = _random_wired_factors(seed)
-            restrictions.append(cbr(LazyProduct(factors), chans, conditions=conds))
+    def test_each_failing_check_names_a_nearest_failing_configuration(self, corpus_and_random):
+        restrictions = corpus_and_random
         failed = {"wellformed": 0, "consistent": 0, "quasidet": 0}
 
         def check(kind, ok, witness, failing, dist):
@@ -645,6 +654,130 @@ class TestWitnesses:
             qd = is_quasi_deterministic(r)
             check("quasidet", qd.ok, qd.witness and qd.witness[0], clashing, dist)
         assert all(failed.values()), failed
+
+
+class TestNodeNumbers:
+    """`ConfigGraph.nodes` and `succ` agree with the `edges` mapping, and
+    every walk that follows them answers as a naive walk over `edges`."""
+
+    def test_numbers_are_the_breadth_first_positions(self, corpus_and_random):
+        for r in corpus_and_random:
+            g = r.graph
+            assert list(g.nodes) == list(g.edges), r.name
+            assert g.nodes[0] is g.initial
+            assert len(g.succ) == len(g.nodes)
+            for i, c in enumerate(g.nodes):
+                es = g.edges[c]
+                assert len(g.succ[i]) == len(es)
+                for k, e in enumerate(es):
+                    assert g.nodes[g.succ[i][k]] is e.target, (r.name, i, k)
+            assert replace(g, nodes=(), succ=()) == g
+            assert "succ" not in repr(replace(g, edges={}))
+
+    def test_safety_query_against_a_walk_over_the_mapping(self, corpus_and_random):
+        found = Counter()
+        for r in corpus_and_random:
+            g = r.graph
+            rng = random.Random(r.name)
+            target = rng.choice(list(g.edges))
+            for bad in (
+                lambda c: False,
+                lambda c: c.excited,
+                lambda c: c == target,
+                lambda c: c.state == g.nodes[-1].state,
+            ):
+                want = _naive_safety(g, bad)
+                assert safety_query(r, bad) == want, r.name
+                found[bool(want[2])] += 1
+        assert found[True] and found[False]
+
+    def test_consistency_against_a_walk_over_the_mapping(self, corpus_and_random):
+        verdicts = Counter()
+        for r in corpus_and_random:
+            if not is_well_formed(r).ok:
+                continue
+            g = r.graph
+            want = graph_consistency(
+                g.edges, lambda c: [e.target for e in g.edges[c]], lambda c: c.state, r.base.acceptance
+            )
+            assert is_consistent(r) == want, r.name
+            verdicts[want.ok, bool(want.anchors)] += 1
+        assert len(verdicts) >= 3, verdicts
+
+    def test_runs_against_a_walk_over_the_mapping(self, corpus_and_random):
+        lengths = Counter()
+        for r in corpus_and_random:
+            if not is_well_formed(r).ok:
+                continue
+            g = r.graph
+            for seed in (0, 1, 2):
+                got = run(r, "random", 30, seed=seed)
+                assert got == _naive_run(g, 30, random.Random(seed).choice), r.name
+                lengths[len(got) == 30] += 1
+            rng, script = random.Random(r.name), []
+
+            def pick(es):
+                script.append(rng.randrange(len(es)))
+                return es[script[-1]]
+
+            want = _naive_run(g, 30, pick)
+            assert run(r, "scripted", 30, script=script) == want, r.name
+            at = want.configs[-1]
+            if g.edges[at]:
+                over = len(g.edges[at])
+                with pytest.raises(SchedulerError) as info:
+                    run(r, "scripted", 31, script=script + [over])
+                assert str(info.value) == (
+                    f"step {len(script)}: choice {over} out of range "
+                    f"({over} enabled at {config_str(r, at)})"
+                )
+            runs = run(r, "exhaustive", 3)
+            assert runs == _naive_runs(g, 3), r.name
+            lengths["branching"] += len(runs) > 1
+        assert lengths[True] and lengths[False] and lengths["branching"]
+
+
+def _naive_safety(g, bad):
+    """Breadth-first over `g.edges`, keyed by configuration: the first bad
+    configuration and the edge path it was first reached by."""
+    paths = {g.initial: ()}
+    frontier = deque([g.initial])
+    while frontier:
+        c = frontier.popleft()
+        if bad(c):
+            return (False, c, paths[c])
+        for e in g.edges[c]:
+            if e.target not in paths:
+                paths[e.target] = paths[c] + (e,)
+                frontier.append(e.target)
+    return (True, None, None)
+
+
+def _naive_run(g, bound, pick):
+    """One run over `g.edges`: `pick` chooses among each configuration's edges."""
+    c, configs, trans = g.initial, [g.initial], []
+    while len(trans) < bound and g.edges[c]:
+        e = pick(g.edges[c])
+        c = e.target
+        configs.append(c)
+        trans.append(e.transition)
+    return Run(tuple(configs), tuple(trans))
+
+
+def _naive_runs(g, bound):
+    """Every run over `g.edges` that deadlocks or reaches `bound`, depth first."""
+    runs = []
+
+    def walk(configs, trans):
+        es = g.edges[configs[-1]]
+        if not es or len(trans) >= bound:
+            runs.append(Run(configs, trans))
+            return
+        for e in es:
+            walk(configs + (e.target,), trans + (e.transition,))
+
+    walk((g.initial,), ())
+    return tuple(runs)
 
 
 class TestCaps:

@@ -234,11 +234,26 @@ class TestValidate:
         )
         assert any("width" in d for d in diags)
 
+    def test_faulty_states_are_listed_in_sorted_order(self):
+        """The order is the automaton's own, whatever order its sets were
+        built in or the hash seed gave them."""
+        wide = [(f"s{i}", "x") for i in range(10)]
+        missing = [(f"f{i}",) for i in range(8)]
+
+        def build(states, finals):
+            return Nfioa("faulty", states, (), (), ("p",), Acceptance.final(finals), [])
+
+        want = [f"state {s!r} has width 2, expected 1" for s in sorted(wide, key=repr)]
+        want += [f"final state {s!r} not a state" for s in sorted(missing, key=repr)]
+        assert _refusal(build, [("p",)] + wide, missing) == want
+        assert _refusal(build, wide[::-1] + [("p",)], missing[::-1]) == want
+
 
 def _transition_diagnostics(a):
-    """Per-transition reference: every label checked anew on each transition."""
+    """Per-transition reference: every label checked anew on each transition,
+    the transitions in `repr` order."""
     out = []
-    for t in a.transitions:
+    for t in sorted(a.transitions, key=repr):
         if t.source not in a.states:
             out.append(f"transition source {t.source!r} not a state")
         if t.target not in a.states:
@@ -279,14 +294,14 @@ class TestClassify:
 
 def _reference_validate(a):
     """The per-transition validator: states, then transitions, walked one
-    by one whether or not anything is wrong."""
+    by one in `repr` order whether or not anything is wrong."""
     out = []
     if not a.states:
         return ["state set is empty"]
     width = len(a.initial)
     if a.initial not in a.states:
         out.append(f"initial state {a.initial!r} not in state set")
-    for s in a.states:
+    for s in sorted(a.states, key=repr):
         if len(s) != width:
             out.append(f"state {s!r} has width {len(s)}, expected {width}")
         if "" in s:
@@ -298,14 +313,14 @@ def _reference_validate(a):
     out.extend(_transition_diagnostics(a))
     acc = a.acceptance
     if acc.mode == "final":
-        for s in acc.final_states:
+        for s in sorted(acc.final_states, key=repr):
             if s not in a.states:
                 out.append(f"final state {s!r} not a state")
         if acc.muller_sets:
             out.append("final-mode acceptance carries muller sets")
     elif acc.mode == "muller":
-        for member in acc.muller_sets:
-            for s in member:
+        for member in sorted(acc.muller_sets, key=lambda m: sorted(map(repr, m))):
+            for s in sorted(member, key=repr):
                 if s not in a.states:
                     out.append(f"muller member mentions non-state {s!r}")
         if acc.final_states:
