@@ -17,6 +17,8 @@ computes each configuration's silent closure, and each closure's sorted
 events with their next closures, once and only when the walk first
 reaches them.  The lockstep walk keeps one parent pointer per visited
 pair of closures and spells out a trace only when it finds a divergence.
+The safety search reads `nodes`, `moves` and `succ` too: no analysis
+builds the `ConfigGraph.edges` view, which is built on first read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -393,6 +396,7 @@ def trace_equivalent(
 ) -> TraceEquivalence:
     """Lockstep determinized comparison of channel-event behavior.
 
+    Both sides need the same channels, characters and open components.
     Without a bound the walk runs to fixpoint over pairs of closure sets,
     which is exhaustive for finite configuration graphs; with a bound it
     stops at that trace length.  On divergence the shortest distinguishing
@@ -408,7 +412,14 @@ def trace_equivalent(
                 f"channel {channel_str(r1, ch)} carries {sorted(o1)} on one side, "
                 f"{sorted(o2)} on the other"
             )
-    sufficient = len(r1.graph.edges) * len(r2.graph.edges)
+    say = lambda r, end: f"{r.name} has " + ("no more" if end is None else f"{end.name} {sorted(end.characters)}")
+    for side, kind in enumerate(("input", "output")):
+        # Each side's open components of this kind, in index order.
+        ends = [[(r.base.inputs, r.base.outputs)[side][k] for k in open_components(r)[side]] for r in (r1, r2)]
+        for e1, e2 in zip_longest(*ends):
+            if e1 is None or e2 is None or e1.characters != e2.characters:
+                raise WiringError(f"open {kind} components differ: {say(r1, e1)}, {say(r2, e2)}")
+    sufficient = len(r1.graph.nodes) * len(r2.graph.nodes)
     v1, v2 = _EventView(r1), _EventView(r2)
     start = (v1.initial, v2.initial)
     # Each visited pair points at the pair and event it was first reached
@@ -457,26 +468,20 @@ def safety_query(
     `enabled`).
     """
     g = r.graph
-    init = g.initial
-    if bad(init):
-        return SafetyReport(False, init, ())
-    # parent[j] is (i, k) once node j is reached, by node i's k-th edge.
-    # Node 0, the initial configuration, is reached by no edge.
+    # Node numbers are breadth-first discovery order, so `bad` sees the
+    # nodes in search order and the first bad one is a nearest violation.
+    v = next((j for j, c in enumerate(g.nodes) if bad(c)), None)
+    if v is None:
+        return SafetyReport(True, None, None)
+    # parent[j] is (i, k) where j first appears in succ: the edge the search found it by.
     parent: list[tuple[int, int] | None] = [None] * len(g.nodes)
-    parent[0] = (0, -1)
-    frontier = deque([0])
-    while frontier:
-        i = frontier.popleft()
+    for i in range(v):
         for k, j in enumerate(g.succ[i]):
-            if parent[j] is not None:
-                continue
-            parent[j] = (i, k)
-            c = g.nodes[j]
-            if bad(c):
-                path = []
-                while j:
-                    j, k = parent[j]
-                    path.append(g.edges[g.nodes[j]][k])
-                return SafetyReport(False, c, tuple(reversed(path)))
-            frontier.append(j)
-    return SafetyReport(True, None, None)
+            if parent[j] is None:
+                parent[j] = (i, k)
+    path, j = [], v
+    while j:
+        i, k = parent[j]
+        path.append(Edge(g.moves[i][k], g.nodes[j]))
+        j = i
+    return SafetyReport(False, g.nodes[v], tuple(reversed(path)))

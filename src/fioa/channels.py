@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
@@ -66,32 +67,38 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ConfigGraph:
-    """Forward-explored configuration graph; keys cover every node.
+    """Forward-explored configuration graph, stored by node number.
 
-    The keys of `edges` are in breadth-first order from `initial`.  Every
-    analysis walks them in that order and reports the first failure it
-    meets, so a witness is a failing configuration nearest the initial one.
-
-    A node's number is its position in that order: `nodes[i]` is the i-th
-    key of `edges`, and `nodes[0]` is `initial`.  Each edge's target is
-    the stored key itself, not an equal copy.  `succ[i]` holds the numbers
-    of node i's edge targets, in the order of `edges[nodes[i]]`, so a walk
-    can follow numbers instead of hashing configurations.  Both are left
-    out of `==` and `repr`; they are determined by `edges`.
+    `nodes` holds the configurations in breadth-first order from
+    `nodes[0]`, the initial one.  Every analysis walks them in that order
+    and reports the first failure it meets, so a witness is a failing
+    configuration nearest the initial one.  Node i's edges are its
+    transitions `moves[i]` and their target numbers `succ[i]`, index by
+    index, so walks follow numbers instead of hashing configurations.
+    `edges`, each configuration's `Edge`s keyed in node order, is a view
+    built the first time it is read.
     """
 
-    initial: Configuration
-    edges: Mapping[Configuration, tuple[Edge, ...]]
-    nodes: tuple[Configuration, ...] = field(compare=False, repr=False)
-    succ: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    nodes: tuple[Configuration, ...]
+    moves: tuple[tuple[Transition, ...], ...]
+    succ: tuple[tuple[int, ...], ...]
+
+    @property
+    def initial(self) -> Configuration:
+        return self.nodes[0]
+
+    @cached_property
+    def edges(self) -> Mapping[Configuration, tuple[Edge, ...]]:
+        at = self.nodes.__getitem__
+        return {c: tuple(map(Edge, ts, map(at, js))) for c, ts, js in zip(self.nodes, self.moves, self.succ)}
 
     @property
     def configs(self) -> frozenset[Configuration]:
-        return frozenset(self.edges)
+        return frozenset(self.nodes)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(es) for es in self.edges.values())
+        return sum(map(len, self.succ))
 
 
 def check_channels(
@@ -141,17 +148,16 @@ def _explore(
     `deny` vetoes moves by condition.
     """
     init = Configuration(tuple(initial), None)
-    edges: dict[Configuration, tuple[Edge, ...]] = {}
+    moves: list[tuple[Transition, ...]] = []
     succ: list[tuple[int, ...]] = []
-    # `nodes` doubles as the breadth-first queue: those not yet keys of
-    # `edges` are waiting.  A target is looked up by its plain (state,
+    # `nodes` doubles as the breadth-first queue: those past the end of
+    # `succ` are waiting.  A target is looked up by its plain (state,
     # pending) tuple, which equals and hashes as the stored
-    # `Configuration`, so a configuration is built only the first time it
-    # is met and every edge to it shares that one.
+    # `Configuration`, so each configuration is built once.
     nodes = [init]
     number = {init: 0}
     for cfg in nodes:
-        here: list[Edge] = []
+        here: list[Transition] = []
         out: list[int] = []
         for t, pend in step(cfg.state, cfg.pending):
             if deny is not None and deny(t):
@@ -166,15 +172,15 @@ def _explore(
                 if len(nodes) > cap:
                     raise CapacityExceeded(
                         f"configuration cap of {cap} exceeded while expanding "
-                        f"configuration {len(edges) + 1} ({len(edges)} expanded, "
-                        f"{len(nodes) - len(edges) - 1} waiting); library callers may pass a "
+                        f"configuration {len(succ) + 1} ({len(succ)} expanded, "
+                        f"{len(nodes) - len(succ) - 1} waiting); library callers may pass a "
                         "larger cap= to cbr, otherwise restrict the network further"
                     )
-            here.append(Edge(t, nodes[k]))
+            here.append(t)
             out.append(k)
-        edges[cfg] = tuple(here)
+        moves.append(tuple(here))
         succ.append(tuple(out))
-    return ConfigGraph(init, edges, tuple(nodes), tuple(succ))
+    return ConfigGraph(tuple(nodes), tuple(moves), tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -255,10 +261,10 @@ def cbr(
     if diags:
         raise WiringError("; ".join(diags))
     graph = _explore(lazy.initial, lazy.stepper(chans), deny, cap=cap)
-    transitions = frozenset(e.transition for es in graph.edges.values() for e in es)
+    transitions = frozenset(t for ts in graph.moves for t in ts)
     name = name or source.name
     if source is lazy:
-        states = frozenset(c.state for c in graph.edges)
+        states = frozenset(c.state for c in graph.nodes)
         base = Nfioa(
             name=name,
             states=states,
@@ -293,15 +299,15 @@ class EdgeClass(NamedTuple):
     output_kind: str  # silent-out | channel-out | open-out
 
 
-def classify_edge(c: Configuration, e: Edge) -> EdgeClass:
+def _classify_edge(c: Configuration, t: Transition, target: Configuration) -> EdgeClass:
     if c.pending is not None:
         mode, input_kind = "excited", "consume"
     else:
         mode = "relaxed"
-        input_kind = "silent-in" if is_silent(e.transition.input) else "open-in"
-    if e.target.pending is not None:
+        input_kind = "silent-in" if is_silent(t.input) else "open-in"
+    if target.pending is not None:
         output_kind = "channel-out"
-    elif is_silent(e.transition.output):
+    elif is_silent(t.output):
         output_kind = "silent-out"
     else:
         output_kind = "open-out"
@@ -316,7 +322,10 @@ ALL_EDGE_CLASSES = tuple(
 
 def edge_census(r: RestrictedAutomaton) -> Counter[EdgeClass]:
     """How many graph edges fall in each of the nine classes."""
-    return Counter(classify_edge(c, e) for c, es in r.graph.edges.items() for e in es)
+    g = r.graph
+    return Counter(
+        _classify_edge(c, t, g.nodes[j]) for c, ts, js in zip(g.nodes, g.moves, g.succ) for t, j in zip(ts, js)
+    )
 
 
 class WellFormedness(NamedTuple):
@@ -326,8 +335,8 @@ class WellFormedness(NamedTuple):
 
 def is_well_formed(r: RestrictedAutomaton) -> WellFormedness:
     """Every excited configuration must be able to consume its character."""
-    for c, es in r.graph.edges.items():
-        if c.pending is not None and not es:
+    for c, ts in zip(r.graph.nodes, r.graph.moves):
+        if c.pending is not None and not ts:
             return WellFormedness(False, c)
     return WellFormedness(True, None)
 
@@ -521,20 +530,19 @@ def run(
         raise PreconditionError(
             f"cannot run {r.name}: excited configuration {config_str(r, wf.witness)} is stuck"
         )
-    nodes, succ = r.graph.nodes, r.graph.succ
-    out = list(r.graph.edges.values())  # node i's edges are out[i]
+    nodes, moves, succ = r.graph.nodes, r.graph.moves, r.graph.succ
     start = r.graph.initial
     if scheduler == "random":
         rng = random.Random(seed)
         configs, trans = [start], []
         i = 0
         for _ in range(step_bound):
-            es = out[i]
-            if not es:
+            ts = moves[i]
+            if not ts:
                 break
-            # the same draw as `rng.choice(es)`, so seeded runs replay
-            k = rng.randrange(len(es))
-            trans.append(es[k].transition)
+            # the same draw as `rng.choice(ts)`, so seeded runs replay
+            k = rng.randrange(len(ts))
+            trans.append(ts[k])
             i = succ[i][k]
             configs.append(nodes[i])
         return Run(tuple(configs), tuple(trans))
@@ -544,13 +552,13 @@ def run(
         configs, trans = [start], []
         i = 0
         for step_no, choice in enumerate(script[:step_bound]):
-            es = out[i]
-            if not (0 <= choice < len(es)):
+            ts = moves[i]
+            if not (0 <= choice < len(ts)):
                 raise SchedulerError(
                     f"step {step_no}: choice {choice} out of range "
-                    f"({len(es)} enabled at {config_str(r, nodes[i])})"
+                    f"({len(ts)} enabled at {config_str(r, nodes[i])})"
                 )
-            trans.append(es[choice].transition)
+            trans.append(ts[choice])
             i = succ[i][choice]
             configs.append(nodes[i])
         return Run(tuple(configs), tuple(trans))
@@ -559,15 +567,15 @@ def run(
         stack: list[tuple[int, tuple, tuple]] = [(0, (start,), ())]
         while stack:
             i, cpath, tpath = stack.pop()
-            es = out[i]
-            if not es or len(tpath) >= step_bound:
+            ts = moves[i]
+            if not ts or len(tpath) >= step_bound:
                 complete.append(Run(cpath, tpath))
                 if len(complete) > run_cap:
                     raise CapacityExceeded(
                         f"more than {run_cap} runs at bound {step_bound}"
                     )
                 continue
-            for e, j in zip(reversed(es), reversed(succ[i])):
-                stack.append((j, cpath + (e.target,), tpath + (e.transition,)))
+            for t, j in zip(reversed(ts), reversed(succ[i])):
+                stack.append((j, cpath + (nodes[j],), tpath + (t,)))
         return tuple(complete)
     raise SchedulerError(f"unknown scheduler {scheduler!r}")

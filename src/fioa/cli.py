@@ -167,7 +167,7 @@ def cmd_validate(args) -> int:
         if built.restricted is not None:
             g = built.restricted.graph
             print(
-                f"network {n.name}: {len(g.edges)} configurations, {g.edge_count} edges"
+                f"network {n.name}: {len(g.nodes)} configurations, {g.edge_count} edges"
             )
         else:
             a = built.automaton
@@ -213,7 +213,7 @@ def cmd_cbr(args) -> int:
     built = env.networks.get(args.network)
     g = r.graph
     print(f"{'network' if built else 'automaton'} {r.name}")
-    print(f"configurations: {len(g.edges)}")
+    print(f"configurations: {len(g.nodes)}")
     print(f"edges: {g.edge_count}")
     print(f"channels: {len(r.channels)}")
     print(f"conditions: {len(built.compiled.conditions) if built else 0}")
@@ -235,7 +235,7 @@ def cmd_cond(args) -> int:
         print(f"  {c.name}")
     if built.restricted is not None:
         g = built.restricted.graph
-        print(f"configurations: {len(g.edges)}")
+        print(f"configurations: {len(g.nodes)}")
         print(f"edges: {g.edge_count}")
         return EX_OK
     a = built.automaton
@@ -433,7 +433,7 @@ def cmd_safety(args) -> int:
         raise _UsageError(f"predicate failed on a configuration: {exc}") from exc
     if rep.ok:
         print("safe: yes")
-        print(f"configurations checked: {len(r.graph.edges)}")
+        print(f"configurations checked: {len(r.graph.nodes)}")
         return EX_OK
     print("safe: no")
     print(f"violation: {config_str(r, rep.violation)}")

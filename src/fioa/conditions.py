@@ -317,8 +317,7 @@ def is_quasi_deterministic(
     nearest it.
     """
     if isinstance(source, RestrictedAutomaton):
-        edges = source.graph.edges.items()
-        return _first_clash((cfg, (e.transition for e in es)) for cfg, es in edges)
+        return _first_clash(zip(source.graph.nodes, source.graph.moves))
     return _first_clash(_moves_from_initial(source).items())
 
 

@@ -46,26 +46,29 @@ def _ckey(c: Configuration):
 
 
 def _dot_restricted(r: RestrictedAutomaton) -> str:
-    nodes = sorted(r.graph.edges, key=_ckey)
-    ids = {c: f"c{i}" for i, c in enumerate(nodes)}
+    g = r.graph
+    order = sorted(range(len(g.nodes)), key=lambda i: _ckey(g.nodes[i]))
+    ids = [""] * len(order)  # by node number
+    for n, i in enumerate(order):
+        ids[i] = f"c{n}"
     lines = [f'digraph "{_esc(r.name)}" {{', "  rankdir=LR;", '  node [shape=ellipse];']
-    for c in nodes:
-        attrs = [f'label="{_esc(config_str(r, c))}"']
-        if c.pending is not None:
+    for i in order:
+        attrs = [f'label="{_esc(config_str(r, g.nodes[i]))}"']
+        if g.nodes[i].pending is not None:
             attrs.append("style=dashed")
-        if c == r.graph.initial:
+        if i == 0:
             attrs.append("penwidth=2")
-        lines.append(f"  {ids[c]} [{', '.join(attrs)}];")
+        lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
     # Edges share few distinct labels; each is formatted once.
     labels: dict[tuple[VectorChar, VectorChar], str] = {}
-    for c in nodes:
-        for e in r.graph.edges[c]:
-            key = (e.transition.input, e.transition.output)
+    for i in order:
+        for t, j in zip(g.moves[i], g.succ[i]):
+            key = (t.input, t.output)
             label = labels.get(key)
             if label is None:
                 label = labels[key] = _esc(
                     f"{label_str(key[0], r.base.inputs)} / {label_str(key[1], r.base.outputs)}"
                 )
-            lines.append(f'  {ids[c]} -> {ids[e.target]} [label="{label}"];')
+            lines.append(f'  {ids[i]} -> {ids[j]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -416,6 +416,28 @@ class TestTraceEquivalence:
             "['fin', 'ping', 'req'] on the other"
         )
 
+    def test_different_open_interfaces_are_a_precondition_failure(self, admin_env):
+        server, ring = admin_env.automata["Server"], admin_env.automata["Ring"]
+        with pytest.raises(WiringError) as caught:
+            trace_equivalent(cbr(server), cbr(ring))
+        assert str(caught.value) == (
+            "open input components differ: Server has svc ['fin', 'req'], Ring has ring ['token']"
+        )
+        for kind in ("input", "output"):
+            # The same interface with one more component, which never moves.
+            wider = replace(
+                server,
+                name="wider",
+                transitions=[t._replace(**{kind: getattr(t, kind) + ("",)}) for t in server.transitions],
+                **{f"{kind}s": getattr(server, f"{kind}s") + (ComponentAlphabet("idle", ("x",)),)},
+            )
+            with pytest.raises(WiringError) as caught:
+                trace_equivalent(cbr(wider), cbr(server))
+            assert str(caught.value) == (
+                f"open {kind} components differ: wider has idle ['x'], Server has no more"
+            )
+            assert trace_equivalent(cbr(wider), cbr(wider)).equal
+
     def test_every_network_is_equivalent_to_itself(self, all_restrictions):
         from fioa import is_well_formed
 

@@ -32,6 +32,7 @@ from fioa import (
     edge_census,
     enabled,
     examples,
+    export_dot,
     flatten,
     is_consistent,
     is_protocol,
@@ -41,6 +42,8 @@ from fioa import (
     random_nfioa,
     run,
     safety_query,
+    trace_equivalent,
+    trace_language,
     weak_product,
 )
 from fioa.analysis import law_instance
@@ -657,10 +660,10 @@ class TestWitnesses:
 
 
 class TestNodeNumbers:
-    """`ConfigGraph.nodes` and `succ` agree with the `edges` mapping, and
-    every walk that follows them answers as a naive walk over `edges`."""
+    """`ConfigGraph.nodes`, `moves` and `succ` agree with the `edges` view,
+    and every walk that follows them answers as a naive walk over `edges`."""
 
-    def test_numbers_are_the_breadth_first_positions(self, corpus_and_random):
+    def test_numbers_are_the_breadth_first_positions(self, corpus_and_random, all_restrictions):
         for r in corpus_and_random:
             g = r.graph
             assert list(g.nodes) == list(g.edges), r.name
@@ -671,8 +674,35 @@ class TestNodeNumbers:
                 assert len(g.succ[i]) == len(es)
                 for k, e in enumerate(es):
                     assert g.nodes[g.succ[i][k]] is e.target, (r.name, i, k)
-            assert replace(g, nodes=(), succ=()) == g
-            assert "succ" not in repr(replace(g, edges={}))
+                    assert g.moves[i][k] is e.transition, (r.name, i, k)
+        # A re-restriction rebuilds an equal graph, so equal pairs occur.
+        graphs = [b.restricted.graph for b in all_restrictions]
+        graphs += [cbr(b.restricted).graph for b in all_restrictions]
+        verdicts = Counter()
+        for g1 in graphs:
+            for g2 in graphs:
+                assert (g1 == g2) == (g1.edges == g2.edges)
+                verdicts[g1 == g2] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_no_analysis_builds_the_edges_view(self):
+        r = examples.build("ring2").networks["ring2"].restricted
+        assert is_well_formed(r).ok
+        is_consistent(r)
+        is_quasi_deterministic(r)
+        assert sum(edge_census(r).values()) == r.graph.edge_count
+        assert not safety_query(r, lambda c: c.excited).ok
+        assert safety_query(r, lambda c: False).ok
+        assert trace_language(r, 3)
+        assert trace_equivalent(r, r).equal
+        run(r, "random", 20, seed=1)
+        run(r, "scripted", 3, script=[0, 0, 0])
+        run(r, "exhaustive", 4)
+        export_dot(r)
+        again = cbr(r)
+        assert again.graph == r.graph
+        assert "edges" not in r.graph.__dict__
+        assert "edges" not in again.graph.__dict__
 
     def test_safety_query_against_a_walk_over_the_mapping(self, corpus_and_random):
         found = Counter()

@@ -469,6 +469,17 @@ class TestEquiv:
         assert cli(["equiv", RING_EQ, "ring_quasi", "ring_quasi"]) == 0
         assert cli(["equiv", MUTEX, "closed_mutex", "closed_mutex"]) == 0
 
+    def test_different_open_interfaces_are_a_usage_error(self, capsys):
+        assert cli(["equiv", ADMIN, "Server", "Ring"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: open input components differ: Server has svc ['fin', 'req'], "
+            "Ring has ring ['token']\n"
+        )
+        assert cli(["equiv", ADMIN, "administrator", "administrator"]) == 0
+        assert "equivalent: yes" in capsys.readouterr().out
+
 
 class TestSafety:
     def test_violation_prints_a_replayable_path(self, capsys):
