@@ -18,10 +18,10 @@ needs, which is what makes the algebraic-law comparisons in
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Acceptance,
@@ -219,7 +219,10 @@ def config_str(r: RestrictedAutomaton, c: Configuration) -> str:
 
 
 def flatten(r: RestrictedAutomaton) -> Nfioa:
-    """The flat automaton carrying only the transitions that survived."""
+    """`r.base`: the flat automaton carrying only the transitions that survived.
+
+    fioa itself reads `.base`; this name is kept for external callers.
+    """
     return r.base
 
 
@@ -347,13 +350,8 @@ class Consistency(NamedTuple):
     anchors: frozenset
 
 
-def acceptance_anchors(
-    nodes: Collection,
-    succ: Callable[[object], Iterable],
-    state_of: Callable[[object], StateVector],
-    acceptance: Acceptance,
-) -> frozenset:
-    """Nodes from which acceptance is already being met.
+def acceptance_anchors(graph: ConfigGraph, acceptance: Acceptance) -> frozenset[int]:
+    """Numbers of the nodes from which acceptance is already being met.
 
     Final mode: the nodes sitting on accepting states.  Muller mode: the
     nodes of strongly connected subgraphs that visit exactly one of the
@@ -361,21 +359,20 @@ def acceptance_anchors(
     subgraph induced by a family whose projection covers the whole
     family.
     """
+    states = [c.state for c in graph.nodes]
     if acceptance.mode == "final":
-        return frozenset(n for n in nodes if state_of(n) in acceptance.final_states)
-    anchors: set = set()
+        return frozenset(i for i, s in enumerate(states) if s in acceptance.final_states)
+    anchors: set[int] = set()
     for member in acceptance.muller_sets:
-        inside = [n for n in nodes if state_of(n) in member]
-        if not inside:
-            continue
-        node_set = set(inside)
-        adj = {n: [m for m in succ(n) if m in node_set] for n in inside}
+        inside = [i for i, s in enumerate(states) if s in member]
+        keep = set(inside)
+        adj = {i: [j for j in graph.succ[i] if j in keep] for i in inside}
         for scc in _sccs(inside, adj):
             if len(scc) == 1:
                 (only,) = scc
                 if only not in adj[only]:
                     continue
-            if {state_of(n) for n in scc} == member:
+            if {states[i] for i in scc} == member:
                 anchors |= scc
     return frozenset(anchors)
 
@@ -426,32 +423,32 @@ def _sccs(nodes: Iterable, adj: Mapping) -> list[set]:
     return out
 
 
-def graph_consistency(
-    nodes: Collection,
-    succ: Callable[[object], Iterable],
-    state_of: Callable[[object], StateVector],
-    acceptance: Acceptance,
-) -> Consistency:
+def graph_consistency(graph: ConfigGraph, acceptance: Acceptance, names: Sequence) -> Consistency:
     """Can every node still reach a point where acceptance is met?
 
-    The witness is the first node, in the order of `nodes`, that cannot.
+    The witness is the first node, by number, that cannot; the witness and
+    the anchors are reported as `names[i]` for node i.  A restriction
+    names its configurations; a plain automaton, walked as its
+    channel-free configuration graph, names their states.
     """
-    anchors = acceptance_anchors(nodes, succ, state_of, acceptance)
-    reverse: dict = {n: [] for n in nodes}
-    for n in nodes:
-        for m in succ(n):
-            if m in reverse:
-                reverse[m].append(n)
-    covered = set(anchors)
-    frontier = deque(anchors)
+    anchors = acceptance_anchors(graph, acceptance)
+    reverse: list[list[int]] = [[] for _ in graph.succ]
+    for i, js in enumerate(graph.succ):
+        for j in js:
+            reverse[j].append(i)
+    covered = bytearray(len(reverse))
+    frontier = list(anchors)
     while frontier:
-        n = frontier.popleft()
-        for p in reverse[n]:
-            if p not in covered:
-                covered.add(p)
-                frontier.append(p)
-    witness = next((n for n in nodes if n not in covered), None)
-    return Consistency(witness is None, witness, anchors)
+        i = frontier.pop()
+        if not covered[i]:
+            covered[i] = 1
+            frontier += reverse[i]
+    stuck = covered.find(0)
+    return Consistency(
+        stuck < 0,
+        None if stuck < 0 else names[stuck],
+        frozenset(map(names.__getitem__, anchors)),
+    )
 
 
 def is_consistent(r: RestrictedAutomaton) -> Consistency:
@@ -462,18 +459,7 @@ def is_consistent(r: RestrictedAutomaton) -> Consistency:
             f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
             "cannot consume its pending character"
         )
-    nodes = r.graph.nodes
-    found = graph_consistency(
-        range(len(nodes)),
-        r.graph.succ.__getitem__,
-        lambda i: nodes[i].state,
-        r.base.acceptance,
-    )
-    return Consistency(
-        found.ok,
-        None if found.witness is None else nodes[found.witness],
-        frozenset(map(nodes.__getitem__, found.anchors)),
-    )
+    return graph_consistency(r.graph, r.base.acceptance, r.graph.nodes)
 
 
 def open_components(
@@ -532,30 +518,23 @@ def run(
         )
     nodes, moves, succ = r.graph.nodes, r.graph.moves, r.graph.succ
     start = r.graph.initial
-    if scheduler == "random":
-        rng = random.Random(seed)
+    if scheduler == "scripted" and script is None:
+        raise SchedulerError("scripted scheduler needs a choice list")
+    if scheduler in ("random", "scripted"):
+        draw = random.Random(seed).randrange if scheduler == "random" else None
+        steps = script[:step_bound] if draw is None else range(step_bound)
         configs, trans = [start], []
         i = 0
-        for _ in range(step_bound):
+        for choice in steps:
             ts = moves[i]
-            if not ts:
-                break
-            # the same draw as `rng.choice(ts)`, so seeded runs replay
-            k = rng.randrange(len(ts))
-            trans.append(ts[k])
-            i = succ[i][k]
-            configs.append(nodes[i])
-        return Run(tuple(configs), tuple(trans))
-    if scheduler == "scripted":
-        if script is None:
-            raise SchedulerError("scripted scheduler needs a choice list")
-        configs, trans = [start], []
-        i = 0
-        for step_no, choice in enumerate(script[:step_bound]):
-            ts = moves[i]
-            if not (0 <= choice < len(ts)):
+            if draw is not None:
+                if not ts:
+                    break
+                # the same draw as `rng.choice(ts)`, so seeded runs replay
+                choice = draw(len(ts))
+            elif not (0 <= choice < len(ts)):
                 raise SchedulerError(
-                    f"step {step_no}: choice {choice} out of range "
+                    f"step {len(trans)}: choice {choice} out of range "
                     f"({len(ts)} enabled at {config_str(r, nodes[i])})"
                 )
             trans.append(ts[choice])

@@ -22,7 +22,6 @@ source state can satisfy.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
@@ -40,8 +39,10 @@ from .core import (
     reachable_states,
 )
 from .channels import (
+    ConfigGraph,
     Consistency,
     RestrictedAutomaton,
+    _explore,
     cbr,
     graph_consistency,
 )
@@ -285,24 +286,23 @@ def _first_clash(places) -> QuasiDeterminism:
     return QuasiDeterminism(True, None)
 
 
-def _moves_from_initial(a: Nfioa) -> dict[StateVector, list[Transition]]:
-    """Each reachable state's moves, in `Transition` order.
+def _plain_graph(a: Nfioa) -> ConfigGraph:
+    """`a` walked as its channel-free configuration graph.
 
-    The keys run in breadth-first order from the initial state, the order
-    in which `cbr` explores the same automaton, so a walk over them meets
-    a failing state nearest the initial one first.
+    Every configuration is relaxed, so node i is reachable state
+    `nodes[i].state`, numbered by `_explore` in the breadth-first order in
+    which `cbr(a)` explores the same automaton; its moves are listed in
+    `Transition` order.  There are at most `len(a.states)` nodes, so the
+    cap never fires.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
         by_source.setdefault(t.source, []).append(t)
-    moves = {a.initial: sorted(by_source.get(a.initial, ()))}
-    frontier = deque(moves)
-    while frontier:
-        for t in moves[frontier.popleft()]:
-            if t.target not in moves:
-                moves[t.target] = sorted(by_source.get(t.target, ()))
-                frontier.append(t.target)
-    return moves
+
+    def step(state: StateVector, _pending: None) -> list[tuple[Transition, None]]:
+        return [(t, None) for t in sorted(by_source.get(state, ()))]
+
+    return _explore(a.initial, step, None, cap=len(a.states))
 
 
 def is_quasi_deterministic(
@@ -310,15 +310,18 @@ def is_quasi_deterministic(
 ) -> QuasiDeterminism:
     """At most one move per input label — silent included — anywhere reachable.
 
-    Plain automata are checked over reachable states, restricted automata
-    over their configuration graph, so a state entered both relaxed and
-    excited is checked per entry mode.  Either way places are walked in
+    A restricted automaton is checked over its configuration graph, so a
+    state entered both relaxed and excited is checked per entry mode, and
+    its witness names a configuration.  A plain automaton is walked as its
+    channel-free configuration graph, numbered by `_explore`, and its
+    witness names a state.  Either way nodes are walked by number, in
     breadth-first order from the initial one, and the witness is a clash
     nearest it.
     """
     if isinstance(source, RestrictedAutomaton):
         return _first_clash(zip(source.graph.nodes, source.graph.moves))
-    return _first_clash(_moves_from_initial(source).items())
+    g = _plain_graph(source)
+    return _first_clash(zip((c.state for c in g.nodes), g.moves))
 
 
 def is_unaffected(a: Nfioa, conditions: Iterable[Condition], p) -> bool:
@@ -336,9 +339,10 @@ def is_consistent_cond(a: Nfioa) -> Consistency:
     """Acceptance-reachability over the plain transition graph.
 
     The condition-restricted operator returns ordinary automata, so
-    consistency for them is the channel check with configurations
-    replaced by reachable states, walked in the same breadth-first order:
-    the witness is a stuck state nearest the initial one.
+    consistency for them is the channel check itself: the automaton is
+    walked as its channel-free configuration graph, numbered by
+    `_explore`, and the answer names states.  The witness is a stuck
+    state nearest the initial one.
     """
-    succ = {s: [t.target for t in ts] for s, ts in _moves_from_initial(a).items()}
-    return graph_consistency(succ, succ.__getitem__, lambda s: s, a.acceptance)
+    g = _plain_graph(a)
+    return graph_consistency(g, a.acceptance, [c.state for c in g.nodes])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .core import Acceptance, Nfioa, StateVector, with_initial
-from .channels import Channel, RestrictedAutomaton, cbr, flatten
+from .channels import Channel, RestrictedAutomaton, cbr
 from .conditions import Condition, IoPattern, Scope, cond
 from .errors import WiringError
 from .product import LazyProduct, ProductIndex, weak_product
@@ -282,7 +282,7 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
         )
         if spec.acceptance is not None:
             r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
-        return BuiltNetwork(compiled, flatten(r), r)
+        return BuiltNetwork(compiled, r.base, r)
     prod, _index = weak_product(compiled.factors, name=spec.name)
     automaton = cond(prod, compiled.conditions, name=spec.name)
     if spec.acceptance is not None:

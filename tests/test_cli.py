@@ -465,9 +465,15 @@ class TestEquiv:
         assert "t1.clk>a1.clk timeout" in out
         assert "a1.ring>a2.ring token" in out
 
-    def test_incomparable_networks_are_a_usage_error(self, capsys):
+    def test_a_network_is_equivalent_to_itself(self, capsys):
         assert cli(["equiv", RING_EQ, "ring_quasi", "ring_quasi"]) == 0
         assert cli(["equiv", MUTEX, "closed_mutex", "closed_mutex"]) == 0
+
+    def test_incomparable_networks_are_a_usage_error(self, capsys):
+        assert cli(["equiv", RING_EQ, "ring_quasi", "DetAdmin"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: networks have different channel structure\n"
 
     def test_different_open_interfaces_are_a_usage_error(self, capsys):
         assert cli(["equiv", ADMIN, "Server", "Ring"]) == 2
