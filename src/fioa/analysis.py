@@ -227,10 +227,8 @@ def check_law(law: str, instance=None, *, seed: int = 0) -> LawReport:
         ):
             return LawReport(law, False, False, "channel is not local to the second factor")
         prod, idx = weak_product([a, b])
-        shifted = Channel(
-            idx.output_slices[1][0] + cb.out_component,
-            idx.input_slices[1][0] + cb.in_component,
-        )
+        outs, ins = idx.span("output", 1), idx.span("input", 1)
+        shifted = Channel(outs[cb.out_component], ins[cb.in_component])
         lhs = cbr(prod, (shifted,)).base
         rb = cbr(b, (cb,)).base
         prod2, _ = weak_product([a, rb])
@@ -241,11 +239,12 @@ def check_law(law: str, instance=None, *, seed: int = 0) -> LawReport:
     if law == "protocol-product":
         a1, c1s, a2, c2s = instance
         prod_raw, idx = weak_product([a1, a2])
-        in_off = idx.input_slices[1][0]
-        out_off = idx.output_slices[1][0]
+        # `c2s` is unchecked input, so it is shifted by plain addition and a
+        # bad component still reaches the checks that refuse it.
+        outs, ins = idx.span("output", 1), idx.span("input", 1)
 
         def shift(ch: Channel) -> Channel:
-            return Channel(ch.out_component + out_off, ch.in_component + in_off)
+            return Channel(outs.start + ch.out_component, ins.start + ch.in_component)
 
         local = tuple(c1s) + tuple(shift(c) for c in c2s)
         open_in, open_out = open_components(prod_raw, local)

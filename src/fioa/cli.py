@@ -250,20 +250,20 @@ def _factor_projection(a: Nfioa, built: BuiltNetwork, keep: int) -> Projection:
     """Keep one factor's slots; pin other states, silence other lanes."""
     index = built.compiled.index
 
-    def maps(slices, other) -> tuple[dict, ...]:
-        return tuple(
-            {} if f == keep else other(slot)
-            for f, (off, width) in enumerate(slices)
-            for slot in range(off, off + width)
-        )
+    def maps(side: str, width: int, other) -> tuple[dict, ...]:
+        mine = index.span(side, keep)
+        return tuple({} if slot in mine else other(slot) for slot in range(width))
 
     def pinned(slot: int) -> dict:
         return {v: "_" for v in sorted({s[slot] for s in a.states}) if v != "_"}
 
+    def silenced(comps) -> Callable[[int], dict]:
+        return lambda slot: {ch: EPSILON for ch in comps[slot].characters}
+
     return Projection(
-        maps(index.state_slices, pinned),
-        maps(index.input_slices, lambda slot: {ch: EPSILON for ch in a.inputs[slot].characters}),
-        maps(index.output_slices, lambda slot: {ch: EPSILON for ch in a.outputs[slot].characters}),
+        maps("state", a.state_width, pinned),
+        maps("input", len(a.inputs), silenced(a.inputs)),
+        maps("output", len(a.outputs), silenced(a.outputs)),
     )
 
 
@@ -570,10 +570,7 @@ def cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (WorkbenchError, OSError, ValueError) as exc:
+    except (_UsageError, WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
 

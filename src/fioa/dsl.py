@@ -110,9 +110,6 @@ class WorkbenchDocument:
     networks: tuple[NetworkDef, ...] = ()
     directives: tuple[Directive, ...] = ()
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.automata) + tuple(n.name for n in self.networks)
-
 
 @dataclass
 class ResolvedDocument:

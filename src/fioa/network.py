@@ -177,12 +177,7 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
         rf = factor_of(cs.in_factor)
         sc = _component_index(factors[sf].outputs, cs.out_component, f"{cs.out_factor} output")
         rc = _component_index(factors[rf].inputs, cs.in_component, f"{cs.in_factor} input")
-        channels.append(
-            Channel(
-                index.output_slices[sf][0] + sc,
-                index.input_slices[rf][0] + rc,
-            )
-        )
+        channels.append(Channel(index.span("output", sf)[sc], index.span("input", rf)[rc]))
 
     def compile_pattern(ps: PatternSpec, side: str) -> IoPattern:
         if ps.kind == "any":
@@ -191,56 +186,41 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
             return IoPattern.silent()
         f = factor_of(ps.factor)
         comps = factors[f].outputs if side == "output" else factors[f].inputs
-        c = _component_index(comps, ps.component, f"{ps.factor} {side}")
-        slices = index.output_slices if side == "output" else index.input_slices
-        flat = slices[f][0] + c
+        flat = index.span(side, f)[_component_index(comps, ps.component, f"{ps.factor} {side}")]
         if ps.kind == "literal":
             return IoPattern.literal(flat, ps.character)
         return IoPattern.active(flat)
 
+    state_width = sum(f.state_width for f in factors)
+
+    def placed(slots: tuple[int, ...], pattern: tuple[str, ...]) -> tuple[str, ...]:
+        """`pattern` written at `slots` of an all-wildcard state pattern."""
+        flat = ["*"] * state_width
+        for slot, p in zip(slots, pattern):
+            flat[slot] = p
+        return tuple(flat)
+
     conditions = []
     for cs in spec.conditions:
-        scoped = (
-            tuple(range(len(factors)))
-            if cs.on is None
-            else tuple(factor_of(a) for a in cs.on)
-        )
-        width = sum(index.state_slices[f][1] for f in scoped)
+        scoped = range(len(factors)) if cs.on is None else [factor_of(a) for a in cs.on]
+        scope = Scope(*(
+            tuple(slot for f in scoped for slot in index.span(side, f))
+            for side in ("state", "input", "output")
+        ))
+        width = len(scope.state_components)
         if len(cs.source) != width or len(cs.target) != width:
             raise WiringError(
                 f"condition {cs.name!r}: patterns have arity {len(cs.source)}, "
                 f"scoped factors have total state width {width}"
             )
-        total_width = sum(w for _off, w in index.state_slices)
-        source = ["*"] * total_width
-        target = ["*"] * total_width
-        at = 0
-        state_scope: list[int] = []
-        for f in scoped:
-            off, w = index.state_slices[f]
-            for i in range(w):
-                source[off + i] = cs.source[at]
-                target[off + i] = cs.target[at]
-                state_scope.append(off + i)
-                at += 1
-        in_scope = [
-            index.input_slices[f][0] + i
-            for f in scoped
-            for i in range(index.input_slices[f][1])
-        ]
-        out_scope = [
-            index.output_slices[f][0] + i
-            for f in scoped
-            for i in range(index.output_slices[f][1])
-        ]
         conditions.append(
             Condition(
                 name=cs.name,
-                source=tuple(source),
-                target=tuple(target),
+                source=placed(scope.state_components, cs.source),
+                target=placed(scope.state_components, cs.target),
                 input=compile_pattern(cs.input, "input"),
                 output=compile_pattern(cs.output, "output"),
-                scope=Scope(tuple(state_scope), tuple(in_scope), tuple(out_scope)),
+                scope=scope,
             )
         )
 

@@ -33,7 +33,13 @@ TRANSITION_CAP = 2 * 10**6
 
 @dataclass(frozen=True)
 class ProductIndex:
-    """(offset, width) slices locating each factor in the flat vectors."""
+    """Where each factor sits in the flat state, input and output vectors.
+
+    The one place that knows the flat layout: channels, label patterns,
+    condition scopes and projections are compiled against `span`, never
+    against offsets worked out again.  Each `*_slices` field holds one
+    `(offset, width)` pair per factor.
+    """
 
     state_slices: tuple[tuple[int, int], ...]
     input_slices: tuple[tuple[int, int], ...]
@@ -46,10 +52,6 @@ class ProductIndex:
                 if off != at or width < 0:
                     raise WiringError("index slices must partition the flat dimensions")
                 at += width
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.state_slices)
 
     @classmethod
     def for_factors(cls, factors: Sequence[Nfioa]) -> "ProductIndex":
@@ -66,17 +68,10 @@ class ProductIndex:
             output_slices=slices(len(f.outputs) for f in factors),
         )
 
-    def state_of(self, vec: tuple, k: int) -> tuple:
-        off, w = self.state_slices[k]
-        return vec[off : off + w]
-
-    def input_of(self, vec: tuple, k: int) -> tuple:
-        off, w = self.input_slices[k]
-        return vec[off : off + w]
-
-    def output_of(self, vec: tuple, k: int) -> tuple:
-        off, w = self.output_slices[k]
-        return vec[off : off + w]
+    def span(self, side: str, k: int) -> range:
+        """Factor `k`'s flat positions on `side`: "state", "input" or "output"."""
+        off, width = getattr(self, f"{side}_slices")[k]
+        return range(off, off + width)
 
 
 def _qualified(factor: Nfioa, comps: tuple[ComponentAlphabet, ...]):
@@ -181,9 +176,9 @@ def weak_product(
     return product, lazy.index
 
 
-def _placed(vc: VectorChar, offset: int, width: int) -> VectorChar:
-    """A factor label placed at `offset` in a flat label of `width` slots."""
-    return (EPSILON,) * offset + vc + (EPSILON,) * (width - offset - len(vc))
+def _placed(vc: VectorChar, span: range, width: int) -> VectorChar:
+    """A factor label placed at its `span` in a flat label of `width` slots."""
+    return (EPSILON,) * span.start + vc + (EPSILON,) * (width - span.stop)
 
 
 def _spliced(state: StateVector, lo: int, hi: int, moves) -> list:
@@ -206,7 +201,7 @@ class LazyProduct:
     unchanged.
 
     A move changes only its factor's slice of the state, and its labels
-    are the factor's labels at the factor's offsets, silent elsewhere, so
+    are the factor's labels at the factor's positions, silent elsewhere, so
     the flat labels and their active `(component, char)` slots depend on
     the factor transition alone.  They are placed here once, for the moves
     out of factor-reachable local states.  A plain automaton is the
@@ -225,22 +220,20 @@ class LazyProduct:
         self.initial = tuple(v for f in self.factors for v in f.initial)
         self.index = ProductIndex.for_factors(self.factors)
         self.reach = [reachable_states(f) for f in self.factors]
-        spans = [(off, off + w) for off, w in self.index.state_slices]
-        # The state slice of the factor owning each flat input component.
-        self._input_span = tuple(
-            span for span, (_, w) in zip(spans, self.index.input_slices) for _ in range(w)
-        )
+        # The state bounds of the factor owning each flat input component.
+        self._input_span: tuple = ()
         self._moves = []
-        for f, span, (in_off, _), (out_off, _), reach in zip(
-            self.factors, spans, self.index.input_slices, self.index.output_slices, self.reach
-        ):
+        for k, (f, reach) in enumerate(zip(self.factors, self.reach)):
+            state, ins, outs = (self.index.span(side, k) for side in ("state", "input", "output"))
+            bounds = (state.start, state.stop)
+            self._input_span += (bounds,) * len(ins)
             moves = []
             for t in sorted(f.transitions):
                 if t.source in reach:
-                    inp = _placed(t.input, in_off, len(self.inputs))
-                    outp = _placed(t.output, out_off, len(self.outputs))
+                    inp = _placed(t.input, ins, len(self.inputs))
+                    outp = _placed(t.output, outs, len(self.outputs))
                     moves.append((t.source, t.target, inp, outp, active_slot(inp), active_slot(outp)))
-            self._moves.append((span, moves))
+            self._moves.append((bounds, moves))
         self.transition_count = sum(
             len(moves) * prod(len(r) for j, r in enumerate(self.reach) if j != k)
             for k, (_, moves) in enumerate(self._moves)

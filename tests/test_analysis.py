@@ -110,7 +110,7 @@ class TestLaws:
         )
         loopback = Channel(0, 0)
         prod, index = weak_product([walker, handshake])
-        shifted = Channel(index.output_slices[1][0], index.input_slices[1][0])
+        shifted = Channel(index.span("output", 1).start, index.span("input", 1).start)
 
         lhs = flatten(cbr(prod, (shifted,)))
         mid_handshake_walk = Transition(("a0", "b1"), ("a1", "b1"), ("",), ("",))

@@ -62,6 +62,39 @@ class TestValidate:
         assert "check consistent administrator: ok" in out
         assert calls == ["administrator"]
 
+    def test_valid_and_deterministic_directives(self, tmp_path, capsys):
+        path = tmp_path / "coins.pw"
+        path.write_text(
+            "automaton Toggle {\n"
+            "  states lo, hi;\n"
+            "  initial lo;\n"
+            "  inputs press: {p};\n"
+            "  accept final {hi};\n"
+            "  trans lo -> hi on press.p / -;\n"
+            "  trans hi -> lo on press.p / -;\n"
+            "}\n"
+            "automaton Coin {\n"
+            "  states lo, hi;\n"
+            "  initial lo;\n"
+            "  inputs press: {p};\n"
+            "  accept final {hi};\n"
+            "  trans lo -> lo on press.p / -;\n"
+            "  trans lo -> hi on press.p / -;\n"
+            "}\n"
+            "check valid Toggle;\n"
+            "check deterministic Toggle;\n"
+            "check valid Coin;\n"
+            "check deterministic Coin;\n",
+            encoding="utf-8",
+        )
+        assert cli(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            "check valid Toggle: ok (2 states)",
+            "check deterministic Toggle: ok (at most one move per state and input)",
+            "check valid Coin: ok (2 states)",
+            "check deterministic Coin: FAIL (nondeterministic)",
+        ]
+
     def test_missing_file_is_a_usage_error(self, capsys):
         assert cli(["validate", "/nonexistent/nowhere.pw"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -445,6 +478,24 @@ class TestLaws:
         out = capsys.readouterr().out
         assert out.count("law ") == 5
         assert "FAIL" not in out
+
+    def test_skips_and_failures_are_counted_and_reported(self, monkeypatch, capsys):
+        def fake(law, instance=None, *, seed=0):
+            if law == "cbr-commute" and seed == 0:
+                return fioa.LawReport(law, False, False, "channels share a component")
+            if law == "restr-product-commute" and seed == 2:
+                return fioa.LawReport(law, True, False, "lhs has 3 states, rhs 4")
+            return fioa.LawReport(law, True, True)
+
+        monkeypatch.setattr(fioa.cli, "check_law", fake)
+        assert cli(["laws", "all", "--seeds", "3"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "law cbr-commute: ok (2 applicable, 1 skipped)",
+            "law restr-product-commute: FAIL at seed 2 (lhs has 3 states, rhs 4)",
+            "law protocol-product: ok (3 applicable, 0 skipped)",
+            "law channel-condition-commute: ok (3 applicable, 0 skipped)",
+            "law separation: ok",
+        ]
 
     def test_unknown_law_is_a_usage_error(self, capsys):
         assert cli(["laws", "entropy"]) == 2

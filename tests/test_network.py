@@ -17,6 +17,7 @@ from fioa import (
     FactorRef,
     NetworkSpec,
     PatternSpec,
+    Scope,
     WiringError,
     build_network,
     channel_str,
@@ -146,6 +147,38 @@ class TestCompile:
         assert c.output.kind == "literal"
         assert c.output.component == 1  # granter's flat output slot
         assert c.output.character == "cf_fin"
+
+    def test_spans_at_nonzero_offsets_place_channels_patterns_and_scope(self):
+        """Timer, a two-slot relay and a server: the relay's state, input and
+        output slots are 1 and 2, the server's are 3 in each vector."""
+        relay = examples.build("mitm").networks["relay"].automaton
+        spec = NetworkSpec(
+            name="offsets",
+            factors=(
+                FactorRef("t", examples.timer_role()),
+                FactorRef("m", relay),
+                FactorRef("c", examples.server_role()),
+            ),
+            channels=(ChannelSpec("m", 1, "c", "svc"),),
+            conditions=(
+                ConditionSpec(
+                    "veto",
+                    ("crit", "*", "remn"),
+                    ("exit", "try", "*"),
+                    input=PatternSpec.active("c", "svc"),
+                    output=PatternSpec.literal("m", 1, "req"),
+                    on=("c", "m"),
+                ),
+            ),
+        )
+        compiled = compile_network(spec)
+        assert compiled.channels == (Channel(2, 3),)
+        (c,) = compiled.conditions
+        assert c.source == ("*", "*", "remn", "crit")
+        assert c.target == ("*", "try", "*", "exit")
+        assert (c.input.kind, c.input.component) == ("active", 3)
+        assert (c.output.kind, c.output.component, c.output.character) == ("literal", 2, "req")
+        assert c.scope == Scope((3, 1, 2), (3, 1, 2), (3, 1, 2))
 
 
 class TestBuild:

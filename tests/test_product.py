@@ -26,6 +26,12 @@ from fioa import (
 from fioa.core import active_slot, is_silent
 
 
+def _part(index, side, vec, k):
+    """Factor `k`'s part of the flat `side` vector `vec`."""
+    span = index.span(side, k)
+    return vec[span.start : span.stop]
+
+
 @pytest.fixture(scope="module")
 def mutex_product():
     return weak_product([examples.user_role(), examples.server_role()])
@@ -37,7 +43,7 @@ class TestEagerProduct:
         assert len(prod.states) == 16
         assert len(prod.transitions) == 32
         assert prod.initial == ("remn", "remn")
-        assert index.factor_count == 2
+        assert [index.span("state", k) for k in range(2)] == [range(0, 1), range(1, 2)]
         assert validate(prod) == []
 
     def test_interfaces_are_concatenated_and_qualified(self, mutex_product):
@@ -52,15 +58,13 @@ class TestEagerProduct:
         for t in prod.transitions:
             moved = [
                 k
-                for k in range(index.factor_count)
-                if index.state_of(t.source, k) != index.state_of(t.target, k)
+                for k in range(2)
+                if _part(index, "state", t.source, k) != _part(index, "state", t.target, k)
             ]
             assert len(moved) == 1
             k = moved[0]
-            for side, of in ((t.input, index.input_of), (t.output, index.output_of)):
-                for j in range(index.factor_count):
-                    if j != k:
-                        assert is_silent(of(side, j))
+            for side, vec in (("input", t.input), ("output", t.output)):
+                assert is_silent(_part(index, side, vec, 1 - k))
 
     def test_labels_still_activate_at_most_one_flat_slot(self, mutex_product):
         prod, _ = mutex_product
@@ -177,8 +181,10 @@ class TestProductIndex:
         factors = [examples.user_role(), examples.timer_role()]
         _, index = weak_product(factors)
         vec = ("crit", "wait")
-        assert index.state_of(vec, 0) == ("crit",)
-        assert index.state_of(vec, 1) == ("wait",)
+        assert _part(index, "state", vec, 0) == ("crit",)
+        assert _part(index, "state", vec, 1) == ("wait",)
+        assert index.span("input", 1) == range(1, 2)
+        assert index.span("output", 1) == range(1, 1 + len(factors[1].outputs))
 
 
 class TestRandomProducts:
@@ -195,8 +201,8 @@ class TestRandomProducts:
         prod, index = weak_product([a, b])
         ra, rb = reachable_states(a), reachable_states(b)
         for s in reachable_states(prod):
-            assert index.state_of(s, 0) in ra
-            assert index.state_of(s, 1) in rb
+            assert _part(index, "state", s, 0) in ra
+            assert _part(index, "state", s, 1) in rb
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=40, deadline=None)
@@ -215,10 +221,10 @@ class TestRandomProducts:
             movers = []
             for i in range(2):
                 piece = Transition(
-                    index.state_of(t.source, i),
-                    index.state_of(t.target, i),
-                    index.input_of(t.input, i),
-                    index.output_of(t.output, i),
+                    _part(index, "state", t.source, i),
+                    _part(index, "state", t.target, i),
+                    _part(index, "input", t.input, i),
+                    _part(index, "output", t.output, i),
                 )
                 stayed_put = (
                     piece.source == piece.target
