@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections import Counter
 from functools import cache, partial
 from typing import Callable
 
@@ -40,7 +41,7 @@ from .channels import (
     run as run_graph,
 )
 from .conditions import is_quasi_deterministic, is_unaffected
-from .core import EPSILON, Nfioa, Projection, classify, label_str, reachable_states
+from .core import EPSILON, Nfioa, Projection, classify, is_silent, label_str, reachable_states, state_str
 from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
 from .errors import CapacityExceeded, PreconditionError, WorkbenchError
@@ -109,6 +110,19 @@ def _print_trace(r: RestrictedAutomaton, res) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _nondeterminism(a: Nfioa) -> str:
+    """The first state, in sorted order, with a spontaneous move (the silent
+    label sorts first among a state's labels), else two moves on one label."""
+    moves = Counter((t.source, t.input) for t in a.transitions)
+    return next(
+        f"spontaneous move from {state_str(state)}"
+        if is_silent(label)
+        else f"{n} moves on {label_str(label, a.inputs)} from {state_str(state)}"
+        for (state, label), n in sorted(moves.items())
+        if is_silent(label) or n > 1
+    )
+
+
 def _run_directive(
     env: ResolvedDocument, kind: str, target: str, graph: Callable[[str], RestrictedAutomaton]
 ) -> tuple[bool, str]:
@@ -117,8 +131,8 @@ def _run_directive(
     if kind == "valid":
         return True, f"{len(a.states)} states"
     if kind == "deterministic":
-        c = classify(a)
-        return c.is_deterministic, "at most one move per state and input" if c.is_deterministic else "nondeterministic"
+        ok = classify(a).is_deterministic
+        return ok, "at most one move per state and input" if ok else _nondeterminism(a)
     r = graph(target)
     if kind == "wellformed":
         wf = is_well_formed(r)

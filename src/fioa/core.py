@@ -75,11 +75,10 @@ class ComponentAlphabet:
     """
 
     name: str
-    characters: frozenset[str]
+    characters: frozenset[str] = frozenset()
 
-    def __init__(self, name: str, characters: Iterable[str] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "characters", frozenset(characters))
+    def __post_init__(self):
+        object.__setattr__(self, "characters", frozenset(self.characters))
 
 
 class Transition(NamedTuple):
@@ -115,10 +114,10 @@ class Acceptance:
 class Nfioa:
     """Nondeterministic finite automaton with vector I/O labels.
 
-    Construction, `dataclasses.replace` included, runs `validate` and
-    raises `InvalidAutomaton` with every diagnostic it finds, so every
-    automaton that exists is valid and no operator checks its argument
-    again.
+    Construction, `dataclasses.replace` included, normalises the fields,
+    runs `validate` and raises `InvalidAutomaton` with every diagnostic it
+    finds, so every automaton that exists is valid and no operator checks
+    its argument again.
     """
 
     name: str
@@ -129,32 +128,20 @@ class Nfioa:
     acceptance: Acceptance
     transitions: frozenset[Transition]
 
-    def __init__(
-        self,
-        name: str,
-        states: Iterable[StateVector],
-        inputs: Iterable[ComponentAlphabet],
-        outputs: Iterable[ComponentAlphabet],
-        initial: StateVector,
-        acceptance: Acceptance,
-        transitions: Iterable[Transition],
-    ):
+    def __post_init__(self):
         # Sets that are already normal are kept, so `replace` of another
         # field copies neither.
+        states, transitions = self.states, self.transitions
         if not (isinstance(states, frozenset) and all(type(s) is tuple for s in states)):
-            states = frozenset(tuple(s) for s in states)
+            object.__setattr__(self, "states", frozenset(tuple(s) for s in states))
         if not (
             isinstance(transitions, frozenset)
             and all(isinstance(t, Transition) for t in transitions)
         ):
-            transitions = frozenset(Transition(*t) for t in transitions)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "initial", tuple(initial))
-        object.__setattr__(self, "acceptance", acceptance)
-        object.__setattr__(self, "transitions", transitions)
+            object.__setattr__(self, "transitions", frozenset(Transition(*t) for t in transitions))
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "initial", tuple(self.initial))
         diags = validate(self)
         if diags:
             raise InvalidAutomaton(diags)

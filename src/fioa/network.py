@@ -36,12 +36,9 @@ class FactorRef:
     automaton: Nfioa
     initial: StateVector | None = None
 
-    def __init__(self, alias: str, automaton: Nfioa, initial=None):
-        object.__setattr__(self, "alias", alias)
-        object.__setattr__(self, "automaton", automaton)
-        object.__setattr__(
-            self, "initial", tuple(initial) if initial is not None else None
-        )
+    def __post_init__(self):
+        if self.initial is not None:
+            object.__setattr__(self, "initial", tuple(self.initial))
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,8 @@ class ConditionSpec:
 
     `on` lists the factors the condition coordinates (None = all, in
     network order); the source/target patterns have one entry per state
-    slot of the scoped factors, in the order `on` lists them.
+    slot of the scoped factors, in the order `on` lists them.  A label
+    pattern given as None is `PatternSpec.any()`.
     """
 
     name: str
@@ -96,29 +94,29 @@ class ConditionSpec:
     output: PatternSpec = PatternSpec.any()
     on: tuple[str, ...] | None = None
 
-    def __init__(self, name, source, target, input=None, output=None, on=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", tuple(source))
-        object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "input", input or PatternSpec.any())
-        object.__setattr__(self, "output", output or PatternSpec.any())
-        object.__setattr__(self, "on", tuple(on) if on is not None else None)
+    def __post_init__(self):
+        object.__setattr__(self, "source", tuple(self.source))
+        object.__setattr__(self, "target", tuple(self.target))
+        object.__setattr__(self, "input", self.input or PatternSpec.any())
+        object.__setattr__(self, "output", self.output or PatternSpec.any())
+        if self.on is not None:
+            object.__setattr__(self, "on", tuple(self.on))
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A network: aliased factors, channels, conditions, acceptance."""
+
     name: str
     factors: tuple[FactorRef, ...]
     channels: tuple[ChannelSpec, ...] = ()
     conditions: tuple[ConditionSpec, ...] = ()
     acceptance: Acceptance | None = None
 
-    def __init__(self, name, factors, channels=(), conditions=(), acceptance=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "channels", tuple(channels))
-        object.__setattr__(self, "conditions", tuple(conditions))
-        object.__setattr__(self, "acceptance", acceptance)
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "conditions", tuple(self.conditions))
 
 
 @dataclass(frozen=True)

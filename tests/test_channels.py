@@ -89,6 +89,11 @@ class TestHandshakeCycle:
             (edge,) = enabled(mutex, cfg)
             cfg = edge.target
 
+    @pytest.mark.parametrize("query", [classify_config, enabled])
+    def test_a_foreign_configuration_is_refused(self, mutex, query):
+        with pytest.raises(WiringError):
+            query(mutex, Configuration(("nowhere", "nowhere"), None))
+
     def test_census_splits_between_send_and_consume(self, mutex):
         assert edge_census(mutex) == {
             EdgeClass("relaxed", "silent-in", "channel-out"): 4,
@@ -225,6 +230,8 @@ class TestChannelValidation:
         base = flatten(mutex)
         diags = check_channels(base.inputs, base.outputs, [Channel(9, 0)])
         assert any("out of range" in d for d in diags)
+        diags = check_channels(base.inputs, base.outputs, [Channel(0, 9)])
+        assert diags == [f"channel {Channel(0, 9)} input index out of range"]
 
     def test_unreadable_sender_characters_are_diagnosed(self):
         user = examples.user_role()
@@ -287,6 +294,10 @@ class TestSchedulers:
     def test_scripted_run_requires_a_script(self, mutex):
         with pytest.raises(SchedulerError):
             run(mutex, "scripted", 8)
+
+    def test_exhaustive_runs_stop_at_the_run_cap(self, mutex):
+        with pytest.raises(CapacityExceeded, match="more than 0 runs at bound 5"):
+            run(mutex, "exhaustive", 5, run_cap=0)
 
     def test_unknown_scheduler_is_rejected(self, mutex):
         with pytest.raises(SchedulerError):

@@ -92,8 +92,17 @@ class TestValidate:
             "check valid Toggle: ok (2 states)",
             "check deterministic Toggle: ok (at most one move per state and input)",
             "check valid Coin: ok (2 states)",
-            "check deterministic Coin: FAIL (nondeterministic)",
+            "check deterministic Coin: FAIL (2 moves on press.p from lo)",
         ]
+        users = tmp_path / "users.pw"
+        users.write_text(
+            (CORPUS / "mutex.pw").read_text(encoding="utf-8") + "check deterministic User;\n",
+            encoding="utf-8",
+        )
+        assert cli(["validate", str(users)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "check deterministic User: FAIL (spontaneous move from crit)"
+        )
 
     def test_missing_file_is_a_usage_error(self, capsys):
         assert cli(["validate", "/nonexistent/nowhere.pw"]) == 2
@@ -111,6 +120,10 @@ class TestProduct:
     def test_unknown_name_is_a_usage_error(self, capsys):
         assert cli(["product", MUTEX, "User", "Ghost"]) == 2
 
+    def test_one_name_is_a_usage_error(self, capsys):
+        assert cli(["product", MUTEX, "User"]) == 2
+        assert capsys.readouterr().err == "error: product needs at least two automaton names\n"
+
 
 class TestRestrictionReports:
     def test_cbr_census(self, capsys):
@@ -120,6 +133,16 @@ class TestRestrictionReports:
         assert "edges: 8" in out
         assert "census relaxed/silent-in/channel-out: 4" in out
         assert "census excited/consume/silent-out: 4" in out
+
+    def test_cond_on_a_wired_network_reports_its_graph(self, capsys):
+        assert cli(["cond", MUTEX, "closed_mutex"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["configurations: 8", "edges: 8"]
+
+    def test_cond_on_an_automaton_is_a_usage_error(self, capsys):
+        assert cli(["cond", MUTEX, "User"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no network named 'User'; declared: closed_mutex\n"
+        )
 
     def test_hitting_the_configuration_cap_is_a_usage_error(self, monkeypatch, capsys):
         import fioa.network
@@ -446,6 +469,11 @@ class TestRun:
             )
             == 2
         )
+
+    def test_a_random_run_reports_its_deadlock(self, capsys):
+        argv = ["run", BROKEN, "DeafServer", "--seed", "1", "--bound", "12"]
+        assert cli(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["steps: 0", "halted: deadlock"]
 
     def test_running_an_ill_formed_network_fails_cleanly(self, capsys):
         assert cli(["run", BROKEN, "closed_mutex"]) == 2

@@ -114,6 +114,10 @@ class TestDrive:
             ("avail",),
         ]
 
+    def test_an_empty_word_leaves_the_system_as_it_was(self, det_admin_system):
+        assert drive(det_admin_system, []) == ((), det_admin_system)
+        assert drive(det_admin_system, [])[1] is det_admin_system
+
     def test_driven_trace_specifies_the_machine(self, det_admin_system):
         trace, _ = drive(det_admin_system, DUTY_CYCLE)
         assert specifies(examples.det_admin_role(), trace)

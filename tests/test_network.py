@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,13 @@ from fioa import (
     Acceptance,
     Channel,
     ChannelSpec,
+    ComponentAlphabet,
+    Condition,
     ConditionSpec,
     FactorRef,
+    InvalidAutomaton,
+    IoPattern,
+    Nfioa,
     NetworkSpec,
     PatternSpec,
     Scope,
@@ -179,6 +185,56 @@ class TestCompile:
         assert (c.input.kind, c.input.component) == ("active", 3)
         assert (c.output.kind, c.output.component, c.output.character) == ("literal", 2, "req")
         assert c.scope == Scope((3, 1, 2), (3, 1, 2), (3, 1, 2))
+
+
+def _spec_parts(seq, none):
+    """A factor, a channel and a condition, with `seq` for every sequence
+    and `none` for every omitted pattern."""
+    return (
+        FactorRef("u", examples.user_role(), seq(["try"])),
+        ChannelSpec("u", "svc", "c", "svc"),
+        ConditionSpec("no_try", seq(["try"]), seq(["*"]), none, none, seq(["u"])),
+    )
+
+
+def _user_from_lists() -> Nfioa:
+    a = examples.user_role()
+    return Nfioa(
+        a.name, list(a.states), list(a.inputs), list(a.outputs), list(a.initial),
+        a.acceptance, list(a.transitions),
+    )
+
+
+# Each case: a value built from lists and None patterns, and the same
+# value built from its normal form.
+_NORMAL_FORMS = {
+    "FactorRef": lambda: (_spec_parts(list, None)[0], _spec_parts(tuple, PatternSpec.any())[0]),
+    "ConditionSpec": lambda: (_spec_parts(list, None)[2], _spec_parts(tuple, PatternSpec.any())[2]),
+    "NetworkSpec": lambda: (
+        NetworkSpec("n", *([part] for part in _spec_parts(list, None))),
+        NetworkSpec("n", *((part,) for part in _spec_parts(tuple, PatternSpec.any()))),
+    ),
+    "ComponentAlphabet": lambda: (ComponentAlphabet("c", ["x"]), ComponentAlphabet("c", {"x"})),
+    "Condition": lambda: (
+        Condition("no_try", ["try"], ["*"], None, None),
+        Condition("no_try", ("try",), ("*",), IoPattern.any(), IoPattern.any()),
+    ),
+    "Nfioa": lambda: (_user_from_lists(), examples.user_role()),
+}
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("case", sorted(_NORMAL_FORMS))
+    def test_value_types_store_their_normal_form(self, case):
+        given, normal = _NORMAL_FORMS[case]()
+        assert given == normal
+        assert hash(given) == hash(normal)
+
+    def test_replace_with_a_transition_list_is_still_validated(self):
+        user = examples.user_role()
+        bad = [*user.transitions, (("remn",), ("nowhere",), ("",), ("",))]
+        with pytest.raises(InvalidAutomaton, match="nowhere"):
+            replace(user, transitions=bad)
 
 
 class TestBuild:
