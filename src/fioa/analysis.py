@@ -304,8 +304,8 @@ def run_law_suite(
 # Behavioral (trace) equivalence over channel events
 
 Event = tuple[Channel, str]
-# An edge's send event is its target's `pending`, left by the move that
-# `product.LazyProduct.stepper`'s step function listed for the edge.
+# An edge's send event is its target's `pending`, left by the move of the
+# `product.MoveTable` that `channels._explore` followed for the edge.
 
 
 class _EventView:

@@ -37,7 +37,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct, acceptance_within
+from .product import LazyProduct, MoveTable, acceptance_within, automaton_table
 
 CONFIG_CAP = 2 * 10**6
 
@@ -133,49 +133,58 @@ Source = Union[Nfioa, LazyProduct, "RestrictedAutomaton"]
 
 
 def _explore(
-    initial: StateVector,
-    step: Callable[[StateVector, tuple[Channel, str] | None], Sequence[tuple]],
+    table: MoveTable,
     deny: Callable[[Transition], bool] | None,
     *,
     cap: int,
 ) -> ConfigGraph:
     """Build the configuration graph by BFS from the relaxed initial.
 
-    `step` (see `product.LazyProduct.stepper`) applies the channel
-    discipline: it returns the moves a configuration may take, each with
-    the character it leaves pending, in a deterministic order, which makes
-    the whole graph — and every witness derived from it — reproducible.
-    `deny` vetoes moves by condition.
+    `table` (see `product.MoveTable`) applies the channel discipline to
+    packed keys: its `candidates` lists each configuration's moves in
+    `Transition` order, which makes the whole graph — and every witness
+    derived from it — reproducible.  A configuration is numbered the
+    first time its key is met; only then are its state tuple and its
+    `Configuration` built, and every transition's target is its target
+    node's stored state.  `deny` vetoes moves by condition, each seen
+    before its target is numbered.
     """
-    init = Configuration(tuple(initial), None)
+    candidates = table.candidates
+    # The generated constructors of `Transition` and `Configuration` are
+    # Python calls; `tuple.__new__` builds the same tuples.
+    new = tuple.__new__
     moves: list[tuple[Transition, ...]] = []
     succ: list[tuple[int, ...]] = []
     # `nodes` doubles as the breadth-first queue: those past the end of
-    # `succ` are waiting.  A target is looked up by its plain (state,
-    # pending) tuple, which equals and hashes as the stored
-    # `Configuration`, so each configuration is built once.
-    nodes = [init]
-    number = {init: 0}
-    for cfg in nodes:
+    # `succ` are waiting.  Node i has key `keys[i]`.
+    nodes = [Configuration(tuple(table.initial), None)]
+    keys = [table.initial_key]
+    number = {table.initial_key: 0}
+    for (state, _), key in zip(nodes, keys):
+        base, cands = candidates(key)
         here: list[Transition] = []
         out: list[int] = []
-        for t, pend in step(cfg.state, cfg.pending):
-            if deny is not None and deny(t):
-                continue
-            key = (t.target, pend)
-            k = number.get(key)
+        for _, shift, lo, hi, tgt, inp, outp, pend in cands:
+            k = number.get(base + shift)
             if k is None:
-                k = len(nodes)
-                nxt = Configuration(*key)
-                number[nxt] = k
-                nodes.append(nxt)
-                if len(nodes) > cap:
+                target = state[:lo] + tgt + state[hi:]
+                t = new(Transition, (state, target, inp, outp))
+                if deny is not None and deny(t):
+                    continue
+                k = number[base + shift] = len(nodes)
+                keys.append(base + shift)
+                nodes.append(new(Configuration, (target, pend)))
+                if k >= cap:
                     raise CapacityExceeded(
                         f"configuration cap of {cap} exceeded while expanding "
                         f"configuration {len(succ) + 1} ({len(succ)} expanded, "
                         f"{len(nodes) - len(succ) - 1} waiting); library callers may pass a "
                         "larger cap= to cbr, otherwise restrict the network further"
                     )
+            else:
+                t = new(Transition, (state, nodes[k][0], inp, outp))
+                if deny is not None and deny(t):
+                    continue
             here.append(t)
             out.append(k)
         moves.append(tuple(here))
@@ -259,14 +268,15 @@ def cbr(
         from .conditions import veto  # conditions builds on this module
 
         deny = veto(conditions)
-    lazy = source if isinstance(source, LazyProduct) else LazyProduct((source,))
     diags = check_channels(source.inputs, source.outputs, chans)
     if diags:
         raise WiringError("; ".join(diags))
-    graph = _explore(lazy.initial, lazy.stepper(chans), deny, cap=cap)
+    lazy = isinstance(source, LazyProduct)
+    table = source.table(chans) if lazy else automaton_table(source, chans)
+    graph = _explore(table, deny, cap=cap)
     transitions = frozenset(t for ts in graph.moves for t in ts)
     name = name or source.name
-    if source is lazy:
+    if lazy:
         states = frozenset(c.state for c in graph.nodes)
         base = Nfioa(
             name=name,

@@ -171,7 +171,10 @@ def cmd_validate(args) -> int:
     doc, env = _load(args.file)
     for a in doc.automata:
         c = classify(a)
-        kind = "deterministic" if c.is_deterministic else "nondeterministic"
+        kind = "deterministic"
+        if not c.is_deterministic:
+            # A function whose only fault is a spontaneous move says so.
+            kind = "spontaneous" if c.is_function else "nondeterministic"
         print(
             f"automaton {a.name}: {len(a.states)} states, "
             f"{len(a.transitions)} transitions, {kind}"

@@ -10,9 +10,9 @@ automaton and compare with plain equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product as cartesian
+from itertools import product as cartesian
 from math import prod
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     EPSILON,
@@ -22,7 +22,6 @@ from .core import (
     StateVector,
     Transition,
     VectorChar,
-    active_slot,
     reachable_states,
 )
 from .errors import CapacityExceeded, WiringError
@@ -136,8 +135,8 @@ def weak_product(
     """Eager weakly synchronized product of one or more automata.
 
     The materialization of `LazyProduct`: every state of the Cartesian
-    product, and the moves its unwired `stepper` generates from each
-    state of the rectangle of per-factor reachable states — so moving-factor
+    product, and the moves its unwired `table` lists out of each state of
+    the rectangle of per-factor reachable states — so moving-factor
     sources and carried contexts are both restricted to reachable local
     states.  The caps are checked before anything is materialized.
     """
@@ -158,12 +157,13 @@ def weak_product(
         tuple(v for part in combo for v in part)
         for combo in cartesian(*(f.states for f in factors))
     )
-    step = lazy.stepper(())
-    transitions = [
-        t
-        for combo in cartesian(*lazy.reach)
-        for t, _ in step(tuple(v for part in combo for v in part), None)
-    ]
+    relaxed = lazy.table(()).relaxed
+    transitions = []
+    for combo in cartesian(*(enumerate(r) for r in lazy.reach)):
+        state = tuple(v for _, part in combo for v in part)
+        for (_, _, moves_of), (d, _) in zip(relaxed, combo):
+            for _, _, lo, hi, tgt, inp, outp, _ in moves_of(d) or ():
+                transitions.append(Transition(state, state[:lo] + tgt + state[hi:], inp, outp))
     product = Nfioa(
         name=lazy.name,
         states=states,
@@ -181,33 +181,173 @@ def _placed(vc: VectorChar, span: range, width: int) -> VectorChar:
     return (EPSILON,) * span.start + vc + (EPSILON,) * (width - span.stop)
 
 
-def _spliced(state: StateVector, lo: int, hi: int, moves) -> list:
-    """The moves of the factor at `state[lo:hi]`, as flat transitions from
-    `state`, each with the character it leaves pending."""
-    head, tail = state[:lo], state[hi:]
-    return [
-        (Transition(state, head + tgt + tail, inp, outp), pend)
-        for tgt, inp, outp, pend in moves
-    ]
+class MoveTable(NamedTuple):
+    """The moves of a product wired by a channel set, by packed key.
+
+    A configuration is one integer key, `code * len(pending) + p`.  `code`
+    is the product state in mixed radix: digit k, `code // stride_k %
+    radix_k`, numbers factor k's local state.  `p` numbers the character
+    in flight, `pending[p]`: None, or one `(channel, char)` pair.
+    `relaxed` holds one `(stride_k * len(pending), radix_k, moves_of)` per
+    factor, and `excited[p]` the same for the factor receiving pending
+    code p.  `moves_of(d)` lists the factor's moves out of its local state
+    d (None if there are none), each a tuple `(rank, shift, lo, hi,
+    target, input, output, pending)`:
+
+    - `rank` orders the moves out of one product state as their
+      `Transition`s compare, and two moves of equal rank out of one state
+      are the same flat transition (silent self-loops of two factors);
+    - the move leads from key `base` to key `base + shift`, where `base`
+      is the key with its pending code taken off;
+    - it replaces the state's slots `lo:hi` by the local `target`, carries
+      the flat `input` and `output` labels and leaves `pending` in flight.
+
+    `initial` is the initial state and `initial_key` the key of its
+    relaxed configuration.
+    """
+
+    pending: tuple
+    relaxed: tuple
+    excited: tuple
+    initial: StateVector
+    initial_key: int
+
+    def candidates(self, key: int) -> tuple[int, Sequence[tuple]]:
+        """`(base, moves)`: the moves out of configuration `key`, in rank order.
+
+        An excited configuration reads one digit, its receiver's; a relaxed
+        one merges every factor's moves by rank and keeps a repeated rank
+        once.
+        """
+        p = key % len(self.pending)
+        if p:
+            unit, radix, moves_of = self.excited[p]
+            return key - p, moves_of(key // unit % radix) or ()
+        cands, merged = (), False
+        for unit, radix, moves_of in self.relaxed:
+            found = moves_of(key // unit % radix)
+            if found:
+                merged = bool(cands)
+                cands = sorted(cands + found) if merged else found
+        if merged:
+            cands = [m for m, prev in zip(cands, ((None,), *cands)) if m[0] != prev[0]]
+        return key, cands
+
+
+def _wire(
+    factors: Sequence[tuple], inputs: Sequence, channels: Sequence, initial: StateVector, code: int
+) -> MoveTable:
+    """The `MoveTable` of factors wired by `channels`.
+
+    Each factor is `(stride, radix, ins, moves_of)`: its digit, its flat
+    input components, and `moves_of(d)` listing its moves out of local
+    state d in rank order, as they stand with no channel wired (one
+    pending code, so `shift` is the digit delta).  `initial` is the
+    initial state and `code` its code.  Unwired, the factors' own
+    `moves_of` are the table.  Wired, a move reading a channel-fed input
+    is filed under the pending code it consumes, and a move writing a
+    wired output leaves that channel's character pending.
+    """
+    if not channels:
+        relaxed = tuple((stride, radix, moves_of) for stride, radix, _, moves_of in factors)
+        return MoveTable((None,), relaxed, (None,), initial, code)
+    fed = tuple((ch.in_component, ch) for ch in channels)
+    sent = tuple((ch.out_component, ch) for ch in channels)
+    pending = (None, *((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters)))
+    width = len(pending)
+    code_of = {pair: p for p, pair in enumerate(pending)}
+    relaxed, excited = [], [None] * width
+    for stride, radix, ins, moves_of in factors:
+        unit = stride * width
+        for p, (ch, _) in enumerate(pending[1:], 1):
+            if ch.in_component in ins:
+                excited[p] = (unit, radix, {})
+        here: dict = {}
+        for d in range(radix):
+            for rank, delta, lo, hi, target, inp, outp, _ in moves_of(d) or ():
+                # A label is active on at most one component, so at most
+                # one channel end matches.
+                p, table = 0, here
+                for c, ch in sent:
+                    if outp[c]:
+                        p = code_of[ch, outp[c]]
+                for c, ch in fed:
+                    if inp[c]:
+                        table = excited[code_of[ch, inp[c]]][2]
+                table.setdefault(d, []).append(
+                    (rank, delta * width + p, lo, hi, target, inp, outp, pending[p])
+                )
+        relaxed.append((unit, radix, here.get))
+    excited[1:] = [(unit, radix, by_digit.get) for unit, radix, by_digit in excited[1:]]
+    return MoveTable(pending, tuple(relaxed), tuple(excited), initial, code * width)
+
+
+def automaton_table(a: Nfioa, channels: Sequence = ()) -> MoveTable:
+    """`a` wired by `channels`, as a one-factor `MoveTable`.
+
+    Built from `a`'s own transitions and labels: none of `LazyProduct`'s
+    placing, and moves are sorted per source, since one factor's moves are
+    never merged with another's.  Sources are numbered in table order and
+    the other states when first met as a target.  A source's moves are
+    sorted and numbered when first listed: unwired, each state is one
+    configuration, so only the sources that exploration reaches are.
+    """
+    by_source: dict[StateVector, list[Transition]] = {}
+    for t in a.transitions:
+        by_source.setdefault(t.source, []).append(t)
+    number = {s: d for d, s in enumerate(by_source)}
+    groups = list(by_source.values())
+    width = a.state_width
+
+    def moves_of(d: int) -> list | None:
+        if d >= len(groups):
+            return None
+        ts = groups[d]
+        ts.sort()
+        return [
+            (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None)
+            for rank, (_, tgt, inp, outp) in enumerate(ts)
+        ]
+
+    code = number.setdefault(a.initial, len(number))
+    factor = (1, len(a.states), range(len(a.inputs)), moves_of)
+    return _wire((factor,), a.inputs, channels, a.initial, code)
+
+
+def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar) -> tuple:
+    """Where factor k's move, `pos`-th in `sorted(f.transitions)`, comes
+    among the flat transitions out of one product state.
+
+    A move changes only its factor's slots, so a move lowering its
+    factor's local state sorts below every move of a later factor, and a
+    raising one above: lowering moves by ascending factor, then
+    self-loops by their flat labels, then raising moves by descending
+    factor.
+    """
+    if t.target == t.source:
+        return (1, inp, outp)
+    if t.target < t.source:
+        return (0, k, pos)
+    return (2, -k, pos)
 
 
 class LazyProduct:
     """Weak product materialized on demand, for exploring large networks.
 
-    The one successor generator of the weak product: `weak_product`
-    materializes it, and forward explorations ask its `stepper` for the
-    successors of each configuration they reach.  Carries the flat
-    interface and index so channel and condition machinery applies
+    The one move generator of the weak product: `weak_product`
+    materializes it, and `channels.cbr` explores its `table`.  Carries the
+    flat interface and index so channel and condition machinery applies
     unchanged.
 
     A move changes only its factor's slice of the state, and its labels
     are the factor's labels at the factor's positions, silent elsewhere, so
-    the flat labels and their active `(component, char)` slots depend on
-    the factor transition alone.  They are placed here once, for the moves
-    out of factor-reachable local states.  A plain automaton is the
-    one-factor case.  `reach` holds each factor's reachable local states;
-    `transition_count` is how many flat transitions the rectangle of
-    `reach` yields, counting a silent self-loop once per factor having it.
+    the flat labels depend on the factor transition alone.  They are placed
+    here once, for the moves out of factor-reachable local states, and
+    each move gets its rank (see `_rank_key`) once.  `reach[k]` holds
+    factor k's reachable local states, sorted: local state `reach[k][d]`
+    is digit d of the packed state code.  `transition_count` is how many
+    flat transitions the rectangle of `reach` yields, counting a silent
+    self-loop once per factor having it.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):
@@ -219,69 +359,42 @@ class LazyProduct:
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)
         self.index = ProductIndex.for_factors(self.factors)
-        self.reach = [reachable_states(f) for f in self.factors]
-        # The state bounds of the factor owning each flat input component.
-        self._input_span: tuple = ()
-        self._moves = []
+        self.reach = [tuple(sorted(reachable_states(f))) for f in self.factors]
+        # Each factor's moves as `(source digit, rank key, ...)` first: the
+        # ranks number the keys of all factors together.
+        drafts, keys = [], set()
+        stride, self._code = 1, 0
         for k, (f, reach) in enumerate(zip(self.factors, self.reach)):
             state, ins, outs = (self.index.span(side, k) for side in ("state", "input", "output"))
-            bounds = (state.start, state.stop)
-            self._input_span += (bounds,) * len(ins)
+            number = {s: d for d, s in enumerate(reach)}
+            self._code += number[f.initial] * stride
             moves = []
-            for t in sorted(f.transitions):
-                if t.source in reach:
-                    inp = _placed(t.input, ins, len(self.inputs))
-                    outp = _placed(t.output, outs, len(self.outputs))
-                    moves.append((t.source, t.target, inp, outp, active_slot(inp), active_slot(outp)))
-            self._moves.append((bounds, moves))
-        self.transition_count = sum(
-            len(moves) * prod(len(r) for j, r in enumerate(self.reach) if j != k)
-            for k, (_, moves) in enumerate(self._moves)
-        )
+            for pos, t in enumerate(t for t in sorted(f.transitions) if t.source in number):
+                inp = _placed(t.input, ins, len(self.inputs))
+                outp = _placed(t.output, outs, len(self.outputs))
+                key = _rank_key(k, pos, t, inp, outp)
+                keys.add(key)
+                d = number[t.source]
+                delta = (number[t.target] - d) * stride
+                moves.append((d, key, delta, state.start, state.stop, t.target, inp, outp))
+            drafts.append((stride, len(reach), ins, moves))
+            stride *= len(reach)
+        rank = {key: r for r, key in enumerate(sorted(keys))}
+        self._moves, self.transition_count = [], 0
+        for k, (stride, radix, ins, moves) in enumerate(drafts):
+            by_digit: dict = {}
+            for d, key, *move in moves:
+                by_digit.setdefault(d, []).append((rank[key], *move, None))
+            self._moves.append((stride, radix, ins, by_digit.get))
+            others = prod(len(r) for j, r in enumerate(self.reach) if j != k)
+            self.transition_count += len(moves) * others
 
-    def stepper(self, channels: Sequence) -> Callable:
-        """The step function of this product wired by `channels`.
+    def table(self, channels: Sequence) -> MoveTable:
+        """This product's `MoveTable` wired by `channels`.
 
-        `step(state, pending)` lists `(transition, pending after)` for the
-        moves from `state`, in `Transition` order.  Relaxed (`pending`
-        None): every factor's moves except those reading a channel-fed
-        input.  Excited (`pending` a `(channel, char)`): only the receiving
-        factor's moves consuming that character on the channel's input.
-        A move writing a wired output leaves `(channel, char)` pending;
-        any other move leaves None.
+        Relaxed configurations take every factor's moves except those
+        reading a channel-fed input; excited ones only the receiving
+        factor's moves consuming the pending character on the channel's
+        input.
         """
-        fed = {ch.in_component for ch in channels}
-        sent = {ch.out_component: ch for ch in channels}
-        relaxed = []
-        receivers: dict = {}
-        for (lo, hi), moves in self._moves:
-            by_source: dict = {}
-            for source, target, inp, outp, islot, oslot in moves:
-                pend = None
-                if oslot is not None and oslot[0] in sent:
-                    pend = (sent[oslot[0]], oslot[1])
-                if islot is not None and islot[0] in fed:
-                    receivers.setdefault((source, *islot), []).append((target, inp, outp, pend))
-                else:
-                    by_source.setdefault(source, []).append((target, inp, outp, pend))
-            relaxed.append((lo, hi, by_source))
-        input_span = self._input_span
-
-        def step(state: StateVector, pending) -> list:
-            if pending is not None:
-                chan, char = pending
-                lo, hi = input_span[chan.in_component]
-                return _spliced(
-                    state, lo, hi, receivers.get((state[lo:hi], chan.in_component, char), ())
-                )
-            out: list = []
-            for lo, hi, table in relaxed:
-                moves = table.get(state[lo:hi])
-                if moves:
-                    out += _spliced(state, lo, hi, moves)
-            out.sort()
-            # Silent self-loops of two factors are one flat transition, which
-            # the eager product's transition set holds once; so does `step`.
-            return [m for m, _ in groupby(out)]
-
-        return step
+        return _wire(self._moves, self.inputs, channels, self.initial, self._code)

@@ -41,6 +41,7 @@ from fioa import (
     is_well_formed,
     open_components,
     random_nfioa,
+    resolve,
     run,
     safety_query,
     trace_equivalent,
@@ -562,11 +563,20 @@ class TestReceiverIndexedExploration:
             merged_loops += _silent_loop_factors(factors) > 1
         assert excited > 0 and vetoed > 0 and merged_loops > 0
 
-    def test_excited_successors_are_the_relaxed_moves_filtered_by_the_slot(self, ring2_env):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rings_build_the_naive_graph(self, n):
+        compiled = resolve(examples.ring_document(n)).networks[f"ring{n}"].compiled
+        factors, chans, conds = compiled.factors, compiled.channels, compiled.conditions
+        graph = cbr(LazyProduct(factors), chans, conditions=conds).graph
+        init, naive = _naive_graph(factors, chans, conds)
+        assert graph.initial == init
+        assert list(graph.edges.items()) == list(naive.items())
+
+    def test_excited_successors_are_the_relaxed_moves_filtered_by_the_slot(self, ring2_env, listed):
         built = ring2_env.networks["ring2"]
         chans = built.restricted.channels
         lazy = LazyProduct(built.compiled.factors)
-        free, step = lazy.stepper(()), lazy.stepper(chans)
+        free, wired = lazy.table(()), lazy.table(chans)
         product_moves: dict = {}
         for t in weak_product(built.compiled.factors)[0].transitions:
             product_moves.setdefault(t.source, []).append(t)
@@ -579,26 +589,28 @@ class TestReceiverIndexedExploration:
 
         pending = 0
         for cfg in built.restricted.graph.edges:
-            every = [t for t, _ in free(cfg.state, None)]
+            every = [t for t, _, _ in listed(lazy, free, cfg.state, None)]
             assert every == sorted(set(every))
             assert every == sorted(product_moves.get(cfg.state, ()))
-            assert all(after is None for _, after in free(cfg.state, None))
-            relaxed = step(cfg.state, None)
-            assert [t for t, _ in relaxed] == [
+            assert all(after is None for _, after, _ in listed(lazy, free, cfg.state, None))
+            relaxed = listed(lazy, wired, cfg.state, None)
+            assert [t for t, _, _ in relaxed] == [
                 t for t in every
                 if active_slot(t.input) is None or active_slot(t.input)[0] not in fed
             ]
             moves = list(relaxed)
             for chan in chans:
                 for char in sorted(lazy.inputs[chan.in_component].characters):
-                    consumed = step(cfg.state, (chan, char))
-                    assert [t for t, _ in consumed] == [
+                    consumed = listed(lazy, wired, cfg.state, (chan, char))
+                    assert [t for t, _, _ in consumed] == [
                         t for t in every if active_slot(t.input) == (chan.in_component, char)
                     ]
                     moves += consumed
-            assert all(after == left_pending(t) for t, after in moves)
+            assert all(after == left_pending(t) for t, after, _ in moves)
+            # each move's shift lands on its target configuration's key
+            assert all(key == listed.key_of(lazy, wired, t.target, after) for t, after, key in moves)
             if cfg.pending is not None:
-                pending += bool(step(cfg.state, cfg.pending))
+                pending += bool(listed(lazy, wired, cfg.state, cfg.pending))
         assert pending == 122  # every excited configuration of ring2 can consume
 
 
@@ -638,6 +650,13 @@ def corpus_and_random(all_restrictions):
         factors, chans, conds = _random_wired_factors(seed)
         restrictions.append(cbr(LazyProduct(factors), chans, conditions=conds))
     return restrictions
+
+
+def test_every_transition_shares_its_target_nodes_state(corpus_and_random):
+    for r in corpus_and_random:
+        g = r.graph
+        for ts, js in zip(g.moves, g.succ):
+            assert all(t.target is g.nodes[j].state for t, j in zip(ts, js)), r.name
 
 
 class TestWitnesses:

@@ -88,7 +88,12 @@ class TestValidate:
             encoding="utf-8",
         )
         assert cli(["validate", str(path)]) == 1
-        assert capsys.readouterr().out.splitlines()[-4:] == [
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [
+            "automaton Toggle: 2 states, 2 transitions, deterministic",
+            "automaton Coin: 2 states, 2 transitions, nondeterministic",
+        ]
+        assert out[-4:] == [
             "check valid Toggle: ok (2 states)",
             "check deterministic Toggle: ok (at most one move per state and input)",
             "check valid Coin: ok (2 states)",
@@ -100,9 +105,10 @@ class TestValidate:
             encoding="utf-8",
         )
         assert cli(["validate", str(users)]) == 1
-        assert capsys.readouterr().out.splitlines()[-1] == (
-            "check deterministic User: FAIL (spontaneous move from crit)"
-        )
+        out = capsys.readouterr().out.splitlines()
+        # User has one move per state and input; its only fault is spontaneity
+        assert out[0] == "automaton User: 4 states, 4 transitions, spontaneous"
+        assert out[-1] == "check deterministic User: FAIL (spontaneous move from crit)"
 
     def test_missing_file_is_a_usage_error(self, capsys):
         assert cli(["validate", "/nonexistent/nowhere.pw"]) == 2

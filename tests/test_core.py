@@ -199,6 +199,29 @@ class TestValidate:
         )
         assert any("muller member" in d for d in diags)
 
+    def test_empty_state_set_is_the_only_diagnostic(self):
+        dangling = [Transition(("p",), ("q",), (), ())]
+        fields = ("none", [], (), (), ("p",), Acceptance.final([("q",)]), dangling)
+        assert _refusal(Nfioa, *fields) == ["state set is empty"]
+
+    def test_empty_string_character_is_reported(self):
+        assert _refusal(tiny, [], in_chars=("a", ""), out_chars=("",)) == [
+            "input component 'in0' declares the empty string as a character",
+            "output component 'out0' declares the empty string as a character",
+        ]
+
+    @pytest.mark.parametrize(
+        "mode, finals, members, diagnostic",
+        [
+            ("final", [("q",)], [[("q",)]], "final-mode acceptance carries muller sets"),
+            ("muller", [("q",)], [[("q",)]], "muller-mode acceptance carries final states"),
+            ("buchi", [], [], "unknown acceptance mode 'buchi'"),
+        ],
+    )
+    def test_acceptance_fields_must_fit_the_mode(self, mode, finals, members, diagnostic):
+        acceptance = Acceptance(mode, frozenset(finals), frozenset(map(frozenset, members)))
+        assert _refusal(replace, tiny([]), acceptance=acceptance) == [diagnostic]
+
     def test_require_valid_raises_with_diagnostics(self):
         bad = [Transition(("p",), ("zz",), ("a",), ("",))]
         diags = _refusal(tiny, bad)

@@ -75,6 +75,16 @@ class TestParsing:
         with pytest.raises(DslError, match="expected 'automaton'"):
             parse("blueprint X {}")
 
+    def test_automaton_refused_by_its_constructor_is_a_positioned_error(self, monkeypatch):
+        # The parser checks what text can get wrong before it builds; a
+        # refusal by `Nfioa` itself still names the automaton and its line.
+        import fioa.core
+
+        monkeypatch.setattr(fioa.core, "validate", lambda a: ["first fault", "second fault"])
+        with pytest.raises(DslError) as err:
+            parse(MINIMAL)
+        assert str(err.value) == "line 2, col 11: automaton 'Blinker' is malformed: first fault"
+
     def test_reserved_words_cannot_name_machines(self):
         with pytest.raises(DslError, match="reserved"):
             parse(MINIMAL.replace("Blinker", "network"))

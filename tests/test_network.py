@@ -2,6 +2,8 @@
 token-ring family built from them."""
 from __future__ import annotations
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -349,6 +351,21 @@ class TestPairwiseMutex:
         eager = build_network(pairwise_mutex_spec(n, wired=False)).automaton
         for state in reachable_states(eager):
             assert state.count("crit") <= 1, state
+
+
+def test_the_scale_benchmark_checks_the_frozen_sizes(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert {n: bench.KNOWN[n] for n in RING_SIZES} == RING_SIZES
+    out = tmp_path / "bench.json"
+    subprocess.run(
+        [sys.executable, str(script), "--sizes", "2", "--out", str(out)], check=True, capture_output=True
+    )
+    ring2 = json.loads(out.read_text(encoding="utf-8"))["runs"]["tree1"]["rings"]["2"]
+    assert (ring2["configurations"], ring2["edges"], ring2["excited"]) == RING_SIZES[2]
+    assert ring2["seconds"] > 0 and ring2["maxrss_mb"] > 0
 
 
 def test_the_oracle_prints_the_frozen_sizes():

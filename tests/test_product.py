@@ -136,15 +136,17 @@ class TestAssociate:
 
 
 class TestLazyProduct:
-    def test_lazy_outgoing_matches_eager_transitions(self):
+    def test_lazy_outgoing_matches_eager_transitions(self, listed):
         factors = [examples.user_role(), examples.server_role()]
         eager, _ = weak_product(factors)
         lazy = LazyProduct(factors)
-        free = lazy.stepper(())
+        free = lazy.table(())
         assert lazy.initial == eager.initial
+        assert free.initial == lazy.initial
+        assert free.initial_key == listed.key_of(lazy, free, lazy.initial, None)
         for state in sorted(eager.states):
             eager_out = frozenset(t for t in eager.transitions if t.source == state)
-            assert frozenset(t for t, _ in free(state, None)) == eager_out
+            assert frozenset(t for t, _, _ in listed(lazy, free, state, None)) == eager_out
 
     def test_lazy_interface_matches_eager(self):
         factors = [examples.user_role(), examples.server_role()]
