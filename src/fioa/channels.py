@@ -21,7 +21,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Acceptance,
@@ -37,7 +38,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct, MoveTable, acceptance_within, automaton_table
+from .product import LazyProduct, MoveTable, acceptance_within, automaton_table, vetoed
 
 CONFIG_CAP = 2 * 10**6
 
@@ -132,22 +133,19 @@ def check_channels(
 Source = Union[Nfioa, LazyProduct, "RestrictedAutomaton"]
 
 
-def _explore(
-    table: MoveTable,
-    deny: Callable[[Transition], bool] | None,
-    *,
-    cap: int,
-) -> ConfigGraph:
+def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     """Build the configuration graph by BFS from the relaxed initial.
 
     `table` (see `product.MoveTable`) applies the channel discipline to
     packed keys: its `candidates` lists each configuration's moves in
     `Transition` order, which makes the whole graph — and every witness
-    derived from it — reproducible.  A configuration is numbered the
-    first time its key is met; only then are its state tuple and its
-    `Configuration` built, and every transition's target is its target
-    node's stored state.  `deny` vetoes moves by condition, each seen
-    before its target is numbered.
+    derived from it — reproducible.  The table's conditions are compiled
+    onto its moves, so a move whose guard vetoes it out of the node's key
+    is skipped by a digit test, before its target is numbered or its
+    `Transition` built.  A configuration is numbered the first time its
+    key is met; only then are its state tuple and its `Configuration`
+    built, and every transition's target is its target node's stored
+    state.
     """
     candidates = table.candidates
     # The generated constructors of `Transition` and `Configuration` are
@@ -164,15 +162,14 @@ def _explore(
         base, cands = candidates(key)
         here: list[Transition] = []
         out: list[int] = []
-        for _, shift, lo, hi, tgt, inp, outp, pend in cands:
+        for _, shift, lo, hi, tgt, inp, outp, pend, guard in cands:
+            if guard is not None and vetoed(guard, base):
+                continue
             k = number.get(base + shift)
             if k is None:
-                target = state[:lo] + tgt + state[hi:]
-                t = new(Transition, (state, target, inp, outp))
-                if deny is not None and deny(t):
-                    continue
                 k = number[base + shift] = len(nodes)
                 keys.append(base + shift)
+                target = state[:lo] + tgt + state[hi:]
                 nodes.append(new(Configuration, (target, pend)))
                 if k >= cap:
                     raise CapacityExceeded(
@@ -182,10 +179,8 @@ def _explore(
                         "larger cap= to cbr, otherwise restrict the network further"
                     )
             else:
-                t = new(Transition, (state, nodes[k][0], inp, outp))
-                if deny is not None and deny(t):
-                    continue
-            here.append(t)
+                target = nodes[k][0]
+            here.append(new(Transition, (state, target, inp, outp)))
             out.append(k)
         moves.append(tuple(here))
         succ.append(tuple(out))
@@ -263,18 +258,13 @@ def cbr(
         )
 
     chans = tuple(sorted(set(new_channels)))
-    deny = None
-    if conditions:
-        from .conditions import veto  # conditions builds on this module
-
-        deny = veto(conditions)
     diags = check_channels(source.inputs, source.outputs, chans)
     if diags:
         raise WiringError("; ".join(diags))
     lazy = isinstance(source, LazyProduct)
-    table = source.table(chans) if lazy else automaton_table(source, chans)
-    graph = _explore(table, deny, cap=cap)
-    transitions = frozenset(t for ts in graph.moves for t in ts)
+    table = source.table(chans, conditions) if lazy else automaton_table(source, chans, conditions)
+    graph = _explore(table, cap=cap)
+    transitions = frozenset(chain.from_iterable(graph.moves))
     name = name or source.name
     if lazy:
         states = frozenset(c.state for c in graph.nodes)

@@ -13,11 +13,16 @@ veto moves of completely unrelated parts of a composed system that merely
 pass through a matching state combination, and restricting a composite
 would stop agreeing with restricting the coordinated parts alone.
 
-`Condition.matches` is the per-transition definition.  A restriction
-(`cond`, or `channels.cbr` with `conditions=`) compiles its condition set
-once with `veto`, which indexes the conditions by their first pinned
-source slot, so each move is tested only against the conditions its
-source state can satisfy.
+`Condition.matches` is the per-transition definition.  A restriction of
+a product (`channels.cbr` of a `product.LazyProduct` with `conditions=`,
+or `cond` of one) compiles its conditions onto the product's move table:
+each (move, condition) pair is decided once, and what is left is a digit
+test on the packed key for the factors the move leaves alone (see
+`product._guards`).  A restriction of a plain automaton (`cond`, or
+`cbr` with `conditions=`) compiles its condition set once with `veto`,
+which indexes the conditions by their first pinned source slot, so each
+transition is tested only against the conditions its source state can
+satisfy.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Union
 
 from .core import (
     EPSILON,
+    WILDCARD,
     Nfioa,
     Transition,
     VectorChar,
@@ -46,9 +52,7 @@ from .channels import (
     graph_consistency,
 )
 from .errors import WiringError
-from .product import automaton_table
-
-WILDCARD = "*"
+from .product import LazyProduct, automaton_table, materialize
 
 
 @dataclass(frozen=True)
@@ -195,10 +199,14 @@ class Condition:
 def veto(conditions: Iterable[Condition]) -> Callable[[Transition], bool]:
     """Build `deny(t)`: does some condition match `t`?
 
-    Built once per restriction.  Each condition is filed under its width,
-    its first pinned source slot and that slot's value, so a transition is
-    tested only against the conditions its own source selects, plus those
-    that pin no source slot.  `Condition.matches` decides each test.
+    Built once per `cond` or `cbr` of a plain automaton (`cbr`'s through
+    `product.automaton_table`); a product's table has its conditions
+    compiled on instead (see `product._guards`), and tests use `deny` as
+    the reference for them.  Each condition is filed under its
+    width, its first pinned source slot and that slot's value, so a
+    transition is tested only against the conditions its own source
+    selects, plus those that pin no source slot.  `Condition.matches`
+    decides each test.
     """
     free: dict[int, list[Condition]] = {}
     pinned: dict[int, dict[int, dict[str, list[Condition]]]] = {}
@@ -227,7 +235,7 @@ def veto(conditions: Iterable[Condition]) -> Callable[[Transition], bool]:
 
 
 def cond(
-    source: Union[Nfioa, RestrictedAutomaton],
+    source: Union[Nfioa, LazyProduct, RestrictedAutomaton],
     conditions: Iterable[Condition],
     *,
     name: str | None = None,
@@ -236,12 +244,17 @@ def cond(
 
     On a plain automaton this keeps states, interfaces, acceptance, and
     initial state untouched; the surviving transitions are those out of a
-    (pre-restriction) reachable state that no condition matches.  On a
+    (pre-restriction) reachable state that no condition matches.  A lazy
+    product gives the same automaton as `cond` of its `weak_product`, but
+    is materialized from its table with the conditions compiled on (see
+    `product.materialize`), so a vetoed transition is never built.  On a
     channel-restricted automaton the conditions join its edge filter and
     the configuration graph is re-explored.
     """
     if isinstance(source, RestrictedAutomaton):
         return cbr(source, conditions=conditions, name=name)
+    if isinstance(source, LazyProduct):
+        return materialize(source, tuple(conditions), name=name)
     reach = reachable_states(source)
     deny = veto(conditions)
     surviving = frozenset(t for t in source.transitions if t.source in reach and not deny(t))
@@ -286,7 +299,7 @@ def _plain_graph(a: Nfioa) -> ConfigGraph:
     `automaton_table`; its moves are listed in `Transition` order.  There
     are at most `len(a.states)` nodes, so the cap never fires.
     """
-    return _explore(automaton_table(a), None, cap=len(a.states))
+    return _explore(automaton_table(a), cap=len(a.states))
 
 
 def is_quasi_deterministic(

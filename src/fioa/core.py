@@ -21,6 +21,9 @@ from .errors import InvalidAutomaton, WiringError
 # `active_slot` test a character's truth instead of comparing with it.
 EPSILON = ""
 
+# A state-pattern slot that any value matches (see `conditions.Condition`).
+WILDCARD = "*"
+
 StateVector = tuple[str, ...]
 VectorChar = tuple[str, ...]
 

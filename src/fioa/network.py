@@ -13,7 +13,8 @@ factor keeps its inner alias too (`m.u.svc`).  Those names are how
 Networks with channels are explored lazily — `ring3` has 884,736 product
 states but only 909 reachable configurations.  Channel-free networks
 (pure condition coordination) are built eagerly so the result keeps its
-full state set.
+full state set.  Either way the product's move table carries the
+conditions, compiled onto its moves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import Acceptance, Nfioa, StateVector, with_initial
 from .channels import Channel, RestrictedAutomaton, cbr
 from .conditions import Condition, IoPattern, Scope, cond
 from .errors import WiringError
-from .product import LazyProduct, ProductIndex, weak_product
+from .product import LazyProduct, ProductIndex
 
 
 @dataclass(frozen=True)
@@ -250,8 +251,8 @@ class BuiltNetwork:
 
 def build_network(spec: NetworkSpec) -> BuiltNetwork:
     compiled = compile_network(spec)
+    lazy = LazyProduct(compiled.factors, name=spec.name)
     if compiled.channels:
-        lazy = LazyProduct(compiled.factors, name=spec.name)
         r = cbr(
             lazy,
             compiled.channels,
@@ -261,8 +262,7 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
         if spec.acceptance is not None:
             r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
         return BuiltNetwork(compiled, r.base, r)
-    prod, _index = weak_product(compiled.factors, name=spec.name)
-    automaton = cond(prod, compiled.conditions, name=spec.name)
+    automaton = cond(lazy, compiled.conditions, name=spec.name)
     if spec.acceptance is not None:
         automaton = replace(automaton, acceptance=spec.acceptance)
     return BuiltNetwork(compiled, automaton, None)

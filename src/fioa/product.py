@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as cartesian
 from math import prod
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     EPSILON,
+    WILDCARD,
     Acceptance,
     ComponentAlphabet,
     Nfioa,
@@ -83,6 +85,16 @@ def _concat_interfaces(factors: Sequence[Nfioa]):
     return inputs, outputs
 
 
+def _concatenations(choices: Iterable[Iterable[StateVector]]) -> list[StateVector]:
+    """Every flat state made of one local state per factor, from each
+    factor's `choices`, with factor 0's choice varying fastest: the order
+    of packed codes when the choices are the factors' reachable states."""
+    out: list[StateVector] = [()]
+    for local in choices:
+        out = [s + part for part in local for s in out]
+    return out
+
+
 def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector]) -> Acceptance:
     """Product acceptance restricted to a known state set.
 
@@ -92,30 +104,27 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
     Muller member that is not contained in `allowed` can never be the
     infinitely-visited set of a run staying inside it, so such members are
     dropped — without being materialized when a size count already rules
-    them out.  `weak_product` passes its whole Cartesian state set, which
-    keeps every member; lazily-explored networks pass their reachable
-    states, whose full rectangles would be enormous.
+    them out.  A kept member holds `allowed`'s own state tuples.
+    `materialize` passes its whole Cartesian state set, which keeps every
+    member; lazily-explored networks pass their reachable states, whose
+    full rectangles would be enormous.
     """
     mode = factors[0].acceptance.mode
     if mode == "final":
-        finals = (
-            tuple(v for part in combo for v in part)
-            for combo in cartesian(*(f.acceptance.final_states for f in factors))
-        )
+        finals = _concatenations(f.acceptance.final_states for f in factors)
         return Acceptance.final(s for s in finals if s in allowed)
     members = []
+    stored = None
     for combo in cartesian(*(f.acceptance.muller_sets for f in factors)):
-        size = 1
-        for m in combo:
-            size *= len(m)
-        if size > len(allowed):
+        if prod(map(len, combo)) > len(allowed):
             continue
-        member = frozenset(
-            tuple(v for part in pick for v in part)
-            for pick in cartesian(*combo)
-        )
-        if member <= allowed:
-            members.append(member)
+        if stored is None:
+            # Members hold `allowed`'s own tuples, so a later subset test
+            # meets each of them by identity.
+            stored = {s: s for s in allowed}
+        member = [stored.get(s) for s in _concatenations(combo)]
+        if None not in member:
+            members.append(frozenset(member))
     return Acceptance.muller(members)
 
 
@@ -132,15 +141,31 @@ def weak_product(
     state_cap: int = STATE_CAP,
     transition_cap: int = TRANSITION_CAP,
 ) -> tuple[Nfioa, ProductIndex]:
-    """Eager weakly synchronized product of one or more automata.
-
-    The materialization of `LazyProduct`: every state of the Cartesian
-    product, and the moves its unwired `table` lists out of each state of
-    the rectangle of per-factor reachable states — so moving-factor
-    sources and carried contexts are both restricted to reachable local
-    states.  The caps are checked before anything is materialized.
-    """
+    """Eager weakly synchronized product of one or more automata: their
+    `LazyProduct`, materialized, and its flat layout."""
     lazy = LazyProduct(factors, name=name)
+    return materialize(lazy, state_cap=state_cap, transition_cap=transition_cap), lazy.index
+
+
+def materialize(
+    lazy: "LazyProduct",
+    conditions: Sequence = (),
+    *,
+    name: str | None = None,
+    state_cap: int = STATE_CAP,
+    transition_cap: int = TRANSITION_CAP,
+) -> Nfioa:
+    """`lazy` as one eager automaton, restricted by `conditions`.
+
+    Every state of the Cartesian product, and the moves its unwired
+    `table((), conditions)` keeps out of each state of the rectangle of
+    per-factor reachable states — so moving-factor sources and carried
+    contexts are both restricted to reachable local states.  That
+    rectangle is what the unrestricted product reaches, so the moves kept
+    are those `conditions.cond` keeps on it.  Each state is one tuple,
+    shared by every transition that enters or leaves it.  The caps are
+    checked before anything is materialized.
+    """
     factors = lazy.factors
     n_states = prod(len(f.states) for f in factors)
     if n_states > state_cap:
@@ -153,32 +178,41 @@ def weak_product(
             "explore it as a network instead"
         )
 
-    states = frozenset(
-        tuple(v for part in combo for v in part)
-        for combo in cartesian(*(f.states for f in factors))
-    )
-    relaxed = lazy.table(()).relaxed
-    transitions = []
-    for combo in cartesian(*(enumerate(r) for r in lazy.reach)):
-        state = tuple(v for _, part in combo for v in part)
-        for (_, _, moves_of), (d, _) in zip(relaxed, combo):
-            for _, _, lo, hi, tgt, inp, outp, _ in moves_of(d) or ():
-                transitions.append(Transition(state, state[:lo] + tgt + state[hi:], inp, outp))
-    product = Nfioa(
-        name=lazy.name,
+    by_code = _concatenations(lazy.reach)
+    states = frozenset(by_code)
+    if len(states) < n_states:
+        states = states.union(_concatenations(f.states for f in factors))
+    new = tuple.__new__
+    transitions: list[Transition] = []
+    for unit, radix, moves_of in lazy.table((), conditions).relaxed:
+        for d in range(radix):
+            moves = moves_of(d)
+            if not moves:
+                continue
+            # The codes whose digit is d.
+            codes = [c for low in range(d * unit, len(by_code), unit * radix) for c in range(low, low + unit)]
+            for _, shift, _, _, _, inp, outp, _, guard in moves:
+                kept = codes if guard is None else [c for c in codes if not vetoed(guard, c)]
+                transitions += [new(Transition, (by_code[c], by_code[c + shift], inp, outp)) for c in kept]
+    return Nfioa(
+        name=name or lazy.name,
         states=states,
         inputs=lazy.inputs,
         outputs=lazy.outputs,
         initial=lazy.initial,
         acceptance=acceptance_within(factors, states),
-        transitions=transitions,
+        transitions=frozenset(transitions),
     )
-    return product, lazy.index
 
 
 def _placed(vc: VectorChar, span: range, width: int) -> VectorChar:
     """A factor label placed at its `span` in a flat label of `width` slots."""
     return (EPSILON,) * span.start + vc + (EPSILON,) * (width - span.stop)
+
+
+# Ranks alone order the moves out of one state; the guards that follow
+# them in a move need not compare.
+_by_rank = itemgetter(0)
 
 
 class MoveTable(NamedTuple):
@@ -192,7 +226,7 @@ class MoveTable(NamedTuple):
     factor, and `excited[p]` the same for the factor receiving pending
     code p.  `moves_of(d)` lists the factor's moves out of its local state
     d (None if there are none), each a tuple `(rank, shift, lo, hi,
-    target, input, output, pending)`:
+    target, input, output, pending, guard)`:
 
     - `rank` orders the moves out of one product state as their
       `Transition`s compare, and two moves of equal rank out of one state
@@ -200,7 +234,11 @@ class MoveTable(NamedTuple):
     - the move leads from key `base` to key `base + shift`, where `base`
       is the key with its pending code taken off;
     - it replaces the state's slots `lo:hi` by the local `target`, carries
-      the flat `input` and `output` labels and leaves `pending` in flight.
+      the flat `input` and `output` labels and leaves `pending` in flight;
+    - `guard` is None, or what is left of the table's conditions once the
+      move is known (see `_guards`): the move is vetoed out of `base`
+      when `vetoed(guard, base)`.  A move that some condition vetoes out
+      of every state is not listed at all.
 
     `initial` is the initial state and `initial_key` the key of its
     relaxed configuration.
@@ -217,7 +255,7 @@ class MoveTable(NamedTuple):
 
         An excited configuration reads one digit, its receiver's; a relaxed
         one merges every factor's moves by rank and keeps a repeated rank
-        once.
+        once.  Guards are left to the caller.
         """
         p = key % len(self.pending)
         if p:
@@ -228,32 +266,112 @@ class MoveTable(NamedTuple):
             found = moves_of(key // unit % radix)
             if found:
                 merged = bool(cands)
-                cands = sorted(cands + found) if merged else found
+                cands = sorted(cands + found, key=_by_rank) if merged else found
         if merged:
             cands = [m for m, prev in zip(cands, ((None,), *cands)) if m[0] != prev[0]]
         return key, cands
 
 
+def vetoed(guard: tuple, key: int) -> bool:
+    """Does a move's `guard` veto it out of `key`?
+
+    It does when every test `(unit, radix, allowed)` of one of its
+    residues holds: `key // unit % radix in allowed`.
+    """
+    for residue in guard:
+        for unit, radix, allowed in residue:
+            if key // unit % radix not in allowed:
+                break
+        else:
+            return True
+    return False
+
+
+def _guards(conditions: Sequence, width: int, layout: Sequence[tuple]) -> Callable:
+    """`guard(k, source, lo, hi, target, inp, outp)`: the `conditions` compiled
+    onto one move of factor k.
+
+    `layout[k]` is factor k's `(span, unit, radix, local)`: its flat state
+    slots, its digit `key // unit % radix`, and `local[e]`, its local
+    state of digit e.  The move writes the local `target` over the
+    `source` at slots `lo:hi` with the flat labels `inp` and `outp`, and
+    leaves every other slot as it was.
+
+    So whether condition c matches a transition of the move depends on the
+    move alone — the widths, the labels, the scope activity and c's pins
+    on the moving slots — except for c's pins on another factor j's slots.
+    Such a slot must carry c's source pin and its target pin alike, since
+    it does not change: that is the test `digit_j in allowed_j`, the
+    digits of j's local states carrying them.  If no digit is allowed, c
+    matches none of the move's transitions; if every digit is, no test is
+    needed.  The rest is decided by `Condition.matches` on one witness
+    transition whose other slots carry c's pins, once per (move,
+    condition) pair.
+
+    The guard is None when no condition matches the move anywhere, else
+    one residue per condition that does: the tuple of its tests.  An empty
+    residue vetoes the move out of every state.
+    """
+    by_factor: list[list[tuple]] = [[] for _ in layout]
+    for c in conditions:
+        if len(c.source) != width or len(c.target) != width:
+            continue
+        fill = tuple(q if p == WILDCARD else p for p, q in zip(c.source, c.target))
+        tests = []
+        for j, (span, unit, radix, local) in enumerate(layout):
+            pins = [(i - span.start, c.source[i], c.target[i]) for i in span if fill[i] != WILDCARD]
+            allowed = frozenset(
+                e
+                for e, s in enumerate(local)
+                if all(p in (WILDCARD, s[i]) and q in (WILDCARD, s[i]) for i, p, q in pins)
+            )
+            if len(allowed) < radix:
+                tests.append((j, (unit, radix, allowed)))
+        for k, entries in enumerate(by_factor):
+            residue = tuple(test for j, test in tests if j != k)
+            if all(allowed for _, _, allowed in residue):
+                entries.append((c, fill, residue))
+    new = tuple.__new__
+
+    def guard(k, source, lo, hi, target, inp, outp):
+        residues = []
+        for c, fill, residue in by_factor[k]:
+            head, tail = fill[:lo], fill[hi:]
+            if c.matches(new(Transition, (head + source + tail, head + target + tail, inp, outp))):
+                if not residue:
+                    return ((),)
+                residues.append(residue)
+        return tuple(residues) or None
+
+    return guard
+
+
+def _pending(inputs: Sequence, channels: Sequence) -> tuple:
+    """The characters that can be in flight, by pending code: None first,
+    then each channel's `(channel, char)` pairs."""
+    return (None, *((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters)))
+
+
 def _wire(
-    factors: Sequence[tuple], inputs: Sequence, channels: Sequence, initial: StateVector, code: int
+    factors: Sequence[tuple], pending: tuple, channels: Sequence, initial: StateVector, code: int
 ) -> MoveTable:
     """The `MoveTable` of factors wired by `channels`.
 
     Each factor is `(stride, radix, ins, moves_of)`: its digit, its flat
     input components, and `moves_of(d)` listing its moves out of local
     state d in rank order, as they stand with no channel wired (one
-    pending code, so `shift` is the digit delta).  `initial` is the
-    initial state and `code` its code.  Unwired, the factors' own
-    `moves_of` are the table.  Wired, a move reading a channel-fed input
-    is filed under the pending code it consumes, and a move writing a
-    wired output leaves that channel's character pending.
+    pending code, so `shift` is the digit delta), guards included.
+    `pending` is `_pending` of the channels, `initial` the initial state
+    and `code` its code.  Unwired, the factors' own `moves_of` are the
+    table.  Wired, a move reading a channel-fed input is filed under the
+    pending code it consumes, and a move writing a wired output leaves
+    that channel's character pending.
     """
     if not channels:
         relaxed = tuple((stride, radix, moves_of) for stride, radix, _, moves_of in factors)
-        return MoveTable((None,), relaxed, (None,), initial, code)
+        return MoveTable(pending, relaxed, (None,), initial, code)
     fed = tuple((ch.in_component, ch) for ch in channels)
     sent = tuple((ch.out_component, ch) for ch in channels)
-    pending = (None, *((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters)))
     width = len(pending)
     code_of = {pair: p for p, pair in enumerate(pending)}
     relaxed, excited = [], [None] * width
@@ -264,7 +382,7 @@ def _wire(
                 excited[p] = (unit, radix, {})
         here: dict = {}
         for d in range(radix):
-            for rank, delta, lo, hi, target, inp, outp, _ in moves_of(d) or ():
+            for rank, delta, lo, hi, target, inp, outp, _, guard in moves_of(d) or ():
                 # A label is active on at most one component, so at most
                 # one channel end matches.
                 p, table = 0, here
@@ -275,22 +393,25 @@ def _wire(
                     if inp[c]:
                         table = excited[code_of[ch, inp[c]]][2]
                 table.setdefault(d, []).append(
-                    (rank, delta * width + p, lo, hi, target, inp, outp, pending[p])
+                    (rank, delta * width + p, lo, hi, target, inp, outp, pending[p], guard)
                 )
         relaxed.append((unit, radix, here.get))
     excited[1:] = [(unit, radix, by_digit.get) for unit, radix, by_digit in excited[1:]]
     return MoveTable(pending, tuple(relaxed), tuple(excited), initial, code * width)
 
 
-def automaton_table(a: Nfioa, channels: Sequence = ()) -> MoveTable:
-    """`a` wired by `channels`, as a one-factor `MoveTable`.
+def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()) -> MoveTable:
+    """`a` wired by `channels` and restricted by `conditions`, as a
+    one-factor `MoveTable`.
 
     Built from `a`'s own transitions and labels: none of `LazyProduct`'s
     placing, and moves are sorted per source, since one factor's moves are
     never merged with another's.  Sources are numbered in table order and
     the other states when first met as a target.  A source's moves are
-    sorted and numbered when first listed: unwired, each state is one
-    configuration, so only the sources that exploration reaches are.
+    sorted, restricted and numbered when first listed: unwired, each state
+    is one configuration, so only the sources that exploration reaches
+    are.  One factor owns every slot, so each move is decided outright by
+    `conditions.veto`: a vetoed move is left out, and no move keeps a guard.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
@@ -298,20 +419,28 @@ def automaton_table(a: Nfioa, channels: Sequence = ()) -> MoveTable:
     number = {s: d for d, s in enumerate(by_source)}
     groups = list(by_source.values())
     width = a.state_width
+    pending = _pending(a.inputs, channels)
+    deny = None
+    if conditions:
+        from .conditions import veto  # conditions imports this module
+
+        deny = veto(conditions)
 
     def moves_of(d: int) -> list | None:
         if d >= len(groups):
             return None
         ts = groups[d]
         ts.sort()
+        if deny is not None:
+            ts = [t for t in ts if not deny(t)]
         return [
-            (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None)
+            (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None)
             for rank, (_, tgt, inp, outp) in enumerate(ts)
         ]
 
     code = number.setdefault(a.initial, len(number))
     factor = (1, len(a.states), range(len(a.inputs)), moves_of)
-    return _wire((factor,), a.inputs, channels, a.initial, code)
+    return _wire((factor,), pending, channels, a.initial, code)
 
 
 def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar) -> tuple:
@@ -384,17 +513,42 @@ class LazyProduct:
         for k, (stride, radix, ins, moves) in enumerate(drafts):
             by_digit: dict = {}
             for d, key, *move in moves:
-                by_digit.setdefault(d, []).append((rank[key], *move, None))
+                by_digit.setdefault(d, []).append((rank[key], *move, None, None))
             self._moves.append((stride, radix, ins, by_digit.get))
             others = prod(len(r) for j, r in enumerate(self.reach) if j != k)
             self.transition_count += len(moves) * others
 
-    def table(self, channels: Sequence) -> MoveTable:
-        """This product's `MoveTable` wired by `channels`.
+    def table(self, channels: Sequence, conditions: Sequence = ()) -> MoveTable:
+        """This product's `MoveTable` wired by `channels` and restricted by
+        `conditions`.
 
         Relaxed configurations take every factor's moves except those
         reading a channel-fed input; excited ones only the receiving
         factor's moves consuming the pending character on the channel's
-        input.
+        input.  The conditions are compiled onto the moves (see `_guards`).
         """
-        return _wire(self._moves, self.inputs, channels, self.initial, self._code)
+        pending = _pending(self.inputs, channels)
+        factors = self._moves
+        if conditions:
+            factors = self._guarded(conditions, len(pending))
+        return _wire(factors, pending, channels, self.initial, self._code)
+
+    def _guarded(self, conditions: Sequence, width: int) -> list[tuple]:
+        """The factors' moves with `conditions` compiled on, for a table of
+        `width` pending codes: moves vetoed everywhere are left out."""
+        layout = [
+            (self.index.span("state", k), stride * width, radix, local)
+            for k, ((stride, radix, _, _), local) in enumerate(zip(self._moves, self.reach))
+        ]
+        guard = _guards(conditions, len(self.initial), layout)
+        out = []
+        for k, (stride, radix, ins, moves_of) in enumerate(self._moves):
+            local = self.reach[k]
+            by_digit: dict = {}
+            for d in range(radix):
+                for move in moves_of(d) or ():
+                    g = guard(k, local[d], *move[2:7])
+                    if g is None or () not in g:
+                        by_digit.setdefault(d, []).append((*move[:8], g))
+            out.append((stride, radix, ins, by_digit.get))
+        return out

@@ -19,12 +19,14 @@ from fioa import (
     Consistency,
     Configuration,
     Edge,
+    IoPattern,
     EdgeClass,
     LazyProduct,
     Nfioa,
     PreconditionError,
     Run,
     SchedulerError,
+    Scope,
     Transition,
     WiringError,
     cbr,
@@ -612,6 +614,66 @@ class TestReceiverIndexedExploration:
             if cfg.pending is not None:
                 pending += bool(listed(lazy, wired, cfg.state, cfg.pending))
         assert pending == 122  # every excited configuration of ring2 can consume
+
+
+def _random_conditions(rng, factors):
+    """Random conditions over the flat product of `factors`, drawn as
+    `test_conditions._random_world` draws them: wildcard-heavy state
+    patterns, some a slot wider than the product, label patterns of every
+    kind (some off the end of the label) and random scopes.  Pins come from
+    the values each flat slot takes, and a target pin mostly repeats its
+    source pin, so conditions often pin factors that do not move."""
+    values = [sorted({s[i] for s in f.states}) for f in factors for i in range(f.state_width)]
+    width = len(values)
+    n_in = sum(len(f.inputs) for f in factors)
+    n_out = sum(len(f.outputs) for f in factors)
+    chars = sorted({c for f in factors for comp in (*f.inputs, *f.outputs) for c in comp.characters})
+
+    def io(n):
+        kind = rng.choice(("any", "any", "silent", "literal", "active"))
+        component = rng.randrange(n + 1)  # sometimes off the end
+        if kind == "literal":
+            return IoPattern.literal(component, rng.choice(chars))
+        if kind == "active":
+            return IoPattern.active(component)
+        return IoPattern(kind)
+
+    conditions = []
+    for k in range(rng.randint(1, 6)):
+        wild = rng.choice((0.4, 0.7, 1.0))
+        source = ["*" if rng.random() < wild else rng.choice(v) for v in values]
+        target = [p if rng.random() < 0.6 else rng.choice(["*", *v]) for p, v in zip(source, values)]
+        if rng.random() < 0.1:
+            source.append("*")
+        scope = None
+        if rng.random() < 0.5:
+            scope = Scope(*(
+                tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for n in (width, n_in, n_out)
+            ))
+        conditions.append(Condition(f"c{k}", source, target, io(n_in), io(n_out), scope))
+    return conditions
+
+
+class TestCompiledConditions:
+    """Conditions compiled onto the move table veto exactly the moves
+    `conditions.veto` vetoes, wired and channel-free."""
+
+    def test_random_networks(self, compiled_agrees):
+        seen = Counter()
+        for seed in range(40):
+            factors, chans, conds = _random_wired_factors(seed)
+            rng = random.Random(seed)
+            if seed % 2:
+                # A multi-slot factor, appended so that every channel keeps
+                # its components.
+                pair = [random_nfioa(rng.randrange(10**9), n_states=3, name=f"g{j}") for j in range(2)]
+                factors = [*factors, weak_product(pair, name="g")[0]]
+                seen["multi-slot"] += 1
+            conds = (*conds, *_random_conditions(rng, factors))
+            seen += compiled_agrees(factors, chans, conds)
+            seen += compiled_agrees(factors, (), conds)
+        assert seen["multi-slot"] == 20 and seen["eager checked"] == 80, seen
+        assert min(seen["guarded moves"], seen["guard vetoes"], seen["moves left out"]) >= 20, seen
 
 
 def _distances(graph):

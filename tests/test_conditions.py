@@ -293,6 +293,48 @@ class TestVeto:
         )
 
 
+class TestCompiledConditions:
+    """Conditions compiled onto the move table veto exactly the moves
+    `veto` vetoes (see the `compiled_agrees` fixture)."""
+
+    def test_every_corpus_network(self, compiled_agrees):
+        seen = Counter()
+        for name in examples.names():
+            for built in examples.build(name).networks.values():
+                c = built.compiled
+                seen += compiled_agrees(c.factors, c.channels, c.conditions, eager_cap=50_000)
+                seen["networks"] += 1
+        assert seen["networks"] == 14 and seen["eager checked"] == 12, seen
+        assert min(seen["guarded moves"], seen["guard vetoes"]) > 0, seen
+
+    def test_multi_slot_factors(self, ring2_env, compiled_agrees):
+        """Pins on the two slots of a nested administrator, moving or not."""
+        c = ring2_env.networks["ring2"].compiled
+        # The flat state: a1 (server, ring cell), a2 (server, ring cell), t1, t2, u1, u2.
+        assert [f.state_width for f in c.factors] == [2, 2, 1, 1, 1, 1]
+
+        def pattern(**pins):
+            slots = {"a1": 0, "c1": 1, "a2": 2, "c2": 3, "u1": 6, "u2": 7}
+            flat = ["*"] * 8
+            for name, value in pins.items():
+                flat[slots[name]] = value
+            return tuple(flat)
+
+        conditions = (
+            Condition("u1_waits_without_a2", pattern(c2="abst", u1="try"), pattern(c2="abst", u1="crit")),
+            Condition(
+                "u2_waits_while_a1_asks",
+                pattern(a1="try", c1="abst", u2="try"),
+                pattern(a1="try", c1="abst", u2="crit"),
+            ),
+            Condition("a1_keeps_the_token_in_remn", pattern(a1="remn", c1="avlb"), pattern(c1="interm")),
+        )
+        # The eager product (56,320 transitions) is left to the random
+        # networks' multi-slot factors, which are smaller.
+        seen = compiled_agrees(c.factors, c.channels, conditions, eager_cap=0)
+        assert min(seen["guarded moves"], seen["guard vetoes"], seen["moves left out"]) > 0, seen
+
+
 class TestCondOperator:
     def test_states_and_interface_are_kept(self):
         user = examples.user_role()

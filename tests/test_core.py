@@ -535,6 +535,22 @@ class TestEquality:
         assert not automata_equal(extra, island, up_to_reachability=False).equal
 
 
+    def test_each_remaining_difference_is_named(self):
+        a = tiny([])
+        muller = replace(a, acceptance=Acceptance.muller([{("q",)}]))
+        cases = [
+            (replace(a, inputs=(*a.inputs, ComponentAlphabet("in1", "b"))), "interface widths differ"),
+            (replace(a, outputs=()), "interface widths differ"),
+            (replace(a, initial=("q",)), "initial states differ: ('p',) vs ('q',)"),
+            (muller, "acceptance modes differ"),
+            (replace(a, acceptance=Acceptance.final([("p",)])), "final-state sets differ"),
+        ]
+        for b, reason in cases:
+            assert automata_equal(a, b, up_to_reachability=False) == (False, reason)
+        other = replace(a, acceptance=Acceptance.muller([{("p",)}, {("q",)}]))
+        assert automata_equal(muller, other, up_to_reachability=False) == (False, "muller families differ")
+
+
 class TestWithInitial:
     def test_restart_preserves_everything_else(self):
         a = examples.user_role()
@@ -584,6 +600,24 @@ class TestProjection:
         a = examples.user_role()
         with pytest.raises(WiringError):
             project(a, Projection(state_maps=({}, {}), input_maps=({},), output_maps=({},)))
+
+    def test_interface_width_mismatch_is_rejected(self):
+        a = examples.user_role()
+        with pytest.raises(WiringError, match="^projection interface widths do not match the automaton$"):
+            project(a, Projection(state_maps=({},), input_maps=(), output_maps=({},)))
+        with pytest.raises(WiringError, match="^projection interface widths do not match the automaton$"):
+            project(a, Projection(state_maps=({},), input_maps=({},), output_maps=({}, {})))
+
+    def test_the_silent_character_is_not_a_key(self):
+        with pytest.raises(WiringError, match="^projection maps the silent character$"):
+            Projection(state_maps=({},), input_maps=({EPSILON: "a"},), output_maps=({},))
+
+    def test_final_states_are_projected(self):
+        a = replace(tiny([]), acceptance=Acceptance.final([("p",), ("q",)]))
+        p = Projection(state_maps=({"q": "p"},), input_maps=({},), output_maps=({},))
+        image = project(a, p)
+        assert image.states == frozenset({("p",)})
+        assert image.acceptance == Acceptance.final([("p",)])
 
 
 class TestRandomMachines:

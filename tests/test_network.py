@@ -346,6 +346,18 @@ class TestPairwiseMutex:
         sizes = (len(reachable_states(eager)), len(eager.transitions), *_sizes(wired))
         assert sizes == MUTEX_SIZES[n]
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("wired", [False, True])
+    def test_compiled_conditions_agree_with_veto(self, n, wired, compiled_agrees):
+        c = compile_network(pairwise_mutex_spec(n, wired=wired))
+        # The eager product is checked up to the size of coord5's, the
+        # benchmark's.
+        seen = compiled_agrees(c.factors, c.channels, c.conditions, eager_cap=25_000)
+        # Each user's entry into crit keeps a guard, one residue per other
+        # user; no move is vetoed out of every state.
+        assert seen["guarded moves"] == n and seen["moves left out"] == 0, seen
+        assert seen["guard vetoes"] > 0 and seen["eager checked"] == (n < 6 or not wired), seen
+
     @pytest.mark.parametrize("n", sorted(MUTEX_SIZES))
     def test_no_two_users_are_ever_in_crit(self, n):
         eager = build_network(pairwise_mutex_spec(n, wired=False)).automaton
@@ -361,11 +373,20 @@ def test_the_scale_benchmark_checks_the_frozen_sizes(tmp_path):
     assert {n: bench.KNOWN[n] for n in RING_SIZES} == RING_SIZES
     out = tmp_path / "bench.json"
     subprocess.run(
-        [sys.executable, str(script), "--sizes", "2", "--out", str(out)], check=True, capture_output=True
+        [sys.executable, str(script), "--quick", "--sizes", "2", "--out", str(out)],
+        check=True,
+        capture_output=True,
     )
-    ring2 = json.loads(out.read_text(encoding="utf-8"))["runs"]["tree1"]["rings"]["2"]
+    run = json.loads(out.read_text(encoding="utf-8"))["runs"]["tree1"]
+    ring2 = run["rings"]["2"]
     assert (ring2["configurations"], ring2["edges"], ring2["excited"]) == RING_SIZES[2]
     assert ring2["seconds"] > 0 and ring2["maxrss_mb"] > 0
+    # `--quick` builds coord5, eager and wired.
+    assert sorted(run["coord"]) == ["5"]
+    eager, wired = run["coord"]["5"]["eager"], run["coord"]["5"]["wired"]
+    assert (eager["states"], eager["transitions"], eager["reachable"]) == bench.KNOWN_COORD[5]["eager"]
+    assert (wired["configurations"], wired["edges"], wired["excited"]) == bench.KNOWN_COORD[5]["wired"]
+    assert eager["seconds"] > 0 and wired["maxrss_mb"] > 0
 
 
 def test_the_oracle_prints_the_frozen_sizes():
