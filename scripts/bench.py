@@ -20,10 +20,11 @@ reachable states) and, as `coord<n>w`, wired to a server
 
 Each `--src` is a source tree holding the `fioa` package (default: this
 checkout's `src`), measured under the `--label` at the same position.
-With `--repeat k` every figure is taken k times, each in its own process,
-and the median is reported beside the samples.  The JSON written by
-`--out` records the Python version, the CPU count and each tree's commit.
-Compare times only within one machine.
+With `--repeat k` every figure is taken k times per tree, each in its own
+process, and the median is reported beside the samples.  The trees take
+turns figure by figure, and which goes first flips on each repeat.  The
+JSON written by `--out` records the Python version, the CPU count and
+each tree's commit.  Compare times only within one machine.
 """
 
 from __future__ import annotations
@@ -127,30 +128,46 @@ def commit_of(src: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain", "."))}
 
 
-def figure(src: Path, kind: str, n: int, known: tuple, repeat: int) -> dict:
-    """`repeat` builds of one network, checked against `known`: its counts
-    by name, the median seconds and maxrss, and every sample."""
-    samples = [measure(src, kind, n) for _ in range(repeat)]
+def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
+    """One tree's builds of one network, checked against `known`: its
+    counts by name, the median seconds and maxrss, and every sample."""
     got = sorted({tuple(s["counts"]) for s in samples})
+    name = {"ring": f"ring{n}", "eager": f"coord{n}", "wired": f"coord{n}w"}[kind]
     if got != [known]:
-        raise SystemExit(f"{kind} {n} from {src}: counts {got}, expected {known}")
+        raise SystemExit(f"{name} from {label}: counts {got}, expected {known}")
     out = dict(zip(COUNTS[kind], known))
     out["seconds"] = statistics.median(s["seconds"] for s in samples)
     out["maxrss_mb"] = statistics.median(s["maxrss_mb"] for s in samples)
     out["samples"] = [{"seconds": s["seconds"], "maxrss_mb": s["maxrss_mb"]} for s in samples]
-    name = {"ring": f"ring{n}", "eager": f"coord{n}", "wired": f"coord{n}w"}[kind]
     counts = ", ".join(f"{v} {k}" for k, v in zip(COUNTS[kind], known))
-    print(f"{name}: {counts}, {out['seconds']:.3f} s, {out['maxrss_mb']:.0f} MB", flush=True)
+    print(f"{label} {name}: {counts}, {out['seconds']:.3f} s, {out['maxrss_mb']:.0f} MB", flush=True)
     return out
 
 
-def bench(src: Path, sizes, coord_sizes, repeat: int) -> dict:
-    rings = {str(n): figure(src, "ring", n, KNOWN[n], repeat) for n in sizes}
-    coord = {
-        str(n): {kind: figure(src, kind, n, KNOWN_COORD[n][kind], repeat) for kind in ("eager", "wired")}
-        for n in coord_sizes
-    }
-    return {"rings": rings, "coord": coord}
+def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
+    """Every figure for every tree in `trees` (label: source tree).
+
+    The trees take turns per figure, not one after another: each repeat
+    builds the figure once per tree, and the tree that goes first flips
+    from one repeat to the next, so drift on the machine falls on every
+    tree alike.
+    """
+    runs = {label: {**commit_of(src), "rings": {}, "coord": {}} for label, src in trees.items()}
+    figures = [("ring", n, KNOWN[n]) for n in sizes]
+    figures += [(kind, n, KNOWN_COORD[n][kind]) for n in coord_sizes for kind in ("eager", "wired")]
+    order = list(trees)
+    for kind, n, known in figures:
+        samples: dict = {label: [] for label in trees}
+        for r in range(repeat):
+            for label in order if r % 2 == 0 else order[::-1]:
+                samples[label].append(measure(trees[label].resolve(), kind, n))
+        for label in order:
+            out = figure(label, kind, n, known, samples[label])
+            if kind == "ring":
+                runs[label]["rings"][str(n)] = out
+            else:
+                runs[label]["coord"].setdefault(str(n), {})[kind] = out
+    return runs
 
 
 def main(argv=None) -> int:
@@ -166,6 +183,8 @@ def main(argv=None) -> int:
     labels = args.label or [f"tree{i + 1}" for i in range(len(srcs))]
     if len(labels) != len(srcs):
         p.error("give one --label per --src")
+    if len(set(labels)) != len(labels):
+        p.error("give each --src its own --label")
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
     sizes = args.sizes or [n for n in KNOWN if n <= (6 if args.quick else 7)]
@@ -176,11 +195,8 @@ def main(argv=None) -> int:
         "sizes": sizes,
         "coord_sizes": coord_sizes,
         "repeat": args.repeat,
-        "runs": {},
+        "runs": bench(dict(zip(labels, srcs)), sizes, coord_sizes, args.repeat),
     }
-    for label, src in zip(labels, srcs):
-        print(f"{label}:", flush=True)
-        report["runs"][label] = {**commit_of(src), **bench(src.resolve(), sizes, coord_sizes, args.repeat)}
     if args.out:
         args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -8,8 +8,9 @@ spontaneously or read inputs that no channel feeds.  Because every label
 activates at most one component, a single pending slot suffices.
 
 Restriction is computed by forward exploration over configurations
-(state + pending slot).  The exploration accepts an optional edge filter
-so condition-based restriction composes with channel wiring in a single
+(state + pending slot).  The move table the exploration walks carries the
+conditions compiled onto its moves (`product.MoveTable`), so
+condition-based restriction composes with channel wiring in a single
 pass; the surviving flat transition set is exactly what re-exploration
 needs, which is what makes the algebraic-law comparisons in
 `analysis` exact rather than approximate.
@@ -194,7 +195,7 @@ class RestrictedAutomaton:
     `base` keeps the source's interface and acceptance but its transition
     set is the *surviving* one: exactly the transitions that label some
     configuration-graph edge.  Re-restricting the base with the same
-    channels and filters reproduces the same graph, so operator identities
+    channels and conditions reproduces the same graph, so operator identities
     can be checked on flat automata.
     """
 
@@ -241,7 +242,7 @@ def cbr(
     """Restrict an automaton (or re-restrict a restriction) by channels.
 
     Accepts a plain automaton, a lazily-explored product, or an existing
-    restriction.  Re-restricting unions the channel sets and edge filters
+    restriction.  Re-restricting unions the channel sets and the conditions
     and re-explores the surviving transition relation; the result is the
     same as having applied the union in one pass.
     """

@@ -504,6 +504,19 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(least: int):
+    """An argparse type: a count no smaller than `least`, below which the
+    answer it bounds would mean nothing."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fioa",
@@ -543,21 +556,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("network")
     p.add_argument("--scheduler", choices=["random", "exhaustive", "script"], default="random")
-    p.add_argument("--bound", type=int, default=20)
+    p.add_argument("--bound", type=_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--script", help="file of choice indices for --scheduler script")
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("laws", help="exercise the operator identities on random instances")
     p.add_argument("law", help="'all' or one law name")
-    p.add_argument("--seeds", type=int, default=200)
+    p.add_argument("--seeds", type=_at_least(1), default=200)
     p.set_defaults(handler=cmd_laws)
 
     p = sub.add_parser("equiv", help="channel-event trace equivalence of two automata or networks")
     p.add_argument("file")
     p.add_argument("net1")
     p.add_argument("net2")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_at_least(1), default=None)
     p.set_defaults(handler=cmd_equiv)
 
     p = sub.add_parser("safety", help="search reachable configurations for a predicate")

@@ -17,12 +17,12 @@ would stop agreeing with restricting the coordinated parts alone.
 a product (`channels.cbr` of a `product.LazyProduct` with `conditions=`,
 or `cond` of one) compiles its conditions onto the product's move table:
 each (move, condition) pair is decided once, and what is left is a digit
-test on the packed key for the factors the move leaves alone (see
+test on the packed state code for the factors the move leaves alone (see
 `product._guards`).  A restriction of a plain automaton (`cond`, or
-`cbr` with `conditions=`) compiles its condition set once with `veto`,
-which indexes the conditions by their first pinned source slot, so each
-transition is tested only against the conditions its source state can
-satisfy.
+`cbr` with `conditions=`) compiles its condition set once with
+`product.veto`, which indexes the conditions by their first pinned source
+slot, so each transition is tested only against the conditions its source
+state can satisfy.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .channels import (
     graph_consistency,
 )
 from .errors import WiringError
-from .product import LazyProduct, automaton_table, materialize
+from .product import LazyProduct, automaton_table, materialize, veto
 
 
 @dataclass(frozen=True)
@@ -196,44 +196,6 @@ class Condition:
         )
 
 
-def veto(conditions: Iterable[Condition]) -> Callable[[Transition], bool]:
-    """Build `deny(t)`: does some condition match `t`?
-
-    Built once per `cond` or `cbr` of a plain automaton (`cbr`'s through
-    `product.automaton_table`); a product's table has its conditions
-    compiled on instead (see `product._guards`), and tests use `deny` as
-    the reference for them.  Each condition is filed under its
-    width, its first pinned source slot and that slot's value, so a
-    transition is tested only against the conditions its own source
-    selects, plus those that pin no source slot.  `Condition.matches`
-    decides each test.
-    """
-    free: dict[int, list[Condition]] = {}
-    pinned: dict[int, dict[int, dict[str, list[Condition]]]] = {}
-    for c in conditions:
-        width = len(c.source)
-        slot = next((i for i, p in enumerate(c.source) if p != WILDCARD), None)
-        if slot is None:
-            free.setdefault(width, []).append(c)
-            continue
-        by_slot = pinned.setdefault(width, {})
-        by_slot.setdefault(slot, {}).setdefault(c.source[slot], []).append(c)
-    slots = {width: tuple(by_slot.items()) for width, by_slot in pinned.items()}
-
-    def deny(t: Transition) -> bool:
-        s = t.source
-        for c in free.get(len(s), ()):
-            if c.matches(t):
-                return True
-        for slot, by_value in slots.get(len(s), ()):
-            for c in by_value.get(s[slot], ()):
-                if c.matches(t):
-                    return True
-        return False
-
-    return deny
-
-
 def cond(
     source: Union[Nfioa, LazyProduct, RestrictedAutomaton],
     conditions: Iterable[Condition],
@@ -248,7 +210,7 @@ def cond(
     product gives the same automaton as `cond` of its `weak_product`, but
     is materialized from its table with the conditions compiled on (see
     `product.materialize`), so a vetoed transition is never built.  On a
-    channel-restricted automaton the conditions join its edge filter and
+    channel-restricted automaton the conditions join its own and
     the configuration graph is re-explored.
     """
     if isinstance(source, RestrictedAutomaton):

@@ -128,12 +128,6 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
     return Acceptance.muller(members)
 
 
-def _check_modes(factors: Sequence[Nfioa]):
-    modes = {f.acceptance.mode for f in factors}
-    if len(modes) > 1:
-        raise WiringError(f"factors mix acceptance modes {sorted(modes)}; coercion is not defined")
-
-
 def weak_product(
     factors: Sequence[Nfioa],
     *,
@@ -184,13 +178,13 @@ def materialize(
         states = states.union(_concatenations(f.states for f in factors))
     new = tuple.__new__
     transitions: list[Transition] = []
-    for unit, radix, moves_of in lazy.table((), conditions).relaxed:
+    for stride, radix, moves_of in lazy.table((), conditions).relaxed:
         for d in range(radix):
             moves = moves_of(d)
             if not moves:
                 continue
             # The codes whose digit is d.
-            codes = [c for low in range(d * unit, len(by_code), unit * radix) for c in range(low, low + unit)]
+            codes = [c for low in range(d * stride, len(by_code), stride * radix) for c in range(low, low + stride)]
             for _, shift, _, _, _, inp, outp, _, guard in moves:
                 kept = codes if guard is None else [c for c in codes if not vetoed(guard, c)]
                 transitions += [new(Transition, (by_code[c], by_code[c + shift], inp, outp)) for c in kept]
@@ -218,21 +212,20 @@ _by_rank = itemgetter(0)
 class MoveTable(NamedTuple):
     """The moves of a product wired by a channel set, by packed key.
 
-    A configuration is one integer key, `code * len(pending) + p`.  `code`
-    is the product state in mixed radix: digit k, `code // stride_k %
-    radix_k`, numbers factor k's local state.  `p` numbers the character
-    in flight, `pending[p]`: None, or one `(channel, char)` pair.
-    `relaxed` holds one `(stride_k * len(pending), radix_k, moves_of)` per
-    factor, and `excited[p]` the same for the factor receiving pending
-    code p.  `moves_of(d)` lists the factor's moves out of its local state
-    d (None if there are none), each a tuple `(rank, shift, lo, hi,
-    target, input, output, pending, guard)`:
+    A configuration is one integer key, `p * size + code`.  `code < size`
+    is the product state in mixed radix: digit k, `key // stride_k %
+    radix_k` of any key, numbers factor k's local state.  `p` numbers the
+    character in flight, `pending[p]`: one `(channel, char)` pair, or None
+    for p = 0, so a relaxed key is its state code.  `relaxed` holds one
+    `(stride_k, radix_k, moves_of)` per factor, and `excited[p]` the same
+    for the factor receiving pending code p.  `moves_of(d)` lists the
+    factor's moves out of its local state d (None if there are none), each
+    a tuple `(rank, shift, lo, hi, target, input, output, pending, guard)`:
 
     - `rank` orders the moves out of one product state as their
       `Transition`s compare, and two moves of equal rank out of one state
       are the same flat transition (silent self-loops of two factors);
-    - the move leads from key `base` to key `base + shift`, where `base`
-      is the key with its pending code taken off;
+    - the move leads from state code `base` to key `base + shift`;
     - it replaces the state's slots `lo:hi` by the local `target`, carries
       the flat `input` and `output` labels and leaves `pending` in flight;
     - `guard` is None, or what is left of the table's conditions once the
@@ -240,30 +233,30 @@ class MoveTable(NamedTuple):
       when `vetoed(guard, base)`.  A move that some condition vetoes out
       of every state is not listed at all.
 
-    `initial` is the initial state and `initial_key` the key of its
-    relaxed configuration.
+    `initial` is the initial state, and `initial_key` its code.
     """
 
     pending: tuple
+    size: int
     relaxed: tuple
     excited: tuple
     initial: StateVector
     initial_key: int
 
     def candidates(self, key: int) -> tuple[int, Sequence[tuple]]:
-        """`(base, moves)`: the moves out of configuration `key`, in rank order.
+        """`(base, moves)`: configuration `key`'s state code and its moves, in rank order.
 
         An excited configuration reads one digit, its receiver's; a relaxed
         one merges every factor's moves by rank and keeps a repeated rank
         once.  Guards are left to the caller.
         """
-        p = key % len(self.pending)
-        if p:
-            unit, radix, moves_of = self.excited[p]
-            return key - p, moves_of(key // unit % radix) or ()
+        if key >= self.size:
+            p, base = divmod(key, self.size)
+            stride, radix, moves_of = self.excited[p]
+            return base, moves_of(base // stride % radix) or ()
         cands, merged = (), False
-        for unit, radix, moves_of in self.relaxed:
-            found = moves_of(key // unit % radix)
+        for stride, radix, moves_of in self.relaxed:
+            found = moves_of(key // stride % radix)
             if found:
                 merged = bool(cands)
                 cands = sorted(cands + found, key=_by_rank) if merged else found
@@ -272,33 +265,66 @@ class MoveTable(NamedTuple):
         return key, cands
 
 
-def vetoed(guard: tuple, key: int) -> bool:
-    """Does a move's `guard` veto it out of `key`?
-
-    It does when every test `(unit, radix, allowed)` of one of its
-    residues holds: `key // unit % radix in allowed`.
-    """
+def vetoed(guard: tuple, code: int) -> bool:
+    """Does a move's `guard` veto it out of state code `code`: does every
+    test `(stride, radix, allowed)` of one of its residues hold, `code //
+    stride % radix in allowed`?"""
     for residue in guard:
-        for unit, radix, allowed in residue:
-            if key // unit % radix not in allowed:
+        for stride, radix, allowed in residue:
+            if code // stride % radix not in allowed:
                 break
         else:
             return True
     return False
 
 
+def veto(conditions: Iterable) -> Callable[[Transition], bool]:
+    """Build `deny(t)`: does some `conditions.Condition` match `t`?
+
+    For `cond` of a plain automaton and `automaton_table`; a product's
+    table has its conditions compiled on instead (`_guards`), and `deny`
+    is the tests' reference for them.  Each condition is filed under its
+    width, its first pinned source slot and that slot's value, so a
+    transition is tested only against the conditions its own source
+    selects, plus those that pin no source slot.  `Condition.matches`
+    decides each test.
+    """
+    free: dict[int, list] = {}
+    pinned: dict[int, dict[int, dict[str, list]]] = {}
+    for c in conditions:
+        width = len(c.source)
+        slot = next((i for i, p in enumerate(c.source) if p != WILDCARD), None)
+        if slot is None:
+            free.setdefault(width, []).append(c)
+            continue
+        by_slot = pinned.setdefault(width, {})
+        by_slot.setdefault(slot, {}).setdefault(c.source[slot], []).append(c)
+    slots = {width: tuple(by_slot.items()) for width, by_slot in pinned.items()}
+
+    def deny(t: Transition) -> bool:
+        s = t.source
+        for c in free.get(len(s), ()):
+            if c.matches(t):
+                return True
+        for slot, by_value in slots.get(len(s), ()):
+            for c in by_value.get(s[slot], ()):
+                if c.matches(t):
+                    return True
+        return False
+
+    return deny
+
+
 def _guards(conditions: Sequence, width: int, layout: Sequence[tuple]) -> Callable:
-    """`guard(k, source, lo, hi, target, inp, outp)`: the `conditions` compiled
-    onto one move of factor k.
+    """`guard(k, d, target, inp, outp)`: the `conditions` compiled onto the
+    move of factor k from its local state of digit d to the local `target`,
+    with the flat labels `inp` and `outp`.
 
-    `layout[k]` is factor k's `(span, unit, radix, local)`: its flat state
-    slots, its digit `key // unit % radix`, and `local[e]`, its local
-    state of digit e.  The move writes the local `target` over the
-    `source` at slots `lo:hi` with the flat labels `inp` and `outp`, and
-    leaves every other slot as it was.
-
-    So whether condition c matches a transition of the move depends on the
-    move alone — the widths, the labels, the scope activity and c's pins
+    `layout[k]` is factor k's `(span, stride, radix, local)`: its flat state
+    slots, its digit `code // stride % radix`, and `local[e]`, its local
+    state of digit e.  The move leaves every slot outside its span as it
+    was, so whether condition c matches a transition of the move depends
+    on the move alone — the widths, the labels, the scope activity and c's pins
     on the moving slots — except for c's pins on another factor j's slots.
     Such a slot must carry c's source pin and its target pin alike, since
     it does not change: that is the test `digit_j in allowed_j`, the
@@ -318,7 +344,7 @@ def _guards(conditions: Sequence, width: int, layout: Sequence[tuple]) -> Callab
             continue
         fill = tuple(q if p == WILDCARD else p for p, q in zip(c.source, c.target))
         tests = []
-        for j, (span, unit, radix, local) in enumerate(layout):
+        for j, (span, stride, radix, local) in enumerate(layout):
             pins = [(i - span.start, c.source[i], c.target[i]) for i in span if fill[i] != WILDCARD]
             allowed = frozenset(
                 e
@@ -326,17 +352,17 @@ def _guards(conditions: Sequence, width: int, layout: Sequence[tuple]) -> Callab
                 if all(p in (WILDCARD, s[i]) and q in (WILDCARD, s[i]) for i, p, q in pins)
             )
             if len(allowed) < radix:
-                tests.append((j, (unit, radix, allowed)))
-        for k, entries in enumerate(by_factor):
+                tests.append((j, (stride, radix, allowed)))
+        for k, ((span, *_), entries) in enumerate(zip(layout, by_factor)):
             residue = tuple(test for j, test in tests if j != k)
             if all(allowed for _, _, allowed in residue):
-                entries.append((c, fill, residue))
+                entries.append((c, fill[: span.start], fill[span.stop :], residue))
     new = tuple.__new__
 
-    def guard(k, source, lo, hi, target, inp, outp):
+    def guard(k, d, target, inp, outp):
+        source = layout[k][3][d]  # digit d's local state
         residues = []
-        for c, fill, residue in by_factor[k]:
-            head, tail = fill[:lo], fill[hi:]
+        for c, head, tail, residue in by_factor[k]:
             if c.matches(new(Transition, (head + source + tail, head + target + tail, inp, outp))):
                 if not residue:
                     return ((),)
@@ -346,72 +372,66 @@ def _guards(conditions: Sequence, width: int, layout: Sequence[tuple]) -> Callab
     return guard
 
 
-def _pending(inputs: Sequence, channels: Sequence) -> tuple:
-    """The characters that can be in flight, by pending code: None first,
-    then each channel's `(channel, char)` pairs."""
-    return (None, *((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters)))
-
-
 def _wire(
-    factors: Sequence[tuple], pending: tuple, channels: Sequence, initial: StateVector, code: int
+    factors: Sequence[tuple], inputs: Sequence, channels: Sequence, guard, initial: StateVector, code: int
 ) -> MoveTable:
-    """The `MoveTable` of factors wired by `channels`.
+    """The `MoveTable` of factors wired by `channels` and guarded by `guard`
+    (None, or one of `_guards`), with flat `inputs` and `initial` state of
+    code `code`.
 
-    Each factor is `(stride, radix, ins, moves_of)`: its digit, its flat
-    input components, and `moves_of(d)` listing its moves out of local
-    state d in rank order, as they stand with no channel wired (one
-    pending code, so `shift` is the digit delta), guards included.
-    `pending` is `_pending` of the channels, `initial` the initial state
-    and `code` its code.  Unwired, the factors' own `moves_of` are the
-    table.  Wired, a move reading a channel-fed input is filed under the
-    pending code it consumes, and a move writing a wired output leaves
+    Each factor is `(stride, radix, ins, moves)`: its digit, its flat input
+    components, and its moves in (digit, rank) order, each its source digit
+    and then the first seven fields of its `MoveTable` move, unwired.  One
+    pass decides every move: left out if its guard vetoes it out of every
+    state, else filed under the pending code it consumes if it reads a
+    channel-fed input, else relaxed.  A move writing a wired output leaves
     that channel's character pending.
     """
-    if not channels:
-        relaxed = tuple((stride, radix, moves_of) for stride, radix, _, moves_of in factors)
-        return MoveTable(pending, relaxed, (None,), initial, code)
+    # The characters that can be in flight, by pending code: None first.
+    chars = ((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters))
+    pending = (None, *chars)
+    code_of = {pair: p for p, pair in enumerate(pending)}
     fed = tuple((ch.in_component, ch) for ch in channels)
     sent = tuple((ch.out_component, ch) for ch in channels)
-    width = len(pending)
-    code_of = {pair: p for p, pair in enumerate(pending)}
-    relaxed, excited = [], [None] * width
-    for stride, radix, ins, moves_of in factors:
-        unit = stride * width
+    size = prod(radix for _, radix, _, _ in factors)
+    relaxed, excited = [], [None] * len(pending)
+    for k, (stride, radix, ins, moves) in enumerate(factors):
         for p, (ch, _) in enumerate(pending[1:], 1):
             if ch.in_component in ins:
-                excited[p] = (unit, radix, {})
+                excited[p] = (stride, radix, {})
         here: dict = {}
-        for d in range(radix):
-            for rank, delta, lo, hi, target, inp, outp, _, guard in moves_of(d) or ():
-                # A label is active on at most one component, so at most
-                # one channel end matches.
-                p, table = 0, here
-                for c, ch in sent:
-                    if outp[c]:
-                        p = code_of[ch, outp[c]]
-                for c, ch in fed:
-                    if inp[c]:
-                        table = excited[code_of[ch, inp[c]]][2]
-                table.setdefault(d, []).append(
-                    (rank, delta * width + p, lo, hi, target, inp, outp, pending[p], guard)
-                )
-        relaxed.append((unit, radix, here.get))
-    excited[1:] = [(unit, radix, by_digit.get) for unit, radix, by_digit in excited[1:]]
-    return MoveTable(pending, tuple(relaxed), tuple(excited), initial, code * width)
+        for d, rank, delta, lo, hi, target, inp, outp in moves:
+            g = guard(k, d, target, inp, outp) if guard else None
+            if g and () in g:
+                continue  # vetoed out of every state
+            # A label is active on at most one component, so at most one
+            # channel end matches.
+            p, table = 0, here
+            for c, ch in sent:
+                if outp[c]:
+                    p = code_of[ch, outp[c]]
+            for c, ch in fed:
+                if inp[c]:
+                    table = excited[code_of[ch, inp[c]]][2]
+            table.setdefault(d, []).append(
+                (rank, p * size + delta, lo, hi, target, inp, outp, pending[p], g)
+            )
+        relaxed.append((stride, radix, here.get))
+    excited[1:] = [(stride, radix, by_digit.get) for stride, radix, by_digit in excited[1:]]
+    return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code)
 
 
 def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()) -> MoveTable:
     """`a` wired by `channels` and restricted by `conditions`, as a
     one-factor `MoveTable`.
 
-    Built from `a`'s own transitions and labels: none of `LazyProduct`'s
-    placing, and moves are sorted per source, since one factor's moves are
-    never merged with another's.  Sources are numbered in table order and
-    the other states when first met as a target.  A source's moves are
-    sorted, restricted and numbered when first listed: unwired, each state
-    is one configuration, so only the sources that exploration reaches
-    are.  One factor owns every slot, so each move is decided outright by
-    `conditions.veto`: a vetoed move is left out, and no move keeps a guard.
+    Built from `a`'s own transitions and labels, sorted per source: one
+    factor's moves are never merged with another's.  Sources are numbered
+    in table order, the other states when first met as a target.  A
+    source's moves are sorted, restricted and numbered when first listed,
+    so an unwired table, where each state is one configuration, lists only
+    the sources exploration reaches.  One factor owns every slot, so
+    `veto` decides each move outright: no move keeps a guard.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
@@ -419,28 +439,31 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
     number = {s: d for d, s in enumerate(by_source)}
     groups = list(by_source.values())
     width = a.state_width
-    pending = _pending(a.inputs, channels)
-    deny = None
-    if conditions:
-        from .conditions import veto  # conditions imports this module
+    deny = veto(conditions) if conditions else None
 
-        deny = veto(conditions)
+    def kept(d: int) -> list[Transition]:
+        """Source d's transitions in order, less those `deny` vetoes."""
+        ts = groups[d]
+        ts.sort()
+        return ts if deny is None else [t for t in ts if not deny(t)]
 
     def moves_of(d: int) -> list | None:
         if d >= len(groups):
             return None
-        ts = groups[d]
-        ts.sort()
-        if deny is not None:
-            ts = [t for t in ts if not deny(t)]
         return [
             (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None)
-            for rank, (_, tgt, inp, outp) in enumerate(ts)
+            for rank, (_, tgt, inp, outp) in enumerate(kept(d))
         ]
 
     code = number.setdefault(a.initial, len(number))
-    factor = (1, len(a.states), range(len(a.inputs)), moves_of)
-    return _wire((factor,), pending, channels, a.initial, code)
+    radix = len(a.states)
+    if not channels:
+        return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code)
+    moves = [
+        (d, rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp)
+        for d in range(len(groups)) for rank, (_, tgt, inp, outp) in enumerate(kept(d))
+    ]
+    return _wire(((1, radix, range(len(a.inputs)), moves),), a.inputs, channels, None, a.initial, code)
 
 
 def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar) -> tuple:
@@ -483,15 +506,17 @@ class LazyProduct:
         self.factors = tuple(factors)
         if not self.factors:
             raise WiringError("product needs at least one factor")
-        _check_modes(self.factors)
+        modes = {f.acceptance.mode for f in self.factors}
+        if len(modes) > 1:
+            raise WiringError(f"factors mix acceptance modes {sorted(modes)}; coercion is not defined")
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)
         self.index = ProductIndex.for_factors(self.factors)
         self.reach = [tuple(sorted(reachable_states(f))) for f in self.factors]
-        # Each factor's moves as `(source digit, rank key, ...)` first: the
-        # ranks number the keys of all factors together.
-        drafts, keys = [], set()
+        # Each factor's moves with their rank keys in place of ranks first:
+        # the ranks number the keys of all factors together.
+        drafts, keys, self._layout = [], set(), []
         stride, self._code = 1, 0
         for k, (f, reach) in enumerate(zip(self.factors, self.reach)):
             state, ins, outs = (self.index.span(side, k) for side in ("state", "input", "output"))
@@ -507,48 +532,19 @@ class LazyProduct:
                 delta = (number[t.target] - d) * stride
                 moves.append((d, key, delta, state.start, state.stop, t.target, inp, outp))
             drafts.append((stride, len(reach), ins, moves))
+            self._layout.append((state, stride, len(reach), reach))
             stride *= len(reach)
-        rank = {key: r for r, key in enumerate(sorted(keys))}
-        self._moves, self.transition_count = [], 0
-        for k, (stride, radix, ins, moves) in enumerate(drafts):
-            by_digit: dict = {}
-            for d, key, *move in moves:
-                by_digit.setdefault(d, []).append((rank[key], *move, None, None))
-            self._moves.append((stride, radix, ins, by_digit.get))
-            others = prod(len(r) for j, r in enumerate(self.reach) if j != k)
-            self.transition_count += len(moves) * others
+        size, rank = stride, {key: r for r, key in enumerate(sorted(keys))}
+        # Sorted transitions are sorted by source, so by digit, and one
+        # factor's moves out of one source rank in that order too.
+        self._moves = [
+            (stride, radix, ins, [(d, rank[key], *move) for d, key, *move in moves])
+            for stride, radix, ins, moves in drafts
+        ]
+        self.transition_count = sum(len(moves) * (size // radix) for _, radix, _, moves in drafts)
 
     def table(self, channels: Sequence, conditions: Sequence = ()) -> MoveTable:
         """This product's `MoveTable` wired by `channels` and restricted by
-        `conditions`.
-
-        Relaxed configurations take every factor's moves except those
-        reading a channel-fed input; excited ones only the receiving
-        factor's moves consuming the pending character on the channel's
-        input.  The conditions are compiled onto the moves (see `_guards`).
-        """
-        pending = _pending(self.inputs, channels)
-        factors = self._moves
-        if conditions:
-            factors = self._guarded(conditions, len(pending))
-        return _wire(factors, pending, channels, self.initial, self._code)
-
-    def _guarded(self, conditions: Sequence, width: int) -> list[tuple]:
-        """The factors' moves with `conditions` compiled on, for a table of
-        `width` pending codes: moves vetoed everywhere are left out."""
-        layout = [
-            (self.index.span("state", k), stride * width, radix, local)
-            for k, ((stride, radix, _, _), local) in enumerate(zip(self._moves, self.reach))
-        ]
-        guard = _guards(conditions, len(self.initial), layout)
-        out = []
-        for k, (stride, radix, ins, moves_of) in enumerate(self._moves):
-            local = self.reach[k]
-            by_digit: dict = {}
-            for d in range(radix):
-                for move in moves_of(d) or ():
-                    g = guard(k, local[d], *move[2:7])
-                    if g is None or () not in g:
-                        by_digit.setdefault(d, []).append((*move[:8], g))
-            out.append((stride, radix, ins, by_digit.get))
-        return out
+        `conditions`, each move decided once (see `_wire` and `_guards`)."""
+        guard = _guards(conditions, len(self.initial), self._layout) if conditions else None
+        return _wire(self._moves, self.inputs, channels, guard, self.initial, self._code)

@@ -80,8 +80,8 @@ def listed():
             if state[span.start : span.stop] not in local:
                 return None
             digits.append(local.index(state[span.start : span.stop]))
-        return table.pending.index(pending) + sum(
-            d * unit for d, (unit, _, _) in zip(digits, table.relaxed)
+        return table.pending.index(pending) * table.size + sum(
+            d * stride for d, (stride, _, _) in zip(digits, table.relaxed)
         )
 
     def listed(lazy, table, state, pending):

@@ -8,10 +8,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fioa.analysis
 from fioa import (
     LAWS,
     Acceptance,
     Channel,
+    LawReport,
     TraceEquivalence,
     Transition,
     WiringError,
@@ -66,6 +68,31 @@ class TestLaws:
     def test_suite_runner_collects_no_failures(self):
         failures = run_law_suite(seeds=25)
         assert all(not bad for bad in failures.values())
+
+    def test_suite_runner_records_each_failure_with_its_seed(self, monkeypatch):
+        def fake(law, instance=None, *, seed=0):
+            return LawReport(law, True, seed != 1, "lhs has 3 states, rhs 4" if seed == 1 else None)
+
+        monkeypatch.setattr(fioa.analysis, "check_law", fake)
+        assert run_law_suite(["cbr-commute", "separation"], seeds=3) == {
+            "cbr-commute": [(1, LawReport("cbr-commute", True, False, "lhs has 3 states, rhs 4"))],
+            "separation": [],
+        }
+
+    @pytest.mark.parametrize("channel", [Channel(2, 0), Channel(0, 2)], ids=["output", "input"])
+    def test_a_channel_outside_the_second_factor_is_inapplicable(self, channel):
+        a = random_nfioa(1, n_inputs=1, n_outputs=1, n_states=3)
+        b = random_nfioa(2, n_inputs=2, n_outputs=2, n_states=3)
+        assert check_law("restr-product-commute", (a, b, channel)) == LawReport(
+            "restr-product-commute", False, False, "channel is not local to the second factor"
+        )
+
+    def test_interfaces_that_cannot_be_closed_pairwise_are_inapplicable(self):
+        a1 = random_nfioa(3, n_inputs=2, n_outputs=1, n_states=3)
+        a2 = random_nfioa(4, n_inputs=1, n_outputs=1, n_states=3)
+        assert check_law("protocol-product", (a1, (), a2, ())) == LawReport(
+            "protocol-product", False, False, "interfaces cannot be closed pairwise"
+        )
 
     def test_overlapping_channels_make_an_instance_inapplicable(self):
         a, c1, _ = law_instance("cbr-commute", 0)

@@ -572,6 +572,43 @@ class TestEquiv:
         assert "equivalent: yes" in capsys.readouterr().out
 
 
+class TestCounts:
+    """A count that leaves an answer without evidence is refused when the
+    arguments are parsed: no seed run, no event traced, a negative walk."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["laws", "all", "--seeds", "0"], "argument --seeds: must be at least 1, not 0"),
+            (
+                ["equiv", RING_EQ, "ring_quasi", "ring_sticky", "--bound", "-2"],
+                "argument --bound: must be at least 1, not -2",
+            ),
+            (
+                ["equiv", RING_EQ, "ring_quasi", "ring_sticky", "--bound", "0"],
+                "argument --bound: must be at least 1, not 0",
+            ),
+            (["run", RING2, "ring2", "--bound", "-3"], "argument --bound: must be at least 0, not -3"),
+        ],
+        ids=["laws-seeds-0", "equiv-bound-negative", "equiv-bound-0", "run-bound-negative"],
+    )
+    def test_a_meaningless_count_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli(argv)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"fioa {argv[0]}: error: {message}"
+
+    def test_the_least_counts_are_accepted(self, capsys):
+        assert cli(["run", RING2, "ring2", "--bound", "0"]) == 0
+        assert capsys.readouterr().out == "steps: 0\n"
+        assert cli(["equiv", RING_EQ, "ring_quasi", "ring_sticky", "--bound", "1"]) == 0
+        assert "bound used: 1" in capsys.readouterr().out
+        assert cli(["laws", "separation", "--seeds", "1"]) == 0
+        assert capsys.readouterr().out == "law separation: ok\n"
+
+
 class TestSafety:
     def test_violation_prints_a_replayable_path(self, capsys):
         code = cli(

@@ -314,6 +314,29 @@ class TestSerialization:
         doc = parse(MINIMAL)
         assert parse(serialize(doc)) == doc
 
+    def test_final_acceptance_an_empty_interface_and_any_input_round_trip(self):
+        text = (
+            "automaton Beacon {\n"
+            "  states dark, lit;\n"
+            "  initial dark;\n"
+            "  outputs lamp: {glow};\n"
+            "  accept final {lit};\n"
+            "  trans dark -> lit on - / lamp.glow;\n"
+            "  trans lit -> dark on - / -;\n"
+            "}\n"
+            "\n"
+            "network lone {\n"
+            "  use b = Beacon;\n"
+            "  condition stay_dark: from (dark) to (lit) input any deny;\n"
+            "}\n"
+        )
+        doc = parse(text)
+        assert doc.automata[0].inputs == ()
+        assert doc.automata[0].acceptance == Acceptance.final([("lit",)])
+        assert doc.networks[0].conditions[0].input == PatternSpec.any()
+        assert serialize(doc) == text
+        assert parse(serialize(doc)) == doc
+
     def test_serialization_is_canonical(self):
         doc = parse(MINIMAL)
         assert serialize(parse(serialize(doc))) == serialize(doc)
