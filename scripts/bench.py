@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Scale benchmark: ringN and coordN network builds, one fresh interpreter
-per figure.
+"""Scale benchmark: ringN and coordN builds, and `fioa validate` on the corpus,
+one fresh interpreter per figure.
 
 For each ring size a new Python process builds `examples.ring_document(n)`
 with `fioa.dsl.resolve` and reports the ring's configurations, edges and
@@ -11,8 +11,11 @@ conditions on `mutex`'s machines: eager (states, kept transitions,
 reachable states) and, as `coord<n>w`, wired to a server
 (configurations, edges, excited configurations).  The counts must equal
 `KNOWN` and `KNOWN_COORD`; any other count fails the run (exit 1), so
-`--quick` serves as a CI gate.  Only the standard library is used, and
-`perfbench` is not imported.
+`--quick` serves as a CI gate.  For each corpus file, `python -m fioa
+validate FILE` runs in its own process and reports its wall seconds from
+launch to exit, interpreter start-up included, and its peak resident
+memory; it must exit 0 and print no FAIL line.  Only the standard library
+is used, and `perfbench` is not imported.
 
     python scripts/bench.py --quick
     python scripts/bench.py --src OTHER/src --label parent --src src --label change \\
@@ -36,9 +39,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The corpus files `fioa validate` is timed on, each taken from the tree
+# measured.
+CORPUS = sorted(p.name for p in (ROOT / "src" / "fioa" / "corpus").glob("*.pw"))
 
 # ring n: (configurations, edges, excited configurations).  2-4 are
 # `RING_SIZES` in tests/test_network.py; 5-7 the ROADMAP's scale table.
@@ -61,6 +69,7 @@ COUNTS = {
     "ring": ("configurations", "edges", "excited"),
     "eager": ("states", "transitions", "reachable"),
     "wired": ("configurations", "edges", "excited"),
+    "validate": (),
 }
 
 # The coord network is written out here, from the `.pw` model every
@@ -117,6 +126,28 @@ def measure(src: Path, kind: str, n: int) -> dict:
     return json.loads(out)
 
 
+def measure_validate(src: Path, name: str) -> dict:
+    """`python -m fioa validate` on corpus file `name` of `src` in a fresh
+    interpreter: wall seconds from launch to exit, and the process's own
+    maxrss.  Anything but exit 0 with no FAIL line stops the run."""
+    path = src / "fioa" / "corpus" / name
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fioa", "validate", str(path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    with proc.stdout:
+        out = proc.stdout.read()
+    # `wait4` reaps the child with its own resource usage.
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode or any("FAIL" in line for line in out.splitlines()):
+        raise SystemExit(f"fioa validate {path}: exit {proc.returncode}\n{out}")
+    return {"counts": (), "seconds": seconds, "maxrss_mb": usage.ru_maxrss / 1024}
+
+
 def commit_of(src: Path) -> dict:
     """The commit checked out at `src`, and whether its tree differs from it."""
 
@@ -129,18 +160,19 @@ def commit_of(src: Path) -> dict:
 
 
 def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
-    """One tree's builds of one network, checked against `known`: its
+    """One tree's samples of one figure, checked against `known`: its
     counts by name, the median seconds and maxrss, and every sample."""
     got = sorted({tuple(s["counts"]) for s in samples})
-    name = {"ring": f"ring{n}", "eager": f"coord{n}", "wired": f"coord{n}w"}[kind]
+    name = {"ring": f"ring{n}", "eager": f"coord{n}", "wired": f"coord{n}w", "validate": f"validate {n}"}[kind]
     if got != [known]:
         raise SystemExit(f"{name} from {label}: counts {got}, expected {known}")
     out = dict(zip(COUNTS[kind], known))
     out["seconds"] = statistics.median(s["seconds"] for s in samples)
     out["maxrss_mb"] = statistics.median(s["maxrss_mb"] for s in samples)
     out["samples"] = [{"seconds": s["seconds"], "maxrss_mb": s["maxrss_mb"]} for s in samples]
-    counts = ", ".join(f"{v} {k}" for k, v in zip(COUNTS[kind], known))
-    print(f"{label} {name}: {counts}, {out['seconds']:.3f} s, {out['maxrss_mb']:.0f} MB", flush=True)
+    parts = [f"{v} {k}" for k, v in zip(COUNTS[kind], known)]
+    parts += [f"{out['seconds']:.3f} s", f"{out['maxrss_mb']:.0f} MB"]
+    print(f"{label} {name}: {', '.join(parts)}", flush=True)
     return out
 
 
@@ -152,19 +184,23 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
     from one repeat to the next, so drift on the machine falls on every
     tree alike.
     """
-    runs = {label: {**commit_of(src), "rings": {}, "coord": {}} for label, src in trees.items()}
+    runs = {label: {**commit_of(src), "rings": {}, "coord": {}, "corpus": {}} for label, src in trees.items()}
     figures = [("ring", n, KNOWN[n]) for n in sizes]
     figures += [(kind, n, KNOWN_COORD[n][kind]) for n in coord_sizes for kind in ("eager", "wired")]
+    figures += [("validate", name, ()) for name in CORPUS]
     order = list(trees)
     for kind, n, known in figures:
         samples: dict = {label: [] for label in trees}
         for r in range(repeat):
             for label in order if r % 2 == 0 else order[::-1]:
-                samples[label].append(measure(trees[label].resolve(), kind, n))
+                src = trees[label].resolve()
+                samples[label].append(measure_validate(src, n) if kind == "validate" else measure(src, kind, n))
         for label in order:
             out = figure(label, kind, n, known, samples[label])
             if kind == "ring":
                 runs[label]["rings"][str(n)] = out
+            elif kind == "validate":
+                runs[label]["corpus"][n] = out
             else:
                 runs[label]["coord"].setdefault(str(n), {})[kind] = out
     return runs

@@ -39,7 +39,7 @@ from .errors import (
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct, MoveTable, acceptance_within, automaton_table, vetoed
+from .product import LazyProduct, MoveTable, automaton_table, vetoed
 
 CONFIG_CAP = 2 * 10**6
 
@@ -192,22 +192,18 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
 class RestrictedAutomaton:
     """An automaton together with its channel wiring and explored graph.
 
-    `base` keeps the source's interface and acceptance but its transition
-    set is the *surviving* one: exactly the transitions that label some
-    configuration-graph edge.  Re-restricting the base with the same
-    channels and conditions reproduces the same graph, so operator identities
-    can be checked on flat automata.
+    `cbr` builds it.  `base` keeps the source's interface and acceptance,
+    but its transition set is the *surviving* one: exactly the transitions
+    that label some configuration-graph edge.  Re-restricting the base
+    with the same channels and conditions reproduces the same graph, so
+    operator identities can be checked on flat automata.
     """
 
     base: Nfioa
     channels: tuple[Channel, ...]
     graph: ConfigGraph
-    conditions: tuple = ()
-    name: str = ""
-
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", self.base.name)
+    conditions: tuple
+    name: str
 
 
 def channel_str(r: RestrictedAutomaton, ch: Channel) -> str:
@@ -249,11 +245,10 @@ def cbr(
     new_channels = tuple(Channel(*c) for c in channels)
     conditions = tuple(conditions)
     if isinstance(source, RestrictedAutomaton):
-        merged = tuple(sorted(set(source.channels) | set(new_channels)))
         return cbr(
             source.base,
-            merged,
-            conditions=tuple(source.conditions) + conditions,
+            source.channels + new_channels,
+            conditions=source.conditions + conditions,
             name=name or source.name,
             cap=cap,
         )
@@ -268,16 +263,7 @@ def cbr(
     transitions = frozenset(chain.from_iterable(graph.moves))
     name = name or source.name
     if lazy:
-        states = frozenset(c.state for c in graph.nodes)
-        base = Nfioa(
-            name=name,
-            states=states,
-            inputs=source.inputs,
-            outputs=source.outputs,
-            initial=source.initial,
-            acceptance=acceptance_within(source.factors, states),
-            transitions=transitions,
-        )
+        base = source.automaton(frozenset(c.state for c in graph.nodes), transitions, name)
     else:
         base = replace(source, name=name, transitions=transitions)
     return RestrictedAutomaton(base, chans, graph, conditions, name)

@@ -380,7 +380,12 @@ def cmd_equiv(args) -> int:
     print(f"sufficient bound: {te.sufficient_bound}")
     print(f"bound used: {te.bound_used}")
     if te.equal:
-        print("equivalent: yes")
+        n = te.bound_used
+        if n is not None and n < te.sufficient_bound:
+            # A bound below the sufficient one leaves longer traces unchecked.
+            print(f"equivalent: no difference in traces of at most {n} event{'s' * (n != 1)}")
+        else:
+            print("equivalent: yes")
         return EX_OK
     print("equivalent: no")
     print(f"distinguishing trace ({len(te.distinguishing)} events):")

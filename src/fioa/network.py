@@ -253,16 +253,11 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
     compiled = compile_network(spec)
     lazy = LazyProduct(compiled.factors, name=spec.name)
     if compiled.channels:
-        r = cbr(
-            lazy,
-            compiled.channels,
-            conditions=compiled.conditions,
-            name=spec.name,
-        )
+        r = cbr(lazy, compiled.channels, conditions=compiled.conditions)
         if spec.acceptance is not None:
             r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
         return BuiltNetwork(compiled, r.base, r)
-    automaton = cond(lazy, compiled.conditions, name=spec.name)
+    automaton = cond(lazy, compiled.conditions)
     if spec.acceptance is not None:
         automaton = replace(automaton, acceptance=spec.acceptance)
     return BuiltNetwork(compiled, automaton, None)

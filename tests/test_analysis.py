@@ -104,6 +104,18 @@ class TestLaws:
         with pytest.raises(WiringError):
             check_law("conservation-of-mass")
 
+    def test_unknown_law_with_an_instance_is_rejected(self):
+        """A given instance skips `law_instance`, so `check_law` itself refuses the name."""
+        with pytest.raises(WiringError, match="^unknown law 'no-such-law'$"):
+            check_law("no-such-law", instance=())
+
+    def test_closed_wiring_that_is_no_protocol_fails_the_law(self, monkeypatch):
+        assert check_law("protocol-product", seed=0).passed
+        monkeypatch.setattr(fioa.analysis, "is_protocol", lambda r: False)
+        assert check_law("protocol-product", seed=0) == LawReport(
+            "protocol-product", True, False, "closed wiring did not yield a protocol"
+        )
+
     def test_product_with_prerestricted_factor_alone_is_not_enough(self):
         """Why the product/restriction law re-imposes the wiring on both sides.
 

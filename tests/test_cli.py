@@ -550,6 +550,23 @@ class TestEquiv:
         assert "t1.clk>a1.clk timeout" in out
         assert "a1.ring>a2.ring token" in out
 
+    def test_a_bound_below_the_sufficient_one_answers_only_up_to_it(self, capsys):
+        assert cli(["equiv", RING_EQ, "ring_quasi", "ring_sticky", "--bound", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "sufficient bound: 20\n"
+            "bound used: 1\n"
+            "equivalent: no difference in traces of at most 1 event\n"
+        )
+        # One more event finds the difference the bound of 1 left unchecked.
+        assert cli(["equiv", RING_EQ, "ring_quasi", "ring_sticky", "--bound", "2"]) == 1
+        assert "equivalent: no\ndistinguishing trace (2 events):" in capsys.readouterr().out
+
+    def test_a_bound_at_the_sufficient_one_answers_yes(self, capsys):
+        assert cli(["equiv", RING_EQ, "ring_quasi", "ring_det", "--bound", "80"]) == 0
+        assert capsys.readouterr().out == "sufficient bound: 80\nbound used: 80\nequivalent: yes\n"
+        assert cli(["equiv", RING_EQ, "ring_quasi", "ring_det", "--bound", "79"]) == 0
+        assert capsys.readouterr().out.endswith("equivalent: no difference in traces of at most 79 events\n")
+
     def test_a_network_is_equivalent_to_itself(self, capsys):
         assert cli(["equiv", RING_EQ, "ring_quasi", "ring_quasi"]) == 0
         assert cli(["equiv", MUTEX, "closed_mutex", "closed_mutex"]) == 0

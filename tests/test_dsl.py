@@ -363,7 +363,8 @@ class TestCorpus:
 
         Each machine is what its role accessor returns, ``administrator``
         is :func:`examples.administrator_def`, every ring network is what
-        the ring generator makes, and ``ringN`` is ``ring_document(N)``.
+        the ring generator makes, ``ringN`` is ``ring_document(N)`` and
+        ``ring2_eq`` is ``ring_eq_document()``.
         """
         roles = {
             "User": examples.user_role,
@@ -392,6 +393,8 @@ class TestCorpus:
                 assert net == nets[net.name](), net.name
         if name in ("ring2", "ring3"):
             assert examples.ring_document(int(name[len("ring"):])) == doc
+        if name == "ring2_eq":
+            assert examples.ring_eq_document() == doc
 
     def test_documents_are_parsed_once_and_builds_are_fresh(self):
         assert examples.document("mutex") is examples.document("mutex")
