@@ -11,10 +11,12 @@ byte-identical, so two dumps compare with `diff`:
     python scripts/cli_dump.py > after.txt
     diff before.txt after.txt
 
-The commands: `validate` per file; per automaton or network name `cbr`,
-`dot`, the four graph `check` kinds, `run --seed 1 --bound 12`,
-`safety --predicate "pending is not None"` and `equiv NAME NAME`; and
-`cond` per network name.  Only the standard library and `fioa` are used.
+The commands: per file `validate` and `product` of its first two
+automata; per automaton or network name `cbr`, `dot`, the four graph
+`check` kinds, `run --seed 1 --bound 12`, `safety --predicate "pending
+is not None"` and `equiv NAME NAME`; per network name `cond` and `check
+unaffected`; and once, after every file, `laws all --seeds 3` and
+`examples list`.  Only the standard library and `fioa` are used.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,15 +41,19 @@ CHECKS = ("wellformed", "consistent", "protocol", "quasidet")
 def commands(path: str):
     """Every argv the dump runs on one corpus file, in a fixed order."""
     doc = load(path)
+    automata = [a.name for a in doc.automata]
     yield ["validate", path]
+    yield ["product", path, *automata[:2]]
     networks = [n.name for n in doc.networks]
-    for name in [a.name for a in doc.automata] + networks:
+    for name in automata + networks:
         yield ["cbr", path, name]
         if name in networks:
             yield ["cond", path, name]
         yield ["dot", path, name]
         for kind in CHECKS:
             yield ["check", kind, path, name]
+        if name in networks:
+            yield ["check", "unaffected", path, name]
         yield ["run", path, name, "--seed", "1", "--bound", "12"]
         yield ["safety", path, name, "--predicate", "pending is not None"]
         yield ["equiv", path, name, name]
@@ -67,11 +74,11 @@ def main() -> None:
     paths = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "src/fioa/corpus").glob("*.pw"))
     write = sys.stdout.write
     os.chdir(ROOT)  # argv names each file by its path relative to the root
-    for path in paths:
-        for argv in commands(path):
-            code, out, err = run(argv)
-            write(f"$ fioa {shlex.join(argv)}\nexit {code}\n")
-            write(f"--- stdout\n{out}--- stderr\n{err}\n")
+    once = (["laws", "all", "--seeds", "3"], ["examples", "list"])
+    for argv in chain((argv for path in paths for argv in commands(path)), once):
+        code, out, err = run(argv)
+        write(f"$ fioa {shlex.join(argv)}\nexit {code}\n")
+        write(f"--- stdout\n{out}--- stderr\n{err}\n")
 
 
 if __name__ == "__main__":

@@ -81,14 +81,13 @@ def random_nfioa(
     n_states: int = 4,
     n_inputs: int = 2,
     n_outputs: int = 2,
-    n_chars: int = 2,
     n_transitions: int = 10,
     name: str | None = None,
 ) -> Nfioa:
     """Deterministic-per-seed valid automaton for the law harness."""
     rng = random.Random(seed)
     states = [(f"s{i}",) for i in range(n_states)]
-    chars = "abcdef"[: max(1, n_chars)]
+    chars = "ab"
     inputs = tuple(
         ComponentAlphabet(f"in{k}", rng.sample(chars, rng.randint(1, len(chars))))
         for k in range(n_inputs)

@@ -223,16 +223,14 @@ def cond(
     return replace(source, name=name or source.name, transitions=surviving)
 
 
-def cond_strict(
-    a: Nfioa, conditions: Iterable[Condition], *, name: str | None = None
-) -> Nfioa:
+def cond_strict(a: Nfioa, conditions: Iterable[Condition]) -> Nfioa:
     """Like `cond`, then drop whatever the surviving relation cannot reach.
 
     Separate from `cond` on purpose: re-pruning changes which sources
     count as live, and the two readings genuinely differ on automata
     where the restriction disconnects part of the graph.
     """
-    return prune(cond(a, conditions, name=name))
+    return prune(cond(a, conditions))
 
 
 class QuasiDeterminism(NamedTuple):

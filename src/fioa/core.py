@@ -368,12 +368,12 @@ def automata_equal(a: Nfioa, b: Nfioa, *, up_to_reachability: bool = True) -> Eq
     return EqualityReport(True, None)
 
 
-def with_initial(a: Nfioa, initial: StateVector, *, name: str | None = None) -> Nfioa:
+def with_initial(a: Nfioa, initial: StateVector) -> Nfioa:
     """Same machine started from a different state."""
     initial = tuple(initial)
     if initial not in a.states:
         raise WiringError(f"{initial!r} is not a state of {a.name}")
-    return replace(a, name=name or a.name, initial=initial)
+    return replace(a, initial=initial)
 
 
 @dataclass(frozen=True)
@@ -411,7 +411,7 @@ def _apply(m: Mapping[str, str], v: str) -> str:
     return m.get(v, v) if v != EPSILON else EPSILON
 
 
-def project(a: Nfioa, p: Projection, *, name: str | None = None) -> Nfioa:
+def project(a: Nfioa, p: Projection) -> Nfioa:
     """Image of an automaton under a componentwise projection.
 
     Widths are preserved; a factor is "dropped" by pinning its state slot
@@ -450,7 +450,7 @@ def project(a: Nfioa, p: Projection, *, name: str | None = None) -> Nfioa:
     else:
         acc = Acceptance.muller(frozenset(pstate(s) for s in m) for m in acc.muller_sets)
     return Nfioa(
-        name=name or f"{a.name}~",
+        name=f"{a.name}~",
         states=states,
         inputs=inputs,
         outputs=outputs,

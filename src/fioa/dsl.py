@@ -517,7 +517,11 @@ class _Parser:
             self.expect("(")
             scoped = self.comma_list(lambda: self.expect_name("factor alias"))
             self.expect(")")
-            on = tuple(self.expect_alias(aliases, tok) for tok in scoped)
+            on = ()
+            for tok in scoped:
+                if self.expect_alias(aliases, tok) in on:
+                    raise self.fail(f"condition {name!r} scopes factor alias {tok.value!r} twice", tok)
+                on += (tok.value,)
         self.expect(":")
         self.expect("from")
         source = self.parse_pattern_vector()

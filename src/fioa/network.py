@@ -202,6 +202,9 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
     conditions = []
     for cs in spec.conditions:
         scoped = range(len(factors)) if cs.on is None else [factor_of(a) for a in cs.on]
+        for i, alias in enumerate(cs.on or ()):
+            if alias in cs.on[:i]:
+                raise WiringError(f"condition {cs.name!r} scopes factor {alias!r} twice")
         scope = Scope(*(
             tuple(slot for f in scoped for slot in index.span(side, f))
             for side in ("state", "input", "output")

@@ -210,12 +210,14 @@ class MoveTable(NamedTuple):
     for p = 0, so a relaxed key is its state code.  `relaxed` holds one
     `(stride_k, radix_k, moves_of)` per factor, and `excited[p]` the same
     for the factor receiving pending code p.  `moves_of(d)` lists the
-    factor's moves out of its local state d (None if there are none), each
-    a tuple `(rank, shift, lo, hi, target, input, output, pending, guard)`:
+    factor's moves out of its local state d by rank (None if there are
+    none), each `(rank, shift, lo, hi, target, input, output, pending, guard)`:
 
     - `rank` orders the moves out of one product state as their
-      `Transition`s compare, and two moves of equal rank out of one state
-      are the same flat transition (silent self-loops of two factors);
+      `Transition`s compare: a product's `_rank_key`, a flat automaton's
+      position among its source's sorted transitions.  Two moves of equal
+      rank out of one state are the same flat transition (silent
+      self-loops of two factors);
     - the move leads from state code `base` to key `base + shift`;
     - it replaces the state's slots `lo:hi` by the local `target`, carries
       the flat `input` and `output` labels and leaves `pending` in flight;
@@ -238,22 +240,21 @@ class MoveTable(NamedTuple):
         """`(base, moves)`: configuration `key`'s state code and its moves, in rank order.
 
         An excited configuration reads one digit, its receiver's; a relaxed
-        one merges every factor's moves by rank and keeps a repeated rank
-        once.  Guards are left to the caller.
+        one sorts the moves of every factor that moves by rank, once, and
+        keeps a repeated rank once.  Guards are left to the caller.
         """
         if key >= self.size:
             p, base = divmod(key, self.size)
             stride, radix, moves_of = self.excited[p]
             return base, moves_of(base // stride % radix) or ()
-        cands, merged = (), False
+        found = []
         for stride, radix, moves_of in self.relaxed:
-            found = moves_of(key // stride % radix)
-            if found:
-                merged = bool(cands)
-                cands = sorted(cands + found, key=_by_rank) if merged else found
-        if merged:
-            cands = [m for m, prev in zip(cands, ((None,), *cands)) if m[0] != prev[0]]
-        return key, cands
+            if moves := moves_of(key // stride % radix):
+                found.append(moves)
+        if len(found) == 1:
+            return key, found[0]
+        # A repeated rank keeps the first factor's move, written last.
+        return key, sorted({m[0]: m for ms in reversed(found) for m in ms}.values(), key=_by_rank)
 
 
 def vetoed(guard: tuple, code: int) -> bool:
@@ -370,10 +371,10 @@ def _wire(
     (None, or one of `_guards`), with flat `inputs` and `initial` state of
     code `code`.
 
-    Each factor is `(stride, radix, ins, moves)`: its digit, its flat input
-    components, and its moves in (digit, rank) order, each its source digit
-    and then the first seven fields of its `MoveTable` move, unwired.  One
-    pass decides every move: left out if its guard vetoes it out of every
+    Each factor is its unwired table `(stride, radix, ins, moves_of)`: its
+    digit, its flat input components, and `moves_of(d)`, its `MoveTable`
+    moves out of local state d, with no channels and no guards.  One pass
+    decides every move: left out if its guard vetoes it out of every
     state, else filed under the pending code it consumes if it reads a
     channel-fed input, else relaxed.  A move writing a wired output leaves
     that channel's character pending.
@@ -386,27 +387,27 @@ def _wire(
     sent = tuple((ch.out_component, ch) for ch in channels)
     size = prod(radix for _, radix, _, _ in factors)
     relaxed, excited = [], [None] * len(pending)
-    for k, (stride, radix, ins, moves) in enumerate(factors):
+    for k, (stride, radix, ins, moves_of) in enumerate(factors):
         for p, (ch, _) in enumerate(pending[1:], 1):
             if ch.in_component in ins:
                 excited[p] = (stride, radix, {})
         here: dict = {}
-        for d, rank, delta, lo, hi, target, inp, outp in moves:
-            g = guard(k, d, target, inp, outp) if guard else None
-            if g and () in g:
-                continue  # vetoed out of every state
-            # A label is active on at most one component, so at most one
-            # channel end matches.
-            p, table = 0, here
-            for c, ch in sent:
-                if outp[c]:
-                    p = code_of[ch, outp[c]]
-            for c, ch in fed:
-                if inp[c]:
-                    table = excited[code_of[ch, inp[c]]][2]
-            table.setdefault(d, []).append(
-                (rank, p * size + delta, lo, hi, target, inp, outp, pending[p], g)
-            )
+        for d in range(radix):
+            for rank, shift, lo, hi, target, inp, outp, _, _ in moves_of(d) or ():
+                g = guard(k, d, target, inp, outp) if guard else None
+                if g and () in g:
+                    continue  # vetoed out of every state
+                # At most one channel end matches: a label is active on one component at most.
+                p, table = 0, here
+                for c, ch in sent:
+                    if outp[c]:
+                        p = code_of[ch, outp[c]]
+                for c, ch in fed:
+                    if inp[c]:
+                        table = excited[code_of[ch, inp[c]]][2]
+                table.setdefault(d, []).append(
+                    (rank, p * size + shift, lo, hi, target, inp, outp, pending[p], g)
+                )
         relaxed.append((stride, radix, here.get))
     excited[1:] = [(stride, radix, by_digit.get) for stride, radix, by_digit in excited[1:]]
     return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code)
@@ -416,13 +417,13 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
     """`a` wired by `channels` and restricted by `conditions`, as a
     one-factor `MoveTable`.
 
-    Built from `a`'s own transitions and labels, sorted per source: one
-    factor's moves are never merged with another's.  Sources are numbered
-    in table order, the other states when first met as a target.  A
-    source's moves are sorted, restricted and numbered when first listed,
-    so an unwired table, where each state is one configuration, lists only
-    the sources exploration reaches.  One factor owns every slot, so
-    `veto` decides each move outright: no move keeps a guard.
+    Built from `a`'s own transitions and labels, sorted per source: a
+    move's rank is its position among its source's.  Sources are numbered
+    in table order, the other states when first met as a target.
+    `moves_of` sorts, restricts and numbers a source's moves when asked,
+    so an unwired table, which wraps it, lists only the sources
+    exploration reaches.  One factor owns every slot, so `veto` decides
+    each move outright: no move keeps a guard.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
@@ -432,29 +433,24 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
     width = a.state_width
     deny = veto(conditions) if conditions else None
 
-    def kept(d: int) -> list[Transition]:
-        """Source d's transitions in order, less those `deny` vetoes."""
-        ts = groups[d]
-        ts.sort()
-        return ts if deny is None else [t for t in ts if not deny(t)]
-
     def moves_of(d: int) -> list | None:
+        """Source d's moves in order, less those `deny` vetoes."""
         if d >= len(groups):
             return None
+        ts = groups[d]
+        ts.sort()
+        if deny is not None:
+            ts = [t for t in ts if not deny(t)]
         return [
             (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None)
-            for rank, (_, tgt, inp, outp) in enumerate(kept(d))
+            for rank, (_, tgt, inp, outp) in enumerate(ts)
         ]
 
     code = number.setdefault(a.initial, len(number))
     radix = len(a.states)
     if not channels:
         return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code)
-    moves = [
-        (d, rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp)
-        for d in range(len(groups)) for rank, (_, tgt, inp, outp) in enumerate(kept(d))
-    ]
-    return _wire(((1, radix, range(len(a.inputs)), moves),), a.inputs, channels, None, a.initial, code)
+    return _wire(((1, radix, range(len(a.inputs)), moves_of),), a.inputs, channels, None, a.initial, code)
 
 
 def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar) -> tuple:
@@ -484,13 +480,14 @@ class LazyProduct:
 
     A move changes only its factor's slice of the state, and its labels
     are the factor's labels at the factor's positions, silent elsewhere, so
-    the flat labels depend on the factor transition alone.  They are placed
-    here once, for the moves out of factor-reachable local states, and
-    each move gets its rank (see `_rank_key`) once.  `reach[k]` holds
-    factor k's reachable local states, sorted: local state `reach[k][d]`
-    is digit d of the packed state code.  `transition_count` is how many
-    flat transitions the rectangle of `reach` yields, counting a silent
-    self-loop once per factor having it.
+    the flat labels depend on the factor transition alone.  `reach[k]`
+    holds factor k's reachable local states, sorted: local state
+    `reach[k][d]` is digit d of the packed state code.  One pass per
+    factor builds its unwired table `(stride, radix, ins, moves_of)` for
+    `_wire`: its moves out of those states, labels placed, ranked by
+    `_rank_key`.  `transition_count` is how many flat transitions the
+    rectangle of `reach` yields, counting a silent self-loop once per
+    factor having it.
     """
 
     def __init__(self, factors: Sequence[Nfioa], *, name: str | None = None):
@@ -505,40 +502,33 @@ class LazyProduct:
         self.initial = tuple(v for f in self.factors for v in f.initial)
         self.index = ProductIndex.for_factors(self.factors)
         self.reach = [tuple(sorted(reachable_states(f))) for f in self.factors]
-        # Each factor's moves with their rank keys in place of ranks first:
-        # the ranks number the keys of all factors together.
-        drafts, keys, self._layout = [], set(), []
-        stride, self._code = 1, 0
+        size = prod(map(len, self.reach))
+        self._tables, self._layout = [], []
+        stride, self._code, self.transition_count = 1, 0, 0
         for k, (f, reach) in enumerate(zip(self.factors, self.reach)):
             state, ins, outs = (self.index.span(side, k) for side in ("state", "input", "output"))
+            lo, hi = state.start, state.stop
             number = {s: d for d, s in enumerate(reach)}
             self._code += number[f.initial] * stride
-            moves = []
+            # Sorted transitions are sorted by source, so by digit, and one
+            # factor's moves out of one source rank in that order too.
+            by_digit: dict[int, list] = {}
             for pos, t in enumerate(t for t in sorted(f.transitions) if t.source in number):
                 inp = _placed(t.input, ins, len(self.inputs))
                 outp = _placed(t.output, outs, len(self.outputs))
-                key = _rank_key(k, pos, t, inp, outp)
-                keys.add(key)
                 d = number[t.source]
-                delta = (number[t.target] - d) * stride
-                moves.append((d, key, delta, state.start, state.stop, t.target, inp, outp))
-            drafts.append((stride, len(reach), ins, moves))
+                rank, shift = _rank_key(k, pos, t, inp, outp), (number[t.target] - d) * stride
+                by_digit.setdefault(d, []).append((rank, shift, lo, hi, t.target, inp, outp, None, None))
+                self.transition_count += size // len(reach)
+            self._tables.append((stride, len(reach), ins, by_digit.get))
             self._layout.append((state, stride, len(reach), reach))
             stride *= len(reach)
-        size, rank = stride, {key: r for r, key in enumerate(sorted(keys))}
-        # Sorted transitions are sorted by source, so by digit, and one
-        # factor's moves out of one source rank in that order too.
-        self._moves = [
-            (stride, radix, ins, [(d, rank[key], *move) for d, key, *move in moves])
-            for stride, radix, ins, moves in drafts
-        ]
-        self.transition_count = sum(len(moves) * (size // radix) for _, radix, _, moves in drafts)
 
     def table(self, channels: Sequence, conditions: Sequence = ()) -> MoveTable:
         """This product's `MoveTable` wired by `channels` and restricted by
         `conditions`, each move decided once (see `_wire` and `_guards`)."""
         guard = _guards(conditions, len(self.initial), self._layout) if conditions else None
-        return _wire(self._moves, self.inputs, channels, guard, self.initial, self._code)
+        return _wire(self._tables, self.inputs, channels, guard, self.initial, self._code)
 
     def automaton(self, states: frozenset, transitions: Iterable[Transition], name: str | None = None) -> Nfioa:
         """This product's flat automaton over the `states` and `transitions`

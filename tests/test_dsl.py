@@ -229,6 +229,8 @@ PARSE_ERRORS = [
      "line 15, col 25: 'any' is a reserved word and cannot name a component"),
     ("unknown-scope-alias", _edit(NETWORK, "on (b1, b2)", "on (b1, zz)"),
      "line 16, col 26: unknown factor alias 'zz'"),
+    ("repeated-scope-alias", _edit(NETWORK, "on (b1, b2)", "on (b2, b2)"),
+     "line 16, col 26: condition 'hush' scopes factor alias 'b2' twice"),
     ("unknown-active-alias", _edit(NETWORK, "active(b2.lamp)", "active(zz.lamp)"),
      "line 16, col 90: unknown factor alias 'zz'"),
     ("unknown-literal-alias", _edit(NETWORK, "input b1.btn.push", "input zz.btn.push"),

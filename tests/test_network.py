@@ -124,6 +124,14 @@ class TestCompile:
         with pytest.raises(WiringError, match="arity"):
             compile_network(spec)
 
+    def test_condition_scope_must_not_repeat_a_factor(self):
+        # Both halves of the patterns would land on u's one slot.
+        spec = mutex_spec(
+            conditions=(ConditionSpec("odd", ("try", "remn"), ("crit", "*"), on=("u", "u")),)
+        )
+        with pytest.raises(WiringError, match="condition 'odd' scopes factor 'u' twice"):
+            compile_network(spec)
+
     def test_scoped_condition_patterns_follow_the_on_listing(self):
         spec = mutex_spec(
             conditions=(
