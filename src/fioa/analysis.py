@@ -402,8 +402,8 @@ def trace_equivalent(
     if set(r1.channels) != set(r2.channels):
         raise WiringError("networks have different channel structure")
     for ch in r1.channels:
-        o1 = r1.base.outputs[ch.out_component].characters
-        o2 = r2.base.outputs[ch.out_component].characters
+        o1 = r1.outputs[ch.out_component].characters
+        o2 = r2.outputs[ch.out_component].characters
         if o1 != o2:
             raise WiringError(
                 f"channel {channel_str(r1, ch)} carries {sorted(o1)} on one side, "
@@ -412,7 +412,7 @@ def trace_equivalent(
     say = lambda r, end: f"{r.name} has " + ("no more" if end is None else f"{end.name} {sorted(end.characters)}")
     for side, kind in enumerate(("input", "output")):
         # Each side's open components of this kind, in index order.
-        ends = [[(r.base.inputs, r.base.outputs)[side][k] for k in open_components(r)[side]] for r in (r1, r2)]
+        ends = [[(r.inputs, r.outputs)[side][k] for k in open_components(r)[side]] for r in (r1, r2)]
         for e1, e2 in zip_longest(*ends):
             if e1 is None or e2 is None or e1.characters != e2.characters:
                 raise WiringError(f"open {kind} components differ: {say(r1, e1)}, {say(r2, e2)}")

@@ -20,26 +20,30 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Acceptance,
+    BuiltOnRead,
+    ComponentAlphabet,
     Nfioa,
     StateVector,
     Transition,
+    acceptance_diagnostics,
     is_silent,
     state_str,
 )
 from .errors import (
     CapacityExceeded,
+    InvalidAutomaton,
     PreconditionError,
     SchedulerError,
     WiringError,
 )
-from .product import LazyProduct, MoveTable, automaton_table, vetoed
+from .product import LazyProduct, MoveTable, acceptance_within, automaton_table, vetoed
 
 CONFIG_CAP = 2 * 10**6
 
@@ -176,8 +180,8 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
                     raise CapacityExceeded(
                         f"configuration cap of {cap} exceeded while expanding "
                         f"configuration {len(succ) + 1} ({len(succ)} expanded, "
-                        f"{len(nodes) - len(succ) - 1} waiting); library callers may pass a "
-                        "larger cap= to cbr, otherwise restrict the network further"
+                        f"{len(nodes) - len(succ) - 1} waiting); restrict the network further "
+                        "(from Python, cbr also takes a larger cap=)"
                     )
             else:
                 target = nodes[k][0]
@@ -186,6 +190,27 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
         moves.append(tuple(here))
         succ.append(tuple(out))
     return ConfigGraph(tuple(nodes), tuple(moves), tuple(succ))
+
+
+class FlatRecipe(NamedTuple):
+    """What `cbr` keeps to build a restriction's flat automaton on first read.
+
+    The first six fields are the automaton's own, in `Nfioa`'s order; its
+    transitions are those of `graph`'s edges.  Calling the recipe builds
+    the automaton through `Nfioa`'s constructor, which validates it.
+    """
+
+    name: str
+    states: frozenset[StateVector]
+    inputs: tuple[ComponentAlphabet, ...]
+    outputs: tuple[ComponentAlphabet, ...]
+    initial: StateVector
+    acceptance: Acceptance
+    graph: ConfigGraph
+
+    def __call__(self) -> Nfioa:
+        transitions = frozenset(chain.from_iterable(self.graph.moves))
+        return Nfioa(self.name, self.states, self.inputs, self.outputs, self.initial, self.acceptance, transitions)
 
 
 @dataclass(frozen=True)
@@ -197,18 +222,47 @@ class RestrictedAutomaton:
     that label some configuration-graph edge.  Re-restricting the base
     with the same channels and conditions reproduces the same graph, so
     operator identities can be checked on flat automata.
+
+    `base` may be given as an `Nfioa`, or as the `FlatRecipe` that `cbr`
+    gives it, which builds it the first time it is read (see
+    `BuiltOnRead`).  No graph query reads it; the laws, `cond` and `cbr`
+    of a restriction, and `==` do.  `inputs`, `outputs` and `acceptance`
+    are `base`'s, read without building it.
     """
 
-    base: Nfioa
+    base: Nfioa = BuiltOnRead()
     channels: tuple[Channel, ...]
     graph: ConfigGraph
     conditions: tuple
     name: str
+    # Copied from the stored `base` or recipe, so formatters that read them
+    # per configuration pay one attribute lookup.
+    inputs: tuple[ComponentAlphabet, ...] = field(init=False, repr=False, compare=False)
+    outputs: tuple[ComponentAlphabet, ...] = field(init=False, repr=False, compare=False)
+    acceptance: Acceptance = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flat = self.__dict__["base"]
+        for name in ("inputs", "outputs", "acceptance"):
+            object.__setattr__(self, name, getattr(flat, name))
+
+    def with_acceptance(self, acceptance: Acceptance) -> "RestrictedAutomaton":
+        """This restriction, its `base` still unbuilt, with `acceptance` on
+        the flat automaton.  Only for `cbr`'s result before `base` is read.
+
+        The acceptance is checked against the recipe's states now, as
+        building `base` would, so a bad one fails here.
+        """
+        recipe = self.__dict__["base"]
+        diags = acceptance_diagnostics(acceptance, recipe.states)
+        if diags:
+            raise InvalidAutomaton(diags)
+        return replace(self, base=recipe._replace(acceptance=acceptance))
 
 
 def channel_str(r: RestrictedAutomaton, ch: Channel) -> str:
     """`sender>receiver`, each end by its flat component name (`u.svc>c.svc`)."""
-    return f"{r.base.outputs[ch.out_component].name}>{r.base.inputs[ch.in_component].name}"
+    return f"{r.outputs[ch.out_component].name}>{r.inputs[ch.in_component].name}"
 
 
 def config_str(r: RestrictedAutomaton, c: Configuration) -> str:
@@ -220,7 +274,8 @@ def config_str(r: RestrictedAutomaton, c: Configuration) -> str:
 
 
 def flatten(r: RestrictedAutomaton) -> Nfioa:
-    """`r.base`: the flat automaton carrying only the transitions that survived.
+    """`r.base`: the flat automaton carrying only the transitions that survived,
+    built (and validated) if it was not yet.
 
     fioa itself reads `.base`; this name is kept for external callers.
     """
@@ -239,8 +294,14 @@ def cbr(
 
     Accepts a plain automaton, a lazily-explored product, or an existing
     restriction.  Re-restricting unions the channel sets and the conditions
-    and re-explores the surviving transition relation; the result is the
-    same as having applied the union in one pass.
+    and re-explores the surviving transition relation (so it builds the
+    restriction's `base`); the result is the same as having applied the
+    union in one pass.
+
+    The result's flat automaton is left to a `FlatRecipe`, built on first
+    read.  Its states are the source's, or for a lazy product those of the
+    graph's nodes, with the product's acceptance `acceptance_within` them;
+    both are computed here, so the recipe holds no product.
     """
     new_channels = tuple(Channel(*c) for c in channels)
     conditions = tuple(conditions)
@@ -260,13 +321,14 @@ def cbr(
     lazy = isinstance(source, LazyProduct)
     table = source.table(chans, conditions) if lazy else automaton_table(source, chans, conditions)
     graph = _explore(table, cap=cap)
-    transitions = frozenset(chain.from_iterable(graph.moves))
     name = name or source.name
     if lazy:
-        base = source.automaton(frozenset(c.state for c in graph.nodes), transitions, name)
+        states = frozenset(c.state for c in graph.nodes)
+        acceptance = acceptance_within(source.factors, states)
     else:
-        base = replace(source, name=name, transitions=transitions)
-    return RestrictedAutomaton(base, chans, graph, conditions, name)
+        states, acceptance = source.states, source.acceptance
+    flat = FlatRecipe(name, states, source.inputs, source.outputs, source.initial, acceptance, graph)
+    return RestrictedAutomaton(flat, chans, graph, conditions, name)
 
 
 def classify_config(r: RestrictedAutomaton, c: Configuration) -> str:
@@ -446,7 +508,7 @@ def is_consistent(r: RestrictedAutomaton) -> Consistency:
             f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
             "cannot consume its pending character"
         )
-    return graph_consistency(r.graph, r.base.acceptance, r.graph.nodes)
+    return graph_consistency(r.graph, r.acceptance, r.graph.nodes)
 
 
 def open_components(
@@ -456,10 +518,9 @@ def open_components(
     """Input/output component indices no channel is attached to."""
     if isinstance(source, RestrictedAutomaton):
         chans = source.channels if channels is None else tuple(channels)
-        inputs, outputs = source.base.inputs, source.base.outputs
     else:
         chans = tuple(channels or ())
-        inputs, outputs = source.inputs, source.outputs
+    inputs, outputs = source.inputs, source.outputs
     ins = {ch.in_component for ch in chans}
     outs = {ch.out_component for ch in chans}
     open_in = tuple(k for k in range(len(inputs)) if k not in ins)

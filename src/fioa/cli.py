@@ -97,11 +97,10 @@ def _graph(env: ResolvedDocument, name: str) -> RestrictedAutomaton:
 
 
 def _print_trace(r: RestrictedAutomaton, res) -> None:
-    a = r.base
     for i, t in enumerate(res.transitions):
         print(
-            f"{i}\t{config_str(r, res.configs[i])}\t{label_str(t.input, a.inputs)}"
-            f"\t{label_str(t.output, a.outputs)}\t{config_str(r, res.configs[i + 1])}"
+            f"{i}\t{config_str(r, res.configs[i])}\t{label_str(t.input, r.inputs)}"
+            f"\t{label_str(t.output, r.outputs)}\t{config_str(r, res.configs[i + 1])}"
         )
 
 
@@ -126,11 +125,15 @@ def _nondeterminism(a: Nfioa) -> str:
 def _run_directive(
     env: ResolvedDocument, kind: str, target: str, graph: Callable[[str], RestrictedAutomaton]
 ) -> tuple[bool, str]:
-    """One check on `target`, whose configuration graph `graph` gives."""
-    a = _automaton(env, target)
-    if kind == "valid":
-        return True, f"{len(a.states)} states"
-    if kind == "deterministic":
+    """One check on `target`, whose configuration graph `graph` gives.
+
+    Only `valid` and `deterministic` read the flat automaton; the others
+    answer from the graph, so a wired network's `base` is not built for them.
+    """
+    if kind in ("valid", "deterministic"):
+        a = _automaton(env, target)
+        if kind == "valid":
+            return True, f"{len(a.states)} states"
         ok = classify(a).is_deterministic
         return ok, "at most one move per state and input" if ok else _nondeterminism(a)
     r = graph(target)
@@ -150,15 +153,15 @@ def _run_directive(
         if is_protocol(r):
             return True, "all components wired"
         open_in, open_out = open_components(r)
-        names = [f"input {a.inputs[k].name}" for k in open_in]
-        names += [f"output {a.outputs[k].name}" for k in open_out]
+        names = [f"input {r.inputs[k].name}" for k in open_in]
+        names += [f"output {r.outputs[k].name}" for k in open_out]
         return False, "open components: " + ", ".join(names)
     if kind == "quasidet":
         qd = is_quasi_deterministic(r)
         if qd.ok:
             return True, "at most one move per input everywhere"
         where, label, clashing = qd.witness
-        return False, f"{len(clashing)} moves on {label_str(label, a.inputs)} from {config_str(r, where)}"
+        return False, f"{len(clashing)} moves on {label_str(label, r.inputs)} from {config_str(r, where)}"
     raise _UsageError(f"unknown check kind {kind!r}")
 
 
@@ -461,11 +464,10 @@ def cmd_safety(args) -> int:
     print(f"violation: {config_str(r, rep.violation)}")
     print(f"path length: {len(rep.path)}")
     print(f"  start {config_str(r, r.graph.initial)}")
-    a = r.base
     for e in rep.path:
         print(
-            f"  {label_str(e.transition.input, a.inputs)} / "
-            f"{label_str(e.transition.output, a.outputs)} -> {config_str(r, e.target)}"
+            f"  {label_str(e.transition.input, r.inputs)} / "
+            f"{label_str(e.transition.output, r.outputs)} -> {config_str(r, e.target)}"
         )
     return EX_FAIL
 

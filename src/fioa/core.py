@@ -154,6 +154,35 @@ class Nfioa:
         return len(self.initial)
 
 
+class BuiltOnRead:
+    """A dataclass field holding an `Nfioa`, given as the automaton itself
+    or as a callable that builds it.
+
+    The callable is called, with no arguments, the first time the field is
+    read, and the automaton it returns takes its place, so an automaton
+    nothing reads is never built (nor validated).  The stored value sits in
+    the instance's `__dict__` under the field's name, where the owner can
+    read it without building it.  The generated `__init__` stores through
+    `__set__`, so positional construction and `dataclasses.replace(x,
+    field=...)` take either kind of value.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None) -> Nfioa:
+        if obj is None:
+            # No class-level value: the field has no default.
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if not isinstance(value, Nfioa):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 def validate(a: Nfioa) -> list[str]:
     """Structural diagnostics for an automaton; empty list means valid.
 
@@ -213,7 +242,13 @@ def validate(a: Nfioa) -> list[str]:
                 out.append(f"transition target {t.target!r} not a state")
             out.extend(label_diags["input", t.input])
             out.extend(label_diags["output", t.output])
-    acc = a.acceptance
+    out += acceptance_diagnostics(a.acceptance, states)
+    return out
+
+
+def acceptance_diagnostics(acc: Acceptance, states: frozenset[StateVector]) -> list[str]:
+    """`validate`'s diagnostics for an acceptance condition over `states`."""
+    out: list[str] = []
     if acc.mode == "final":
         if not states.issuperset(acc.final_states):
             for s in sorted(acc.final_states, key=repr):

@@ -67,7 +67,7 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
             label = labels.get(key)
             if label is None:
                 label = labels[key] = _esc(
-                    f"{label_str(key[0], r.base.inputs)} / {label_str(key[1], r.base.outputs)}"
+                    f"{label_str(key[0], r.inputs)} / {label_str(key[1], r.outputs)}"
                 )
             lines.append(f'  {ids[i]} -> {ids[j]} [label="{label}"];')
     lines.append("}")

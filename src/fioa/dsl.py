@@ -35,8 +35,10 @@ declaration order so names can refer to earlier results.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, TypeVar
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char
 from .errors import DslError, InvalidAutomaton
@@ -111,6 +113,31 @@ class WorkbenchDocument:
     directives: tuple[Directive, ...] = ()
 
 
+class _Automata(Mapping):
+    """Declared automata, then networks' flat automata, by name.
+
+    A network's is its build's ``automaton``, read, and so for a wired
+    network built, only when asked for by name or by value.
+    """
+
+    def __init__(self, declared: dict[str, Nfioa], networks: dict[str, BuiltNetwork]):
+        self._declared, self._networks = declared, networks
+
+    def __getitem__(self, name: str) -> Nfioa:
+        if name in self._declared:
+            return self._declared[name]
+        return self._networks[name].automaton
+
+    def __contains__(self, name) -> bool:
+        return name in self._declared or name in self._networks
+
+    def __iter__(self) -> Iterator[str]:
+        return chain(self._declared, self._networks)
+
+    def __len__(self) -> int:
+        return len(self._declared) + len(self._networks)
+
+
 @dataclass
 class ResolvedDocument:
     """Every document name bound to a concrete machine.
@@ -118,9 +145,12 @@ class ResolvedDocument:
     ``automata`` maps each name — declared automata and built networks
     alike — to an operable automaton; ``networks`` additionally keeps the
     full build result (restriction graph included) for network names.
+    `resolve` makes ``automata`` a read-only view over the declared
+    automata and ``networks``, in which a wired network's flat automaton
+    is built the first time it is read.
     """
 
-    automata: dict[str, Nfioa] = field(default_factory=dict)
+    automata: Mapping[str, Nfioa] = field(default_factory=dict)
     networks: dict[str, BuiltNetwork] = field(default_factory=dict)
 
 
@@ -692,12 +722,11 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
 
     A ``use`` line may refer to an automaton or to any network declared
     earlier in the document; a network used as a factor contributes its
-    built (restricted, flattened) automaton.
+    built (restricted, flattened) automaton, which is built then.
     """
 
-    env = ResolvedDocument()
-    for a in doc.automata:
-        env.automata[a.name] = a
+    networks: dict[str, BuiltNetwork] = {}
+    env = ResolvedDocument(_Automata({a.name: a for a in doc.automata}, networks), networks)
     for n in doc.networks:
         factors = []
         for f in n.factors:
@@ -714,7 +743,5 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
             conditions=n.conditions,
             acceptance=n.acceptance,
         )
-        built = build_network(spec)
-        env.networks[n.name] = built
-        env.automata[n.name] = built.automaton
+        networks[n.name] = build_network(spec)
     return env

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .core import Acceptance, Nfioa, StateVector, with_initial
+from .core import Acceptance, BuiltOnRead, Nfioa, StateVector, with_initial
 from .channels import Channel, RestrictedAutomaton, cbr
 from .conditions import Condition, IoPattern, Scope, cond
 from .errors import WiringError
@@ -233,14 +233,17 @@ def compile_network(spec: NetworkSpec) -> CompiledNetwork:
 class BuiltNetwork:
     """A compiled network after composition and restriction.
 
-    `automaton` is always present (the flat result); `restricted` is the
+    `automaton` is the flat result; `restricted` is the
     configuration-graph form, present exactly when the network wires
     channels.  A channel-free network is built eagerly; the CLI explores its
     graph, `cbr(automaton, conditions=compiled.conditions)`, on demand.
+    A wired network's `automaton` is its restriction's `base`, built the
+    first time either is read (see `BuiltOnRead`); `automaton` may be given
+    as an `Nfioa` or as a callable returning one.
     """
 
     compiled: CompiledNetwork
-    automaton: Nfioa
+    automaton: Nfioa = BuiltOnRead()
     restricted: RestrictedAutomaton | None
 
     @property
@@ -258,8 +261,8 @@ def build_network(spec: NetworkSpec) -> BuiltNetwork:
     if compiled.channels:
         r = cbr(lazy, compiled.channels, conditions=compiled.conditions)
         if spec.acceptance is not None:
-            r = replace(r, base=replace(r.base, acceptance=spec.acceptance))
-        return BuiltNetwork(compiled, r.base, r)
+            r = r.with_acceptance(spec.acceptance)
+        return BuiltNetwork(compiled, lambda: r.base, r)
     automaton = cond(lazy, compiled.conditions)
     if spec.acceptance is not None:
         automaton = replace(automaton, acceptance=spec.acceptance)

@@ -105,9 +105,9 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
     infinitely-visited set of a run staying inside it, so such members are
     dropped — without being materialized when a size count already rules
     them out.  A kept member holds `allowed`'s own state tuples.
-    Only `LazyProduct.automaton` calls it: with the whole Cartesian state
-    set for `materialize`, keeping every member, and with a configuration
-    graph's states for `channels.cbr`, whose rectangles would be enormous.
+    `materialize` calls it with the whole Cartesian state set, keeping
+    every member, and `channels.cbr` with a configuration graph's states,
+    whose rectangles would be enormous.
     """
     mode = factors[0].acceptance.mode
     if mode == "final":
@@ -187,7 +187,15 @@ def materialize(
             for _, shift, _, _, _, inp, outp, _, guard in moves:
                 kept = codes if guard is None else [c for c in codes if not vetoed(guard, c)]
                 transitions += [new(Transition, (by_code[c], by_code[c + shift], inp, outp)) for c in kept]
-    return lazy.automaton(states, transitions, name)
+    return Nfioa(
+        name=name or lazy.name,
+        states=states,
+        inputs=lazy.inputs,
+        outputs=lazy.outputs,
+        initial=lazy.initial,
+        acceptance=acceptance_within(lazy.factors, states),
+        transitions=frozenset(transitions),
+    )
 
 
 def _placed(vc: VectorChar, span: range, width: int) -> VectorChar:
@@ -473,10 +481,10 @@ def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar
 class LazyProduct:
     """Weak product materialized on demand, for exploring large networks.
 
-    The one move generator of the weak product, and with `automaton` the
-    one builder of its flat automaton: `weak_product` materializes it, and
-    `channels.cbr` explores its `table`.  Carries the flat interface and
-    index so channel and condition machinery applies unchanged.
+    The one move generator of the weak product: `materialize` builds its
+    flat automaton (for `weak_product` and `cond`), and `channels.cbr`
+    explores its `table`.  Carries the flat interface and index so channel
+    and condition machinery applies unchanged.
 
     A move changes only its factor's slice of the state, and its labels
     are the factor's labels at the factor's positions, silent elsewhere, so
@@ -529,16 +537,3 @@ class LazyProduct:
         `conditions`, each move decided once (see `_wire` and `_guards`)."""
         guard = _guards(conditions, len(self.initial), self._layout) if conditions else None
         return _wire(self._tables, self.inputs, channels, guard, self.initial, self._code)
-
-    def automaton(self, states: frozenset, transitions: Iterable[Transition], name: str | None = None) -> Nfioa:
-        """This product's flat automaton over the `states` and `transitions`
-        a restriction kept, with its acceptance `acceptance_within` them."""
-        return Nfioa(
-            name=name or self.name,
-            states=states,
-            inputs=self.inputs,
-            outputs=self.outputs,
-            initial=self.initial,
-            acceptance=acceptance_within(self.factors, states),
-            transitions=frozenset(transitions),
-        )

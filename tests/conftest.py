@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from fioa import LazyProduct, automata_equal, cond, examples, weak_product
+from fioa import LazyProduct, Nfioa, automata_equal, cond, examples, weak_product
 from fioa.channels import Configuration, _explore
 from fioa.conditions import veto
 from fioa.core import Transition
 from fioa.dsl import ResolvedDocument
-from fioa.product import automaton_table, vetoed
+from fioa.product import acceptance_within, automaton_table, vetoed
 
 
 @pytest.fixture(scope="session")
@@ -181,5 +182,39 @@ def compiled_agrees(listed):
         assert automata_equal(eager, filtered, up_to_reachability=False).equal
         seen["eager checked"] += 1
         return seen
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def same_as_eager_base():
+    """`same_as_eager_base(source, r, acceptance=None)`: `r.base`, the
+    restriction's flat automaton built on first read, equals the one `cbr`
+    built eagerly from `source` before: the source's interface and
+    initial state, the transitions of the graph's edges, and the source's
+    states and acceptance or, from a lazy product, the graph's states with
+    the product's acceptance within them.  `acceptance`, when given, is a
+    network's override, which replaces the acceptance.
+
+    The eager automaton is built here from the graph's `edges` view, not
+    from its `moves`, and compared with `automata_equal` on its whole
+    state set and on its name.
+    """
+
+    def check(source, r, acceptance=None):
+        transitions = {e.transition for es in r.graph.edges.values() for e in es}
+        if isinstance(source, LazyProduct):
+            states = frozenset(c.state for c in r.graph.edges)
+            want = Nfioa(
+                r.name, states, source.inputs, source.outputs, source.initial,
+                acceptance_within(source.factors, states), transitions,
+            )
+        else:
+            want = replace(source, name=r.name, transitions=transitions)
+        if acceptance is not None:
+            want = replace(want, acceptance=acceptance)
+        got = r.base
+        rep = automata_equal(got, want, up_to_reachability=False)
+        assert rep.equal and got.name == want.name, (r.name, rep.reason)
 
     return check

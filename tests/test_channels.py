@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import fioa.core
 
 from fioa import (
     Acceptance,
@@ -24,6 +27,7 @@ from fioa import (
     LazyProduct,
     Nfioa,
     PreconditionError,
+    RestrictedAutomaton,
     Run,
     SchedulerError,
     Scope,
@@ -51,7 +55,7 @@ from fioa import (
     weak_product,
 )
 from fioa.analysis import law_instance
-from fioa.channels import ALL_EDGE_CLASSES, _sccs, check_channels
+from fioa.channels import ALL_EDGE_CLASSES, FlatRecipe, _sccs, check_channels
 from fioa.core import active_slot
 
 
@@ -797,6 +801,30 @@ class TestNodeNumbers:
         assert "edges" not in r.graph.__dict__
         assert "edges" not in again.graph.__dict__
 
+    def test_no_query_builds_the_flat_automaton(self, monkeypatch):
+        r = examples.build("ring2").networks["ring2"].restricted
+        assert is_well_formed(r).ok
+        is_consistent(r)
+        assert is_protocol(r) and open_components(r) == ((), ())
+        is_quasi_deterministic(r)
+        assert sum(edge_census(r).values()) == r.graph.edge_count
+        assert not safety_query(r, lambda c: c.excited).ok
+        assert trace_language(r, 3)
+        assert trace_equivalent(r, r).equal
+        run(r, "random", 20, seed=1)
+        run(r, "scripted", 3, script=[0, 0, 0])
+        run(r, "exhaustive", 4)
+        export_dot(r)
+        assert all(map(partial(config_str, r), r.graph.nodes))
+        assert classify_config(r, r.graph.initial) == "relaxed" and enabled(r, r.graph.initial)
+        assert isinstance(vars(r)["base"], FlatRecipe)
+        # The first read builds it once, through the validating constructor.
+        seen = []
+        monkeypatch.setattr(fioa.core, "validate", lambda a, real=fioa.core.validate: seen.append(a) or real(a))
+        base = r.base
+        assert seen == [base] and r.base is base and vars(r)["base"] is base
+        assert (base.inputs, base.outputs, base.acceptance) == (r.inputs, r.outputs, r.acceptance)
+
     def test_safety_query_against_a_walk_over_the_mapping(self, corpus_and_random):
         found = Counter()
         for r in corpus_and_random:
@@ -933,7 +961,7 @@ class TestCaps:
                 conditions=compiled.conditions, cap=100)
         msg = str(info.value)
         assert msg.startswith("configuration cap of 100 exceeded")
-        assert "may pass a larger cap= to cbr, otherwise restrict the network" in msg
+        assert "restrict the network further (from Python, cbr also takes a larger cap=)" in msg
         current, expanded, waiting = map(
             int, re.search(r"expanding configuration (\d+) \((\d+) expanded, (\d+) waiting\)", msg).groups()
         )
@@ -946,3 +974,37 @@ class TestCaps:
             if len(seen) > 100:
                 break
         assert (current, expanded, waiting) == (done + 1, done, 101 - done - 1)
+
+
+class TestFlatAutomatonOnRead:
+    """`cbr` leaves a restriction's flat automaton to a `FlatRecipe`; read,
+    it is the automaton `cbr` built eagerly before."""
+
+    def test_corpus_networks(self, all_restrictions, same_as_eager_base):
+        for built in all_restrictions:
+            lazy = LazyProduct(built.compiled.factors, name=built.name)
+            same_as_eager_base(lazy, built.restricted, built.spec.acceptance)
+            assert built.automaton is built.restricted.base
+
+    def test_random_networks_lazy_and_eager(self, same_as_eager_base):
+        for seed in range(100):
+            factors, chans, conds = _random_wired_factors(seed)
+            lazy = LazyProduct(factors)
+            same_as_eager_base(lazy, cbr(lazy, chans, conditions=conds))
+            prod = weak_product(factors)[0]
+            same_as_eager_base(prod, cbr(prod, chans, conditions=conds, name=f"p{seed}"))
+            same_as_eager_base(factors[0], cbr(factors[0]))
+
+    def test_a_given_base_is_kept_as_given(self, ring2_env):
+        r = examples.build("ring2").networks["ring2"].restricted
+        a = ring2_env.networks["ring2"].restricted.base
+        given = RestrictedAutomaton(a, r.channels, r.graph, r.conditions, r.name)
+        assert given.base is a and flatten(given) is a
+        assert (given.inputs, given.outputs, given.acceptance) == (a.inputs, a.outputs, a.acceptance)
+        other = replace(a, name="other")
+        swapped = replace(r, base=other)
+        assert swapped.base is other and flatten(swapped) is other
+        assert isinstance(vars(r)["base"], FlatRecipe)
+        assert flatten(r) is r.base and r.base == a and r == given
+        with pytest.raises(FrozenInstanceError):
+            r.base = other

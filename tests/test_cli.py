@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fioa
+import fioa.core
 from fioa import examples
 from fioa.cli import cli
 
@@ -61,6 +62,17 @@ class TestValidate:
         assert "check quasidet administrator: ok" in out
         assert "check consistent administrator: ok" in out
         assert calls == ["administrator"]
+
+    def test_graph_directives_build_no_flat_automaton(self, monkeypatch, capsys):
+        """`mutex.pw` checks four graph properties of the wired
+        `closed_mutex`; none of them builds its flat automaton."""
+        built = []
+        monkeypatch.setattr(fioa.core, "validate", lambda a, real=fioa.core.validate: built.append(a.name) or real(a))
+        assert cli(["validate", MUTEX]) == 0
+        assert capsys.readouterr().out.count(" closed_mutex: ok") == 4
+        assert "closed_mutex" not in built
+        assert cli(["check", "protocol", MUTEX, "closed_mutex"]) == 0
+        assert "closed_mutex" not in built
 
     def test_valid_and_deterministic_directives(self, tmp_path, capsys):
         path = tmp_path / "coins.pw"

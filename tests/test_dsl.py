@@ -14,6 +14,8 @@ from fioa import (
     resolve,
     serialize,
 )
+from fioa.channels import FlatRecipe
+from fioa.core import Nfioa
 from fioa.dsl import Directive, NetFactor, NetworkDef, Token, WorkbenchDocument, load, tokenize
 from fioa.network import ConditionSpec, PatternSpec
 
@@ -302,6 +304,18 @@ network Loop {
         assert str(err.value) == (
             "line 14, col 3: network 'ghost_net' uses 'Ghost', which is not declared before it"
         )
+
+    def test_a_wired_network_is_flattened_when_read_or_used(self):
+        text = (CORPUS / "mutex.pw").read_text(encoding="utf-8")
+        env = resolve(parse(text))
+        r = env.networks["closed_mutex"].restricted
+        assert list(env.automata) == ["User", "Server", "closed_mutex"] and len(env.automata) == 3
+        assert "closed_mutex" in env.automata and "nothing" not in env.automata
+        assert isinstance(vars(r)["base"], FlatRecipe)
+        assert env.automata["closed_mutex"] is r.base
+        used = resolve(parse(text + "network outer {\n  use m = closed_mutex;\n}\n"))
+        assert used.networks["outer"].compiled.factors[0].states == used.automata["closed_mutex"].states
+        assert isinstance(vars(used.networks["closed_mutex"].restricted)["base"], Nfioa)
 
     def test_networks_can_be_factors_of_later_networks(self, mitm_env):
         # the relay network is consumed as a machine by the wrapper

@@ -34,7 +34,10 @@ from fioa import (
     is_well_formed,
     reachable_states,
 )
+from fioa.channels import FlatRecipe, graph_consistency, is_consistent
 from fioa.dsl import WorkbenchDocument, resolve
+from fioa.network import BuiltNetwork
+from fioa.product import LazyProduct, acceptance_within
 
 
 def mutex_spec(**kwargs) -> NetworkSpec:
@@ -263,6 +266,42 @@ class TestBuild:
         assert built.automaton.acceptance == Acceptance.muller(
             [frozenset(examples.MUTEX_CYCLE)]
         )
+
+    def test_acceptance_override_is_read_without_building_the_flat_automaton(self):
+        built = examples.build("mutex").networks["closed_mutex"]
+        r = built.restricted
+        override = Acceptance.muller([frozenset(examples.MUTEX_CYCLE)])
+        states = frozenset(c.state for c in r.graph.nodes)
+        assert acceptance_within(built.compiled.factors, states) != override
+        rep = is_consistent(r)
+        assert r.acceptance == override
+        assert rep == graph_consistency(r.graph, override, r.graph.nodes)
+        assert isinstance(vars(r)["base"], FlatRecipe)
+        assert built.automaton is r.base and r.base.acceptance == override
+
+    def test_a_bad_acceptance_override_fails_the_build(self):
+        channels = (ChannelSpec("u", "svc", "c", "svc"), ChannelSpec("c", "svc", "u", "svc"))
+        bad = Acceptance.final([("crit", "nowhere")])
+        with pytest.raises(InvalidAutomaton, match=r"final state \('crit', 'nowhere'\) not a state"):
+            build_network(mutex_spec(channels=channels, acceptance=bad))
+
+    def test_a_given_automaton_is_kept_as_given(self, mutex_env):
+        built = mutex_env.networks["closed_mutex"]
+        a = replace(built.automaton, name="other")
+        given = BuiltNetwork(built.compiled, a, built.restricted)
+        assert given.automaton is a and given.restricted is built.restricted
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ring_flat_automaton_is_the_eager_one(self, n, same_as_eager_base):
+        built = resolve(examples.ring_document(n)).networks[f"ring{n}"]
+        assert isinstance(vars(built.restricted)["base"], FlatRecipe)
+        same_as_eager_base(LazyProduct(built.compiled.factors, name=built.name), built.restricted)
+        assert built.automaton is built.restricted.base
+
+    def test_coord5w_flat_automaton_is_the_eager_one(self, same_as_eager_base):
+        built = build_network(pairwise_mutex_spec(5, wired=True))
+        same_as_eager_base(LazyProduct(built.compiled.factors, name=built.name), built.restricted)
+        assert built.automaton is built.restricted.base
 
     def test_lazy_exploration_only_materializes_reachable_states(self, ring2_env):
         built = ring2_env.networks["ring2"]
