@@ -9,8 +9,13 @@ resident memory (maxrss).  For each coord size two more processes build
 `coord<n>`, n users kept in pairwise mutual exclusion by n(n-1)
 conditions on `mutex`'s machines: eager (states, kept transitions,
 reachable states) and, as `coord<n>w`, wired to a server
-(configurations, edges, excited configurations).  The counts must equal
-`KNOWN` and `KNOWN_COORD`; any other count fails the run (exit 1), so
+(configurations, edges, excited configurations).  For each ring size up
+to 6 one more process resolves the ring twice and times
+`trace_equivalent` of the ring against its copy on its own: the verdict
+must be `equal`, with a sufficient bound of the configuration count
+squared.  (ring7 has no equivalence figure: the process would hold two
+280,665-configuration graphs.)  The counts must equal `KNOWN` and
+`KNOWN_COORD`; any other count or verdict fails the run (exit 1), so
 `--quick` serves as a CI gate.  For each corpus file, `python -m fioa
 validate FILE` runs in its own process and reports its wall seconds from
 launch to exit, interpreter start-up included, and its peak resident
@@ -65,8 +70,13 @@ KNOWN_COORD = {
     5: {"eager": (1024, 4245, 648), "wired": (1296, 3348, 648)},
     6: {"eager": (4096, 19890, 2187), "wired": (4374, 12879, 2187)},
 }
+# ring n against its copy, for n up to `EQUIV_MAX`: (configurations,
+# equal, sufficient bound), the last two always True and configurations
+# squared.
+EQUIV_MAX = 6
 COUNTS = {
     "ring": ("configurations", "edges", "excited"),
+    "equiv": ("configurations", "equal", "sufficient_bound"),
     "eager": ("states", "transitions", "reachable"),
     "wired": ("configurations", "edges", "excited"),
     "validate": (),
@@ -79,12 +89,12 @@ COUNTS = {
 CHILD = """
 import json, resource, sys, time
 from dataclasses import replace
-from fioa import examples, reachable_states
+from fioa import examples, reachable_states, trace_equivalent
 from fioa.dsl import NetFactor, NetworkDef, resolve
 from fioa.network import ChannelSpec, ConditionSpec
 
 kind, n = sys.argv[1], int(sys.argv[2])
-if kind == "ring":
+if kind in ("ring", "equiv"):
     doc, name = examples.ring_document(n), f"ring{n}"
 else:
     name = f"coord{n}" + ("w" if kind == "wired" else "")
@@ -102,7 +112,13 @@ else:
 start = time.perf_counter()
 built = resolve(doc).networks[name]
 seconds = time.perf_counter() - start
-if kind == "eager":
+if kind == "equiv":
+    r, copy = built.restricted, resolve(doc).networks[name].restricted
+    start = time.perf_counter()
+    verdict = trace_equivalent(r, copy)
+    seconds = time.perf_counter() - start
+    counts = (len(r.graph.nodes), verdict.equal, verdict.sufficient_bound)
+elif kind == "eager":
     a = built.automaton
     counts = (len(a.states), len(a.transitions), len(reachable_states(a)))
 else:
@@ -117,8 +133,9 @@ print(json.dumps({
 
 
 def measure(src: Path, kind: str, n: int) -> dict:
-    """One build in a fresh interpreter importing `fioa` from `src`: a ring
-    (`kind` "ring") or a coord network ("eager" or "wired")."""
+    """One figure in a fresh interpreter importing `fioa` from `src`: a
+    ring build (`kind` "ring"), a coord network build ("eager" or
+    "wired"), or a ring against its copy ("equiv")."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", CHILD, kind, str(n)], env=env, capture_output=True, text=True, check=True
@@ -163,7 +180,13 @@ def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
     """One tree's samples of one figure, checked against `known`: its
     counts by name, the median seconds and maxrss, and every sample."""
     got = sorted({tuple(s["counts"]) for s in samples})
-    name = {"ring": f"ring{n}", "eager": f"coord{n}", "wired": f"coord{n}w", "validate": f"validate {n}"}[kind]
+    name = {
+        "ring": f"ring{n}",
+        "equiv": f"ring{n} equiv",
+        "eager": f"coord{n}",
+        "wired": f"coord{n}w",
+        "validate": f"validate {n}",
+    }[kind]
     if got != [known]:
         raise SystemExit(f"{name} from {label}: counts {got}, expected {known}")
     out = dict(zip(COUNTS[kind], known))
@@ -184,8 +207,9 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
     from one repeat to the next, so drift on the machine falls on every
     tree alike.
     """
-    runs = {label: {**commit_of(src), "rings": {}, "coord": {}, "corpus": {}} for label, src in trees.items()}
+    runs = {label: {**commit_of(src), "rings": {}, "equiv": {}, "coord": {}, "corpus": {}} for label, src in trees.items()}
     figures = [("ring", n, KNOWN[n]) for n in sizes]
+    figures += [("equiv", n, (KNOWN[n][0], True, KNOWN[n][0] ** 2)) for n in sizes if n <= EQUIV_MAX]
     figures += [(kind, n, KNOWN_COORD[n][kind]) for n in coord_sizes for kind in ("eager", "wired")]
     figures += [("validate", name, ()) for name in CORPUS]
     order = list(trees)
@@ -199,6 +223,8 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
             out = figure(label, kind, n, known, samples[label])
             if kind == "ring":
                 runs[label]["rings"][str(n)] = out
+            elif kind == "equiv":
+                runs[label]["equiv"][str(n)] = out
             elif kind == "validate":
                 runs[label]["corpus"][n] = out
             else:

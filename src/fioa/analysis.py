@@ -10,13 +10,16 @@ occurrence (channel, character).  Internal moves are unobservable.  Both
 sides are determinized over silent closures and walked in lockstep, which
 is complete for these finite configuration graphs; the configuration
 count product is reported as the (conservative) sufficient trace bound.
-Each walk reads a graph through one event view, whose nodes are silent
-closures of configuration numbers (positions in `ConfigGraph.nodes`,
-followed through `ConfigGraph.succ`, so no configuration is hashed).  It
-computes each configuration's silent closure, and each closure's sorted
-events with their next closures, once and only when the walk first
-reaches them.  The lockstep walk keeps one parent pointer per visited
-pair of closures and spells out a trace only when it finds a divergence.
+Each walk reads a graph through one event view.  A view node is the set of
+senders in a silent closure: the configuration numbers (positions in
+`ConfigGraph.nodes`, followed through `ConfigGraph.succ`, so no
+configuration is hashed) in the closure that have an edge sending an
+event.  The rest of a closure sends nothing and decides nothing, so
+closures that differ only there are one node.  The view computes each
+configuration's senders, and each node's sorted events with their next
+nodes, once and only when the walk first reaches them.  The lockstep walk
+keeps one parent pointer per visited pair of nodes and spells out a trace
+only when it finds a divergence.
 The safety search reads `nodes`, `moves` and `succ` too: no analysis
 builds the `ConfigGraph.edges` view, which is built on first read.
 """
@@ -304,17 +307,28 @@ def run_law_suite(
 
 Event = tuple[Channel, str]
 # An edge's send event is its target's `pending`, left by the move of the
-# `product.MoveTable` that `channels._explore` followed for the edge.
+# `product.MoveTable` that `channels._explore` followed for the edge.  An
+# edge with an event is an event edge, and a configuration with at least
+# one event edge is a sender.
 
 
 class _EventView:
     """The determinized channel-event view of one configuration graph.
 
-    A node of the view is a silent closure: a frozenset of configuration
-    numbers closed under edges that send nothing.  Each configuration's
-    closure and each closure's events with their next closures are
-    computed the first time a walk asks for them and kept for the rest of
-    that walk, so a bounded walk touches only the configurations it
+    A node of the view is the set of senders in a silent closure: a
+    frozenset of the configuration numbers, among those reached by edges
+    that send nothing, that have at least one event edge.  A closure is
+    closed under silent edges, so its events and each event's next closure
+    depend only on its senders; being a sender is a property of one
+    configuration, so keeping only senders commutes with the union that
+    builds a next closure.  Closures that differ only by configurations
+    that send nothing are therefore one node.  A breadth-first lockstep
+    walk meets each pair of nodes in the order a walk over whole closures
+    first meets any pair of closures behind it, so the verdict and the
+    shortest distinguishing trace are those of that walk.  Each
+    configuration's closure and each node's events with their next nodes
+    are computed the first time a walk asks for them and kept for the rest
+    of that walk, so a bounded walk touches only the configurations it
     reaches.
     """
 
@@ -322,36 +336,52 @@ class _EventView:
         self._nodes = r.graph.nodes
         self._succ = r.graph.succ
         self._closures: dict[int, frozenset[int]] = {}
+        # One frozenset per distinct node: the closures of many excited
+        # configurations hold the same senders, and sharing them leaves
+        # the garbage collector fewer objects to track.
+        self._shared: dict[frozenset, frozenset] = {}
         self._steps: dict[frozenset, tuple[tuple[Event, ...], tuple[frozenset, ...]]] = {}
         self.initial = self._closure(0)
 
     def _closure(self, c: int) -> frozenset[int]:
-        """`c` and every configuration it reaches by edges that send nothing.
+        """The senders among `c` and every configuration it reaches by edges
+        that send nothing.
 
+        The walk over the closure reads every edge once, and records a
+        configuration as a sender when one of its edges has an event.
         Callers look in `_closures` first; this computes and records it.
         """
         nodes, succ = self._nodes, self._succ
         seen = {c}
         todo = [c]
+        senders = []
         while todo:
-            for t in succ[todo.pop()]:
-                if t not in seen and nodes[t].pending is None:
+            s = todo.pop()
+            sends = False
+            for t in succ[s]:
+                if nodes[t].pending is not None:
+                    sends = True
+                elif t not in seen:
                     seen.add(t)
                     todo.append(t)
-        got = self._closures[c] = frozenset(seen)
+            if sends:
+                senders.append(s)
+        got = frozenset(senders)
+        got = self._closures[c] = self._shared.setdefault(got, got)
         return got
 
-    def steps(self, closure: frozenset) -> tuple[tuple[Event, ...], tuple[frozenset, ...]]:
-        """The events a closure can send, sorted, and the closure each leads to.
+    def steps(self, senders: frozenset) -> tuple[tuple[Event, ...], tuple[frozenset, ...]]:
+        """The events a node's senders can send, sorted, and the node each
+        leads to.
 
-        An event's next closure is the union of its send targets' closures.
+        An event's next node is the union of its send targets' nodes.
         """
-        got = self._steps.get(closure)
+        got = self._steps.get(senders)
         if got is None:
             nodes, succ = self._nodes, self._succ
             closures = self._closures
             sent: dict[Event, frozenset] = {}
-            for c in closure:
+            for c in senders:
                 for t in succ[c]:
                     ev = nodes[t].pending
                     if ev is not None:
@@ -360,7 +390,7 @@ class _EventView:
                             nxt = self._closure(t)
                         sent[ev] = sent[ev] | nxt if ev in sent else nxt
             events = tuple(sorted(sent))
-            got = self._steps[closure] = (events, tuple(map(sent.__getitem__, events)))
+            got = self._steps[senders] = (events, tuple(map(sent.__getitem__, events)))
         return got
 
 
@@ -370,10 +400,10 @@ def trace_language(r: RestrictedAutomaton, bound: int) -> frozenset[tuple[Event,
     traces = {(): None}
     frontier = deque([((), view.initial)])
     while frontier:
-        trace, closure = frontier.popleft()
+        trace, senders = frontier.popleft()
         if len(trace) >= bound:
             continue
-        for ev, nxt in zip(*view.steps(closure)):
+        for ev, nxt in zip(*view.steps(senders)):
             t2 = trace + (ev,)
             if t2 not in traces:
                 traces[t2] = None
@@ -394,10 +424,11 @@ def trace_equivalent(
     """Lockstep determinized comparison of channel-event behavior.
 
     Both sides need the same channels, characters and open components.
-    Without a bound the walk runs to fixpoint over pairs of closure sets,
-    which is exhaustive for finite configuration graphs; with a bound it
-    stops at that trace length.  On divergence the shortest distinguishing
-    trace is returned (breadth-first order guarantees minimality).
+    Without a bound the walk runs to fixpoint over pairs of view nodes
+    (the senders of a silent closure on each side), which is exhaustive
+    for finite configuration graphs; with a bound it stops at that trace
+    length.  On divergence the shortest distinguishing trace is returned
+    (breadth-first order guarantees minimality).
     """
     if set(r1.channels) != set(r2.channels):
         raise WiringError("networks have different channel structure")

@@ -621,6 +621,61 @@ class TestTraceEquivalenceAgainstTheNaiveLockstep:
         assert self.verdicts == {True: len(self.BOUNDS)}
         assert max(naive.closure_sizes) >= 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_trace_languages_at_bound_six(self, n):
+        naive = _NaiveLockstep()
+        r = _ring(n)
+        lang = trace_language(r, 6)
+        assert lang == naive.trace_language(r, 6)
+        assert max(map(len, lang)) == 6
+
+    def test_closures_that_differ_only_by_nonsenders_reached_at_different_depths(self):
+        """Trace `a` and trace `b a` reach silent closures with the same
+        senders but different configurations that send nothing: after `a`
+        the closure also holds a silent 2-cycle.  The copy drops the send
+        that follows `a b`, so the shortest distinguishing trace runs
+        through the shorter of the two.
+        """
+        T = lambda s, t, i="", o="": Transition((s,), (t,), (i,), (o,))
+        transitions = {
+            T("p0", "p1", o="a"), T("p1", "q", i="a"),
+            T("q", "q2"), T("q2", "q"), T("q", "r"),
+            T("p0", "p2", o="b"), T("p2", "p3", i="b"),
+            T("p3", "p4", o="a"), T("p4", "r", i="a"),
+            T("r", "r1", o="b"), T("r1", "r2", i="b"),
+            T("r2", "r3", o="a"), T("r3", "p0", i="a"),
+        }
+        states = sorted({t.source for t in transitions})
+        a = Nfioa(
+            name="merge",
+            states=states,
+            inputs=(ComponentAlphabet("in", "ab"),),
+            outputs=(ComponentAlphabet("out", "ab"),),
+            initial=("p0",),
+            acceptance=Acceptance.final(states),
+            transitions=transitions,
+        )
+        loop = (Channel(0, 0),)
+        r = cbr(a, loop)
+        copy = cbr(replace(a, name="cut", transitions=transitions - {T("r2", "r3", o="a")}), loop)
+        ev_a, ev_b = (loop[0], "a"), (loop[0], "b")
+
+        naive, view = _NaiveLockstep(), fioa.analysis._EventView(r)
+        steps = naive.event_steps(r, naive.closure(r, [r.graph.initial]))
+        after_a, after_ba = steps[ev_a], naive.event_steps(r, steps[ev_b])[ev_a]
+        assert after_a != after_ba
+        first = dict(zip(*view.steps(view.initial)))
+        assert first[ev_a] == dict(zip(*view.steps(first[ev_b])))[ev_a]
+
+        for bound in self.BOUNDS:
+            for r1, r2 in ((r, copy), (copy, r)):
+                got = trace_equivalent(r1, r2, bound=bound)
+                assert got == naive.trace_equivalent(r1, r2, bound), (r1.name, bound)
+                if bound in (None, 4):
+                    assert got.distinguishing == (ev_a, ev_b, ev_a)
+                else:
+                    assert got.equal
+
     def test_random_networks_against_a_copy_with_a_transition_dropped(self):
         naive = _NaiveLockstep()
         for seed in range(100):
@@ -633,6 +688,46 @@ class TestTraceEquivalenceAgainstTheNaiveLockstep:
             assert self._compare(naive, r2, r1), seed
         assert self.verdicts[False] >= 20 and self.verdicts[True] >= 20
         assert sum(k for k in naive.closure_sizes if k >= 2) > 0
+        assert naive.silent_cycles > 0
+
+
+class TestEventViewAgainstTheNaiveClosures:
+    """Each view node is the naive silent closure cut down to its senders:
+    the configurations with an edge whose target has a `pending`."""
+
+    @staticmethod
+    def _check(naive, r):
+        """The invariant on every configuration of `r`; how many closures
+        held a configuration that sends nothing."""
+        view = fioa.analysis._EventView(r)
+        edges = r.graph.edges
+        number = {c: i for i, c in enumerate(r.graph.nodes)}
+
+        def senders(closure):
+            return frozenset(
+                number[c] for c in closure if any(e.target.pending is not None for e in edges[c])
+            )
+
+        cut = 0
+        for i, c in enumerate(r.graph.nodes):
+            closure = naive.closure(r, [c])
+            node = view._closure(i)
+            assert node == senders(closure), (r.name, i)
+            cut += len(node) < len(closure)
+            events, nexts = view.steps(node)
+            want = naive.event_steps(r, closure)
+            assert events == tuple(sorted(want)), (r.name, i)
+            assert nexts == tuple(senders(want[ev]) for ev in events), (r.name, i)
+        return cut
+
+    def test_every_corpus_restriction(self, all_restrictions):
+        naive = _NaiveLockstep()
+        assert all(self._check(naive, b.restricted) for b in all_restrictions)
+
+    def test_random_networks(self):
+        naive = _NaiveLockstep()
+        cut = sum(self._check(naive, _random_channel_network(seed)) > 0 for seed in range(100))
+        assert cut >= 50
         assert naive.silent_cycles > 0
 
 
