@@ -11,6 +11,13 @@ byte-identical, so two dumps compare with `diff`:
     python scripts/cli_dump.py > after.txt
     diff before.txt after.txt
 
+`scripts/cli_dump.sha256` holds the SHA-256 of the dump under
+`PYTHONHASHSEED=0`, and CI checks it:
+
+    PYTHONHASHSEED=0 python scripts/cli_dump.py | sha256sum -c scripts/cli_dump.sha256
+
+A change that changes a CLI answer says so by updating that digest.
+
 The commands: per file `validate` and `product` of its first two
 automata; per automaton or network name `cbr`, `dot`, the four graph
 `check` kinds, `run --seed 1 --bound 12`, `safety --predicate "pending

@@ -46,6 +46,7 @@ from .errors import (
 from .product import LazyProduct, MoveTable, acceptance_within, automaton_table, vetoed
 
 CONFIG_CAP = 2 * 10**6
+RUN_CAP = 100_000
 
 
 class Channel(NamedTuple):
@@ -472,17 +473,22 @@ def _sccs(nodes: Iterable, adj: Mapping) -> list[set]:
     return out
 
 
-def graph_consistency(graph: ConfigGraph, acceptance: Acceptance, names: Sequence) -> Consistency:
-    """Can every node still reach a point where acceptance is met?
+def is_consistent(r: RestrictedAutomaton) -> Consistency:
+    """Acceptance reachable from every configuration; needs well-formedness.
 
-    The witness is the first node, by number, that cannot; the witness and
-    the anchors are reported as `names[i]` for node i.  A restriction
-    names its configurations; a plain automaton, walked as its
-    channel-free configuration graph, names their states.
+    Walks the graph backwards from `acceptance_anchors`; the witness is the
+    first configuration, by number, that cannot reach one.
     """
-    anchors = acceptance_anchors(graph, acceptance)
-    reverse: list[list[int]] = [[] for _ in graph.succ]
-    for i, js in enumerate(graph.succ):
+    wf = is_well_formed(r)
+    if not wf.ok:
+        raise PreconditionError(
+            f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
+            "cannot consume its pending character"
+        )
+    g = r.graph
+    anchors = acceptance_anchors(g, r.acceptance)
+    reverse: list[list[int]] = [[] for _ in g.succ]
+    for i, js in enumerate(g.succ):
         for j in js:
             reverse[j].append(i)
     covered = bytearray(len(reverse))
@@ -495,20 +501,9 @@ def graph_consistency(graph: ConfigGraph, acceptance: Acceptance, names: Sequenc
     stuck = covered.find(0)
     return Consistency(
         stuck < 0,
-        None if stuck < 0 else names[stuck],
-        frozenset(map(names.__getitem__, anchors)),
+        None if stuck < 0 else g.nodes[stuck],
+        frozenset(map(g.nodes.__getitem__, anchors)),
     )
-
-
-def is_consistent(r: RestrictedAutomaton) -> Consistency:
-    """Acceptance reachable from every configuration; needs well-formedness."""
-    wf = is_well_formed(r)
-    if not wf.ok:
-        raise PreconditionError(
-            f"{r.name} is not well-formed: excited configuration {config_str(r, wf.witness)} "
-            "cannot consume its pending character"
-        )
-    return graph_consistency(r.graph, r.acceptance, r.graph.nodes)
 
 
 def open_components(
@@ -550,14 +545,14 @@ def run(
     *,
     seed: int = 0,
     script: Sequence[int] | None = None,
-    run_cap: int = 100_000,
 ) -> Union[Run, tuple[Run, ...]]:
     """Walk the configuration graph under a scheduling policy.
 
     `random` resolves choices with a seeded generator; `scripted` takes an
     explicit choice index per step and fails loudly when the index does
     not exist; `exhaustive` returns every run that either deadlocks or
-    reaches the step bound.
+    reaches the step bound, and stops with `CapacityExceeded` past
+    `RUN_CAP` of them.
     """
     wf = is_well_formed(r)
     if not wf.ok:
@@ -597,9 +592,9 @@ def run(
             ts = moves[i]
             if not ts or len(tpath) >= step_bound:
                 complete.append(Run(cpath, tpath))
-                if len(complete) > run_cap:
+                if len(complete) > RUN_CAP:
                     raise CapacityExceeded(
-                        f"more than {run_cap} runs at bound {step_bound}"
+                        f"more than {RUN_CAP} runs at bound {step_bound}"
                     )
                 continue
             for t, j in zip(reversed(ts), reversed(succ[i])):

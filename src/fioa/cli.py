@@ -86,14 +86,13 @@ def _network(env: ResolvedDocument, name: str) -> BuiltNetwork:
 
 
 def _graph(env: ResolvedDocument, name: str) -> RestrictedAutomaton:
-    """A name's configuration graph; a channel-free network's is explored on
-    demand from its eager build, whose transitions survived its conditions."""
+    """A name's configuration graph: a wired network's restriction, else the
+    name's flat automaton restricted by no channels (a channel-free
+    network's eager build already carries only what its conditions kept)."""
     built = env.networks.get(name)
-    if built is None:
-        return cbr(_automaton(env, name))
-    if built.restricted is not None:
+    if built is not None and built.restricted is not None:
         return built.restricted
-    return cbr(built.automaton)
+    return cbr(_automaton(env, name))
 
 
 def _print_trace(r: RestrictedAutomaton, res) -> None:

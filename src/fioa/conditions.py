@@ -23,6 +23,10 @@ test on the packed state code for the factors the move leaves alone (see
 `product.veto`, which indexes the conditions by their first pinned source
 slot, so each transition is tested only against the conditions its source
 state can satisfy.
+
+A plain automaton is its restriction by no channels, so the checks here
+that take one (`is_quasi_deterministic`, `is_consistent_cond`) answer
+from `cbr(a)`, each configuration read as its state.
 """
 
 from __future__ import annotations
@@ -43,16 +47,9 @@ from .core import (
     prune,
     reachable_states,
 )
-from .channels import (
-    ConfigGraph,
-    Consistency,
-    RestrictedAutomaton,
-    _explore,
-    cbr,
-    graph_consistency,
-)
+from .channels import Consistency, RestrictedAutomaton, cbr, is_consistent
 from .errors import WiringError
-from .product import LazyProduct, automaton_table, materialize, veto
+from .product import LazyProduct, materialize, veto
 
 
 @dataclass(frozen=True)
@@ -250,34 +247,21 @@ def _first_clash(places) -> QuasiDeterminism:
     return QuasiDeterminism(True, None)
 
 
-def _plain_graph(a: Nfioa) -> ConfigGraph:
-    """`a` walked as its channel-free configuration graph.
-
-    Every configuration is relaxed, so node i is reachable state
-    `nodes[i].state`, numbered by `_explore` in the breadth-first order in
-    which `cbr(a)` explores the same automaton, from the same one-factor
-    `automaton_table`; its moves are listed in `Transition` order.  There
-    are at most `len(a.states)` nodes, so the cap never fires.
-    """
-    return _explore(automaton_table(a), cap=len(a.states))
-
-
 def is_quasi_deterministic(
     source: Union[Nfioa, RestrictedAutomaton]
 ) -> QuasiDeterminism:
     """At most one move per input label — silent included — anywhere reachable.
 
-    A restricted automaton is checked over its configuration graph, so a
-    state entered both relaxed and excited is checked per entry mode, and
-    its witness names a configuration.  A plain automaton is walked as its
-    channel-free configuration graph, numbered by `_explore`, and its
-    witness names a state.  Either way nodes are walked by number, in
-    breadth-first order from the initial one, and the witness is a clash
-    nearest it.
+    Checked over the configuration graph, `cbr(source)` for a plain
+    automaton, so a state entered both relaxed and excited is checked per
+    entry mode.  Nodes are walked by number, in breadth-first order from
+    the initial one, and the witness is a clash nearest it: a
+    configuration for a restriction, and for a plain automaton, whose
+    configurations are all relaxed, its state.
     """
     if isinstance(source, RestrictedAutomaton):
         return _first_clash(zip(source.graph.nodes, source.graph.moves))
-    g = _plain_graph(source)
+    g = cbr(source).graph
     return _first_clash(zip((c.state for c in g.nodes), g.moves))
 
 
@@ -296,10 +280,9 @@ def is_consistent_cond(a: Nfioa) -> Consistency:
     """Acceptance-reachability over the plain transition graph.
 
     The condition-restricted operator returns ordinary automata, so
-    consistency for them is the channel check itself: the automaton is
-    walked as its channel-free configuration graph, numbered by
-    `_explore`, and the answer names states.  The witness is a stuck
-    state nearest the initial one.
+    consistency for them is the channel check on `cbr(a)`, the restriction
+    by no channels, with each configuration read as its state: the
+    witness is a stuck state nearest the initial one.
     """
-    g = _plain_graph(a)
-    return graph_consistency(g, a.acceptance, [c.state for c in g.nodes])
+    ok, witness, anchors = is_consistent(cbr(a))
+    return Consistency(ok, None if witness is None else witness.state, frozenset(c.state for c in anchors))

@@ -132,13 +132,11 @@ def weak_product(
     factors: Sequence[Nfioa],
     *,
     name: str | None = None,
-    state_cap: int = STATE_CAP,
-    transition_cap: int = TRANSITION_CAP,
 ) -> tuple[Nfioa, ProductIndex]:
     """Eager weakly synchronized product of one or more automata: their
     `LazyProduct`, materialized, and its flat layout."""
     lazy = LazyProduct(factors, name=name)
-    return materialize(lazy, state_cap=state_cap, transition_cap=transition_cap), lazy.index
+    return materialize(lazy), lazy.index
 
 
 def materialize(
@@ -146,8 +144,6 @@ def materialize(
     conditions: Sequence = (),
     *,
     name: str | None = None,
-    state_cap: int = STATE_CAP,
-    transition_cap: int = TRANSITION_CAP,
 ) -> Nfioa:
     """`lazy` as one eager automaton, restricted by `conditions`.
 
@@ -157,17 +153,18 @@ def materialize(
     contexts are both restricted to reachable local states.  That
     rectangle is what the unrestricted product reaches, so the moves kept
     are those `conditions.cond` keeps on it.  Each state is one tuple,
-    shared by every transition that enters or leaves it.  The caps are
-    checked before anything is materialized.
+    shared by every transition that enters or leaves it.  The caps,
+    `STATE_CAP` and `TRANSITION_CAP`, are checked before anything is
+    materialized.
     """
     n_states = prod(len(f.states) for f in lazy.factors)
-    if n_states > state_cap:
-        raise CapacityExceeded(f"product would have {n_states} states (cap {state_cap})")
+    if n_states > STATE_CAP:
+        raise CapacityExceeded(f"product would have {n_states} states (cap {STATE_CAP})")
 
     n_trans = lazy.transition_count
-    if n_trans > transition_cap:
+    if n_trans > TRANSITION_CAP:
         raise CapacityExceeded(
-            f"product would have {n_trans} transitions (cap {transition_cap}); "
+            f"product would have {n_trans} transitions (cap {TRANSITION_CAP}); "
             "explore it as a network instead"
         )
 

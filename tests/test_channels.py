@@ -11,6 +11,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fioa.channels
 import fioa.core
 
 from fioa import (
@@ -302,9 +303,10 @@ class TestSchedulers:
         with pytest.raises(SchedulerError):
             run(mutex, "scripted", 8)
 
-    def test_exhaustive_runs_stop_at_the_run_cap(self, mutex):
+    def test_exhaustive_runs_stop_at_the_run_cap(self, mutex, monkeypatch):
+        monkeypatch.setattr(fioa.channels, "RUN_CAP", 0)
         with pytest.raises(CapacityExceeded, match="more than 0 runs at bound 5"):
-            run(mutex, "exhaustive", 5, run_cap=0)
+            run(mutex, "exhaustive", 5)
 
     def test_unknown_scheduler_is_rejected(self, mutex):
         with pytest.raises(SchedulerError):
@@ -719,7 +721,12 @@ def corpus_and_random(all_restrictions):
 
 
 def test_every_transition_shares_its_target_nodes_state(corpus_and_random):
-    for r in corpus_and_random:
+    # Every corpus automaton and network restricted by no channels, so the
+    # one-factor `automaton_table` path is checked too.
+    plain = [
+        cbr(a) for name in sorted(examples.names()) for a in examples.build(name).automata.values()
+    ]
+    for r in [*corpus_and_random, *plain]:
         g = r.graph
         for ts, js in zip(g.moves, g.succ):
             assert all(t.target is g.nodes[j].state for t, j in zip(ts, js)), r.name

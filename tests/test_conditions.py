@@ -31,7 +31,7 @@ from fioa import (
     reachable_states,
     weak_product,
 )
-from fioa.conditions import _plain_graph, veto
+from fioa.conditions import veto
 from fioa.core import is_silent
 
 
@@ -462,19 +462,6 @@ class TestPlainChecksWalkLikeTheirConfigurationGraph:
             for built in examples.build(name).networks.values():
                 if built.restricted is None:
                     yield built.automaton
-
-    def test_plain_graph_numbers_like_cbr(self):
-        for name in sorted(examples.names()):
-            env = examples.build(name)
-            for a in [*env.automata.values(), *(b.automaton for b in env.networks.values())]:
-                plain, graph = _plain_graph(a), cbr(a).graph
-                assert plain.nodes == graph.nodes, a.name
-                assert (plain.moves, plain.succ) == (graph.moves, graph.succ), a.name
-                assert all(
-                    t.target is plain.nodes[j].state
-                    for ts, js in zip(plain.moves, plain.succ)
-                    for t, j in zip(ts, js)
-                ), a.name
 
     def test_verdicts_match_the_configuration_graph(self):
         seen = Counter()

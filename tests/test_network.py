@@ -34,7 +34,7 @@ from fioa import (
     is_well_formed,
     reachable_states,
 )
-from fioa.channels import FlatRecipe, graph_consistency, is_consistent
+from fioa.channels import FlatRecipe, acceptance_anchors, is_consistent
 from fioa.dsl import WorkbenchDocument, resolve
 from fioa.network import BuiltNetwork
 from fioa.product import LazyProduct, acceptance_within
@@ -275,7 +275,7 @@ class TestBuild:
         assert acceptance_within(built.compiled.factors, states) != override
         rep = is_consistent(r)
         assert r.acceptance == override
-        assert rep == graph_consistency(r.graph, override, r.graph.nodes)
+        assert rep.anchors == frozenset(map(r.graph.nodes.__getitem__, acceptance_anchors(r.graph, override)))
         assert isinstance(vars(r)["base"], FlatRecipe)
         assert built.automaton is r.base and r.base.acceptance == override
 

@@ -6,6 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fioa.product
+
 from fioa import (
     Acceptance,
     CapacityExceeded,
@@ -114,15 +116,17 @@ class TestEagerProduct:
         with pytest.raises(WiringError):
             weak_product([])
 
-    def test_state_cap_triggers(self):
+    def test_state_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(fioa.product, "STATE_CAP", 100)
         u = examples.user_role()
         with pytest.raises(CapacityExceeded):
-            weak_product([u] * 4, state_cap=100)
+            weak_product([u] * 4)
 
-    def test_transition_cap_message_suggests_lazy_exploration(self):
+    def test_transition_cap_message_suggests_lazy_exploration(self, monkeypatch):
+        monkeypatch.setattr(fioa.product, "TRANSITION_CAP", 10)
         u = examples.user_role()
         with pytest.raises(CapacityExceeded, match="network instead"):
-            weak_product([u] * 4, transition_cap=10)
+            weak_product([u] * 4)
 
 
 class TestAssociate:
