@@ -20,10 +20,11 @@ A change that changes a CLI answer says so by updating that digest.
 
 The commands: per file `validate` and `product` of its first two
 automata; per automaton or network name `cbr`, `dot`, the four graph
-`check` kinds, `run --seed 1 --bound 12`, `safety --predicate "pending
-is not None"` and `equiv NAME NAME`; per network name `cond` and `check
-unaffected`; and once, after every file, `laws all --seeds 3` and
-`examples list`.  Only the standard library and `fioa` are used.
+`check` kinds, `run --seed 1 --bound 12`, `run --scheduler exhaustive
+--bound 6`, `safety --predicate "pending is not None"` and `equiv NAME
+NAME`; per network name `cond` and `check unaffected`; and once, after
+every file, `laws all --seeds 3`, `laws separation` and `examples list`.
+Only the standard library and `fioa` are used.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def commands(path: str):
         if name in networks:
             yield ["check", "unaffected", path, name]
         yield ["run", path, name, "--seed", "1", "--bound", "12"]
+        yield ["run", path, name, "--scheduler", "exhaustive", "--bound", "6"]
         yield ["safety", path, name, "--predicate", "pending is not None"]
         yield ["equiv", path, name, name]
 
@@ -81,7 +83,7 @@ def main() -> None:
     paths = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "src/fioa/corpus").glob("*.pw"))
     write = sys.stdout.write
     os.chdir(ROOT)  # argv names each file by its path relative to the root
-    once = (["laws", "all", "--seeds", "3"], ["examples", "list"])
+    once = (["laws", "all", "--seeds", "3"], ["laws", "separation"], ["examples", "list"])
     for argv in chain((argv for path in paths for argv in commands(path)), once):
         code, out, err = run(argv)
         write(f"$ fioa {shlex.join(argv)}\nexit {code}\n")

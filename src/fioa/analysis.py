@@ -282,24 +282,17 @@ def check_law(law: str, instance=None, *, seed: int = 0) -> LawReport:
     raise WiringError(f"unknown law {law!r}")
 
 
+def law_reports(law: str, seeds: int = 200) -> list[tuple[int, LawReport]]:
+    """Each instance's seed and report: the separation identity runs its one
+    canonical instance whatever the seed count, every other law seeds 0 to `seeds` - 1."""
+    return [(seed, check_law(law, seed=seed)) for seed in range(1 if law == "separation" else seeds)]
+
+
 def run_law_suite(
     laws: Sequence[str] | None = None, seeds: int = 200
 ) -> dict[str, list[tuple[int, LawReport]]]:
-    """Run each law over seeded instances; returns failures per law.
-
-    The separation identity has a single canonical instance, so it runs
-    once regardless of the seed count.
-    """
-    failures: dict[str, list[tuple[int, LawReport]]] = {}
-    for law in laws or LAWS:
-        bad: list[tuple[int, LawReport]] = []
-        count = 1 if law == "separation" else seeds
-        for seed in range(count):
-            rep = check_law(law, seed=seed)
-            if not rep.passed:
-                bad.append((seed, rep))
-        failures[law] = bad
-    return failures
+    """Run each law over its instances (see `law_reports`); returns failures per law."""
+    return {law: [(s, rep) for s, rep in law_reports(law, seeds) if not rep.passed] for law in laws or LAWS}
 
 
 # ---------------------------------------------------------------------------

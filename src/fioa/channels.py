@@ -248,17 +248,19 @@ class RestrictedAutomaton:
             object.__setattr__(self, name, getattr(flat, name))
 
     def with_acceptance(self, acceptance: Acceptance) -> "RestrictedAutomaton":
-        """This restriction, its `base` still unbuilt, with `acceptance` on
-        the flat automaton.  Only for `cbr`'s result before `base` is read.
+        """This restriction with `acceptance` on the flat automaton; a `base`
+        still unbuilt stays unbuilt.
 
-        The acceptance is checked against the recipe's states now, as
-        building `base` would, so a bad one fails here.
+        The acceptance is checked against the flat states now, as building
+        `base` would, so a bad one fails here whichever kind `base` holds.
         """
-        recipe = self.__dict__["base"]
-        diags = acceptance_diagnostics(acceptance, recipe.states)
+        flat = self.__dict__["base"]
+        diags = acceptance_diagnostics(acceptance, flat.states)
         if diags:
             raise InvalidAutomaton(diags)
-        return replace(self, base=recipe._replace(acceptance=acceptance))
+        if isinstance(flat, Nfioa):
+            return replace(self, base=replace(flat, acceptance=acceptance))
+        return replace(self, base=flat._replace(acceptance=acceptance))
 
 
 def channel_str(r: RestrictedAutomaton, ch: Channel) -> str:

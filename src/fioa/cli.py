@@ -26,7 +26,7 @@ from functools import cache, partial
 from typing import Callable
 
 from . import examples as _corpus
-from .analysis import LAWS, check_law, safety_query, trace_equivalent
+from .analysis import LAWS, law_reports, safety_query, trace_equivalent
 from .channels import (
     ALL_EDGE_CLASSES,
     RestrictedAutomaton,
@@ -312,6 +312,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.script is not None and args.scheduler != "script":
+        raise _UsageError(f"--script is read only by --scheduler script, not --scheduler {args.scheduler}")
     _doc, env = _load(args.file)
     r = _graph(env, args.network)
     if args.scheduler == "script":
@@ -349,29 +351,17 @@ def cmd_laws(args) -> int:
         raise _UsageError(f"unknown law {args.law!r}; known: all, {', '.join(LAWS)}")
     failed = 0
     for law in names:
+        reports = law_reports(law, args.seeds)
+        bad = next(((seed, rep) for seed, rep in reports if not rep.passed), None)
         if law == "separation":
-            rep = check_law(law)
-            status = "ok" if rep.passed else f"FAIL ({rep.detail})"
-            print(f"law {law}: {status}")
-            failed += 0 if rep.passed else 1
-            continue
-        holds = 0
-        inapplicable = 0
-        first_failure = None
-        for seed in range(args.seeds):
-            rep = check_law(law, seed=seed)
-            if not rep.applicable:
-                inapplicable += 1
-            elif rep.ok:
-                holds += 1
-            elif first_failure is None:
-                first_failure = (seed, rep.detail)
-        if first_failure is None:
-            print(f"law {law}: ok ({holds} applicable, {inapplicable} skipped)")
+            status = "ok" if bad is None else f"FAIL ({bad[1].detail})"
+        elif bad is None:
+            applicable = sum(rep.applicable for _, rep in reports)
+            status = f"ok ({applicable} applicable, {len(reports) - applicable} skipped)"
         else:
-            seed, detail = first_failure
-            print(f"law {law}: FAIL at seed {seed} ({detail})")
-            failed += 1
+            status = f"FAIL at seed {bad[0]} ({bad[1].detail})"
+        print(f"law {law}: {status}")
+        failed += bad is not None
     return EX_FAIL if failed else EX_OK
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char
+from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, state_str
 from .errors import DslError, InvalidAutomaton
 from .network import (
     BuiltNetwork,
@@ -730,12 +730,18 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
     for n in doc.networks:
         factors = []
         for f in n.factors:
+            line, col = f.pos or (None, None)
             if f.ref not in env.automata:
-                line, col = f.pos or (None, None)
                 raise DslError(
                     f"network {n.name!r} uses {f.ref!r}, which is not declared before it", line, col
                 )
-            factors.append(FactorRef(f.alias, env.automata[f.ref], initial=f.initial))
+            a = env.automata[f.ref]
+            if f.initial is not None and tuple(f.initial) not in a.states:
+                raise DslError(
+                    f"network {n.name!r} starts {f.alias!r} in {state_str(f.initial)}, "
+                    f"which is not a state of {f.ref!r}", line, col
+                )
+            factors.append(FactorRef(f.alias, a, initial=f.initial))
         spec = NetworkSpec(
             name=n.name,
             factors=tuple(factors),

@@ -95,6 +95,14 @@ def _concatenations(choices: Iterable[Iterable[StateVector]]) -> list[StateVecto
     return out
 
 
+def _common_mode(factors: Sequence[Nfioa]) -> str:
+    """The factors' one acceptance mode; a product of mixed modes is not defined."""
+    modes = {f.acceptance.mode for f in factors}
+    if len(modes) > 1:
+        raise WiringError(f"factors mix acceptance modes {sorted(modes)}; coercion is not defined")
+    return modes.pop()
+
+
 def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector]) -> Acceptance:
     """Product acceptance restricted to a known state set.
 
@@ -107,10 +115,10 @@ def acceptance_within(factors: Sequence[Nfioa], allowed: frozenset[StateVector])
     them out.  A kept member holds `allowed`'s own state tuples.
     `materialize` calls it with the whole Cartesian state set, keeping
     every member, and `channels.cbr` with a configuration graph's states,
-    whose rectangles would be enormous.
+    whose rectangles would be enormous.  Factors that mix acceptance modes
+    raise `WiringError`, as `LazyProduct` does.
     """
-    mode = factors[0].acceptance.mode
-    if mode == "final":
+    if _common_mode(factors) == "final":
         finals = _concatenations(f.acceptance.final_states for f in factors)
         return Acceptance.final(s for s in finals if s in allowed)
     members = []
@@ -499,9 +507,7 @@ class LazyProduct:
         self.factors = tuple(factors)
         if not self.factors:
             raise WiringError("product needs at least one factor")
-        modes = {f.acceptance.mode for f in self.factors}
-        if len(modes) > 1:
-            raise WiringError(f"factors mix acceptance modes {sorted(modes)}; coercion is not defined")
+        _common_mode(self.factors)
         self.name = name or "(" + " x ".join(f.name for f in self.factors) + ")"
         self.inputs, self.outputs = _concat_interfaces(self.factors)
         self.initial = tuple(v for f in self.factors for v in f.initial)

@@ -25,6 +25,7 @@ from fioa import (
     Edge,
     IoPattern,
     EdgeClass,
+    InvalidAutomaton,
     LazyProduct,
     Nfioa,
     PreconditionError,
@@ -1015,3 +1016,19 @@ class TestFlatAutomatonOnRead:
         assert flatten(r) is r.base and r.base == a and r == given
         with pytest.raises(FrozenInstanceError):
             r.base = other
+
+    @pytest.mark.parametrize("kind", ["built", "given"])
+    def test_with_acceptance_takes_a_built_or_given_base(self, kind):
+        r = examples.build("mutex").networks["closed_mutex"].restricted
+        a = r.base  # builds it: the stored recipe is now this automaton
+        if kind == "given":
+            r = RestrictedAutomaton(replace(a), r.channels, r.graph, r.conditions, r.name)
+        assert isinstance(vars(r)["base"], Nfioa)
+        same = r.with_acceptance(r.acceptance)
+        assert same == r and same.base == a
+        final = Acceptance.final([a.initial])
+        moved = r.with_acceptance(final)
+        assert moved.acceptance == moved.base.acceptance == final
+        assert moved.base == replace(a, acceptance=final) and moved.graph is r.graph
+        with pytest.raises(InvalidAutomaton, match=r"final state \('crit', 'nowhere'\) not a state"):
+            r.with_acceptance(Acceptance.final([("crit", "nowhere")]))

@@ -126,6 +126,18 @@ class TestValidate:
         assert cli(["validate", "/nonexistent/nowhere.pw"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_an_unknown_start_state_names_its_use_line(self, tmp_path, capsys):
+        text = (CORPUS / "mutex.pw").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.pw"
+        bad.write_text(text.replace("  use c = Server;", "  use c = Server init nowhere;"), encoding="utf-8")
+        assert cli(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 27, col 3: network 'closed_mutex' starts 'c' in nowhere, "
+            "which is not a state of 'Server'\n"
+        )
+
 
 class TestProduct:
     def test_product_report(self, capsys):
@@ -470,6 +482,18 @@ class TestRun:
         assert cli(["run", MUTEX, "closed_mutex", "--scheduler", "script"]) == 2
         assert "--script" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheduler", [[], ["--scheduler", "random"], ["--scheduler", "exhaustive"]])
+    def test_a_script_without_the_script_scheduler_is_a_usage_error(self, scheduler, tmp_path, capsys):
+        script = tmp_path / "choices.txt"
+        script.write_text("0\n", encoding="utf-8")
+        assert cli(["run", MUTEX, "closed_mutex", *scheduler, "--script", str(script)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shown = scheduler[-1] if scheduler else "random"
+        assert captured.err == (
+            f"error: --script is read only by --scheduler script, not --scheduler {shown}\n"
+        )
+
     def test_out_of_range_choice_is_a_usage_error(self, tmp_path, capsys):
         script = tmp_path / "choices.txt"
         script.write_text("7\n", encoding="utf-8")
@@ -533,7 +557,7 @@ class TestLaws:
                 return fioa.LawReport(law, True, False, "lhs has 3 states, rhs 4")
             return fioa.LawReport(law, True, True)
 
-        monkeypatch.setattr(fioa.cli, "check_law", fake)
+        monkeypatch.setattr(fioa.analysis, "check_law", fake)
         assert cli(["laws", "all", "--seeds", "3"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "law cbr-commute: ok (2 applicable, 1 skipped)",
@@ -542,6 +566,14 @@ class TestLaws:
             "law channel-condition-commute: ok (3 applicable, 0 skipped)",
             "law separation: ok",
         ]
+
+    def test_a_failed_separation_is_reported_without_a_seed(self, monkeypatch, capsys):
+        def fake(law, instance=None, *, seed=0):
+            return fioa.LawReport(law, True, False, "transition sets differ")
+
+        monkeypatch.setattr(fioa.analysis, "check_law", fake)
+        assert cli(["laws", "separation"]) == 1
+        assert capsys.readouterr().out == "law separation: FAIL (transition sets differ)\n"
 
     def test_unknown_law_is_a_usage_error(self, capsys):
         assert cli(["laws", "entropy"]) == 2

@@ -305,6 +305,22 @@ network Loop {
             "line 14, col 3: network 'ghost_net' uses 'Ghost', which is not declared before it"
         )
 
+    def test_an_unknown_start_state_names_its_use_line(self):
+        doc = parse(MINIMAL + "\nnetwork Pair {\n  use b = Blinker;\n  use d = Blinker init dim;\n}\n")
+        with pytest.raises(DslError) as err:
+            resolve(doc)
+        assert (err.value.line, err.value.col) == (14, 3)
+        assert str(err.value) == "line 14, col 3: network 'Pair' starts 'd' in dim, which is not a state of 'Blinker'"
+        nested = (
+            MINIMAL + "\nnetwork Pair {\n  use b = Blinker;\n  use c = Blinker;\n}\n"
+            "\nnetwork Outer {\n  use p = Pair init (lit, dim);\n}\n"
+        )
+        with pytest.raises(DslError) as err:
+            resolve(parse(nested))
+        assert str(err.value) == (
+            "line 18, col 3: network 'Outer' starts 'p' in lit|dim, which is not a state of 'Pair'"
+        )
+
     def test_a_wired_network_is_flattened_when_read_or_used(self):
         text = (CORPUS / "mutex.pw").read_text(encoding="utf-8")
         env = resolve(parse(text))

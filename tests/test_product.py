@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +173,16 @@ class TestLazyProduct:
         factors = [examples.user_role(), examples.server_role()]
         other = frozenset({("x", str(i)) for i in range(20)})
         assert acceptance_within(factors, other).muller_sets == frozenset()
+
+    def test_acceptance_filter_refuses_mixed_modes_in_either_order(self):
+        u = examples.user_role()
+        f = replace(u, name="F", acceptance=Acceptance.final([("remn",)]))
+        states = frozenset(weak_product([u, u])[0].states)
+        for factors in ([f, u], [u, f]):
+            with pytest.raises(WiringError, match=r"^factors mix acceptance modes \['final', 'muller'\]"):
+                acceptance_within(factors, states)
+            with pytest.raises(WiringError, match=r"^factors mix acceptance modes \['final', 'muller'\]"):
+                LazyProduct(factors)
 
 
 class TestProductIndex:
