@@ -124,8 +124,8 @@ def check_channels(
         o, i = outputs[ch.out_component], inputs[ch.in_component]
         if not o.characters <= i.characters:
             out.append(
-                f"channel {ch}: sender characters {sorted(o.characters - i.characters)} "
-                f"not readable on {i.name!r}"
+                f"channel {o.name}>{i.name}: sender characters "
+                f"{sorted(o.characters - i.characters)} not readable"
             )
     outs = [ch.out_component for ch in chans]
     ins = [ch.in_component for ch in chans]
@@ -332,12 +332,6 @@ def cbr(
         states, acceptance = source.states, source.acceptance
     flat = FlatRecipe(name, states, source.inputs, source.outputs, source.initial, acceptance, graph)
     return RestrictedAutomaton(flat, chans, graph, conditions, name)
-
-
-def classify_config(r: RestrictedAutomaton, c: Configuration) -> str:
-    if c not in r.graph.edges:
-        raise WiringError(f"{c!r} is not a configuration of {r.name}")
-    return "excited" if c.pending is not None else "relaxed"
 
 
 def enabled(r: RestrictedAutomaton, c: Configuration) -> tuple[Edge, ...]:

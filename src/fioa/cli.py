@@ -108,17 +108,17 @@ def _print_trace(r: RestrictedAutomaton, res) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _nondeterminism(a: Nfioa) -> str:
+def _nondeterminism(a: Nfioa) -> str | None:
     """The first state, in sorted order, with a spontaneous move (the silent
-    label sorts first among a state's labels), else two moves on one label."""
+    label sorts first among a state's labels), else two moves on one label;
+    None when the automaton is deterministic."""
     moves = Counter((t.source, t.input) for t in a.transitions)
-    return next(
-        f"spontaneous move from {state_str(state)}"
-        if is_silent(label)
-        else f"{n} moves on {label_str(label, a.inputs)} from {state_str(state)}"
-        for (state, label), n in sorted(moves.items())
-        if is_silent(label) or n > 1
-    )
+    for (state, label), n in sorted(moves.items()):
+        if is_silent(label):
+            return f"spontaneous move from {state_str(state)}"
+        if n > 1:
+            return f"{n} moves on {label_str(label, a.inputs)} from {state_str(state)}"
+    return None
 
 
 def _run_directive(
@@ -133,8 +133,8 @@ def _run_directive(
         a = _automaton(env, target)
         if kind == "valid":
             return True, f"{len(a.states)} states"
-        ok = classify(a).is_deterministic
-        return ok, "at most one move per state and input" if ok else _nondeterminism(a)
+        why = _nondeterminism(a)
+        return why is None, why or "at most one move per state and input"
     r = graph(target)
     if kind == "wellformed":
         wf = is_well_formed(r)
@@ -441,8 +441,6 @@ def cmd_safety(args) -> int:
 
     try:
         rep = safety_query(r, bad)
-    except WorkbenchError:
-        raise
     except Exception as exc:  # a broken predicate is a usage problem
         raise _UsageError(f"predicate failed on a configuration: {exc}") from exc
     if rep.ok:

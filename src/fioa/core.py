@@ -493,11 +493,3 @@ def project(a: Nfioa, p: Projection) -> Nfioa:
         acceptance=acc,
         transitions=transitions,
     )
-
-
-def identity_projection(a: Nfioa) -> Projection:
-    return Projection(
-        state_maps=tuple({} for _ in range(a.state_width)),
-        input_maps=tuple({} for _ in a.inputs),
-        output_maps=tuple({} for _ in a.outputs),
-    )

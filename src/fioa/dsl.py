@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .core import Acceptance, ComponentAlphabet, Nfioa, epsilon_char, label_str, single_char, state_str
-from .errors import DslError, InvalidAutomaton
+from .errors import DslError, InvalidAutomaton, WiringError
 from .network import (
     BuiltNetwork,
     ChannelSpec,
@@ -96,6 +96,8 @@ class NetworkDef:
     channels: tuple[ChannelSpec, ...] = ()
     conditions: tuple[ConditionSpec, ...] = ()
     acceptance: Acceptance | None = None
+    # (line, col) of the ``network`` keyword when parsed from text
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ class Directive:
 
     kind: str
     target: str
+    # (line, col) of the target name when parsed from text
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,8 @@ class ResolvedDocument:
     is built the first time it is read.
     """
 
-    automata: Mapping[str, Nfioa] = field(default_factory=dict)
-    networks: dict[str, BuiltNetwork] = field(default_factory=dict)
+    automata: Mapping[str, Nfioa]
+    networks: dict[str, BuiltNetwork]
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +315,17 @@ class _Parser:
             if tok.value == "automaton":
                 decl, into = self.parse_automaton(), automata
             elif tok.value == "network":
-                decl, into = self.parse_network(), networks
+                decl, into = self.parse_network(tok), networks
             else:
                 raise self.unexpected("'automaton', 'network', or 'check'", tok)
             if decl.name in seen:
                 raise self.fail(f"name {decl.name!r} is declared twice", tok)
             seen.add(decl.name)
             into.append(decl)
+        for d in directives:
+            if d.target not in seen:
+                names = ", ".join(sorted(seen))
+                raise DslError(f"no automaton or network named {d.target!r}; declared: {names}", *d.pos)
         return WorkbenchDocument(tuple(automata), tuple(networks), tuple(directives))
 
     def parse_directive(self) -> Directive:
@@ -328,7 +336,7 @@ class _Parser:
                 kind_tok,
             )
         target = self.expect_name("target name")
-        return self.end(Directive(kind_tok.value, target.value))
+        return self.end(Directive(kind_tok.value, target.value, pos=(target.line, target.col)))
 
     # --- automaton blocks ---
 
@@ -477,7 +485,7 @@ class _Parser:
 
     # --- network blocks ---
 
-    def parse_network(self) -> NetworkDef:
+    def parse_network(self, keyword: Token) -> NetworkDef:
         name_tok = self.expect_name("network name")
         aliases: set[str] = set()
 
@@ -505,6 +513,7 @@ class _Parser:
             channels=tuple(found.get("channel", ())),
             conditions=tuple(found.get("condition", ())),
             acceptance=found.get("accept"),
+            pos=(keyword.line, keyword.col),
         )
 
     def parse_factor(self, use: Token) -> NetFactor:
@@ -749,5 +758,8 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
             conditions=n.conditions,
             acceptance=n.acceptance,
         )
-        networks[n.name] = build_network(spec)
+        try:
+            networks[n.name] = build_network(spec)
+        except (WiringError, InvalidAutomaton) as exc:
+            raise DslError(f"network {n.name!r}: {exc}", *(n.pos or (None, None))) from exc
     return env

@@ -235,8 +235,9 @@ class BuiltNetwork:
 
     `automaton` is the flat result; `restricted` is the
     configuration-graph form, present exactly when the network wires
-    channels.  A channel-free network is built eagerly; the CLI explores its
-    graph, `cbr(automaton, conditions=compiled.conditions)`, on demand.
+    channels.  A channel-free network is built eagerly, holding only the
+    moves its conditions keep; the CLI explores its graph, `cbr(automaton)`,
+    on demand.
     A wired network's `automaton` is its restriction's `base`, built the
     first time either is read (see `BuiltOnRead`); `automaton` may be given
     as an `Nfioa` or as a callable returning one.

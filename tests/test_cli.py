@@ -16,6 +16,7 @@ import fioa
 import fioa.core
 from fioa import examples
 from fioa.cli import cli
+from fioa.dsl import CHECK_KINDS, load, resolve
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "fioa" / "corpus"
 
@@ -137,6 +138,39 @@ class TestValidate:
             "error: line 27, col 3: network 'closed_mutex' starts 'c' in nowhere, "
             "which is not a state of 'Server'\n"
         )
+
+
+    def test_an_undeclared_check_target_stops_before_any_output(self, tmp_path, capsys):
+        text = (CORPUS / "mutex.pw").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.pw"
+        bad.write_text(text + "check wellformed nosuch;\n", encoding="utf-8")
+        line = text.count("\n") + 1
+        assert cli(["validate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line {line}, col 18: no automaton or network named 'nosuch'; "
+            "declared: Server, User, closed_mutex\n"
+        )
+
+
+class TestCheckKinds:
+    def test_directives_answer_exactly_the_parsed_kinds(self):
+        env = resolve(load(MUTEX))
+        graph = partial(fioa.cli._graph, env)
+        for kind in sorted(CHECK_KINDS):
+            ok, detail = fioa.cli._run_directive(env, kind, "closed_mutex", graph)
+            assert isinstance(ok, bool) and detail
+        # The parser and `fioa check`'s choices refuse every other kind
+        # first, so this guard answers only a library caller.
+        with pytest.raises(fioa.cli._UsageError, match="unknown check kind 'unaffected'"):
+            fioa.cli._run_directive(env, "unaffected", "closed_mutex", graph)
+
+    def test_every_check_choice_but_unaffected_is_a_directive_kind(self):
+        (commands,) = [a for a in fioa.cli._build_parser()._actions if a.dest == "command"]
+        (kind,) = [a for a in commands.choices["check"]._actions if a.dest == "kind"]
+        assert "unaffected" in kind.choices
+        assert set(kind.choices) - {"unaffected"} <= CHECK_KINDS
 
 
 class TestProduct:

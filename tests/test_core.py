@@ -21,7 +21,6 @@ from fioa import (
     WiringError,
     automata_equal,
     classify,
-    identity_projection,
     is_consistent_cond,
     is_quasi_deterministic,
     project,
@@ -565,7 +564,12 @@ class TestWithInitial:
 class TestProjection:
     def test_identity_projection_changes_nothing(self):
         a = examples.server_role()
-        assert automata_equal(project(a, identity_projection(a)), a).equal
+        identity = Projection(
+            state_maps=tuple({} for _ in range(a.state_width)),
+            input_maps=tuple({} for _ in a.inputs),
+            output_maps=tuple({} for _ in a.outputs),
+        )
+        assert automata_equal(project(a, identity), a).equal
 
     def test_erasing_characters_silences_transitions(self):
         a = examples.user_role()

@@ -131,6 +131,9 @@ class TestParsing:
             Directive("valid", "Blinker"),
         )
 
+    def test_a_check_may_name_what_is_declared_after_it(self):
+        assert parse("check valid Blinker;\n" + MINIMAL).directives == (Directive("valid", "Blinker"),)
+
 
 NETWORK = MINIMAL + """
 network Loop {
@@ -176,6 +179,8 @@ PARSE_ERRORS = [
     ("unknown-check-kind", MINIMAL + "check sparkling Blinker;",
      "line 11, col 7: unknown check kind 'sparkling' (expected one of consistent, "
      "deterministic, protocol, quasidet, valid, wellformed)"),
+    ("undeclared-check-target", MINIMAL + "check valid Blinkers;",
+     "line 11, col 13: no automaton or network named 'Blinkers'; declared: Blinker"),
     ("duplicate-states", _edit(MINIMAL, "initial dark;", "initial dark;\n  states dark;"),
      "line 5, col 3: duplicate 'states' section"),
     ("duplicate-initial", _edit(MINIMAL, "initial dark;", "initial dark;\n  initial lit;"),
@@ -285,6 +290,22 @@ network Loop {
     def test_channel_alphabets_are_still_checked_at_build(self):
         with pytest.raises(Exception, match="not readable"):
             resolve(parse(self.WIRED))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_edit(WIRED, "channel b1.lamp -> b2.btn;", "accept final {(dark, dim)};"),
+             "final state ('dark', 'dim') not a state"),
+            (WIRED, "channel b1.lamp>b2.btn: sender characters ['glow'] not readable"),
+            (_edit(WIRED, "b2.btn;", "b2.knob;"), "b2 input has no component named 'knob'"),
+        ],
+        ids=["unknown-accept-state", "unreadable-channel", "unknown-component"],
+    )
+    def test_a_build_error_names_the_network_and_its_line(self, text, message):
+        with pytest.raises(DslError) as err:
+            resolve(parse(text))
+        assert (err.value.line, err.value.col) == (12, 1)
+        assert str(err.value) == f"line 12, col 1: network 'Loop': {message}"
 
     def test_factor_references_resolve_in_declaration_order(self):
         with pytest.raises(DslError) as err:
