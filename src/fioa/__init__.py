@@ -7,210 +7,57 @@ conditions (:mod:`fioa.channels`, :mod:`fioa.conditions`,
 execute deterministic ones (:mod:`fioa.executor`), and move everything
 through text and diagrams (:mod:`fioa.dsl`, :mod:`fioa.dot`,
 :mod:`fioa.cli`).
+
+Names load on first use: ``import fioa`` imports no submodule, and
+``fioa.cbr`` (or ``from fioa import cbr``) imports :mod:`fioa.channels`
+the first time it is read.  So a ``fioa`` command loads only the modules
+it runs.
 """
 
-from .analysis import (
-    LAWS,
-    LawReport,
-    SafetyReport,
-    TraceEquivalence,
-    check_law,
-    random_nfioa,
-    run_law_suite,
-    safety_query,
-    trace_equivalent,
-    trace_language,
-)
-from .channels import (
-    Channel,
-    ConfigGraph,
-    Configuration,
-    Consistency,
-    Edge,
-    EdgeClass,
-    RestrictedAutomaton,
-    Run,
-    WellFormedness,
-    cbr,
-    channel_str,
-    config_str,
-    edge_census,
-    enabled,
-    flatten,
-    is_consistent,
-    is_protocol,
-    is_well_formed,
-    open_components,
-    run,
-)
-from .conditions import (
-    Condition,
-    IoPattern,
-    QuasiDeterminism,
-    Scope,
-    cond,
-    cond_strict,
-    is_consistent_cond,
-    is_quasi_deterministic,
-    is_unaffected,
-)
-from .core import (
-    EPSILON,
-    Acceptance,
-    AutomatonClass,
-    ComponentAlphabet,
-    EqualityReport,
-    Nfioa,
-    Projection,
-    Transition,
-    automata_equal,
-    classify,
-    project,
-    prune,
-    reachable_states,
-    require_valid,
-    validate,
-    with_initial,
-)
-from .dot import export_dot
-from .dsl import (
-    Directive,
-    NetFactor,
-    NetworkDef,
-    ResolvedDocument,
-    WorkbenchDocument,
-    parse,
-    resolve,
-    serialize,
-)
-from .errors import (
-    CapacityExceeded,
-    DslError,
-    InvalidAutomaton,
-    PreconditionError,
-    SchedulerError,
-    StepRejected,
-    WiringError,
-    WorkbenchError,
-)
-from .executor import (
-    FiniteSystem,
-    drive,
-    render_trace,
-    specifies,
-    step,
-    system_from_dfioa,
-)
-from .network import (
-    BuiltNetwork,
-    ChannelSpec,
-    CompiledNetwork,
-    ConditionSpec,
-    FactorRef,
-    NetworkSpec,
-    PatternSpec,
-    build_network,
-    compile_network,
-)
-from .product import (
-    LazyProduct,
-    ProductIndex,
-    acceptance_within,
-    weak_product,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPSILON",
-    "LAWS",
-    "Acceptance",
-    "AutomatonClass",
-    "BuiltNetwork",
-    "CapacityExceeded",
-    "Channel",
-    "ChannelSpec",
-    "CompiledNetwork",
-    "ComponentAlphabet",
-    "Condition",
-    "ConditionSpec",
-    "ConfigGraph",
-    "Configuration",
-    "Consistency",
-    "Directive",
-    "DslError",
-    "Edge",
-    "EdgeClass",
-    "EqualityReport",
-    "FactorRef",
-    "FiniteSystem",
-    "InvalidAutomaton",
-    "IoPattern",
-    "LawReport",
-    "LazyProduct",
-    "NetFactor",
-    "NetworkDef",
-    "NetworkSpec",
-    "Nfioa",
-    "PatternSpec",
-    "PreconditionError",
-    "ProductIndex",
-    "Projection",
-    "QuasiDeterminism",
-    "ResolvedDocument",
-    "RestrictedAutomaton",
-    "Run",
-    "SafetyReport",
-    "SchedulerError",
-    "Scope",
-    "StepRejected",
-    "TraceEquivalence",
-    "Transition",
-    "WellFormedness",
-    "WiringError",
-    "WorkbenchDocument",
-    "WorkbenchError",
-    "acceptance_within",
-    "automata_equal",
-    "build_network",
-    "cbr",
-    "channel_str",
-    "check_law",
-    "classify",
-    "compile_network",
-    "cond",
-    "cond_strict",
-    "config_str",
-    "drive",
-    "edge_census",
-    "enabled",
-    "export_dot",
-    "flatten",
-    "is_consistent",
-    "is_consistent_cond",
-    "is_protocol",
-    "is_quasi_deterministic",
-    "is_unaffected",
-    "is_well_formed",
-    "open_components",
-    "parse",
-    "project",
-    "prune",
-    "random_nfioa",
-    "reachable_states",
-    "render_trace",
-    "require_valid",
-    "resolve",
-    "run",
-    "run_law_suite",
-    "safety_query",
-    "serialize",
-    "specifies",
-    "step",
-    "system_from_dfioa",
-    "trace_equivalent",
-    "trace_language",
-    "validate",
-    "weak_product",
-    "with_initial",
-]
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "analysis": """LAWS LawReport SafetyReport TraceEquivalence check_law random_nfioa
+        run_law_suite safety_query trace_equivalent trace_language""",
+    "channels": """Channel ConfigGraph Configuration Consistency Edge EdgeClass
+        RestrictedAutomaton Run WellFormedness cbr channel_str config_str edge_census
+        enabled flatten is_consistent is_protocol is_well_formed open_components run""",
+    "conditions": """Condition IoPattern QuasiDeterminism Scope cond cond_strict
+        is_consistent_cond is_quasi_deterministic is_unaffected""",
+    "core": """EPSILON Acceptance AutomatonClass ComponentAlphabet EqualityReport Nfioa
+        Projection Transition automata_equal classify project prune reachable_states
+        require_valid validate with_initial""",
+    "dot": "export_dot",
+    "dsl": """Directive NetFactor NetworkDef ResolvedDocument WorkbenchDocument parse
+        resolve serialize""",
+    "errors": """CapacityExceeded DslError InvalidAutomaton PreconditionError
+        SchedulerError StepRejected WiringError WorkbenchError""",
+    "executor": "FiniteSystem drive render_trace specifies step system_from_dfioa",
+    "network": """BuiltNetwork ChannelSpec CompiledNetwork ConditionSpec FactorRef
+        NetworkSpec PatternSpec build_network compile_network""",
+    "product": "LazyProduct ProductIndex acceptance_within weak_product",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "examples"}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule (or a submodule) on first access;
+    the value is then a module global, so later lookups skip this."""
+    if name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORIGIN, *_SUBMODULES})

@@ -115,11 +115,15 @@ def check_channels(
     out: list[str] = []
     chans = list(channels)
     for ch in chans:
-        if not (0 <= ch.out_component < len(outputs)):
-            out.append(f"channel {ch} output index out of range")
-            continue
-        if not (0 <= ch.in_component < len(inputs)):
-            out.append(f"channel {ch} input index out of range")
+        ends = (("output", ch.out_component, outputs), ("input", ch.in_component, inputs))
+        missing = [
+            f"channel {ch.out_component}>{ch.in_component}: {side} component {k} "
+            f"out of range ({len(comps)} {side}{'s' * (len(comps) != 1)})"
+            for side, k, comps in ends
+            if not 0 <= k < len(comps)
+        ]
+        if missing:
+            out += missing
             continue
         o, i = outputs[ch.out_component], inputs[ch.in_component]
         if not o.characters <= i.characters:

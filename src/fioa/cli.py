@@ -12,6 +12,9 @@ renders diagrams; ``examples`` lists and emits the bundled corpus.
 Commands that ask about a configuration graph take any automaton or
 network name: without channels, the configurations are the reachable states.
 
+Each command imports the modules only it uses (analysis, diagrams, the
+corpus) itself, so a fresh process loads no more than it runs.
+
 Exit codes: 0 when the command succeeds and any queried property holds,
 1 when a queried property fails (a witness is printed), 2 on usage,
 parse, or capacity errors.
@@ -19,14 +22,11 @@ parse, or capacity errors.
 from __future__ import annotations
 
 import argparse
-import ast
 import sys
 from collections import Counter
 from functools import cache, partial
 from typing import Callable
 
-from . import examples as _corpus
-from .analysis import LAWS, law_reports, safety_query, trace_equivalent
 from .channels import (
     ALL_EDGE_CLASSES,
     RestrictedAutomaton,
@@ -42,7 +42,6 @@ from .channels import (
 )
 from .conditions import is_quasi_deterministic, is_unaffected
 from .core import EPSILON, Nfioa, Projection, classify, is_silent, label_str, reachable_states, state_str
-from .dot import export_dot
 from .dsl import ResolvedDocument, WorkbenchDocument, load, resolve
 from .errors import CapacityExceeded, PreconditionError, WorkbenchError
 from .network import BuiltNetwork
@@ -343,6 +342,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    from .analysis import LAWS, law_reports
+
     if args.law == "all":
         names = LAWS
     elif args.law in LAWS:
@@ -366,6 +367,8 @@ def cmd_laws(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .analysis import trace_equivalent
+
     _doc, env = _load(args.file)
     r1 = _graph(env, args.net1)
     te = trace_equivalent(r1, _graph(env, args.net2), bound=args.bound)
@@ -386,29 +389,31 @@ def cmd_equiv(args) -> int:
     return EX_FAIL
 
 
-# The safety predicate's surface.  Attribute access is not on it, so no
-# walk from a value to its class, its module or the builtins is expressible;
-# keyword and starred arguments are not on it either.
-_PREDICATE_NODES = (
-    ast.Expression, ast.Name, ast.Load, ast.Store, ast.Constant, ast.Subscript, ast.Slice,
-    ast.Tuple, ast.List, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not, ast.UAdd,
-    ast.USub, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
-    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn,
-    ast.Is, ast.IsNot, ast.IfExp, ast.GeneratorExp, ast.ListComp, ast.comprehension,
-    ast.Call,
-)
 _PREDICATE_CALLS = {"len": len, "any": any, "all": all, "sum": sum}
 
 
 def _predicate(text: str):
     """The compiled predicate, once every node of it is on the surface."""
+    import ast
+
+    # The predicate's surface.  Attribute access is not on it, so no walk
+    # from a value to its class, its module or the builtins is expressible;
+    # keyword and starred arguments are not on it either.
+    surface = (
+        ast.Expression, ast.Name, ast.Load, ast.Store, ast.Constant, ast.Subscript, ast.Slice,
+        ast.Tuple, ast.List, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not, ast.UAdd,
+        ast.USub, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+        ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn,
+        ast.Is, ast.IsNot, ast.IfExp, ast.GeneratorExp, ast.ListComp, ast.comprehension,
+        ast.Call,
+    )
     try:
         tree = ast.parse(text, "<predicate>", "eval")
     except SyntaxError as exc:
         raise _UsageError(f"predicate does not parse: {exc}") from exc
     nodes = list(ast.walk(tree))
     for node in nodes:
-        if not isinstance(node, _PREDICATE_NODES):
+        if not isinstance(node, surface):
             raise _UsageError(f"predicate rejected: {type(node).__name__} is not allowed")
     for node in nodes:
         if isinstance(node, ast.Name) and node.id.startswith("__"):
@@ -424,6 +429,8 @@ def _predicate(text: str):
 
 
 def cmd_safety(args) -> int:
+    from .analysis import safety_query
+
     _doc, env = _load(args.file)
     r = _graph(env, args.network)
     code = _predicate(args.predicate)
@@ -460,6 +467,8 @@ def cmd_safety(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from .dot import export_dot
+
     _doc, env = _load(args.file)
     built = env.networks.get(args.target)
     if built is not None and built.restricted is not None:
@@ -476,14 +485,16 @@ def cmd_dot(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import examples
+
     if args.action == "list":
-        for name in _corpus.names():
+        for name in examples.names():
             print(name)
         return EX_OK
     if not args.name:
         raise _UsageError("examples emit needs a NAME")
     try:
-        text = _corpus.text(args.name)
+        text = examples.text(args.name)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0])) from None
     path = f"{args.dir.rstrip('/')}/{args.name}.pw" if args.dir else f"{args.name}.pw"

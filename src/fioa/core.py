@@ -53,7 +53,10 @@ def is_silent(vc: VectorChar) -> bool:
 
 def state_str(s: StateVector) -> str:
     """A state as its slot values joined with `|`."""
-    return "|".join(s)
+    try:
+        return "|".join(s)
+    except TypeError:  # a slot that is not a string, named in a diagnostic
+        return "|".join(map(str, s))
 
 
 def label_str(vc: VectorChar, comps: Sequence[ComponentAlphabet] | None = None) -> str:
@@ -208,14 +211,14 @@ def validate(a: Nfioa) -> list[str]:
         return out
     width = len(a.initial)
     if a.initial not in states:
-        out.append(f"initial state {a.initial!r} not in state set")
+        out.append(f"initial state {state_str(a.initial)} not in state set")
     # A state with an empty slot has a false slot (see `EPSILON`).
     if not (all(map(width.__eq__, map(len, states))) and all(map(all, states))):
         for s in sorted(states, key=repr):
             if len(s) != width:
-                out.append(f"state {s!r} has width {len(s)}, expected {width}")
+                out.append(f"state {state_str(s)} has width {len(s)}, expected {width}")
             if "" in s:
-                out.append(f"state {s!r} contains an empty component value")
+                out.append(f"state {state_str(s)} contains an empty component value")
     for side, comps in (("input", a.inputs), ("output", a.outputs)):
         for comp in comps:
             if EPSILON in comp.characters:
@@ -237,9 +240,9 @@ def validate(a: Nfioa) -> list[str]:
     ):
         for t in sorted(ts, key=repr):
             if t.source not in states:
-                out.append(f"transition source {t.source!r} not a state")
+                out.append(f"transition source {state_str(t.source)} not a state")
             if t.target not in states:
-                out.append(f"transition target {t.target!r} not a state")
+                out.append(f"transition target {state_str(t.target)} not a state")
             out.extend(label_diags["input", t.input])
             out.extend(label_diags["output", t.output])
     out += acceptance_diagnostics(a.acceptance, states)
@@ -253,7 +256,7 @@ def acceptance_diagnostics(acc: Acceptance, states: frozenset[StateVector]) -> l
         if not states.issuperset(acc.final_states):
             for s in sorted(acc.final_states, key=repr):
                 if s not in states:
-                    out.append(f"final state {s!r} not a state")
+                    out.append(f"final state {state_str(s)} not a state")
         if acc.muller_sets:
             out.append("final-mode acceptance carries muller sets")
     elif acc.mode == "muller":
@@ -261,7 +264,7 @@ def acceptance_diagnostics(acc: Acceptance, states: frozenset[StateVector]) -> l
             for member in sorted(acc.muller_sets, key=lambda m: sorted(map(repr, m))):
                 for s in sorted(member, key=repr):
                     if s not in states:
-                        out.append(f"muller member mentions non-state {s!r}")
+                        out.append(f"muller member mentions non-state {state_str(s)}")
         if acc.final_states:
             out.append("muller-mode acceptance carries final states")
     else:
@@ -407,7 +410,7 @@ def with_initial(a: Nfioa, initial: StateVector) -> Nfioa:
     """Same machine started from a different state."""
     initial = tuple(initial)
     if initial not in a.states:
-        raise WiringError(f"{initial!r} is not a state of {a.name}")
+        raise WiringError(f"{state_str(initial)} is not a state of {a.name}")
     return replace(a, initial=initial)
 
 

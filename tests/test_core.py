@@ -34,7 +34,7 @@ from fioa import (
     weak_product,
     with_initial,
 )
-from fioa.core import active_slot, epsilon_char, is_silent, single_char
+from fioa.core import active_slot, epsilon_char, is_silent, single_char, state_str
 from fioa.dsl import parse
 from fioa import examples
 
@@ -133,13 +133,13 @@ class TestConstruction:
         )
         diags = _refusal(Nfioa, **fields)
         assert diags == validate(_unchecked(Nfioa, **fields))
-        assert len(diags) == 5 and diags[0] == "initial state ('zz',) not in state set"
+        assert len(diags) == 5 and diags[0] == "initial state zz not in state set"
 
     def test_replace_cannot_make_an_automaton_invalid(self):
         a = examples.user_role()
         diags = _refusal(replace, a, initial=("nowhere",))
         assert diags == validate(_unchecked(replace, a, initial=("nowhere",)))
-        assert diags == ["initial state ('nowhere',) not in state set"]
+        assert diags == ["initial state nowhere not in state set"]
 
     def test_queries_do_not_validate_again(self, monkeypatch):
         det, user = examples.det_admin_role(), examples.user_role()
@@ -225,8 +225,13 @@ class TestValidate:
         bad = [Transition(("p",), ("zz",), ("a",), ("",))]
         diags = _refusal(tiny, bad)
         assert diags == _refusal(require_valid, _unchecked(tiny, bad)) == [
-            "transition target ('zz',) not a state"
+            "transition target zz not a state"
         ]
+
+    def test_a_state_of_any_slot_values_is_spelled(self):
+        """Diagnostics spell states with `state_str`, which takes any value."""
+        fields = ("ints", [(1, 2)], (), (), (1, 2), Acceptance.final([(0, 2)]), [((1, 2), (3, 2), (), ())])
+        assert _refusal(Nfioa, *fields) == ["transition target 3|2 not a state", "final state 0|2 not a state"]
 
     def test_shared_bad_labels_are_reported_once_per_transition(self):
         ins = (ComponentAlphabet("i0", ("a",)), ComponentAlphabet("i1", ("b",)))
@@ -265,8 +270,8 @@ class TestValidate:
         def build(states, finals):
             return Nfioa("faulty", states, (), (), ("p",), Acceptance.final(finals), [])
 
-        want = [f"state {s!r} has width 2, expected 1" for s in sorted(wide, key=repr)]
-        want += [f"final state {s!r} not a state" for s in sorted(missing, key=repr)]
+        want = [f"state {state_str(s)} has width 2, expected 1" for s in sorted(wide, key=repr)]
+        want += [f"final state {state_str(s)} not a state" for s in sorted(missing, key=repr)]
         assert _refusal(build, [("p",)] + wide, missing) == want
         assert _refusal(build, wide[::-1] + [("p",)], missing[::-1]) == want
 
@@ -277,9 +282,9 @@ def _transition_diagnostics(a):
     out = []
     for t in sorted(a.transitions, key=repr):
         if t.source not in a.states:
-            out.append(f"transition source {t.source!r} not a state")
+            out.append(f"transition source {state_str(t.source)} not a state")
         if t.target not in a.states:
-            out.append(f"transition target {t.target!r} not a state")
+            out.append(f"transition target {state_str(t.target)} not a state")
         for side, vc, comps in (("input", t.input, a.inputs), ("output", t.output, a.outputs)):
             if len(vc) != len(comps):
                 out.append(f"{side} label {vc!r} has width {len(vc)}, expected {len(comps)}")
@@ -322,12 +327,12 @@ def _reference_validate(a):
         return ["state set is empty"]
     width = len(a.initial)
     if a.initial not in a.states:
-        out.append(f"initial state {a.initial!r} not in state set")
+        out.append(f"initial state {state_str(a.initial)} not in state set")
     for s in sorted(a.states, key=repr):
         if len(s) != width:
-            out.append(f"state {s!r} has width {len(s)}, expected {width}")
+            out.append(f"state {state_str(s)} has width {len(s)}, expected {width}")
         if "" in s:
-            out.append(f"state {s!r} contains an empty component value")
+            out.append(f"state {state_str(s)} contains an empty component value")
     for side, comps in (("input", a.inputs), ("output", a.outputs)):
         for comp in comps:
             if EPSILON in comp.characters:
@@ -337,14 +342,14 @@ def _reference_validate(a):
     if acc.mode == "final":
         for s in sorted(acc.final_states, key=repr):
             if s not in a.states:
-                out.append(f"final state {s!r} not a state")
+                out.append(f"final state {state_str(s)} not a state")
         if acc.muller_sets:
             out.append("final-mode acceptance carries muller sets")
     elif acc.mode == "muller":
         for member in sorted(acc.muller_sets, key=lambda m: sorted(map(repr, m))):
             for s in sorted(member, key=repr):
                 if s not in a.states:
-                    out.append(f"muller member mentions non-state {s!r}")
+                    out.append(f"muller member mentions non-state {state_str(s)}")
         if acc.final_states:
             out.append("muller-mode acceptance carries final states")
     else:
@@ -557,7 +562,7 @@ class TestWithInitial:
         assert b.initial == ("crit",) and b.transitions == a.transitions
 
     def test_unknown_initial_is_rejected(self):
-        with pytest.raises(WiringError):
+        with pytest.raises(WiringError, match=r"^nope is not a state of User$"):
             with_initial(examples.user_role(), ("nope",))
 
 

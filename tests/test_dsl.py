@@ -295,7 +295,7 @@ network Loop {
         "text, message",
         [
             (_edit(WIRED, "channel b1.lamp -> b2.btn;", "accept final {(dark, dim)};"),
-             "final state ('dark', 'dim') not a state"),
+             "final state dark|dim not a state"),
             (WIRED, "channel b1.lamp>b2.btn: sender characters ['glow'] not readable"),
             (_edit(WIRED, "b2.btn;", "b2.knob;"), "b2 input has no component named 'knob'"),
         ],

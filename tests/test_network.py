@@ -282,7 +282,7 @@ class TestBuild:
     def test_a_bad_acceptance_override_fails_the_build(self):
         channels = (ChannelSpec("u", "svc", "c", "svc"), ChannelSpec("c", "svc", "u", "svc"))
         bad = Acceptance.final([("crit", "nowhere")])
-        with pytest.raises(InvalidAutomaton, match=r"final state \('crit', 'nowhere'\) not a state"):
+        with pytest.raises(InvalidAutomaton, match=r"final state crit\|nowhere not a state"):
             build_network(mutex_spec(channels=channels, acceptance=bad))
 
     def test_a_given_automaton_is_kept_as_given(self, mutex_env):
