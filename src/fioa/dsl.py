@@ -170,13 +170,15 @@ class Token(NamedTuple):
     col: int
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # Group names are token kinds; ``skip`` (blanks and comments) makes no token.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<skip>[ \t\r\n]+|\#[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{_IDENT})
   | (?P<int>\d+)
-  | (?P<punct>->|[{}()\[\],;:./=*-])
+  | (?P<punct>->|[{{}}()\[\],;:./=*-])
     """,
     re.VERBOSE,
 )
@@ -277,6 +279,13 @@ class _Parser:
         items = [read()]
         while self.take(","):
             items.append(read())
+        return items
+
+    def braced(self, read: Callable[[], _T]) -> list[_T]:
+        """``{ item, ... }``, which may be empty."""
+        self.expect("{")
+        items = [] if self.at("}") else self.comma_list(read)
+        self.expect("}")
         return items
 
     def parse_body(self, kind: str, readers: dict[str, Callable[[Token], object]]) -> dict:
@@ -418,9 +427,7 @@ class _Parser:
         def component() -> None:
             name_tok = self.expect_name("component name")
             self.expect(":")
-            self.expect("{")
-            chars = [] if self.at("}") else self.comma_list(lambda: self.expect_name("character").value)
-            self.expect("}")
+            chars = self.braced(lambda: self.expect_name("character").value)
             if any(c.name == name_tok.value for c in comps):
                 raise self.fail(f"duplicate component {name_tok.value!r}", name_tok)
             comps.append(ComponentAlphabet(name_tok.value, frozenset(chars)))
@@ -440,19 +447,13 @@ class _Parser:
 
     def parse_acceptance(self, width: int | None) -> Acceptance:
         if self.take("muller"):
-            self.expect("{")
-            members = self.comma_list(lambda: self.parse_state_set(width))
-            self.expect("}")
-            return self.end(Acceptance.muller(members))
+            return self.end(Acceptance.muller(self.braced(lambda: self.parse_state_set(width))))
         if self.take("final"):
             return self.end(Acceptance.final(self.parse_state_set(width)))
         raise self.fail("expected 'muller' or 'final' after 'accept'")
 
     def parse_state_set(self, width: int | None) -> list[tuple[str, ...]]:
-        self.expect("{")
-        states = self.comma_list(lambda: self.parse_state_vector(width))
-        self.expect("}")
-        return states
+        return self.braced(lambda: self.parse_state_vector(width))
 
     def parse_state_vector(self, width: int | None) -> tuple[str, ...]:
         """A bare state name, or a parenthesised tuple of `width` slots (any when None)."""
@@ -614,28 +615,52 @@ def load(path: str) -> WorkbenchDocument:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_state(state: tuple[str, ...]) -> str:
+_NAME = re.compile(_IDENT)
+
+
+def _namer(owner: str) -> Callable[[str, object], str]:
+    """`name(kind, value)` for the serializer writing `owner`: `value`, when
+    `parse` reads it back as one name, else a `DslError` naming `owner`.
+
+    A readable name is the tokenizer's ``ident`` and no reserved word.
+    """
+
+    def name(kind: str, value) -> str:
+        if not isinstance(value, str) or value in RESERVED or _NAME.fullmatch(value) is None:
+            raise DslError(
+                f"{owner} has {kind} {value!r}, which text cannot spell: a name is a letter or '_' "
+                "followed by letters, digits or '_', and no reserved word"
+            )
+        return value
+
+    return name
+
+
+def _fmt_state(state: tuple[str, ...], name) -> str:
     if len(state) == 1:
-        return state[0]
-    return "(" + ", ".join(state) + ")"
+        return name("state", state[0])
+    return "(" + ", ".join(name("state", v) for v in state) + ")"
 
 
-def _fmt_state_set(states: frozenset[tuple[str, ...]]) -> str:
-    return "{" + ", ".join(_fmt_state(s) for s in sorted(states)) + "}"
+def _fmt_state_set(states: frozenset[tuple[str, ...]], name) -> str:
+    return "{" + ", ".join(_fmt_state(s, name) for s in sorted(states)) + "}"
 
 
-def _fmt_acceptance(acc: Acceptance) -> str:
+def _fmt_acceptance(acc: Acceptance, name) -> str:
     if acc.mode == "final":
-        return f"accept final {_fmt_state_set(acc.final_states)};"
+        return f"accept final {_fmt_state_set(acc.final_states, name)};"
     members = sorted(acc.muller_sets, key=lambda m: sorted(m))
-    inner = ", ".join(_fmt_state_set(m) for m in members)
+    inner = ", ".join(_fmt_state_set(m, name) for m in members)
     return "accept muller {" + inner + "};"
 
 
-def _fmt_interface(keyword: str, comps) -> str | None:
+def _fmt_interface(keyword: str, comps, name) -> str | None:
     if not comps:
         return None
-    decls = ", ".join(f"{c.name}: {{{', '.join(sorted(c.characters))}}}" for c in comps)
+    decls = ", ".join(
+        f"{name('component', c.name)}: {{{', '.join(name('character', ch) for ch in sorted(c.characters))}}}"
+        for c in comps
+    )
     return f"{keyword} {decls};"
 
 
@@ -644,14 +669,16 @@ def _serialize_automaton(a: Nfioa) -> list[str]:
         raise DslError(
             f"automaton {a.name!r} has composite states and no text form; express it as a network"
         )
-    lines = [f"automaton {a.name} {{"]
-    lines.append("  states " + ", ".join(s[0] for s in sorted(a.states)) + ";")
+    name = _namer(f"automaton {a.name!r}")
+    lines = [f"automaton {name('automaton name', a.name)} {{"]
+    # Every other state written below, and every label, is one checked here.
+    lines.append("  states " + ", ".join(name("state", s[0]) for s in sorted(a.states)) + ";")
     lines.append(f"  initial {a.initial[0]};")
     for kw, comps in (("inputs", a.inputs), ("outputs", a.outputs)):
-        decl = _fmt_interface(kw, comps)
+        decl = _fmt_interface(kw, comps, name)
         if decl:
             lines.append("  " + decl)
-    lines.append("  " + _fmt_acceptance(a.acceptance))
+    lines.append("  " + _fmt_acceptance(a.acceptance, name))
     for t in sorted(a.transitions):
         lines.append(
             f"  trans {t.source[0]} -> {t.target[0]} on "
@@ -661,49 +688,55 @@ def _serialize_automaton(a: Nfioa) -> list[str]:
     return lines
 
 
-def _fmt_channel_end(alias: str, comp: int | str, side: str) -> str:
+def _fmt_channel_end(alias: str, comp: int | str, side: str, name) -> str:
     if isinstance(comp, int):
-        return f"{alias}.{side}[{comp}]"
-    return f"{alias}.{comp}"
+        return f"{name('alias', alias)}.{side}[{comp}]"
+    return f"{name('alias', alias)}.{name('component', comp)}"
 
 
-def _fmt_pattern(p: PatternSpec) -> str:
+def _fmt_pattern(p: PatternSpec, name) -> str:
     if p.kind == "any":
         return "any"
     if p.kind == "spontaneous":
         return "spontaneous"
+    port = f"{name('alias', p.factor)}.{name('component', p.component)}"
     if p.kind == "active":
-        return f"active({p.factor}.{p.component})"
-    return f"{p.factor}.{p.component}.{p.character}"
+        return f"active({port})"
+    return f"{port}.{name('character', p.character)}"
 
 
 def _serialize_network(n: NetworkDef) -> list[str]:
-    lines = [f"network {n.name} {{"]
+    name = _namer(f"network {n.name!r}")
+
+    def pattern(vector: tuple[str, ...]) -> str:
+        return "(" + ", ".join(v if v == "*" else name("state", v) for v in vector) + ")"
+
+    lines = [f"network {name('network name', n.name)} {{"]
     for f in n.factors:
-        init = "" if f.initial is None else f" init {_fmt_state(f.initial)}"
-        lines.append(f"  use {f.alias} = {f.ref}{init};")
+        init = "" if f.initial is None else f" init {_fmt_state(f.initial, name)}"
+        lines.append(f"  use {name('alias', f.alias)} = {name('machine name', f.ref)}{init};")
     for c in n.channels:
         lines.append(
             "  channel "
-            + _fmt_channel_end(c.out_factor, c.out_component, "out")
+            + _fmt_channel_end(c.out_factor, c.out_component, "out", name)
             + " -> "
-            + _fmt_channel_end(c.in_factor, c.in_component, "in")
+            + _fmt_channel_end(c.in_factor, c.in_component, "in", name)
             + ";"
         )
     for cond in n.conditions:
-        scope = "" if cond.on is None else " on (" + ", ".join(cond.on) + ")"
+        scope = "" if cond.on is None else " on (" + ", ".join(name("alias", a) for a in cond.on) + ")"
         parts = [
-            f"  condition {cond.name}{scope}:",
-            "from (" + ", ".join(cond.source) + ")",
-            "to (" + ", ".join(cond.target) + ")",
+            f"  condition {name('condition', cond.name)}{scope}:",
+            "from " + pattern(cond.source),
+            "to " + pattern(cond.target),
         ]
-        parts.append(f"input {_fmt_pattern(cond.input)}")
+        parts.append(f"input {_fmt_pattern(cond.input, name)}")
         if cond.output.kind != "any":
-            parts.append(f"output {_fmt_pattern(cond.output)}")
+            parts.append(f"output {_fmt_pattern(cond.output, name)}")
         parts.append("deny;")
         lines.append(" ".join(parts))
     if n.acceptance is not None:
-        lines.append("  " + _fmt_acceptance(n.acceptance))
+        lines.append("  " + _fmt_acceptance(n.acceptance, name))
     lines.append("}")
     return lines
 

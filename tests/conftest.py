@@ -6,9 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from fioa import LazyProduct, Nfioa, automata_equal, cond, examples, weak_product
-from fioa.channels import Configuration, _explore
-from fioa.conditions import veto
+import oracle
+from fioa import LazyProduct, Nfioa, automata_equal, cbr, cond, examples, parse, resolve, serialize, weak_product
+from fioa.channels import _explore
 from fioa.core import Transition
 from fioa.dsl import ResolvedDocument
 from fioa.product import acceptance_within, automaton_table, vetoed
@@ -61,6 +61,47 @@ def all_restrictions(mutex_env, broken_mutex_env, mitm_env, ring2_env, ring3_env
 
 
 @pytest.fixture(scope="session")
+def generated():
+    """`(case, built)` for `oracle.network(seed)`, seeds 0–119: parsed, serialized, parsed
+    again (equal), resolved, and checked to compile to what the case says."""
+    out = []
+    for seed in range(120):
+        case = oracle.network(seed)
+        doc = parse(case.text)
+        assert parse(serialize(doc)) == doc, seed
+        built = resolve(parse(serialize(doc))).networks[f"net{seed}"]
+        c = built.compiled
+        assert (c.factors, c.channels, c.conditions) == (case.factors, case.channels, case.conditions), seed
+        assert c.spec.acceptance == case.acceptance, seed
+        out.append((case, built))
+    return out
+
+
+@pytest.fixture(scope="session")
+def corpus_oracle(all_restrictions):
+    """`(r, naive)` for every corpus configuration graph, under `r`'s own
+    acceptance: a product's Muller member can be too large to spell."""
+    pairs = []
+    for b in all_restrictions:
+        c = b.compiled
+        pairs.append((b.restricted, oracle.explore(c.factors, c.channels, c.conditions, b.restricted.acceptance)))
+    return pairs
+
+
+@pytest.fixture(scope="session")
+def differential(corpus_oracle, generated):
+    """`(r, naive)`: the corpus, then each generated network as built (a
+    `LazyProduct`) and as its eager product (through `automaton_table`)."""
+    pairs = list(corpus_oracle)
+    for case, built in generated:
+        c = built.compiled
+        eager = cbr(weak_product(c.factors)[0], c.channels, conditions=c.conditions, name=f"net{case.seed}_eager")
+        eager = eager if case.acceptance is None else eager.with_acceptance(case.acceptance)
+        pairs += [(built.restricted, case.naive), (eager, case.naive)]
+    return pairs
+
+
+@pytest.fixture(scope="session")
 def listed():
     """`listed(lazy, table, state, pending)`: what `table`, a `MoveTable`
     of `lazy`, lists out of the configuration `(state, pending)`.
@@ -100,69 +141,35 @@ def listed():
     return listed
 
 
-def _explored_with_deny(table, deny):
-    """`(nodes, moves, succ)` as `channels._explore` built them before
-    conditions were compiled: a breadth-first walk of a condition-free
-    `MoveTable` that builds each move's `Transition` and asks `deny`."""
-    nodes = [Configuration(tuple(table.initial), None)]
-    keys = [table.initial_key]
-    number = {table.initial_key: 0}
-    moves, succ = [], []
-    for (state, _), key in zip(nodes, keys):
-        base, cands = table.candidates(key)
-        here, out = [], []
-        for _, shift, lo, hi, tgt, inp, outp, pend, guard in cands:
-            assert guard is None
-            t = Transition(state, state[:lo] + tgt + state[hi:], inp, outp)
-            if deny(t):
-                continue
-            k = number.get(base + shift)
-            if k is None:
-                k = number[base + shift] = len(nodes)
-                keys.append(base + shift)
-                nodes.append(Configuration(t.target, pend))
-            here.append(t)
-            out.append(k)
-        moves.append(tuple(here))
-        succ.append(tuple(out))
-    return tuple(nodes), tuple(moves), tuple(succ)
-
-
 @pytest.fixture(scope="session")
 def compiled_agrees(listed):
     """`compiled_agrees(factors, channels, conditions)`: conditions compiled
-    onto the move table agree with `conditions.veto`, which tests every
-    `Transition` with `Condition.matches`.
+    onto the move table veto what `Condition.matches` vetoes.
 
     Asserted for the factors' `LazyProduct` and, when its eager product
     has at most `eager_cap` (default 200,000) transitions, for that
     product as one factor (`automaton_table`):
 
-    - the explored graphs are identical: `nodes`, `moves` and `succ`;
-    - move for move, each node lists the condition-free table's moves
-      that `veto` lets through;
+    - the explored graph is the oracle's (`oracle.explore`), node for
+      node and edge for edge;
     - the kept transitions of `cond` on the lazy product are those of
-      `cond` on the eager one, which `veto` filters.
+      `cond` on the eager one, which `conditions.veto` filters.
 
     Returns what it saw: how many moves kept a guard, how many times a
     guard vetoed a move out of a node, and how many moves were left out of
     the table.
     """
 
-    def graph_of(table):
-        g = _explore(table, cap=10**7)
-        return g.nodes, g.moves, g.succ
+    def edges_of(table):
+        return list(_explore(table, cap=10**7).edges.items())
 
     def check(factors, channels, conditions, *, eager_cap=200_000):
         seen = Counter()
-        deny = veto(conditions)
         lazy = LazyProduct(factors)
         free, compiled = lazy.table(channels), lazy.table(channels, conditions)
-        nodes, moves, succ = graph_of(compiled)
-        assert (nodes, moves, succ) == _explored_with_deny(free, deny)
-        for state, pending in nodes:
-            kept = listed(lazy, compiled, state, pending)
-            assert kept == [m for m in listed(lazy, free, state, pending) if not deny(m[0])]
+        naive = list(oracle.explore(factors, channels, conditions).edges.items())
+        assert edges_of(compiled) == naive
+        for (state, pending), _ in naive:
             base, cands = compiled.candidates(listed.key_of(lazy, compiled, state, pending))
             seen["guard vetoes"] += sum(m[8] is not None and vetoed(m[8], base) for m in cands)
         tables = zip((*compiled.relaxed, *compiled.excited[1:]), (*free.relaxed, *free.excited[1:]))
@@ -174,9 +181,7 @@ def compiled_agrees(listed):
         if lazy.transition_count > eager_cap:
             return seen
         prod = weak_product(factors)[0]
-        assert graph_of(automaton_table(prod, channels, conditions)) == _explored_with_deny(
-            automaton_table(prod, channels), deny
-        )
+        assert edges_of(automaton_table(prod, channels, conditions)) == naive
         eager, filtered = cond(lazy, conditions), cond(prod, conditions)
         assert eager.transitions == filtered.transitions
         assert automata_equal(eager, filtered, up_to_reachability=False).equal

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import fioa.analysis
+import oracle
 from fioa import (
     LAWS,
     Acceptance,
@@ -31,10 +31,10 @@ from fioa import (
     trace_language,
     weak_product,
 )
-from fioa.analysis import _weld, law_instance
-from fioa.channels import ALL_EDGE_CLASSES, EdgeClass, edge_census
+from fioa.analysis import law_instance
+from fioa.channels import ALL_EDGE_CLASSES, edge_census
 from fioa.conditions import Condition, IoPattern, Scope
-from fioa.core import ComponentAlphabet, Nfioa, active_slot
+from fioa.core import ComponentAlphabet, Nfioa
 from fioa.dsl import WorkbenchDocument, resolve
 
 
@@ -162,9 +162,7 @@ class TestLaws:
         law_rhs = flatten(cbr(naive_rhs, (shifted,)))
         assert automata_equal(lhs, law_rhs, up_to_reachability=False).equal
 
-    @given(st.integers(min_value=0, max_value=120))
-    @settings(max_examples=60, deadline=None)
-    def test_condition_restriction_also_commutes_with_products(self, seed):
+    def test_condition_restriction_also_commutes_with_products(self):
         """Conditions scoped to one factor move through the product freely.
 
         Guarding a factor's conditions to its own slots (wildcard states and
@@ -174,16 +172,17 @@ class TestLaws:
         carry no handshake state.
         """
 
-        bystander = random_nfioa(seed=seed)
-        target, _, conditions = law_instance("channel-condition-commute", seed + 10_000)
-        shifted = tuple(
-            _shift_into_product(c, bystander, target) for c in conditions
-        )
-        prod, _ = weak_product([bystander, target])
-        lhs = cond(prod, shifted)
-        rhs, _ = weak_product([bystander, cond(target, conditions)])
-        verdict = automata_equal(lhs, rhs)
-        assert verdict.equal, verdict.reason
+        for seed in range(60):
+            bystander = random_nfioa(seed=seed)
+            target, _, conditions = law_instance("channel-condition-commute", seed + 10_000)
+            shifted = tuple(
+                _shift_into_product(c, bystander, target) for c in conditions
+            )
+            prod, _ = weak_product([bystander, target])
+            lhs = cond(prod, shifted)
+            rhs, _ = weak_product([bystander, cond(target, conditions)])
+            verdict = automata_equal(lhs, rhs)
+            assert verdict.equal, (seed, verdict.reason)
 
 
 def _shift_into_product(c, left, right):
@@ -243,111 +242,47 @@ class TestTraceLanguage:
             for k in range(len(trace)):
                 assert trace[:k] in lang
 
-    @given(st.integers(min_value=0, max_value=100))
-    @settings(max_examples=30, deadline=None)
-    def test_random_instance_languages_are_prefix_closed(self, seed):
-        a, c1, c2 = law_instance("cbr-commute", seed)
-        r = cbr(a, (c1, c2))
-        lang = trace_language(r, 3)
-        assert () in lang
-        for trace in lang:
-            for k in range(len(trace)):
-                assert trace[:k] in lang
-        assert trace_language(r, 2) <= lang
-
-
-def _random_wiring(seed):
-    """Two random factors' product, welded to one to three random valid channels."""
-    rng = random.Random(seed)
-    factors = [random_nfioa(rng.randrange(10**9), n_states=3, name=f"f{j}") for j in range(2)]
-    prod, _ = weak_product(factors)
-    k = rng.randint(1, 3)
-    outs = rng.sample(range(len(prod.outputs)), k)
-    ins = rng.sample(range(len(prod.inputs)), k)
-    chans = tuple(Channel(o, i) for o, i in zip(outs, ins))
-    return _weld(prod, chans), chans
-
-
-def _random_channel_network(seed):
-    return cbr(*_random_wiring(seed))
-
-
-def _event_from_labels(r, t):
-    """The send a transition makes, read off its output label."""
-    slot = active_slot(t.output)
-    if slot is not None:
-        for ch in r.channels:
-            if ch.out_component == slot[0]:
-                return (ch, slot[1])
-    return None
-
-
-def _census_from_labels(r):
-    census = Counter()
-    for c, es in r.graph.edges.items():
-        for e in es:
-            ia, oa = active_slot(e.transition.input), active_slot(e.transition.output)
-            if c.pending is not None:
-                mode, inp = "excited", "consume"
-            else:
-                mode, inp = "relaxed", "silent-in" if ia is None else "open-in"
-            if oa is None:
-                out = "silent-out"
-            elif _event_from_labels(r, e.transition) is not None:
-                out = "channel-out"
-            else:
-                out = "open-out"
-            census[EdgeClass(mode, inp, out)] += 1
-    return dict(census)
-
-
-def _traces_from_labels(r, bound):
-    """Every channel-event trace of length <= bound, by walking paths."""
-    seen = {(r.graph.initial, ())}
-    frontier = deque(seen)
-    while frontier:
-        c, trace = frontier.popleft()
-        for e in r.graph.edges[c]:
-            ev = _event_from_labels(r, e.transition)
-            nxt = (e.target, trace if ev is None else trace + (ev,))
-            if len(nxt[1]) <= bound and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(trace for _, trace in seen)
-
-
-@pytest.fixture(scope="module")
-def random_networks():
-    return [_random_channel_network(seed) for seed in range(120)]
+    def test_random_instance_languages_are_prefix_closed(self):
+        for seed in range(30):
+            a, c1, c2 = law_instance("cbr-commute", seed)
+            r = cbr(a, (c1, c2))
+            lang = trace_language(r, 3)
+            assert () in lang
+            for trace in lang:
+                for k in range(len(trace)):
+                    assert trace[:k] in lang, seed
+            assert trace_language(r, 2) <= lang, seed
 
 
 class TestChannelEventsAgainstLabels:
     """The graph's `pending` against the send each output label makes."""
 
-    def test_every_edge_sends_what_its_label_says(self, random_networks):
+    def test_every_edge_sends_what_its_label_says(self, differential):
         sends = 0
-        for seed, r in enumerate(random_networks):
+        for r, naive in differential:
             for es in r.graph.edges.values():
                 for e in es:
-                    assert e.target.pending == _event_from_labels(r, e.transition), seed
+                    assert e.target.pending == oracle.event(naive, e.transition), r.name
                     sends += e.target.pending is not None
         assert sends > 0
 
-    def test_edge_census_matches_the_label_census(self, random_networks):
+    def test_edge_census_matches_the_label_census(self, differential):
         total = Counter()
-        for seed, r in enumerate(random_networks):
+        for r, naive in differential:
             census = edge_census(r)
-            assert census == _census_from_labels(r), seed
+            assert census == oracle.census(naive), r.name
             total.update(census)
         assert set(total) == set(ALL_EDGE_CLASSES)
 
-    def test_trace_language_matches_the_label_traces(self, random_networks):
+    def test_trace_language_matches_the_label_traces(self, differential, corpus_oracle):
+        lockstep = oracle.Lockstep()
         longest = 0
-        for seed, r in enumerate(random_networks):
+        for r, naive in differential[len(corpus_oracle) :]:
             lang = trace_language(r, 4)
-            assert lang == _traces_from_labels(r, 4), seed
+            assert lang == lockstep.trace_language(naive, 4), r.name
             longest = max(longest, max(map(len, lang)))
         assert longest == 4
+        assert max(lockstep.closure_sizes) >= 2
 
 
 class TestTraceEquivalence:
@@ -477,109 +412,22 @@ class TestTraceEquivalence:
             )
             assert trace_equivalent(cbr(wider), cbr(wider)).equal
 
-    def test_every_network_is_equivalent_to_itself(self, all_restrictions):
-        from fioa import is_well_formed
 
-        for built in all_restrictions:
-            r = built.restricted
-            if not is_well_formed(r).ok:
-                continue
-            assert trace_equivalent(r, r).equal
-
-
-class _NaiveLockstep:
-    """The lockstep walk that recomputes every silent closure from scratch.
-
-    It is the reference for `trace_equivalent`: a closure is rebuilt by
-    breadth-first search for every set of send targets, and every frontier
-    entry carries its whole trace.  It also tallies the closure sizes and
-    the silent cycles it meets, so a test can show those cases occurred.
-    """
-
-    def __init__(self):
-        self.closure_sizes = Counter()
-        self.silent_cycles = 0
-
-    def closure(self, r, cfgs):
-        seen = set(cfgs)
-        frontier = deque(seen)
-        while frontier:
-            c = frontier.popleft()
-            for e in r.graph.edges[c]:
-                if e.target.pending is None:
-                    if e.target in seen:
-                        # back to a start through another configuration
-                        self.silent_cycles += e.target != c and e.target in cfgs
-                    else:
-                        seen.add(e.target)
-                        frontier.append(e.target)
-        self.closure_sizes[len(seen)] += 1
-        return frozenset(seen)
-
-    def event_steps(self, r, closure):
-        steps = {}
-        for c in closure:
-            for e in r.graph.edges[c]:
-                ev = e.target.pending
-                if ev is not None:
-                    steps.setdefault(ev, set()).add(e.target)
-        return {ev: self.closure(r, tgts) for ev, tgts in steps.items()}
-
-    def trace_equivalent(self, r1, r2, bound):
-        if set(r1.channels) != set(r2.channels):
-            raise WiringError("networks have different channel structure")
-        for ch in r1.channels:
-            o1 = r1.base.outputs[ch.out_component].characters
-            o2 = r2.base.outputs[ch.out_component].characters
-            if o1 != o2:
-                raise WiringError(f"channel {ch} carries different characters")
-        sufficient = len(r1.graph.edges) * len(r2.graph.edges)
-        s1 = self.closure(r1, [r1.graph.initial])
-        s2 = self.closure(r2, [r2.graph.initial])
-        seen = {(s1, s2)}
-        frontier = deque([((), s1, s2)])
-        while frontier:
-            trace, c1, c2 = frontier.popleft()
-            if bound is not None and len(trace) >= bound:
-                continue
-            e1, e2 = self.event_steps(r1, c1), self.event_steps(r2, c2)
-            if set(e1) != set(e2):
-                ev = sorted(set(e1) ^ set(e2))[0]
-                return TraceEquivalence(False, trace + (ev,), sufficient, bound)
-            for ev in sorted(e1):
-                pair = (e1[ev], e2[ev])
-                if pair not in seen:
-                    seen.add(pair)
-                    frontier.append((trace + (ev,), e1[ev], e2[ev]))
-        return TraceEquivalence(True, None, sufficient, bound)
-
-    def trace_language(self, r, bound):
-        """Every trace of length <= bound, each frontier entry with its closure."""
-        traces = {()}
-        frontier = deque([((), self.closure(r, [r.graph.initial]))])
-        while frontier:
-            trace, closure = frontier.popleft()
-            if len(trace) < bound:
-                for ev, nxt in self.event_steps(r, closure).items():
-                    if trace + (ev,) not in traces:
-                        traces.add(trace + (ev,))
-                        frontier.append((trace + (ev,), nxt))
-        return frozenset(traces)
-
-
-def _ring(n):
-    return resolve(examples.ring_document(n)).networks[f"ring{n}"].restricted
+def _ring(n):  # as built, and the oracle's graph of it
+    built = resolve(examples.ring_document(n)).networks[f"ring{n}"]
+    c = built.compiled
+    return built.restricted, oracle.explore(c.factors, c.channels, c.conditions)
 
 
 class TestTraceEquivalenceAgainstTheNaiveLockstep:
     BOUNDS = (None, 1, 2, 4)
 
-    def _compare(self, naive, r1, r2):
-        """Both walks on one ordered pair at every bound; False if incomparable."""
+    def _compare(self, lockstep, one, other):
+        """Both walks on an ordered pair of `(r, naive)` at every bound; False if incomparable."""
+        (r1, n1), (r2, n2) = one, other
         for bound in self.BOUNDS:
-            try:
-                want = naive.trace_equivalent(r1, r2, bound)
-            except WiringError:
+            want = lockstep.trace_equivalent(n1, n2, bound)
+            if want is None:
                 with pytest.raises(WiringError):
                     trace_equivalent(r1, r2, bound=bound)
                 return False
@@ -593,40 +441,38 @@ class TestTraceEquivalenceAgainstTheNaiveLockstep:
     def _tally(self):
         self.verdicts = Counter()
 
-    def test_every_corpus_pair_with_the_same_channel_skeleton(self, all_restrictions):
-        naive = _NaiveLockstep()
-        nets = [b.restricted for b in all_restrictions]
-        compared = sum(self._compare(naive, r1, r2) for r1 in nets for r2 in nets)
-        assert compared > len(nets)  # more than the self-pairs
+    def test_every_corpus_pair_with_the_same_channel_skeleton(self, corpus_oracle):
+        lockstep = oracle.Lockstep()
+        compared = sum(self._compare(lockstep, one, other) for one in corpus_oracle for other in corpus_oracle)
+        assert compared > len(corpus_oracle)  # more than the self-pairs
         assert self.verdicts[False] and self.verdicts[True]
-        assert max(naive.closure_sizes) >= 2
+        assert max(lockstep.closure_sizes) >= 2
 
-    def test_bounded_trace_languages_of_the_corpus(self, all_restrictions):
-        naive = _NaiveLockstep()
+    def test_bounded_trace_languages_of_the_corpus(self, corpus_oracle):
+        lockstep = oracle.Lockstep()
         longest = 0
-        for built in all_restrictions:
-            r = built.restricted
+        for r, naive in corpus_oracle:
             lang = trace_language(r, 4)
-            assert lang == naive.trace_language(r, 4), r.name
+            assert lang == lockstep.trace_language(naive, 4), r.name
             longest = max(longest, max(map(len, lang)))
         assert longest == 4
-        assert max(naive.closure_sizes) >= 2
+        assert max(lockstep.closure_sizes) >= 2
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rings_against_a_rebuilt_copy(self, n):
-        naive = _NaiveLockstep()
-        r, copy = _ring(n), _ring(n)
+        lockstep = oracle.Lockstep()
+        r, naive = _ring(n)
+        copy = resolve(examples.ring_document(n)).networks[f"ring{n}"].restricted
         assert r is not copy
-        assert self._compare(naive, r, copy)
+        assert self._compare(lockstep, (r, naive), (copy, naive))
         assert self.verdicts == {True: len(self.BOUNDS)}
-        assert max(naive.closure_sizes) >= 2
+        assert max(lockstep.closure_sizes) >= 2
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ring_trace_languages_at_bound_six(self, n):
-        naive = _NaiveLockstep()
-        r = _ring(n)
+        r, naive = _ring(n)
         lang = trace_language(r, 6)
-        assert lang == naive.trace_language(r, 6)
+        assert lang == oracle.Lockstep().trace_language(naive, 6)
         assert max(map(len, lang)) == 6
 
     def test_closures_that_differ_only_by_nonsenders_reached_at_different_depths(self):
@@ -656,39 +502,44 @@ class TestTraceEquivalenceAgainstTheNaiveLockstep:
             transitions=transitions,
         )
         loop = (Channel(0, 0),)
-        r = cbr(a, loop)
-        copy = cbr(replace(a, name="cut", transitions=transitions - {T("r2", "r3", o="a")}), loop)
+        cut = replace(a, name="cut", transitions=transitions - {T("r2", "r3", o="a")})
+        r, copy = cbr(a, loop), cbr(cut, loop)
+        n, n_copy = oracle.explore([a], loop), oracle.explore([cut], loop)
         ev_a, ev_b = (loop[0], "a"), (loop[0], "b")
 
-        naive, view = _NaiveLockstep(), fioa.analysis._EventView(r)
-        steps = naive.event_steps(r, naive.closure(r, [r.graph.initial]))
-        after_a, after_ba = steps[ev_a], naive.event_steps(r, steps[ev_b])[ev_a]
+        lockstep, view = oracle.Lockstep(), fioa.analysis._EventView(r)
+        steps = lockstep.event_steps(n, lockstep.closure(n, [n.initial]))
+        after_a, after_ba = steps[ev_a], lockstep.event_steps(n, steps[ev_b])[ev_a]
         assert after_a != after_ba
         first = dict(zip(*view.steps(view.initial)))
         assert first[ev_a] == dict(zip(*view.steps(first[ev_b])))[ev_a]
 
         for bound in self.BOUNDS:
-            for r1, r2 in ((r, copy), (copy, r)):
+            for (r1, n1), (r2, n2) in (((r, n), (copy, n_copy)), ((copy, n_copy), (r, n))):
                 got = trace_equivalent(r1, r2, bound=bound)
-                assert got == naive.trace_equivalent(r1, r2, bound), (r1.name, bound)
+                assert got == lockstep.trace_equivalent(n1, n2, bound), (r1.name, bound)
                 if bound in (None, 4):
                     assert got.distinguishing == (ev_a, ev_b, ev_a)
                 else:
                     assert got.equal
 
-    def test_random_networks_against_a_copy_with_a_transition_dropped(self):
-        naive = _NaiveLockstep()
-        for seed in range(100):
-            a, chans = _random_wiring(seed)
-            r1 = cbr(a, chans)
-            rng = random.Random(seed)
-            drop = rng.choice(sorted(r1.base.transitions or a.transitions))
-            r2 = cbr(replace(a, transitions=a.transitions - {drop}), chans)
-            assert self._compare(naive, r1, r2), seed
-            assert self._compare(naive, r2, r1), seed
+    def test_random_networks_against_a_copy_with_a_transition_dropped(self, generated):
+        lockstep = oracle.Lockstep()
+        for case, built in generated[:100]:
+            c = built.compiled
+            a = weak_product(c.factors)[0]
+            if not a.transitions:
+                continue  # nothing to drop
+            r1 = cbr(a, c.channels, conditions=c.conditions)
+            drop = random.Random(case.seed).choice(sorted(r1.base.transitions or a.transitions))
+            cut = replace(a, transitions=a.transitions - {drop})
+            r2 = cbr(cut, c.channels, conditions=c.conditions)
+            n2 = oracle.explore([cut], c.channels, c.conditions)
+            assert self._compare(lockstep, (r1, case.naive), (r2, n2)), case.seed
+            assert self._compare(lockstep, (r2, n2), (r1, case.naive)), case.seed
         assert self.verdicts[False] >= 20 and self.verdicts[True] >= 20
-        assert sum(k for k in naive.closure_sizes if k >= 2) > 0
-        assert naive.silent_cycles > 0
+        assert sum(k for k in lockstep.closure_sizes if k >= 2) > 0
+        assert lockstep.silent_cycles > 0
 
 
 class TestEventViewAgainstTheNaiveClosures:
@@ -696,39 +547,38 @@ class TestEventViewAgainstTheNaiveClosures:
     the configurations with an edge whose target has a `pending`."""
 
     @staticmethod
-    def _check(naive, r):
+    def _check(lockstep, r, naive):
         """The invariant on every configuration of `r`; how many closures
         held a configuration that sends nothing."""
         view = fioa.analysis._EventView(r)
-        edges = r.graph.edges
         number = {c: i for i, c in enumerate(r.graph.nodes)}
 
         def senders(closure):
             return frozenset(
-                number[c] for c in closure if any(e.target.pending is not None for e in edges[c])
+                number[c] for c in closure if any(oracle.event(naive, t) for t, _ in naive.edges[c])
             )
 
         cut = 0
         for i, c in enumerate(r.graph.nodes):
-            closure = naive.closure(r, [c])
+            closure = lockstep.closure(naive, [c])
             node = view._closure(i)
             assert node == senders(closure), (r.name, i)
             cut += len(node) < len(closure)
             events, nexts = view.steps(node)
-            want = naive.event_steps(r, closure)
+            want = lockstep.event_steps(naive, closure)
             assert events == tuple(sorted(want)), (r.name, i)
             assert nexts == tuple(senders(want[ev]) for ev in events), (r.name, i)
         return cut
 
-    def test_every_corpus_restriction(self, all_restrictions):
-        naive = _NaiveLockstep()
-        assert all(self._check(naive, b.restricted) for b in all_restrictions)
+    def test_every_corpus_restriction(self, corpus_oracle):
+        lockstep = oracle.Lockstep()
+        assert all(self._check(lockstep, r, naive) for r, naive in corpus_oracle)
 
-    def test_random_networks(self):
-        naive = _NaiveLockstep()
-        cut = sum(self._check(naive, _random_channel_network(seed)) > 0 for seed in range(100))
-        assert cut >= 50
-        assert naive.silent_cycles > 0
+    def test_random_networks(self, generated):
+        lockstep = oracle.Lockstep()
+        cut = sum(self._check(lockstep, built.restricted, case.naive) > 0 for case, built in generated)
+        assert cut >= len(generated) // 2
+        assert lockstep.silent_cycles > 0
 
 
 class TestSafety:

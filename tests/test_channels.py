@@ -4,26 +4,22 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import fioa.channels
 import fioa.core
+import oracle
 
 from fioa import (
     Acceptance,
     CapacityExceeded,
     Channel,
     ComponentAlphabet,
-    Condition,
-    Consistency,
     Configuration,
-    Edge,
-    IoPattern,
     EdgeClass,
     InvalidAutomaton,
     LazyProduct,
@@ -32,7 +28,6 @@ from fioa import (
     RestrictedAutomaton,
     Run,
     SchedulerError,
-    Scope,
     Transition,
     WiringError,
     cbr,
@@ -47,7 +42,6 @@ from fioa import (
     is_quasi_deterministic,
     is_well_formed,
     open_components,
-    random_nfioa,
     resolve,
     run,
     safety_query,
@@ -130,45 +124,6 @@ class TestEdgeTaxonomy:
         assert len(set(ALL_EDGE_CLASSES)) == 9
         modes = {e.mode for e in ALL_EDGE_CLASSES}
         assert modes == {"relaxed", "excited"}
-
-    def test_census_only_uses_known_rows(self, all_restrictions):
-        for built in all_restrictions:
-            for row in edge_census(built.restricted):
-                assert row in ALL_EDGE_CLASSES
-
-    def test_relaxed_moves_never_read_a_wired_input(self, all_restrictions):
-        for built in all_restrictions:
-            r = built.restricted
-            wired_in = {ch.in_component for ch in r.channels}
-            for cfg in r.graph.edges:
-                if cfg.excited:
-                    continue
-                for edge in r.graph.edges[cfg]:
-                    slot = active_slot(edge.transition.input)
-                    if slot is not None:
-                        assert slot[0] not in wired_in
-
-    def test_excited_moves_consume_exactly_the_pending_character(self, all_restrictions):
-        for built in all_restrictions:
-            r = built.restricted
-            for cfg in r.graph.edges:
-                if not cfg.excited:
-                    continue
-                chan, char = cfg.pending
-                for edge in r.graph.edges[cfg]:
-                    assert edge.transition.input[chan.in_component] == char
-
-    def test_channel_outputs_excite_the_receiver(self, all_restrictions):
-        for built in all_restrictions:
-            r = built.restricted
-            by_out = {ch.out_component: ch for ch in r.channels}
-            for cfg in r.graph.edges:
-                for edge in r.graph.edges[cfg]:
-                    slot = active_slot(edge.transition.output)
-                    if slot is not None and slot[0] in by_out:
-                        assert edge.target.pending == (by_out[slot[0]], slot[1])
-                    else:
-                        assert edge.target.pending is None
 
 
 class TestWellFormedness:
@@ -343,23 +298,21 @@ class TestReRestriction:
         again = cbr(flatten(mutex), mutex.channels)
         assert again.graph.edges == mutex.graph.edges
 
-    @given(st.integers(min_value=0, max_value=150))
-    @settings(max_examples=40, deadline=None)
-    def test_surviving_transitions_are_a_fixpoint(self, seed):
-        a, c1, c2 = law_instance("cbr-commute", seed)
-        r = cbr(a, (c1, c2))
-        again = cbr(flatten(r), (c1, c2))
-        assert again.graph.edges == r.graph.edges
-        assert flatten(again).transitions == flatten(r).transitions
+    def test_surviving_transitions_are_a_fixpoint(self):
+        for seed in range(40):
+            a, c1, c2 = law_instance("cbr-commute", seed)
+            r = cbr(a, (c1, c2))
+            again = cbr(flatten(r), (c1, c2))
+            assert again.graph.edges == r.graph.edges, seed
+            assert flatten(again).transitions == flatten(r).transitions, seed
 
-    @given(st.integers(min_value=0, max_value=150))
-    @settings(max_examples=40, deadline=None)
-    def test_staged_wiring_equals_simultaneous_wiring(self, seed):
-        a, c1, c2 = law_instance("cbr-commute", seed)
-        staged = cbr(cbr(a, (c1,)), (c2,))
-        at_once = cbr(a, (c1, c2))
-        assert staged.graph.edges == at_once.graph.edges
-        assert staged.channels == at_once.channels
+    def test_staged_wiring_equals_simultaneous_wiring(self):
+        for seed in range(40):
+            a, c1, c2 = law_instance("cbr-commute", seed)
+            staged = cbr(cbr(a, (c1,)), (c2,))
+            at_once = cbr(a, (c1, c2))
+            assert staged.graph.edges == at_once.graph.edges, seed
+            assert staged.channels == at_once.channels, seed
 
 
 def test_static_reflatten_reading_would_break_commutation():
@@ -409,20 +362,6 @@ def test_static_reflatten_reading_would_break_commutation():
     assert flatten(static).transitions != flatten(one_pass).transitions
 
 
-def _sccs_by_reachability(nodes, adj):
-    """Components as classes of mutual reachability, by brute force."""
-    reach = {}
-    for n in nodes:
-        seen, todo = {n}, [n]
-        while todo:
-            for m in adj[todo.pop()]:
-                if m not in seen:
-                    seen.add(m)
-                    todo.append(m)
-        reach[n] = seen
-    return {frozenset(m for m in reach[n] if n in reach[m]) for n in nodes}
-
-
 class TestSccs:
     def test_tarjan_matches_mutual_reachability(self):
         for seed in range(500):
@@ -434,7 +373,7 @@ class TestSccs:
             rng.shuffle(nodes)
             found = _sccs(nodes, adj)
             assert sum(map(len, found)) == n, seed  # a partition of the nodes
-            assert {frozenset(c) for c in found} == _sccs_by_reachability(nodes, adj), seed
+            assert {frozenset(c) for c in found} == oracle.sccs(nodes, adj), seed
 
     def test_empty_graph_has_no_components(self):
         assert _sccs([], {}) == []
@@ -450,129 +389,22 @@ class TestSccs:
         assert len(only) == n
 
 
-def _random_wired_factors(seed):
-    """Two or three random factors, one to three random valid channels and,
-    in every third network, a condition vetoing one factor's move while
-    another factor sits in a given state."""
-    rng = random.Random(seed)
-    factors = [
-        random_nfioa(rng.randrange(10**9), n_states=3, name=f"f{j}")
-        for j in range(rng.randint(2, 3))
-    ]
-    flat_in = [(j, i) for j, f in enumerate(factors) for i in range(len(f.inputs))]
-    flat_out = [c for f in factors for c in f.outputs]
-    k = rng.randint(1, 3)
-    chans = tuple(
-        Channel(o, i)
-        for o, i in zip(rng.sample(range(len(flat_out)), k), rng.sample(range(len(flat_in)), k))
-    )
-    for ch in chans:  # let the receiver read everything the sender sends
-        j, i = flat_in[ch.in_component]
-        inputs = list(factors[j].inputs)
-        inputs[i] = ComponentAlphabet(
-            inputs[i].name, inputs[i].characters | flat_out[ch.out_component].characters
-        )
-        factors[j] = replace(factors[j], inputs=tuple(inputs))
-    conditions = ()
-    if seed % 3 == 0:
-        j, other = rng.sample(range(len(factors)), 2)
-        t = rng.choice(sorted(factors[j].transitions))
-        source = ["*"] * len(factors)
-        target = ["*"] * len(factors)
-        source[j], target[j] = t.source[0], t.target[0]
-        source[other] = target[other] = rng.choice(sorted(factors[other].states))[0]
-        conditions = (Condition("veto", source, target),)
-    return factors, chans, conditions
-
-
-def _naive_graph(factors, channels, conditions):
-    """The explorer before receiver indexing, as a reference.
-
-    Every factor's every move is placed in freshly built full-width
-    labels, the set of them is sorted, and each one is filtered with
-    `active_slot` against the configuration's pending character.
-    """
-    in_offs, out_offs, at_in, at_out = [], [], 0, 0
-    for f in factors:
-        in_offs.append(at_in)
-        out_offs.append(at_out)
-        at_in += len(f.inputs)
-        at_out += len(f.outputs)
-
-    def placed(vc, off, width):
-        flat = [""] * width
-        flat[off : off + len(vc)] = vc
-        return tuple(flat)
-
-    def moves(state):
-        out, at = set(), 0
-        for f, i_off, o_off in zip(factors, in_offs, out_offs):
-            w = len(f.initial)
-            for t in f.transitions:
-                if t.source == state[at : at + w]:
-                    out.add(
-                        Transition(
-                            state,
-                            state[:at] + t.target + state[at + w :],
-                            placed(t.input, i_off, at_in),
-                            placed(t.output, o_off, at_out),
-                        )
-                    )
-            at += w
-        return sorted(out)
-
-    out_chan = {ch.out_component: ch for ch in channels}
-    in_chans = {ch.in_component for ch in channels}
-    init = Configuration(tuple(v for f in factors for v in f.initial), None)
-    edges, seen, frontier = {}, {init}, deque([init])
-    while frontier:
-        cfg = frontier.popleft()
-        here = []
-        for t in moves(cfg.state):
-            if any(c.matches(t) for c in conditions):
-                continue
-            ia = active_slot(t.input)
-            if cfg.pending is None:
-                if ia is not None and ia[0] in in_chans:
-                    continue
-            elif ia != (cfg.pending[0].in_component, cfg.pending[1]):
-                continue
-            oa = active_slot(t.output)
-            pend = (out_chan[oa[0]], oa[1]) if oa is not None and oa[0] in out_chan else None
-            nxt = Configuration(t.target, pend)
-            here.append(Edge(t, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        edges[cfg] = tuple(here)
-    return init, edges
-
-
-def _silent_loop_factors(factors):
-    return sum(
-        any(t.source == t.target and not any(t.input + t.output) for t in f.transitions)
-        for f in factors
-    )
-
-
 class TestReceiverIndexedExploration:
     """Lazy, eager and naive exploration agree exactly: node insertion
     order and every node's edge tuple."""
 
-    def test_three_explorers_build_the_same_graph(self):
+    def test_three_explorers_build_the_same_graph(self, differential, generated):
+        for r, naive in differential:
+            assert r.graph.initial == naive.initial, r.name
+            assert list(r.graph.edges.items()) == list(naive.edges.items()), r.name
         excited = vetoed = merged_loops = 0
-        for seed in range(100):
-            factors, chans, conds = _random_wired_factors(seed)
-            lazy = cbr(LazyProduct(factors), chans, conditions=conds).graph
-            eager = cbr(weak_product(factors)[0], chans, conditions=conds).graph
-            init, naive = _naive_graph(factors, chans, conds)
-            assert lazy.initial == eager.initial == init, seed
-            assert list(lazy.edges.items()) == list(naive.items()), seed
-            assert list(eager.edges.items()) == list(naive.items()), seed
-            excited += sum(1 for c in naive if c.excited)
-            if conds:
-                vetoed += lazy.edge_count < cbr(LazyProduct(factors), chans).graph.edge_count
-            merged_loops += _silent_loop_factors(factors) > 1
+        for case, built in generated:
+            c = built.compiled
+            excited += sum(1 for cfg in case.naive.edges if cfg.excited)
+            if c.conditions:
+                vetoed += built.restricted.graph.edge_count < cbr(LazyProduct(c.factors), c.channels).graph.edge_count
+            merged_loops += sum(any(t.source == t.target and not any(t.input + t.output) for t in f.transitions)
+                                for f in c.factors) > 1
         assert excited > 0 and vetoed > 0 and merged_loops > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -580,9 +412,9 @@ class TestReceiverIndexedExploration:
         compiled = resolve(examples.ring_document(n)).networks[f"ring{n}"].compiled
         factors, chans, conds = compiled.factors, compiled.channels, compiled.conditions
         graph = cbr(LazyProduct(factors), chans, conditions=conds).graph
-        init, naive = _naive_graph(factors, chans, conds)
-        assert graph.initial == init
-        assert list(graph.edges.items()) == list(naive.items())
+        naive = oracle.explore(factors, chans, conds)
+        assert graph.initial == naive.initial
+        assert list(graph.edges.items()) == list(naive.edges.items())
 
     def test_excited_successors_are_the_relaxed_moves_filtered_by_the_slot(self, ring2_env, listed):
         built = ring2_env.networks["ring2"]
@@ -626,153 +458,63 @@ class TestReceiverIndexedExploration:
         assert pending == 122  # every excited configuration of ring2 can consume
 
 
-def _random_conditions(rng, factors):
-    """Random conditions over the flat product of `factors`, drawn as
-    `test_conditions._random_world` draws them: wildcard-heavy state
-    patterns, some a slot wider than the product, label patterns of every
-    kind (some off the end of the label) and random scopes.  Pins come from
-    the values each flat slot takes, and a target pin mostly repeats its
-    source pin, so conditions often pin factors that do not move."""
-    values = [sorted({s[i] for s in f.states}) for f in factors for i in range(f.state_width)]
-    width = len(values)
-    n_in = sum(len(f.inputs) for f in factors)
-    n_out = sum(len(f.outputs) for f in factors)
-    chars = sorted({c for f in factors for comp in (*f.inputs, *f.outputs) for c in comp.characters})
-
-    def io(n):
-        kind = rng.choice(("any", "any", "silent", "literal", "active"))
-        component = rng.randrange(n + 1)  # sometimes off the end
-        if kind == "literal":
-            return IoPattern.literal(component, rng.choice(chars))
-        if kind == "active":
-            return IoPattern.active(component)
-        return IoPattern(kind)
-
-    conditions = []
-    for k in range(rng.randint(1, 6)):
-        wild = rng.choice((0.4, 0.7, 1.0))
-        source = ["*" if rng.random() < wild else rng.choice(v) for v in values]
-        target = [p if rng.random() < 0.6 else rng.choice(["*", *v]) for p, v in zip(source, values)]
-        if rng.random() < 0.1:
-            source.append("*")
-        scope = None
-        if rng.random() < 0.5:
-            scope = Scope(*(
-                tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for n in (width, n_in, n_out)
-            ))
-        conditions.append(Condition(f"c{k}", source, target, io(n_in), io(n_out), scope))
-    return conditions
-
-
 class TestCompiledConditions:
     """Conditions compiled onto the move table veto exactly the moves
-    `conditions.veto` vetoes, wired and channel-free."""
+    `Condition.matches` vetoes, wired and channel-free."""
 
-    def test_random_networks(self, compiled_agrees):
+    def test_random_networks(self, generated, compiled_agrees):
         seen = Counter()
-        for seed in range(40):
-            factors, chans, conds = _random_wired_factors(seed)
-            rng = random.Random(seed)
-            if seed % 2:
+        for case, built in generated[:40]:
+            c = built.compiled
+            factors, rng = c.factors, random.Random(case.seed)
+            if case.seed % 2:
                 # A multi-slot factor, appended so that every channel keeps
                 # its components.
-                pair = [random_nfioa(rng.randrange(10**9), n_states=3, name=f"g{j}") for j in range(2)]
+                pair = [oracle.machine(rng, f"g{j}", factors[0].acceptance.mode) for j in range(2)]
                 factors = [*factors, weak_product(pair, name="g")[0]]
                 seen["multi-slot"] += 1
-            conds = (*conds, *_random_conditions(rng, factors))
-            seen += compiled_agrees(factors, chans, conds)
+            values = [sorted({s[i] for s in f.states}) for f in factors for i in range(f.state_width)]
+            n_in, n_out = sum(len(f.inputs) for f in factors), sum(len(f.outputs) for f in factors)
+            chars = sorted({ch for f in factors for comp in (*f.inputs, *f.outputs) for ch in comp.characters})
+            conds = (*c.conditions, *oracle.draw_conditions(rng, values, n_in, n_out, chars))
+            seen += compiled_agrees(factors, c.channels, conds)
             seen += compiled_agrees(factors, (), conds)
         assert seen["multi-slot"] == 20 and seen["eager checked"] == 80, seen
         assert min(seen["guarded moves"], seen["guard vetoes"], seen["moves left out"]) >= 20, seen
 
 
-def _distances(graph):
-    """Breadth-first distance of every configuration from `graph.initial`."""
-    dist = {graph.initial: 0}
-    frontier = deque([graph.initial])
-    while frontier:
-        cfg = frontier.popleft()
-        for edge in graph.edges[cfg]:
-            if edge.target not in dist:
-                dist[edge.target] = dist[cfg] + 1
-                frontier.append(edge.target)
-    return dist
-
-
-def _unable_to_reach(graph, anchors):
-    """Configurations with no path to any anchor."""
-    preds = {cfg: [] for cfg in graph.edges}
-    for cfg, es in graph.edges.items():
-        for edge in es:
-            preds[edge.target].append(cfg)
-    covered, frontier = set(anchors), deque(anchors)
-    while frontier:
-        for p in preds[frontier.popleft()]:
-            if p not in covered:
-                covered.add(p)
-                frontier.append(p)
-    return {cfg for cfg in graph.edges if cfg not in covered}
-
-
-@pytest.fixture(scope="module")
-def corpus_and_random(all_restrictions):
-    """Every corpus configuration graph, then 100 seeded random networks'."""
-    restrictions = [built.restricted for built in all_restrictions]
-    for seed in range(100):
-        factors, chans, conds = _random_wired_factors(seed)
-        restrictions.append(cbr(LazyProduct(factors), chans, conditions=conds))
-    return restrictions
-
-
-def test_every_transition_shares_its_target_nodes_state(corpus_and_random):
+def test_every_transition_shares_its_target_nodes_state(differential):
     # Every corpus automaton and network restricted by no channels, so the
     # one-factor `automaton_table` path is checked too.
     plain = [
         cbr(a) for name in sorted(examples.names()) for a in examples.build(name).automata.values()
     ]
-    for r in [*corpus_and_random, *plain]:
+    for r in [*(r for r, _ in differential), *plain]:
         g = r.graph
         for ts, js in zip(g.moves, g.succ):
             assert all(t.target is g.nodes[j].state for t, j in zip(ts, js)), r.name
 
 
 class TestWitnesses:
-    def test_each_failing_check_names_a_nearest_failing_configuration(self, corpus_and_random):
-        restrictions = corpus_and_random
-        failed = {"wellformed": 0, "consistent": 0, "quasidet": 0}
-
-        def check(kind, ok, witness, failing, dist):
-            assert ok == (not failing), kind
-            if failing:
-                assert witness in failing, kind
-                assert dist[witness] == min(dist[c] for c in failing), kind
-                failed[kind] += 1
-
-        for r in restrictions:
-            g = r.graph
-            dist = _distances(g)
-            assert set(dist) == set(g.edges)
-            stuck = {c for c, es in g.edges.items() if c.excited and not es}
-            wf = is_well_formed(r)
-            check("wellformed", wf.ok, wf.witness, stuck, dist)
-            if wf.ok:
-                cons = is_consistent(r)
-                check("consistent", cons.ok, cons.witness, _unable_to_reach(g, cons.anchors), dist)
-            clashing = {
-                c for c, es in g.edges.items()
-                if len({e.transition.input for e in es}) < len(es)
-            }
-            qd = is_quasi_deterministic(r)
-            check("quasidet", qd.ok, qd.witness and qd.witness[0], clashing, dist)
-        assert all(failed.values()), failed
+    def test_each_failing_check_names_a_nearest_failing_configuration(self, differential):
+        # The oracle's: the first failing one breadth first.  Consistency's is checked below.
+        failed = Counter()
+        for r, naive in differential:
+            want = oracle.well_formed(naive)
+            assert is_well_formed(r) == want, r.name
+            failed["wellformed"] += not want[0]
+            want = oracle.quasi_determinism(naive)
+            assert is_quasi_deterministic(r) == want, r.name
+            failed["quasidet"] += not want[0]
+        assert failed["wellformed"] and failed["quasidet"], failed
 
 
 class TestNodeNumbers:
     """`ConfigGraph.nodes`, `moves` and `succ` agree with the `edges` view,
     and every walk that follows them answers as a naive walk over `edges`."""
 
-    def test_numbers_are_the_breadth_first_positions(self, corpus_and_random, all_restrictions):
-        for r in corpus_and_random:
+    def test_numbers_are_the_breadth_first_positions(self, differential, all_restrictions):
+        for r, _ in differential:
             g = r.graph
             assert list(g.nodes) == list(g.edges), r.name
             assert g.nodes[0] is g.initial
@@ -793,10 +535,11 @@ class TestNodeNumbers:
                 verdicts[g1 == g2] += 1
         assert verdicts[True] and verdicts[False]
 
-    def test_no_analysis_builds_the_edges_view(self):
-        r = examples.build("ring2").networks["ring2"].restricted
+    @staticmethod
+    def _ask_everything(r):
         assert is_well_formed(r).ok
         is_consistent(r)
+        assert is_protocol(r) and open_components(r) == ((), ())
         is_quasi_deterministic(r)
         assert sum(edge_census(r).values()) == r.graph.edge_count
         assert not safety_query(r, lambda c: c.excited).ok
@@ -807,6 +550,10 @@ class TestNodeNumbers:
         run(r, "scripted", 3, script=[0, 0, 0])
         run(r, "exhaustive", 4)
         export_dot(r)
+
+    def test_no_analysis_builds_the_edges_view(self):
+        r = examples.build("ring2").networks["ring2"].restricted
+        self._ask_everything(r)
         again = cbr(r)
         assert again.graph == r.graph
         assert "edges" not in r.graph.__dict__
@@ -814,18 +561,7 @@ class TestNodeNumbers:
 
     def test_no_query_builds_the_flat_automaton(self, monkeypatch):
         r = examples.build("ring2").networks["ring2"].restricted
-        assert is_well_formed(r).ok
-        is_consistent(r)
-        assert is_protocol(r) and open_components(r) == ((), ())
-        is_quasi_deterministic(r)
-        assert sum(edge_census(r).values()) == r.graph.edge_count
-        assert not safety_query(r, lambda c: c.excited).ok
-        assert trace_language(r, 3)
-        assert trace_equivalent(r, r).equal
-        run(r, "random", 20, seed=1)
-        run(r, "scripted", 3, script=[0, 0, 0])
-        run(r, "exhaustive", 4)
-        export_dot(r)
+        self._ask_everything(r)
         assert all(map(partial(config_str, r), r.graph.nodes))
         assert not r.graph.initial.excited and enabled(r, r.graph.initial)
         assert isinstance(vars(r)["base"], FlatRecipe)
@@ -836,9 +572,9 @@ class TestNodeNumbers:
         assert seen == [base] and r.base is base and vars(r)["base"] is base
         assert (base.inputs, base.outputs, base.acceptance) == (r.inputs, r.outputs, r.acceptance)
 
-    def test_safety_query_against_a_walk_over_the_mapping(self, corpus_and_random):
+    def test_safety_query_against_a_walk_over_the_mapping(self, differential):
         found = Counter()
-        for r in corpus_and_random:
+        for r, naive in differential:
             g = r.graph
             rng = random.Random(r.name)
             target = rng.choice(list(g.edges))
@@ -848,30 +584,30 @@ class TestNodeNumbers:
                 lambda c: c == target,
                 lambda c: c.state == g.nodes[-1].state,
             ):
-                want = _naive_safety(g, bad)
+                want = oracle.safety(naive, bad)
                 assert safety_query(r, bad) == want, r.name
                 found[bool(want[2])] += 1
         assert found[True] and found[False]
 
-    def test_consistency_against_a_walk_over_the_mapping(self, corpus_and_random):
+    def test_consistency_against_a_walk_over_the_mapping(self, differential):
         verdicts = Counter()
-        for r in corpus_and_random:
+        for r, naive in differential:
             if not is_well_formed(r).ok:
                 continue
-            want = _naive_consistency(r.graph, r.base.acceptance)
+            want = oracle.consistency(naive)
             assert is_consistent(r) == want, r.name
-            verdicts[want.ok, bool(want.anchors)] += 1
+            verdicts[want[0], bool(want[2])] += 1
         assert len(verdicts) >= 3, verdicts
 
-    def test_runs_against_a_walk_over_the_mapping(self, corpus_and_random):
+    def test_runs_against_a_walk_over_the_mapping(self, differential):
         lengths = Counter()
-        for r in corpus_and_random:
+        for r, naive in differential:
             if not is_well_formed(r).ok:
                 continue
             g = r.graph
             for seed in (0, 1, 2):
                 got = run(r, "random", 30, seed=seed)
-                assert got == _naive_run(g, 30, random.Random(seed).choice), r.name
+                assert (got.configs, got.transitions) == oracle.run(naive, 30, random.Random(seed).choice), r.name
                 lengths[len(got) == 30] += 1
             rng, script = random.Random(r.name), []
 
@@ -879,9 +615,10 @@ class TestNodeNumbers:
                 script.append(rng.randrange(len(es)))
                 return es[script[-1]]
 
-            want = _naive_run(g, 30, pick)
-            assert run(r, "scripted", 30, script=script) == want, r.name
-            at = want.configs[-1]
+            want = oracle.run(naive, 30, pick)
+            got = run(r, "scripted", 30, script=script)
+            assert (got.configs, got.transitions) == want, r.name
+            at = got.configs[-1]
             if g.edges[at]:
                 over = len(g.edges[at])
                 with pytest.raises(SchedulerError) as info:
@@ -891,76 +628,9 @@ class TestNodeNumbers:
                     f"({over} enabled at {config_str(r, at)})"
                 )
             runs = run(r, "exhaustive", 3)
-            assert runs == _naive_runs(g, 3), r.name
+            assert tuple((x.configs, x.transitions) for x in runs) == oracle.runs(naive, 3), r.name
             lengths["branching"] += len(runs) > 1
         assert lengths[True] and lengths[False] and lengths["branching"]
-
-
-def _naive_safety(g, bad):
-    """Breadth-first over `g.edges`, keyed by configuration: the first bad
-    configuration and the edge path it was first reached by."""
-    paths = {g.initial: ()}
-    frontier = deque([g.initial])
-    while frontier:
-        c = frontier.popleft()
-        if bad(c):
-            return (False, c, paths[c])
-        for e in g.edges[c]:
-            if e.target not in paths:
-                paths[e.target] = paths[c] + (e,)
-                frontier.append(e.target)
-    return (True, None, None)
-
-
-def _naive_consistency(g, acceptance):
-    """Acceptance reachability over `g.edges`, keyed by configuration.
-
-    Anchors: configurations on final states, or the non-trivial mutual
-    reachability classes of a Muller family's configurations that visit
-    the whole family.  The witness is the first configuration, in the
-    mapping's order, that reverse reach from the anchors never covers.
-    """
-    if acceptance.mode == "final":
-        anchors = {c for c in g.edges if c.state in acceptance.final_states}
-    else:
-        anchors = set()
-        for member in acceptance.muller_sets:
-            inside = [c for c in g.edges if c.state in member]
-            adj = {c: [e.target for e in g.edges[c] if e.target.state in member] for c in inside}
-            for scc in _sccs_by_reachability(inside, adj):
-                looped = len(scc) > 1 or any(c in adj[c] for c in scc)
-                if looped and {c.state for c in scc} == member:
-                    anchors |= scc
-    stuck = _unable_to_reach(g, anchors)
-    witness = next((c for c in g.edges if c in stuck), None)
-    return Consistency(witness is None, witness, frozenset(anchors))
-
-
-def _naive_run(g, bound, pick):
-    """One run over `g.edges`: `pick` chooses among each configuration's edges."""
-    c, configs, trans = g.initial, [g.initial], []
-    while len(trans) < bound and g.edges[c]:
-        e = pick(g.edges[c])
-        c = e.target
-        configs.append(c)
-        trans.append(e.transition)
-    return Run(tuple(configs), tuple(trans))
-
-
-def _naive_runs(g, bound):
-    """Every run over `g.edges` that deadlocks or reaches `bound`, depth first."""
-    runs = []
-
-    def walk(configs, trans):
-        es = g.edges[configs[-1]]
-        if not es or len(trans) >= bound:
-            runs.append(Run(configs, trans))
-            return
-        for e in es:
-            walk(configs + (e.target,), trans + (e.transition,))
-
-    walk((g.initial,), ())
-    return tuple(runs)
 
 
 class TestCaps:
@@ -997,13 +667,13 @@ class TestFlatAutomatonOnRead:
             same_as_eager_base(lazy, built.restricted, built.spec.acceptance)
             assert built.automaton is built.restricted.base
 
-    def test_random_networks_lazy_and_eager(self, same_as_eager_base):
-        for seed in range(100):
-            factors, chans, conds = _random_wired_factors(seed)
-            lazy = LazyProduct(factors)
-            same_as_eager_base(lazy, cbr(lazy, chans, conditions=conds))
+    def test_random_networks_lazy_and_eager(self, generated, same_as_eager_base):
+        for case, built in generated:
+            factors, chans, conds = built.compiled.factors, built.compiled.channels, built.compiled.conditions
+            lazy = LazyProduct(factors, name=built.name)
+            same_as_eager_base(lazy, built.restricted, case.acceptance)
             prod = weak_product(factors)[0]
-            same_as_eager_base(prod, cbr(prod, chans, conditions=conds, name=f"p{seed}"))
+            same_as_eager_base(prod, cbr(prod, chans, conditions=conds, name=f"p{case.seed}"))
             same_as_eager_base(factors[0], cbr(factors[0]))
 
     def test_a_given_base_is_kept_as_given(self, ring2_env):

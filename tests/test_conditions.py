@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracle
 from fioa import (
     Acceptance,
     Condition,
@@ -179,44 +180,12 @@ def _random_label(rng, width, active_share):
 
 
 def _random_world(rng):
-    """Random conditions and transitions over small alphabets.
-
-    State values come from "abc", so conditions often share a bucket; a
-    fifth of the transitions and conditions are one slot wider than the
-    rest, and some conditions' target patterns differ in width from their
-    source patterns.  About a third of the transitions are silent
-    self-loops or other moves with no activity at all.
-    """
+    """`oracle.draw_conditions` and transitions over small alphabets: states
+    from "abc", so conditions often share a bucket; a fifth of the moves a
+    slot wider; about a third silent self-loops or other inactive moves."""
     width = rng.randint(2, 3)
     n_in, n_out = rng.randint(1, 3), rng.randint(1, 3)
-
-    def pattern(w, wild):
-        return tuple("*" if rng.random() < wild else rng.choice("abc") for _ in range(w))
-
-    def io():
-        kind = rng.choice(("any", "any", "silent", "literal", "active"))
-        component = rng.randrange(max(n_in, n_out) + 1)  # sometimes off the end
-        if kind == "literal":
-            return IoPattern.literal(component, rng.choice("xy"))
-        if kind == "active":
-            return IoPattern.active(component)
-        return IoPattern(kind)
-
-    conditions = []
-    for k in range(rng.randint(1, 8)):
-        w = width + (rng.random() < 0.2)
-        wild = rng.choice((0.3, 0.6, 1.0))
-        source = pattern(w, wild)
-        target = pattern(w + (rng.random() < 0.1), wild)
-        scope = None
-        if rng.random() < 0.5:
-            scope = Scope(
-                tuple(sorted(rng.sample(range(w), rng.randint(0, w)))),
-                tuple(sorted(rng.sample(range(n_in), rng.randint(0, n_in)))),
-                tuple(sorted(rng.sample(range(n_out), rng.randint(0, n_out)))),
-            )
-        conditions.append(Condition(f"c{k}", source, target, io(), io(), scope))
-
+    conditions = oracle.draw_conditions(rng, ["abc"] * width, n_in, n_out, "xy")
     transitions = []
     for _ in range(60):
         w = width + (rng.random() < 0.2)

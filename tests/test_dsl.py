@@ -2,6 +2,7 @@
 and the shipped corpus, which `fioa.examples` loads."""
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from fioa import (
     serialize,
 )
 from fioa.channels import FlatRecipe
-from fioa.core import Nfioa
+from fioa.core import ComponentAlphabet, Nfioa
 from fioa.dsl import Directive, NetFactor, NetworkDef, Token, WorkbenchDocument, load, tokenize
 from fioa.network import ConditionSpec, PatternSpec
 
@@ -393,6 +394,39 @@ class TestSerialization:
     def test_serialization_is_canonical(self):
         doc = parse(MINIMAL)
         assert serialize(parse(serialize(doc))) == serialize(doc)
+
+    @pytest.mark.parametrize(
+        "acceptance, line",
+        [(Acceptance.final([]), "final {}"), (Acceptance.muller([]), "muller {}"),
+         (Acceptance.muller([[]]), "muller {{}}")],
+        ids=["final", "muller", "muller-empty-member"],
+    )
+    def test_empty_acceptance_sets_round_trip(self, acceptance, line):
+        blinker = replace(parse(MINIMAL).automata[0], acceptance=acceptance)
+        lone = NetworkDef("lone", (NetFactor("b", "Blinker"),), acceptance=acceptance)
+        doc = WorkbenchDocument((blinker,), (lone,))
+        text = serialize(doc)
+        assert text.count(f"  accept {line};\n") == 2  # the automaton's and the network's
+        assert parse(text) == doc
+        assert resolve(parse(text)).networks["lone"].automaton.acceptance == acceptance
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [("state", "on"), ("state", "a b"), ("state", "1x"), ("component", "a b"), ("character", "1x"),
+         ("alias", "on"), ("condition", "a b")],
+    )
+    def test_a_name_text_cannot_spell_is_refused(self, kind, value):
+        edits = {
+            "state": dict(states=[(value,)], initial=(value,), transitions=(), acceptance=Acceptance.final([])),
+            "component": dict(inputs=(ComponentAlphabet(value, ("push",)),), transitions=()),
+            "character": dict(inputs=(ComponentAlphabet("btn", (value,)),), transitions=()),
+        }
+        blinker = replace(parse(MINIMAL).automata[0], **edits.get(kind, {}))
+        conditions = (ConditionSpec(value, ("*",), ("*",)),) if kind == "condition" else ()
+        lone = NetworkDef("lone", (NetFactor(value if kind == "alias" else "b", "Blinker"),), conditions=conditions)
+        owner = "automaton 'Blinker'" if kind in edits else "network 'lone'"
+        with pytest.raises(DslError, match=rf"^{owner} has {kind} {value!r}, which text cannot spell"):
+            serialize(WorkbenchDocument((blinker,), (lone,)))
 
     def test_composite_state_machines_have_no_text_form(self, admin_env):
         admin = admin_env.networks["administrator"].automaton
