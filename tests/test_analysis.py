@@ -412,6 +412,15 @@ class TestTraceEquivalence:
             )
             assert trace_equivalent(cbr(wider), cbr(wider)).equal
 
+    def test_every_network_is_equivalent_to_itself(self, all_restrictions):
+        from fioa import is_well_formed
+
+        for built in all_restrictions:
+            r = built.restricted
+            if not is_well_formed(r).ok:
+                continue
+            assert trace_equivalent(r, r).equal
+
 
 def _ring(n):  # as built, and the oracle's graph of it
     built = resolve(examples.ring_document(n)).networks[f"ring{n}"]

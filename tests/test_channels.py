@@ -125,6 +125,45 @@ class TestEdgeTaxonomy:
         modes = {e.mode for e in ALL_EDGE_CLASSES}
         assert modes == {"relaxed", "excited"}
 
+    def test_census_only_uses_known_rows(self, all_restrictions):
+        for built in all_restrictions:
+            for row in edge_census(built.restricted):
+                assert row in ALL_EDGE_CLASSES
+
+    def test_relaxed_moves_never_read_a_wired_input(self, all_restrictions):
+        for built in all_restrictions:
+            r = built.restricted
+            wired_in = {ch.in_component for ch in r.channels}
+            for cfg in r.graph.edges:
+                if cfg.excited:
+                    continue
+                for edge in r.graph.edges[cfg]:
+                    slot = active_slot(edge.transition.input)
+                    if slot is not None:
+                        assert slot[0] not in wired_in
+
+    def test_excited_moves_consume_exactly_the_pending_character(self, all_restrictions):
+        for built in all_restrictions:
+            r = built.restricted
+            for cfg in r.graph.edges:
+                if not cfg.excited:
+                    continue
+                chan, char = cfg.pending
+                for edge in r.graph.edges[cfg]:
+                    assert edge.transition.input[chan.in_component] == char
+
+    def test_channel_outputs_excite_the_receiver(self, all_restrictions):
+        for built in all_restrictions:
+            r = built.restricted
+            by_out = {ch.out_component: ch for ch in r.channels}
+            for cfg in r.graph.edges:
+                for edge in r.graph.edges[cfg]:
+                    slot = active_slot(edge.transition.output)
+                    if slot is not None and slot[0] in by_out:
+                        assert edge.target.pending == (by_out[slot[0]], slot[1])
+                    else:
+                        assert edge.target.pending is None
+
 
 class TestWellFormedness:
     def test_deaf_granter_strands_the_request(self, broken):
