@@ -14,7 +14,10 @@ to 6 one more process resolves the ring twice and times
 `trace_equivalent` of the ring against its copy on its own: the verdict
 must be `equal`, with a sufficient bound of the configuration count
 squared.  (ring7 has no equivalence figure: the process would hold two
-280,665-configuration graphs.)  The counts must equal `KNOWN` and
+280,665-configuration graphs.)  For each ring size up to 6 a last
+process builds the ring and times two queries separately, `edge_census`
+and `export_dot`: the census must count every edge once and the DOT text
+write one ` -> ` line per edge.  The counts must equal `KNOWN` and
 `KNOWN_COORD`; any other count or verdict fails the run (exit 1), so
 `--quick` serves as a CI gate.  For each corpus file, `python -m fioa
 validate FILE` runs in its own process and reports its wall seconds from
@@ -74,9 +77,13 @@ KNOWN_COORD = {
 # equal, sufficient bound), the last two always True and configurations
 # squared.
 EQUIV_MAX = 6
+# ring n's queries, for n up to `QUERIES_MAX`: (census total, DOT edge
+# lines), both the ring's edge count.
+QUERIES_MAX = 6
 COUNTS = {
     "ring": ("configurations", "edges", "excited"),
     "equiv": ("configurations", "equal", "sufficient_bound"),
+    "queries": ("census_edges", "dot_edges"),
     "eager": ("states", "transitions", "reachable"),
     "wired": ("configurations", "edges", "excited"),
     "validate": (),
@@ -89,12 +96,13 @@ COUNTS = {
 CHILD = """
 import json, resource, sys, time
 from dataclasses import replace
-from fioa import examples, reachable_states, trace_equivalent
+from fioa import edge_census, examples, export_dot, reachable_states, trace_equivalent
 from fioa.dsl import NetFactor, NetworkDef, resolve
 from fioa.network import ChannelSpec, ConditionSpec
 
 kind, n = sys.argv[1], int(sys.argv[2])
-if kind in ("ring", "equiv"):
+parts = {}
+if kind in ("ring", "equiv", "queries"):
     doc, name = examples.ring_document(n), f"ring{n}"
 else:
     name = f"coord{n}" + ("w" if kind == "wired" else "")
@@ -118,6 +126,16 @@ if kind == "equiv":
     verdict = trace_equivalent(r, copy)
     seconds = time.perf_counter() - start
     counts = (len(r.graph.nodes), verdict.equal, verdict.sufficient_bound)
+elif kind == "queries":
+    r = built.restricted
+    start = time.perf_counter()
+    census = edge_census(r)
+    parts["census_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    dot = export_dot(r)
+    parts["dot_s"] = time.perf_counter() - start
+    seconds = sum(parts.values())
+    counts = (sum(census.values()), dot.count(" -> "))
 elif kind == "eager":
     a = built.automaton
     counts = (len(a.states), len(a.transitions), len(reachable_states(a)))
@@ -127,6 +145,7 @@ else:
 print(json.dumps({
     "counts": counts,
     "seconds": seconds,
+    "parts": parts,
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -135,7 +154,8 @@ print(json.dumps({
 def measure(src: Path, kind: str, n: int) -> dict:
     """One figure in a fresh interpreter importing `fioa` from `src`: a
     ring build (`kind` "ring"), a coord network build ("eager" or
-    "wired"), or a ring against its copy ("equiv")."""
+    "wired"), a ring against its copy ("equiv"), or a ring's census and
+    DOT export ("queries", each timed in `parts`)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", CHILD, kind, str(n)], env=env, capture_output=True, text=True, check=True
@@ -162,7 +182,7 @@ def measure_validate(src: Path, name: str) -> dict:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode or any("FAIL" in line for line in out.splitlines()):
         raise SystemExit(f"fioa validate {path}: exit {proc.returncode}\n{out}")
-    return {"counts": (), "seconds": seconds, "maxrss_mb": usage.ru_maxrss / 1024}
+    return {"counts": (), "seconds": seconds, "parts": {}, "maxrss_mb": usage.ru_maxrss / 1024}
 
 
 def commit_of(src: Path) -> dict:
@@ -178,11 +198,12 @@ def commit_of(src: Path) -> dict:
 
 def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
     """One tree's samples of one figure, checked against `known`: its
-    counts by name, the median seconds and maxrss, and every sample."""
+    counts by name, the median seconds, parts and maxrss, and every sample."""
     got = sorted({tuple(s["counts"]) for s in samples})
     name = {
         "ring": f"ring{n}",
         "equiv": f"ring{n} equiv",
+        "queries": f"ring{n} queries",
         "eager": f"coord{n}",
         "wired": f"coord{n}w",
         "validate": f"validate {n}",
@@ -191,11 +212,15 @@ def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
         raise SystemExit(f"{name} from {label}: counts {got}, expected {known}")
     out = dict(zip(COUNTS[kind], known))
     out["seconds"] = statistics.median(s["seconds"] for s in samples)
+    for part in samples[0]["parts"]:
+        out[part] = statistics.median(s["parts"][part] for s in samples)
     out["maxrss_mb"] = statistics.median(s["maxrss_mb"] for s in samples)
-    out["samples"] = [{"seconds": s["seconds"], "maxrss_mb": s["maxrss_mb"]} for s in samples]
-    parts = [f"{v} {k}" for k, v in zip(COUNTS[kind], known)]
-    parts += [f"{out['seconds']:.3f} s", f"{out['maxrss_mb']:.0f} MB"]
-    print(f"{label} {name}: {', '.join(parts)}", flush=True)
+    out["samples"] = [{"seconds": s["seconds"], **s["parts"], "maxrss_mb": s["maxrss_mb"]} for s in samples]
+    shown = [f"{v} {k}" for k, v in zip(COUNTS[kind], known)]
+    shown += [f"{out['seconds']:.3f} s"]
+    shown += [f"{part} {out[part] * 1000:.1f} ms" for part in samples[0]["parts"]]
+    shown += [f"{out['maxrss_mb']:.0f} MB"]
+    print(f"{label} {name}: {', '.join(shown)}", flush=True)
     return out
 
 
@@ -207,9 +232,13 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
     from one repeat to the next, so drift on the machine falls on every
     tree alike.
     """
-    runs = {label: {**commit_of(src), "rings": {}, "equiv": {}, "coord": {}, "corpus": {}} for label, src in trees.items()}
+    runs = {
+        label: {**commit_of(src), "rings": {}, "equiv": {}, "queries": {}, "coord": {}, "corpus": {}}
+        for label, src in trees.items()
+    }
     figures = [("ring", n, KNOWN[n]) for n in sizes]
     figures += [("equiv", n, (KNOWN[n][0], True, KNOWN[n][0] ** 2)) for n in sizes if n <= EQUIV_MAX]
+    figures += [("queries", n, (KNOWN[n][1], KNOWN[n][1])) for n in sizes if n <= QUERIES_MAX]
     figures += [(kind, n, KNOWN_COORD[n][kind]) for n in coord_sizes for kind in ("eager", "wired")]
     figures += [("validate", name, ()) for name in CORPUS]
     order = list(trees)
@@ -223,8 +252,8 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
             out = figure(label, kind, n, known, samples[label])
             if kind == "ring":
                 runs[label]["rings"][str(n)] = out
-            elif kind == "equiv":
-                runs[label]["equiv"][str(n)] = out
+            elif kind in ("equiv", "queries"):
+                runs[label][kind][str(n)] = out
             elif kind == "validate":
                 runs[label]["corpus"][n] = out
             else:

@@ -170,6 +170,20 @@ def explore(init, trans, channels, deny=None):
     return start, order, graph
 
 
+def row_census(order, graph, channels):
+    """Edges per table row (excited?, input kind, output kind), sorted."""
+    census = {}
+    for cfg in order:
+        for (nxt, inp, out) in graph[cfg]:
+            row = (
+                "excited" if cfg[1] else "relaxed",
+                "consume" if cfg[1] else ("eps" if inp is None else "open"),
+                "eps" if out is None else ("chan" if (out[0], out[1]) in channels else "open"),
+            )
+            census[row] = census.get(row, 0) + 1
+    return sorted(census.items())
+
+
 def main():
     # ------------------------------------------------------------------
     print("== mutex protocol (user x server, both service channels wired) ==")
@@ -199,17 +213,7 @@ def main():
         cur = nxt
     print("event cycle:", events)
 
-    # Table-row census: (excited?, input kind, output kind)
-    census = {}
-    for cfg in order:
-        for (nxt, inp, out) in graph[cfg]:
-            row = (
-                "excited" if cfg[1] else "relaxed",
-                "consume" if cfg[1] else ("eps" if inp is None else "open"),
-                "eps" if out is None else ("chan" if (out[0], out[1]) in channels else "open"),
-            )
-            census[row] = census.get(row, 0) + 1
-    print("row census:", sorted(census.items()))
+    print("row census:", row_census(order, graph, channels))
 
     print()
     print("== mutex trace language, bound 4 ==")
@@ -398,10 +402,10 @@ def main():
             ch[(A[i], "ring")] = (A[(i + 1) % n], "ring")
             ch[(A[i], "trig")] = (T[i], "trig")
             ch[(T[i], "clk")] = (A[i], "clk")
-        return explore(init, trans_r, ch)
+        return explore(init, trans_r, ch), ch
 
     for n in (2, 3, 4):
-        start, order, graph = build_ring(n)
+        (start, order, graph), ch = build_ring(n)
         edges = sum(len(v) for v in graph.values())
         excited = sum(1 for (_state, pending) in order if pending is not None)
         viol_crit = viol_token = deadlocks = 0
@@ -421,6 +425,7 @@ def main():
             f"ring n={n}: configs={len(order)}, edges={edges}, excited={excited}, "
             f"two-crit={viol_crit}, token-viol={viol_token}, deadlocks={deadlocks}"
         )
+        print(f"ring n={n} row census:", row_census(order, graph, ch))
 
     # negative control: drop both token-possession conditions (1 and 2 --
     # they overlap on the entry-at-abst transition, so dropping only one
@@ -450,7 +455,7 @@ def main():
     saved_flat = dict(flat)
     flat.clear()
     flat.update(flat_bad)
-    start, order, graph = build_ring(2)
+    (start, order, graph), _ = build_ring(2)
     bad_crit = sum(
         1 for (state, _p) in order if sum(1 for u in state[4:] if u == "crit") >= 2
     )

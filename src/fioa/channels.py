@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Acceptance,
@@ -84,11 +84,20 @@ class ConfigGraph:
     index, so walks follow numbers instead of hashing configurations.
     `edges`, each configuration's `Edge`s keyed in node order, is a view
     built the first time it is read.
+
+    `move_ids` holds, edge by edge in node and edge order, the id of the
+    table move (`product.MoveTable`) each edge copies, and
+    `move_labels(id)` is that move's `(input, output, pending)`, so a
+    question the move decides is answered once per id.  Ids number the
+    moves of the table explored, and two explorations of one graph may
+    number them differently; neither field takes part in `==` or `repr`.
     """
 
     nodes: tuple[Configuration, ...]
     moves: tuple[tuple[Transition, ...], ...]
     succ: tuple[tuple[int, ...], ...]
+    move_ids: tuple[int, ...] = field(compare=False, repr=False)
+    move_labels: Callable[[int], tuple] = field(compare=False, repr=False)
 
     @property
     def initial(self) -> Configuration:
@@ -105,7 +114,7 @@ class ConfigGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self.succ))
+        return len(self.move_ids)
 
 
 def check_channels(
@@ -147,38 +156,48 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     """Build the configuration graph by BFS from the relaxed initial.
 
     `table` (see `product.MoveTable`) applies the channel discipline to
-    packed keys: its `candidates` lists each configuration's moves in
-    `Transition` order, which makes the whole graph — and every witness
-    derived from it — reproducible.  The table's conditions are compiled
-    onto its moves, so a move whose guard vetoes it out of the node's key
-    is skipped by a digit test, before its target is numbered or its
-    `Transition` built.  A configuration is numbered the first time its
-    key is met; only then are its state tuple and its `Configuration`
-    built, and every transition's target is its target node's stored
-    state.
+    packed keys: it lists each configuration's moves in `Transition`
+    order, which makes the whole graph — and every witness derived from
+    it — reproducible.  A relaxed configuration's moves are its
+    `candidates`; an excited one's are read here, from one digit of its
+    receiver.  The table's conditions are compiled onto its moves, so a
+    move whose guard vetoes it out of the node's key is skipped by a digit
+    test, before its target is numbered or its `Transition` built.  A
+    configuration is numbered the first time its key is met; only then
+    are its state tuple and its `Configuration` built, and every
+    transition's target is its target node's stored state.  Each edge
+    records its move's id.
     """
-    candidates = table.candidates
+    candidates, size, excited = table.candidates, table.size, table.excited
     # The generated constructors of `Transition` and `Configuration` are
     # Python calls; `tuple.__new__` builds the same tuples.
     new = tuple.__new__
     moves: list[tuple[Transition, ...]] = []
     succ: list[tuple[int, ...]] = []
+    move_ids: list[int] = []
+    record = move_ids.append
     # `nodes` doubles as the breadth-first queue: those past the end of
     # `succ` are waiting.  Node i has key `keys[i]`.
     nodes = [Configuration(tuple(table.initial), None)]
     keys = [table.initial_key]
     number = {table.initial_key: 0}
     for (state, _), key in zip(nodes, keys):
-        base, cands = candidates(key)
+        if key < size:
+            base, cands = key, candidates(key)
+        else:
+            p, base = divmod(key, size)
+            stride, radix, moves_of = excited[p]
+            cands = moves_of(base // stride % radix) or ()
         here: list[Transition] = []
         out: list[int] = []
-        for _, shift, lo, hi, tgt, inp, outp, pend, guard in cands:
+        for _, shift, lo, hi, tgt, inp, outp, pend, guard, move in cands:
             if guard is not None and vetoed(guard, base):
                 continue
-            k = number.get(base + shift)
+            to = base + shift
+            k = number.get(to)
             if k is None:
-                k = number[base + shift] = len(nodes)
-                keys.append(base + shift)
+                k = number[to] = len(nodes)
+                keys.append(to)
                 target = state[:lo] + tgt + state[hi:]
                 nodes.append(new(Configuration, (target, pend)))
                 if k >= cap:
@@ -192,9 +211,10 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
                 target = nodes[k][0]
             here.append(new(Transition, (state, target, inp, outp)))
             out.append(k)
+            record(move)
         moves.append(tuple(here))
         succ.append(tuple(out))
-    return ConfigGraph(tuple(nodes), tuple(moves), tuple(succ))
+    return ConfigGraph(tuple(nodes), tuple(moves), tuple(succ), tuple(move_ids), table.move_labels)
 
 
 class FlatRecipe(NamedTuple):
@@ -352,21 +372,6 @@ class EdgeClass(NamedTuple):
     output_kind: str  # silent-out | channel-out | open-out
 
 
-def _classify_edge(c: Configuration, t: Transition, target: Configuration) -> EdgeClass:
-    if c.pending is not None:
-        mode, input_kind = "excited", "consume"
-    else:
-        mode = "relaxed"
-        input_kind = "silent-in" if is_silent(t.input) else "open-in"
-    if target.pending is not None:
-        output_kind = "channel-out"
-    elif is_silent(t.output):
-        output_kind = "silent-out"
-    else:
-        output_kind = "open-out"
-    return EdgeClass(mode, input_kind, output_kind)
-
-
 ALL_EDGE_CLASSES = tuple(
     [EdgeClass("relaxed", i, o) for i in ("silent-in", "open-in") for o in ("silent-out", "channel-out", "open-out")]
     + [EdgeClass("excited", "consume", o) for o in ("silent-out", "channel-out", "open-out")]
@@ -374,11 +379,29 @@ ALL_EDGE_CLASSES = tuple(
 
 
 def edge_census(r: RestrictedAutomaton) -> Counter[EdgeClass]:
-    """How many graph edges fall in each of the nine classes."""
+    """How many graph edges fall in each of the nine classes.
+
+    An edge's class is its move's: excited when the move reads a
+    channel-fed input (consuming the pending character), else relaxed and
+    silent or open by its input; channel-out when it leaves a character
+    pending, else silent or open by its output.  So the edges are counted
+    per move id and each distinct move is classified once.
+    """
     g = r.graph
-    return Counter(
-        _classify_edge(c, t, g.nodes[j]) for c, ts, js in zip(g.nodes, g.moves, g.succ) for t, j in zip(ts, js)
-    )
+    fed = [ch.in_component for ch in r.channels]
+    census: Counter[EdgeClass] = Counter()
+    for move, n in Counter(g.move_ids).items():
+        inp, outp, pending = g.move_labels(move)
+        if any(inp[k] for k in fed):
+            mode, input_kind = "excited", "consume"
+        else:
+            mode, input_kind = "relaxed", "silent-in" if is_silent(inp) else "open-in"
+        if pending is not None:
+            output_kind = "channel-out"
+        else:
+            output_kind = "silent-out" if is_silent(outp) else "open-out"
+        census[EdgeClass(mode, input_kind, output_kind)] += n
+    return census
 
 
 class WellFormedness(NamedTuple):

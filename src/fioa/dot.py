@@ -7,7 +7,9 @@ byte-identical and diffs of exports track real changes.
 
 from __future__ import annotations
 
-from .core import Nfioa, VectorChar, label_str, state_str
+from itertools import accumulate
+
+from .core import Nfioa, label_str, state_str
 from .channels import Channel, Configuration, RestrictedAutomaton, config_str
 
 
@@ -59,16 +61,15 @@ def _dot_restricted(r: RestrictedAutomaton) -> str:
         if i == 0:
             attrs.append("penwidth=2")
         lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
-    # Edges share few distinct labels; each is formatted once.
-    labels: dict[tuple[VectorChar, VectorChar], str] = {}
+    # An edge's label is its move's, formatted once per move.
+    labels = {}
+    for move in set(g.move_ids):
+        inp, outp, _ = g.move_labels(move)
+        labels[move] = _esc(f"{label_str(inp, r.inputs)} / {label_str(outp, r.outputs)}")
+    # Node i's edges are `move_ids[first[i]:first[i + 1]]`.
+    first = [0, *accumulate(map(len, g.succ))]
     for i in order:
-        for t, j in zip(g.moves[i], g.succ[i]):
-            key = (t.input, t.output)
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = _esc(
-                    f"{label_str(key[0], r.inputs)} / {label_str(key[1], r.outputs)}"
-                )
-            lines.append(f'  {ids[i]} -> {ids[j]} [label="{label}"];')
+        for j, move in zip(g.succ[i], g.move_ids[first[i] : first[i + 1]]):
+            lines.append(f'  {ids[i]} -> {ids[j]} [label="{labels[move]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

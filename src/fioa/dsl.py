@@ -525,21 +525,21 @@ class _Parser:
         return self.end(NetFactor(alias, ref, initial, pos=(use.line, use.col)))
 
     def parse_channel(self, aliases: set[str]) -> ChannelSpec:
-        out_end = self.parse_channel_end(aliases, "out")
+        out_end = self.parse_port(aliases, "out", "the sending end")
         self.expect("->")
-        in_end = self.parse_channel_end(aliases, "in")
+        in_end = self.parse_port(aliases, "in", "the receiving end")
         return self.end(ChannelSpec(*out_end, *in_end))
 
-    def parse_channel_end(self, aliases: set[str], side: str) -> tuple[str, int | str]:
+    def parse_port(self, aliases: set[str], side: str, what: str) -> tuple[str, int | str]:
+        """``alias.component`` or ``alias.side[k]``: a factor's interface
+        slot on `side` ("out" or "in"), by name or by index; `what` names
+        the port in the error for an index on the other side."""
         alias = self.expect_alias(aliases)
         self.expect(".")
         tok = self.expect_ident("component")
         if tok.value in ("out", "in") and self.at("["):
             if tok.value != side:
-                raise self.fail(
-                    f"the {'sending' if side == 'out' else 'receiving'} end must use {side!r} indexing",
-                    tok,
-                )
+                raise self.fail(f"{what} must use {side!r} indexing", tok)
             self.next()
             idx = self.next()
             if idx.kind != "int":
@@ -567,8 +567,8 @@ class _Parser:
         source = self.parse_pattern_vector()
         self.expect("to")
         target = self.parse_pattern_vector()
-        input_pat = self.parse_io_pattern(aliases) if self.take("input") else None
-        output_pat = self.parse_io_pattern(aliases) if self.take("output") else None
+        input_pat = self.parse_io_pattern(aliases, "in") if self.take("input") else None
+        output_pat = self.parse_io_pattern(aliases, "out") if self.take("output") else None
         self.expect("deny")
         return self.end(ConditionSpec(name, source, target, input=input_pat, output=output_pat, on=on))
 
@@ -578,25 +578,21 @@ class _Parser:
         self.expect(")")
         return tuple(parts)
 
-    def parse_io_pattern(self, aliases: set[str]) -> PatternSpec:
+    def parse_io_pattern(self, aliases: set[str], side: str) -> PatternSpec:
+        """An input (`side` "in") or output ("out") label pattern."""
         if self.take("any"):
             return PatternSpec.any()
         if self.take("spontaneous"):
             return PatternSpec.spontaneous()
+        what = f"{'an input' if side == 'in' else 'an output'} pattern"
         if self.take("active"):
             self.expect("(")
-            port = self.parse_port(aliases)
+            port = self.parse_port(aliases, side, what)
             self.expect(")")
             return PatternSpec.active(*port)
-        port = self.parse_port(aliases)
+        port = self.parse_port(aliases, side, what)
         self.expect(".")
         return PatternSpec.literal(*port, self.expect_name("character").value)
-
-    def parse_port(self, aliases: set[str]) -> tuple[str, str]:
-        """``alias.component``: a factor's interface slot."""
-        alias = self.expect_alias(aliases)
-        self.expect(".")
-        return alias, self.expect_name("component").value
 
 
 def parse(text: str) -> WorkbenchDocument:
@@ -688,18 +684,18 @@ def _serialize_automaton(a: Nfioa) -> list[str]:
     return lines
 
 
-def _fmt_channel_end(alias: str, comp: int | str, side: str, name) -> str:
+def _fmt_port(alias: str, comp: int | str, side: str, name) -> str:
     if isinstance(comp, int):
         return f"{name('alias', alias)}.{side}[{comp}]"
     return f"{name('alias', alias)}.{name('component', comp)}"
 
 
-def _fmt_pattern(p: PatternSpec, name) -> str:
+def _fmt_pattern(p: PatternSpec, side: str, name) -> str:
     if p.kind == "any":
         return "any"
     if p.kind == "spontaneous":
         return "spontaneous"
-    port = f"{name('alias', p.factor)}.{name('component', p.component)}"
+    port = _fmt_port(p.factor, p.component, side, name)
     if p.kind == "active":
         return f"active({port})"
     return f"{port}.{name('character', p.character)}"
@@ -718,9 +714,9 @@ def _serialize_network(n: NetworkDef) -> list[str]:
     for c in n.channels:
         lines.append(
             "  channel "
-            + _fmt_channel_end(c.out_factor, c.out_component, "out", name)
+            + _fmt_port(c.out_factor, c.out_component, "out", name)
             + " -> "
-            + _fmt_channel_end(c.in_factor, c.in_component, "in", name)
+            + _fmt_port(c.in_factor, c.in_component, "in", name)
             + ";"
         )
     for cond in n.conditions:
@@ -730,9 +726,9 @@ def _serialize_network(n: NetworkDef) -> list[str]:
             "from " + pattern(cond.source),
             "to " + pattern(cond.target),
         ]
-        parts.append(f"input {_fmt_pattern(cond.input, name)}")
+        parts.append(f"input {_fmt_pattern(cond.input, 'in', name)}")
         if cond.output.kind != "any":
-            parts.append(f"output {_fmt_pattern(cond.output, name)}")
+            parts.append(f"output {_fmt_pattern(cond.output, 'out', name)}")
         parts.append("deny;")
         lines.append(" ".join(parts))
     if n.acceptance is not None:

@@ -189,7 +189,7 @@ def materialize(
                 continue
             # The codes whose digit is d.
             codes = [c for low in range(d * stride, len(by_code), stride * radix) for c in range(low, low + stride)]
-            for _, shift, _, _, _, inp, outp, _, guard in moves:
+            for _, shift, _, _, _, inp, outp, _, guard, _ in moves:
                 kept = codes if guard is None else [c for c in codes if not vetoed(guard, c)]
                 transitions += [new(Transition, (by_code[c], by_code[c + shift], inp, outp)) for c in kept]
     return Nfioa(
@@ -224,20 +224,25 @@ class MoveTable(NamedTuple):
     `(stride_k, radix_k, moves_of)` per factor, and `excited[p]` the same
     for the factor receiving pending code p.  `moves_of(d)` lists the
     factor's moves out of its local state d by rank (None if there are
-    none), each `(rank, shift, lo, hi, target, input, output, pending, guard)`:
+    none), each `(rank, shift, lo, hi, target, input, output, pending,
+    guard, move)`:
 
     - `rank` orders the moves out of one product state as their
       `Transition`s compare: a product's `_rank_key`, a flat automaton's
-      position among its source's sorted transitions.  Two moves of equal
-      rank out of one state are the same flat transition (silent
-      self-loops of two factors);
+      move id (see `automaton_table`).  Two moves of equal rank out of
+      one state are the same flat transition (silent self-loops of two
+      factors);
     - the move leads from state code `base` to key `base + shift`;
     - it replaces the state's slots `lo:hi` by the local `target`, carries
       the flat `input` and `output` labels and leaves `pending` in flight;
     - `guard` is None, or what is left of the table's conditions once the
       move is known (see `_guards`): the move is vetoed out of `base`
       when `vetoed(guard, base)`.  A move that some condition vetoes out
-      of every state is not listed at all.
+      of every state is not listed at all;
+    - `move` is the move's id, an int unique in the table:
+      `move_labels(move)` is its `(input, output, pending)`.  Every edge
+      that follows the move is a copy of it, so a question decided by
+      those three alone is decided once per id.
 
     `initial` is the initial state, and `initial_key` its code.
     """
@@ -248,26 +253,24 @@ class MoveTable(NamedTuple):
     excited: tuple
     initial: StateVector
     initial_key: int
+    move_labels: Callable[[int], tuple]
 
-    def candidates(self, key: int) -> tuple[int, Sequence[tuple]]:
-        """`(base, moves)`: configuration `key`'s state code and its moves, in rank order.
+    def candidates(self, code: int) -> Sequence[tuple]:
+        """The moves out of the relaxed configuration of state code `code`, in rank order.
 
-        An excited configuration reads one digit, its receiver's; a relaxed
-        one sorts the moves of every factor that moves by rank, once, and
-        keeps a repeated rank once.  Guards are left to the caller.
+        The moves of every factor that moves are sorted by rank, once, and
+        a repeated rank is kept once.  Guards are left to the caller, and
+        an excited configuration's moves to `channels._explore`, which
+        reads them from its receiver's digit alone.
         """
-        if key >= self.size:
-            p, base = divmod(key, self.size)
-            stride, radix, moves_of = self.excited[p]
-            return base, moves_of(base // stride % radix) or ()
         found = []
         for stride, radix, moves_of in self.relaxed:
-            if moves := moves_of(key // stride % radix):
+            if moves := moves_of(code // stride % radix):
                 found.append(moves)
         if len(found) == 1:
-            return key, found[0]
+            return found[0]
         # A repeated rank keeps the first factor's move, written last.
-        return key, sorted({m[0]: m for ms in reversed(found) for m in ms}.values(), key=_by_rank)
+        return sorted({m[0]: m for ms in reversed(found) for m in ms}.values(), key=_by_rank)
 
 
 def vetoed(guard: tuple, code: int) -> bool:
@@ -390,7 +393,9 @@ def _wire(
     decides every move: left out if its guard vetoes it out of every
     state, else filed under the pending code it consumes if it reads a
     channel-fed input, else relaxed.  A move writing a wired output leaves
-    that channel's character pending.
+    that channel's character pending.  The moves kept are numbered in the
+    order they are filed, and `move_labels` reads each one's labels and
+    pending from a list kept by number.
     """
     # The characters that can be in flight, by pending code: None first.
     chars = ((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters))
@@ -400,13 +405,14 @@ def _wire(
     sent = tuple((ch.out_component, ch) for ch in channels)
     size = prod(radix for _, radix, _, _ in factors)
     relaxed, excited = [], [None] * len(pending)
+    labels: list[tuple] = []  # by move id
     for k, (stride, radix, ins, moves_of) in enumerate(factors):
         for p, (ch, _) in enumerate(pending[1:], 1):
             if ch.in_component in ins:
                 excited[p] = (stride, radix, {})
         here: dict = {}
         for d in range(radix):
-            for rank, shift, lo, hi, target, inp, outp, _, _ in moves_of(d) or ():
+            for rank, shift, lo, hi, target, inp, outp, _, _, _ in moves_of(d) or ():
                 g = guard(k, d, target, inp, outp) if guard else None
                 if g and () in g:
                     continue  # vetoed out of every state
@@ -419,30 +425,36 @@ def _wire(
                     if inp[c]:
                         table = excited[code_of[ch, inp[c]]][2]
                 table.setdefault(d, []).append(
-                    (rank, p * size + shift, lo, hi, target, inp, outp, pending[p], g)
+                    (rank, p * size + shift, lo, hi, target, inp, outp, pending[p], g, len(labels))
                 )
+                labels.append((inp, outp, pending[p]))
         relaxed.append((stride, radix, here.get))
     excited[1:] = [(stride, radix, by_digit.get) for stride, radix, by_digit in excited[1:]]
-    return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code)
+    return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code, labels.__getitem__)
 
 
 def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()) -> MoveTable:
     """`a` wired by `channels` and restricted by `conditions`, as a
     one-factor `MoveTable`.
 
-    Built from `a`'s own transitions and labels, sorted per source: a
-    move's rank is its position among its source's.  Sources are numbered
-    in table order, the other states when first met as a target.
-    `moves_of` sorts, restricts and numbers a source's moves when asked,
-    so an unwired table, which wraps it, lists only the sources
-    exploration reaches.  One factor owns every slot, so `veto` decides
-    each move outright: no move keeps a guard.
+    Built from `a`'s own transitions and labels, sorted per source.
+    Sources are numbered in table order, the other states when first met
+    as a target.  A move's id is its source's digit times the largest
+    out-degree, plus its position among its source's sorted transitions,
+    so it is also the move's rank, and `move_labels` reads its labels back
+    from that sorted list: the table records nothing per move or per
+    source.  (Wired, `_wire` numbers the moves again.)  `moves_of` sorts,
+    restricts and numbers a source's moves when asked, so an unwired
+    table, which wraps it, lists only the sources exploration reaches.
+    One factor owns every slot, so `veto` decides each move outright: no
+    move keeps a guard.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
         by_source.setdefault(t.source, []).append(t)
     number = {s: d for d, s in enumerate(by_source)}
     groups = list(by_source.values())
+    step = max(map(len, groups), default=0)
     width = a.state_width
     deny = veto(conditions) if conditions else None
 
@@ -452,17 +464,23 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
             return None
         ts = groups[d]
         ts.sort()
+        ids = enumerate(ts, d * step)
         if deny is not None:
-            ts = [t for t in ts if not deny(t)]
+            ids = ((move, t) for move, t in ids if not deny(t))
         return [
-            (rank, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None)
-            for rank, (_, tgt, inp, outp) in enumerate(ts)
+            (move, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None, move)
+            for move, (_, tgt, inp, outp) in ids
         ]
+
+    def move_labels(move: int) -> tuple:
+        d, rank = divmod(move, step)
+        _, _, inp, outp = groups[d][rank]
+        return inp, outp, None
 
     code = number.setdefault(a.initial, len(number))
     radix = len(a.states)
     if not channels:
-        return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code)
+        return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code, move_labels)
     return _wire(((1, radix, range(len(a.inputs)), moves_of),), a.inputs, channels, None, a.initial, code)
 
 
@@ -529,7 +547,7 @@ class LazyProduct:
                 outp = _placed(t.output, outs, len(self.outputs))
                 d = number[t.source]
                 rank, shift = _rank_key(k, pos, t, inp, outp), (number[t.target] - d) * stride
-                by_digit.setdefault(d, []).append((rank, shift, lo, hi, t.target, inp, outp, None, None))
+                by_digit.setdefault(d, []).append((rank, shift, lo, hi, t.target, inp, outp, None, None, None))
                 self.transition_count += size // len(reach)
             self._tables.append((stride, len(reach), ins, by_digit.get))
             self._layout.append((state, stride, len(reach), reach))

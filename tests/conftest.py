@@ -102,14 +102,30 @@ def differential(corpus_oracle, generated):
 
 
 @pytest.fixture(scope="session")
+def unwired(generated):
+    """`(r, naive)`: each generated network's eager product restricted by
+    its conditions and no channels, an unwired `automaton_table`, whose
+    move ids are its own source digits and ranks."""
+    pairs = []
+    for case, built in generated:
+        c = built.compiled
+        r = cbr(weak_product(c.factors)[0], conditions=c.conditions, name=f"net{case.seed}_unwired")
+        pairs.append((r, oracle.explore(c.factors, (), c.conditions, r.acceptance)))
+    return pairs
+
+
+@pytest.fixture(scope="session")
 def listed():
     """`listed(lazy, table, state, pending)`: what `table`, a `MoveTable`
     of `lazy`, lists out of the configuration `(state, pending)`.
 
     Each move comes as `(transition, pending after, target key)`, in the
-    order `channels._explore` reads them from `MoveTable.candidates`; a
-    move whose guard vetoes it out of the configuration is left out, as
-    `_explore` leaves it out.
+    order `channels._explore` reads them: `MoveTable.candidates` of a
+    relaxed key, or the receiver's moves of an excited one, as
+    `MoveTable` documents them; a move whose guard vetoes it out of the
+    configuration is left out, as `_explore` leaves it out.
+    `moves_at(table, key)` is `(base, moves)`: the key's state code and
+    those moves, guards not yet applied.
     `key_of` packs the configuration's key from the layout `MoveTable`
     documents, so a shift that misses its target's key shows.  A state
     outside the rectangle of reachable local states lists nothing.
@@ -126,18 +142,26 @@ def listed():
             d * stride for d, (stride, _, _) in zip(digits, table.relaxed)
         )
 
+    def moves_at(table, key):
+        if key < table.size:
+            return key, table.candidates(key)
+        p, base = divmod(key, table.size)
+        stride, radix, moves_of = table.excited[p]
+        return base, moves_of(base // stride % radix) or ()
+
     def listed(lazy, table, state, pending):
         key = key_of(lazy, table, state, pending)
         if key is None:
             return []
-        base, cands = table.candidates(key)
+        base, cands = moves_at(table, key)
         return [
             (Transition(state, state[:lo] + tgt + state[hi:], inp, outp), pend, base + shift)
-            for _, shift, lo, hi, tgt, inp, outp, pend, guard in cands
+            for _, shift, lo, hi, tgt, inp, outp, pend, guard, _ in cands
             if guard is None or not vetoed(guard, base)
         ]
 
     listed.key_of = key_of
+    listed.moves_at = moves_at
     return listed
 
 
@@ -170,7 +194,7 @@ def compiled_agrees(listed):
         naive = list(oracle.explore(factors, channels, conditions).edges.items())
         assert edges_of(compiled) == naive
         for (state, pending), _ in naive:
-            base, cands = compiled.candidates(listed.key_of(lazy, compiled, state, pending))
+            base, cands = listed.moves_at(compiled, listed.key_of(lazy, compiled, state, pending))
             seen["guard vetoes"] += sum(m[8] is not None and vetoed(m[8], base) for m in cands)
         tables = zip((*compiled.relaxed, *compiled.excited[1:]), (*free.relaxed, *free.excited[1:]))
         for (_, radix, moves_of), (_, _, free_of) in tables:

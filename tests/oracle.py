@@ -171,6 +171,38 @@ def census(n: Naive) -> Counter:
     return out
 
 
+def dot(n: Naive, name: str, inputs, outputs) -> str:
+    """`export_dot` of the graph, written out edge by edge: configurations
+    sorted by `(state, excited, pending)` and named `c0`, `c1`, … in that
+    order; each label formatted where it is written, components named from
+    the flat `inputs` and `outputs`."""
+
+    def esc(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    def label(vc, comps):
+        slot = _active(vc)
+        return "-" if slot is None else f"{comps[slot[0]].name}.{slot[1]}"
+
+    def config(c):
+        if not c.excited:
+            return "|".join(c.state)
+        (o, i), char = c.pending
+        return f"{'|'.join(c.state)} !{char}@{outputs[o].name}>{inputs[i].name}"
+
+    order = sorted(n.edges, key=lambda c: (c.state, c.excited, c.pending or ()))
+    ids = {c: f"c{k}" for k, c in enumerate(order)}
+    lines = [f'digraph "{esc(name)}" {{', "  rankdir=LR;", "  node [shape=ellipse];"]
+    for c in order:
+        attrs = [f'label="{esc(config(c))}"', *["style=dashed"] * c.excited, *["penwidth=2"] * (c == n.initial)]
+        lines.append(f"  {ids[c]} [{', '.join(attrs)}];")
+    for c in order:
+        for t, d in n.edges[c]:
+            text = esc(f"{label(t.input, inputs)} / {label(t.output, outputs)}")
+            lines.append(f'  {ids[c]} -> {ids[d]} [label="{text}"];')
+    return "\n".join([*lines, "}"]) + "\n"
+
+
 class Lockstep:
     """Silent closures rebuilt from scratch each time, and the trace-language
     and lockstep trace-equivalence walks over them, entries with whole traces.
@@ -390,14 +422,16 @@ def _span(factors, side: str, j: int) -> range:
 
 
 def _pattern(rng: random.Random, factors, side: str) -> tuple[str | None, IoPattern]:
-    """A label pattern's text (None: left out) and its flat form."""
+    """A label pattern's text (None: left out) and its flat form; a port
+    is named by its component or, half the time, by its index."""
     kind = rng.choice((None, "any", "spontaneous", "literal", "active"))
     if kind in (None, "any", "spontaneous"):
         return kind, IoPattern.silent() if kind == "spontaneous" else IoPattern.any()
     j = rng.randrange(len(factors))
     comps = getattr(factors[j], side)
     c = rng.randrange(len(comps))
-    port, flat = f"f{j}.{comps[c].name}", _span(factors, side, j)[c]
+    end = comps[c].name if rng.random() < 0.5 else f"{'in' if side == 'inputs' else 'out'}[{c}]"
+    port, flat = f"f{j}.{end}", _span(factors, side, j)[c]
     if kind == "active":
         return f"active({port})", IoPattern.active(flat)
     char = rng.choice([*sorted(comps[c].characters), "a", "b"])

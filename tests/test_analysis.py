@@ -266,9 +266,9 @@ class TestChannelEventsAgainstLabels:
                     sends += e.target.pending is not None
         assert sends > 0
 
-    def test_edge_census_matches_the_label_census(self, differential):
+    def test_edge_census_matches_the_label_census(self, differential, unwired):
         total = Counter()
-        for r, naive in differential:
+        for r, naive in differential + unwired:
             census = edge_census(r)
             assert census == oracle.census(naive), r.name
             total.update(census)

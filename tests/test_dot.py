@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import oracle
 from fioa import Acceptance, Nfioa, examples, export_dot, weak_product
 
 
@@ -73,6 +74,12 @@ class TestConfigGraphExport:
     def test_initial_configuration_is_bold(self, mutex):
         dot = export_dot(mutex)
         assert len(re.findall(r"penwidth=2", dot)) == 1
+
+
+class TestAgainstTheOracle:
+    def test_every_differential_graph_exports_as_the_oracle_writes_it(self, differential, unwired):
+        for r, naive in differential + unwired:
+            assert export_dot(r) == oracle.dot(naive, r.name, r.inputs, r.outputs), r.name
 
 
 class TestDeterminism:

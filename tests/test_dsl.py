@@ -243,6 +243,10 @@ PARSE_ERRORS = [
      "line 16, col 90: unknown factor alias 'zz'"),
     ("unknown-literal-alias", _edit(NETWORK, "input b1.btn.push", "input zz.btn.push"),
      "line 16, col 64: unknown factor alias 'zz'"),
+    ("wrong-input-pattern-indexing", _edit(NETWORK, "input b1.btn.push", "input b1.out[0].push"),
+     "line 16, col 67: an input pattern must use 'in' indexing"),
+    ("wrong-output-pattern-indexing", _edit(NETWORK, "active(b2.lamp)", "active(b2.in[0])"),
+     "line 16, col 93: an output pattern must use 'out' indexing"),
 ]
 
 
@@ -390,6 +394,30 @@ class TestSerialization:
         assert doc.networks[0].conditions[0].input == PatternSpec.any()
         assert serialize(doc) == text
         assert parse(serialize(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "pattern, named, text",
+        [
+            (PatternSpec.literal("b1", 0, "push"), PatternSpec.literal("b1", "btn", "push"), "input b1.in[0].push"),
+            (PatternSpec.active("b1", 0), PatternSpec.active("b1", "btn"), "input active(b1.in[0])"),
+            (PatternSpec.literal("b2", 0, "glow"), PatternSpec.literal("b2", "lamp", "glow"), "output b2.out[0].glow"),
+            (PatternSpec.active("b2", 0), PatternSpec.active("b2", "lamp"), "output active(b2.out[0])"),
+        ],
+        ids=["input-literal", "input-active", "output-literal", "output-active"],
+    )
+    def test_pattern_ports_by_index_round_trip(self, pattern, named, text):
+        def network(p):
+            side = "input" if text.startswith("input") else "output"
+            cond = ConditionSpec("hush", ("dark", "*"), ("*", "lit"), **{side: p})
+            return NetworkDef("Pair", (NetFactor("b1", "Blinker"), NetFactor("b2", "Blinker")), conditions=(cond,))
+
+        blinker = parse(MINIMAL).automata[0]
+        doc = WorkbenchDocument((blinker,), (network(pattern),))
+        assert f" {text} deny;" in serialize(doc)
+        assert parse(serialize(doc)) == doc
+        by_name = WorkbenchDocument((blinker,), (network(named),))
+        by_index, by_name = (resolve(d).networks["Pair"].compiled.conditions for d in (doc, by_name))
+        assert by_index == by_name
 
     def test_serialization_is_canonical(self):
         doc = parse(MINIMAL)

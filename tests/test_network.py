@@ -2,6 +2,7 @@
 token-ring family built from them."""
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import re
@@ -30,6 +31,7 @@ from fioa import (
     build_network,
     channel_str,
     compile_network,
+    edge_census,
     examples,
     is_well_formed,
     reachable_states,
@@ -322,6 +324,19 @@ RING_SIZES = {2: (170, 232, 122), 3: (909, 1332, 693), 4: (4212, 6480, 3348)}
 #           server-wired configurations, edges, excited configurations)
 MUTEX_SIZES = {3: (54, 171, 108, 198, 54), 4: (189, 876, 378, 837, 189)}
 
+# ring n: edges per census row, in the oracle's words ("ring n=... row census")
+RING_CENSUS = {
+    2: {("excited", "consume", "chan"): 12, ("excited", "consume", "eps"): 110, ("relaxed", "eps", "chan"): 110},
+    3: {("excited", "consume", "chan"): 54, ("excited", "consume", "eps"): 639, ("relaxed", "eps", "chan"): 639},
+    4: {("excited", "consume", "chan"): 216, ("excited", "consume", "eps"): 3132, ("relaxed", "eps", "chan"): 3132},
+}
+
+
+def _oracle_row(row) -> tuple[str, str, str]:
+    """An `EdgeClass` in the oracle's words."""
+    words = {"silent-in": "eps", "open-in": "open", "silent-out": "eps", "channel-out": "chan", "open-out": "open"}
+    return row.mode, words.get(row.input_kind, row.input_kind), words[row.output_kind]
+
 
 def _sizes(r) -> tuple[int, int, int]:
     excited = sum(1 for cfg in r.graph.configs if cfg.excited)
@@ -343,6 +358,15 @@ class TestTokenRings:
         r = resolve(examples.ring_document(4)).networks["ring4"].restricted
         assert _sizes(r) == RING_SIZES[4]
         assert is_well_formed(r).ok
+
+    def test_ring_census_is_frozen(self, ring2_env, ring3_env):
+        rings = {
+            2: ring2_env.networks["ring2"].restricted,
+            3: ring3_env.networks["ring3"].restricted,
+            4: resolve(examples.ring_document(4)).networks["ring4"].restricted,
+        }
+        for n, r in rings.items():
+            assert {_oracle_row(row): k for row, k in edge_census(r).items()} == RING_CENSUS[n], n
 
     def test_exactly_one_token_alive_everywhere(self, ring2_env, ring3_env):
         for env, name, ring_slots in (
@@ -428,6 +452,9 @@ def test_the_scale_benchmark_checks_the_frozen_sizes(tmp_path):
     ring2 = run["rings"]["2"]
     assert (ring2["configurations"], ring2["edges"], ring2["excited"]) == RING_SIZES[2]
     assert ring2["seconds"] > 0 and ring2["maxrss_mb"] > 0
+    queries = run["queries"]["2"]
+    assert (queries["census_edges"], queries["dot_edges"]) == (RING_SIZES[2][1],) * 2
+    assert queries["census_s"] > 0 and queries["dot_s"] > 0
     # `--quick` builds coord5, eager and wired.
     assert sorted(run["coord"]) == ["5"]
     eager, wired = run["coord"]["5"]["eager"], run["coord"]["5"]["wired"]
@@ -454,7 +481,11 @@ def test_the_oracle_prints_the_frozen_sizes():
             re.M,
         )
     }
+    censuses = {
+        int(m[0]): dict(ast.literal_eval(m[1])) for m in re.findall(r"^ring n=(\d+) row census: (.*)$", out, re.M)
+    }
     assert rings == RING_SIZES
+    assert censuses == RING_CENSUS
     assert mutexes == MUTEX_SIZES
 
 
