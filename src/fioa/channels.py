@@ -158,9 +158,10 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     `table` (see `product.MoveTable`) applies the channel discipline to
     packed keys: it lists each configuration's moves in `Transition`
     order, which makes the whole graph — and every witness derived from
-    it — reproducible.  A relaxed configuration's moves are its
-    `candidates`; an excited one's are read here, from one digit of its
-    receiver.  The table's conditions are compiled onto its moves, so a
+    it — reproducible.  A configuration whose moves all come from one
+    factor has them read here, from that factor's digit: an excited one's
+    receiver, or a relaxed one's only factor.  Any other relaxed
+    configuration's moves are its `candidates`.  The table's conditions are compiled onto its moves, so a
     move whose guard vetoes it out of the node's key is skipped by a digit
     test, before its target is numbered or its `Transition` built.  A
     configuration is numbered the first time its key is met; only then
@@ -168,7 +169,9 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     transition's target is its target node's stored state.  Each edge
     records its move's id.
     """
-    candidates, size, excited = table.candidates, table.size, table.excited
+    candidates, size = table.candidates, table.size
+    # By pending code: the one factor whose digit lists the moves, or None.
+    single = (table.relaxed[0] if len(table.relaxed) == 1 else None, *table.excited[1:])
     # The generated constructors of `Transition` and `Configuration` are
     # Python calls; `tuple.__new__` builds the same tuples.
     new = tuple.__new__
@@ -182,11 +185,11 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     keys = [table.initial_key]
     number = {table.initial_key: 0}
     for (state, _), key in zip(nodes, keys):
-        if key < size:
-            base, cands = key, candidates(key)
+        p, base = divmod(key, size)
+        if single[p] is None:
+            cands = candidates(base)
         else:
-            p, base = divmod(key, size)
-            stride, radix, moves_of = excited[p]
+            stride, radix, moves_of = single[p]
             cands = moves_of(base // stride % radix) or ()
         here: list[Transition] = []
         out: list[int] = []

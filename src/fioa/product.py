@@ -10,6 +10,7 @@ automaton and compare with plain equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as cartesian
 from math import prod
 from operator import itemgetter
@@ -395,7 +396,7 @@ def _wire(
     channel-fed input, else relaxed.  A move writing a wired output leaves
     that channel's character pending.  The moves kept are numbered in the
     order they are filed, and `move_labels` reads each one's labels and
-    pending from a list kept by number.
+    pending back from a list of them by number.
     """
     # The characters that can be in flight, by pending code: None first.
     chars = ((ch, c) for ch in channels for c in sorted(inputs[ch.in_component].characters))
@@ -405,7 +406,7 @@ def _wire(
     sent = tuple((ch.out_component, ch) for ch in channels)
     size = prod(radix for _, radix, _, _ in factors)
     relaxed, excited = [], [None] * len(pending)
-    labels: list[tuple] = []  # by move id
+    filed: list[tuple] = []  # the moves kept, by id
     for k, (stride, radix, ins, moves_of) in enumerate(factors):
         for p, (ch, _) in enumerate(pending[1:], 1):
             if ch.in_component in ins:
@@ -424,13 +425,17 @@ def _wire(
                 for c, ch in fed:
                     if inp[c]:
                         table = excited[code_of[ch, inp[c]]][2]
-                table.setdefault(d, []).append(
-                    (rank, p * size + shift, lo, hi, target, inp, outp, pending[p], g, len(labels))
-                )
-                labels.append((inp, outp, pending[p]))
+                move = (rank, p * size + shift, lo, hi, target, inp, outp, pending[p], g, len(filed))
+                table.setdefault(d, []).append(move)
+                filed.append(move)
         relaxed.append((stride, radix, here.get))
     excited[1:] = [(stride, radix, by_digit.get) for stride, radix, by_digit in excited[1:]]
-    return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code, labels.__getitem__)
+    return MoveTable(pending, size, tuple(relaxed), tuple(excited), initial, code, partial(_filed_move_labels, filed))
+
+
+def _filed_move_labels(filed: list[tuple], move: int) -> tuple:
+    """`(input, output, pending)` of `_wire`'s move `move`, the one it filed `move`-th."""
+    return filed[move][5:8]
 
 
 def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()) -> MoveTable:
@@ -439,22 +444,24 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
 
     Built from `a`'s own transitions and labels, sorted per source.
     Sources are numbered in table order, the other states when first met
-    as a target.  A move's id is its source's digit times the largest
-    out-degree, plus its position among its source's sorted transitions,
-    so it is also the move's rank, and `move_labels` reads its labels back
-    from that sorted list: the table records nothing per move or per
-    source.  (Wired, `_wire` numbers the moves again.)  `moves_of` sorts,
-    restricts and numbers a source's moves when asked, so an unwired
-    table, which wraps it, lists only the sources exploration reaches.
-    One factor owns every slot, so `veto` decides each move outright: no
-    move keeps a guard.
+    as a target.  `moves_of` sorts, restricts and numbers a source's moves
+    when asked, so an unwired table, which wraps it, lists only the
+    sources exploration reaches.  One factor owns every slot, so `veto`
+    decides each move outright: no move keeps a guard.
+
+    A move's id is its source's digit times `a`'s transition count, plus
+    its position among the source's sorted transitions that `conditions`
+    keep, so it is also the move's rank.  `move_labels` reads its labels
+    back from that sorted list, so the table records nothing per move or
+    per source.  Wired, `_wire` numbers the moves again.
     """
     by_source: dict[StateVector, list[Transition]] = {}
     for t in a.transitions:
         by_source.setdefault(t.source, []).append(t)
     number = {s: d for d, s in enumerate(by_source)}
     groups = list(by_source.values())
-    step = max(map(len, groups), default=0)
+    # At least any source's out-degree, and known without a pass over the sources.
+    step = len(a.transitions)
     width = a.state_width
     deny = veto(conditions) if conditions else None
 
@@ -464,24 +471,28 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
             return None
         ts = groups[d]
         ts.sort()
-        ids = enumerate(ts, d * step)
         if deny is not None:
-            ids = ((move, t) for move, t in ids if not deny(t))
+            # Kept in place of the group, so a move's id finds it there.
+            ts = groups[d] = [t for t in ts if not deny(t)]
         return [
             (move, number.setdefault(tgt, len(number)) - d, 0, width, tgt, inp, outp, None, None, move)
-            for move, (_, tgt, inp, outp) in ids
+            for move, (_, tgt, inp, outp) in enumerate(ts, d * step)
         ]
 
-    def move_labels(move: int) -> tuple:
-        d, rank = divmod(move, step)
-        _, _, inp, outp = groups[d][rank]
-        return inp, outp, None
-
+    move_labels = partial(_flat_move_labels, groups, step)
     code = number.setdefault(a.initial, len(number))
     radix = len(a.states)
     if not channels:
         return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code, move_labels)
     return _wire(((1, radix, range(len(a.inputs)), moves_of),), a.inputs, channels, None, a.initial, code)
+
+
+def _flat_move_labels(groups: list[list[Transition]], step: int, move: int) -> tuple:
+    """`(input, output, None)` of an unwired `automaton_table`'s move `move`:
+    position `move % step` among source `move // step`'s sorted transitions."""
+    d, rank = divmod(move, step)
+    _, _, inp, outp = groups[d][rank]
+    return inp, outp, None
 
 
 def _rank_key(k: int, pos: int, t: Transition, inp: VectorChar, outp: VectorChar) -> tuple:

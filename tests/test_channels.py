@@ -2,6 +2,7 @@
 taxonomy, well-formedness, consistency, protocols, and schedulers."""
 from __future__ import annotations
 
+import pickle
 import random
 import re
 from collections import Counter
@@ -573,6 +574,17 @@ class TestNodeNumbers:
                 assert (g1 == g2) == (g1.edges == g2.edges)
                 verdicts[g1 == g2] += 1
         assert verdicts[True] and verdicts[False]
+
+    def test_move_ids_stay_out_of_equality_and_survive_pickling(self):
+        r = examples.build("ring2").networks["ring2"].restricted
+        # Re-explored, the flat automaton's table numbers each flat transition as a move.
+        again = cbr(r)
+        assert again.graph == r.graph and repr(again.graph) == repr(r.graph)
+        assert again.graph.move_ids != r.graph.move_ids
+        for s in (r, again, cbr(examples.user_role())):
+            copy = pickle.loads(pickle.dumps(s))
+            assert copy.graph.move_ids == s.graph.move_ids
+            assert edge_census(copy) == edge_census(s) and export_dot(copy) == export_dot(s)
 
     @staticmethod
     def _ask_everything(r):
