@@ -159,15 +159,15 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     packed keys: it lists each configuration's moves in `Transition`
     order, which makes the whole graph — and every witness derived from
     it — reproducible.  A configuration whose moves all come from one
-    factor has them read here, from that factor's digit: an excited one's
-    receiver, or a relaxed one's only factor.  Any other relaxed
-    configuration's moves are its `candidates`.  The table's conditions are compiled onto its moves, so a
-    move whose guard vetoes it out of the node's key is skipped by a digit
-    test, before its target is numbered or its `Transition` built.  A
-    configuration is numbered the first time its key is met; only then
-    are its state tuple and its `Configuration` built, and every
-    transition's target is its target node's stored state.  Each edge
-    records its move's id.
+    factor reads them here, from that factor's digit: an excited one from
+    its receiver's, a relaxed one from a one-factor table's.  Any other
+    relaxed configuration's moves are its `candidates`.  The table's
+    conditions are compiled onto its moves, so a move whose guard vetoes
+    it out of the node's key is skipped by a digit test, before its
+    target is numbered or its `Transition` built.  A configuration is
+    numbered the first time its key is met; only then are its state tuple
+    and its `Configuration` built, and every transition's target is its
+    target node's stored state.  Each edge records its move's id.
     """
     candidates, size = table.candidates, table.size
     # By pending code: the one factor whose digit lists the moves, or None.
@@ -186,10 +186,10 @@ def _explore(table: MoveTable, *, cap: int) -> ConfigGraph:
     number = {table.initial_key: 0}
     for (state, _), key in zip(nodes, keys):
         p, base = divmod(key, size)
-        if single[p] is None:
+        if (one := single[p]) is None:
             cands = candidates(base)
         else:
-            stride, radix, moves_of = single[p]
+            stride, radix, moves_of = one
             cands = moves_of(base // stride % radix) or ()
         here: list[Transition] = []
         out: list[int] = []

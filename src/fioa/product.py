@@ -260,9 +260,10 @@ class MoveTable(NamedTuple):
         """The moves out of the relaxed configuration of state code `code`, in rank order.
 
         The moves of every factor that moves are sorted by rank, once, and
-        a repeated rank is kept once.  Guards are left to the caller, and
-        an excited configuration's moves to `channels._explore`, which
-        reads them from its receiver's digit alone.
+        a repeated rank is kept once.  Guards are left to the caller.
+        `channels._explore` reads a configuration whose moves all come
+        from one factor, an excited one's receiver or a one-factor
+        table's, from that factor's digit instead.
         """
         found = []
         for stride, radix, moves_of in self.relaxed:
@@ -479,17 +480,18 @@ def automaton_table(a: Nfioa, channels: Sequence = (), conditions: Sequence = ()
             for move, (_, tgt, inp, outp) in enumerate(ts, d * step)
         ]
 
-    move_labels = partial(_flat_move_labels, groups, step)
     code = number.setdefault(a.initial, len(number))
     radix = len(a.states)
     if not channels:
-        return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code, move_labels)
+        labels = partial(_flat_move_labels, groups, step)
+        return MoveTable((None,), radix, ((1, radix, moves_of),), (None,), a.initial, code, labels)
     return _wire(((1, radix, range(len(a.inputs)), moves_of),), a.inputs, channels, None, a.initial, code)
 
 
 def _flat_move_labels(groups: list[list[Transition]], step: int, move: int) -> tuple:
     """`(input, output, None)` of an unwired `automaton_table`'s move `move`:
-    position `move % step` among source `move // step`'s sorted transitions."""
+    position `move % step` among source `move // step`'s sorted, kept
+    transitions."""
     d, rank = divmod(move, step)
     _, _, inp, outp = groups[d][rank]
     return inp, outp, None
