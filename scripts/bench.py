@@ -16,7 +16,8 @@ must be `equal`, with a sufficient bound of the configuration count
 squared.  (ring7 has no equivalence figure: the process would hold two
 280,665-configuration graphs.)  For each ring size up to 6 a last
 process builds the ring and times two queries separately, `edge_census`
-and `export_dot`: the census must count every edge once and the DOT text
+and `export_dot`, each `QUERY_CALLS` times, and reports the best call of
+each: every call's census must count every edge once and its DOT text
 write one ` -> ` line per edge.  The counts must equal `KNOWN` and
 `KNOWN_COORD`; any other count or verdict fails the run (exit 1), so
 `--quick` serves as a CI gate.  For each corpus file, `python -m fioa
@@ -80,6 +81,9 @@ EQUIV_MAX = 6
 # ring n's queries, for n up to `QUERIES_MAX`: (census total, DOT edge
 # lines), both the ring's edge count.
 QUERIES_MAX = 6
+# Calls of each query per process.  The best call is the figure: one
+# call's time swings too widely to show a 10% change.
+QUERY_CALLS = 5
 COUNTS = {
     "ring": ("configurations", "edges", "excited"),
     "equiv": ("configurations", "equal", "sufficient_bound"),
@@ -128,14 +132,19 @@ if kind == "equiv":
     counts = (len(r.graph.nodes), verdict.equal, verdict.sufficient_bound)
 elif kind == "queries":
     r = built.restricted
-    start = time.perf_counter()
-    census = edge_census(r)
-    parts["census_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    dot = export_dot(r)
-    parts["dot_s"] = time.perf_counter() - start
+    census_s, dot_s, seen = [], [], set()
+    for _ in range(int(sys.argv[3])):
+        start = time.perf_counter()
+        census = edge_census(r)
+        census_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        dot = export_dot(r)
+        dot_s.append(time.perf_counter() - start)
+        seen.add((sum(census.values()), dot.count(" -> ")))
+        del dot  # so maxrss counts one DOT text, as with one call
+    (counts,) = seen  # a call counting differently stops the run
+    parts = {"census_s": min(census_s), "dot_s": min(dot_s)}
     seconds = sum(parts.values())
-    counts = (sum(census.values()), dot.count(" -> "))
 elif kind == "eager":
     a = built.automaton
     counts = (len(a.states), len(a.transitions), len(reachable_states(a)))
@@ -155,10 +164,12 @@ def measure(src: Path, kind: str, n: int) -> dict:
     """One figure in a fresh interpreter importing `fioa` from `src`: a
     ring build (`kind` "ring"), a coord network build ("eager" or
     "wired"), a ring against its copy ("equiv"), or a ring's census and
-    DOT export ("queries", each timed in `parts`)."""
+    DOT export ("queries", the best of `QUERY_CALLS` calls of each in
+    `parts`)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, kind, str(n)], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", CHILD, kind, str(n), str(QUERY_CALLS)],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
 

@@ -31,13 +31,12 @@ _EXPORTS = {
         Projection Transition automata_equal classify project prune reachable_states
         require_valid validate with_initial""",
     "dot": "export_dot",
-    "dsl": """Directive NetFactor NetworkDef ResolvedDocument WorkbenchDocument parse
-        resolve serialize""",
+    "dsl": "Directive ResolvedDocument WorkbenchDocument parse resolve serialize",
     "errors": """CapacityExceeded DslError InvalidAutomaton PreconditionError
         SchedulerError StepRejected WiringError WorkbenchError""",
     "executor": "FiniteSystem drive render_trace specifies step system_from_dfioa",
     "network": """BuiltNetwork ChannelSpec CompiledNetwork ConditionSpec FactorRef
-        NetworkSpec PatternSpec build_network compile_network""",
+        NetFactor NetworkDef NetworkSpec PatternSpec build_network compile_network""",
     "product": "LazyProduct ProductIndex acceptance_within weak_product",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -43,8 +43,12 @@ def _dot_nfioa(a: Nfioa) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A relaxed configuration's stand-in for its pending character, built once.
+_NO_PENDING = (Channel(-1, -1), "")
+
+
 def _ckey(c: Configuration):
-    return (c.state, c.pending is not None, c.pending or (Channel(-1, -1), ""))
+    return (c.state, c.pending is not None, c.pending or _NO_PENDING)
 
 
 def _dot_restricted(r: RestrictedAutomaton) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
@@ -46,8 +46,8 @@ from .network import (
     BuiltNetwork,
     ChannelSpec,
     ConditionSpec,
-    FactorRef,
-    NetworkSpec,
+    NetFactor,
+    NetworkDef,
     PatternSpec,
     build_network,
 )
@@ -74,30 +74,6 @@ _T = TypeVar("_T")
 # ---------------------------------------------------------------------------
 # document model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NetFactor:
-    """One ``use`` line: a named slot filled by a declared machine."""
-
-    alias: str
-    ref: str
-    initial: tuple[str, ...] | None = None
-    # (line, col) of the ``use`` keyword when parsed from text
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class NetworkDef:
-    """A network block, still referring to its parts by name."""
-
-    name: str
-    factors: tuple[NetFactor, ...]
-    channels: tuple[ChannelSpec, ...] = ()
-    conditions: tuple[ConditionSpec, ...] = ()
-    acceptance: Acceptance | None = None
-    # (line, col) of the ``network`` keyword when parsed from text
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -774,21 +750,14 @@ def resolve(doc: WorkbenchDocument) -> ResolvedDocument:
                     f"network {n.name!r} uses {f.ref!r}, which is not declared before it", line, col
                 )
             a = env.automata[f.ref]
-            if f.initial is not None and tuple(f.initial) not in a.states:
+            if f.initial is not None and f.initial not in a.states:
                 raise DslError(
                     f"network {n.name!r} starts {f.alias!r} in {state_str(f.initial)}, "
                     f"which is not a state of {f.ref!r}", line, col
                 )
-            factors.append(FactorRef(f.alias, a, initial=f.initial))
-        spec = NetworkSpec(
-            name=n.name,
-            factors=tuple(factors),
-            channels=n.channels,
-            conditions=n.conditions,
-            acceptance=n.acceptance,
-        )
+            factors.append(replace(f, ref=a))
         try:
-            networks[n.name] = build_network(spec)
+            networks[n.name] = build_network(replace(n, factors=factors))
         except (WiringError, InvalidAutomaton) as exc:
             raise DslError(f"network {n.name!r}: {exc}", *(n.pos or (None, None))) from exc
     return env

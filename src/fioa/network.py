@@ -1,13 +1,15 @@
-"""Network definitions: named factors, wiring, and coordination.
+"""Network descriptions: named factors, wiring, and coordination.
 
-A network is the declarative form of a composed system: factor automata
-under local aliases (with optional initial-state overrides), channels
-between factor-qualified components, conditions scoped to factor subsets,
-and an optional acceptance override for the composite.  Compiling a
-network resolves every factor-qualified reference to flat indices;
-building it runs the product and restriction machinery.  Each flat
-component is named after its factor alias (`u.svc`); a network used as a
-factor keeps its inner alias too (`m.u.svc`).  Those names are how
+A network is the declarative form of a composed system: factors under
+local aliases (with optional initial-state overrides), channels between
+factor-qualified components, conditions scoped to factor subsets, and an
+optional acceptance override for the composite.  One `NetworkDef` type
+serves from text to build: parsed, each factor's `ref` names a declared
+machine; `dsl.resolve` swaps in the automaton itself.  Compiling a
+resolved network turns every factor-qualified reference into flat
+indices; building it runs the product and restriction machinery.  Each
+flat component is named after its factor alias (`u.svc`); a network used
+as a factor keeps its inner alias too (`m.u.svc`).  Those names are how
 `channels.channel_str` prints a channel.
 
 Networks with channels are explored lazily — `ring3` has 884,736 product
@@ -19,7 +21,7 @@ conditions, compiled onto its moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .core import Acceptance, BuiltOnRead, Nfioa, StateVector, with_initial
@@ -30,12 +32,18 @@ from .product import LazyProduct, ProductIndex
 
 
 @dataclass(frozen=True)
-class FactorRef:
-    """One slot of a network: an automaton under a local alias."""
+class NetFactor:
+    """One ``use`` line: a slot filled by a machine under a local alias.
+
+    `ref` names a declared machine until `dsl.resolve` puts the automaton
+    itself there; only a resolved factor compiles.
+    """
 
     alias: str
-    automaton: Nfioa
+    ref: str | Nfioa
     initial: StateVector | None = None
+    # (line, col) of the ``use`` keyword when parsed from text
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.initial is not None:
@@ -105,14 +113,16 @@ class ConditionSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
-    """A network: aliased factors, channels, conditions, acceptance."""
+class NetworkDef:
+    """A network block: aliased factors, channels, conditions, acceptance."""
 
     name: str
-    factors: tuple[FactorRef, ...]
+    factors: tuple[NetFactor, ...]
     channels: tuple[ChannelSpec, ...] = ()
     conditions: tuple[ConditionSpec, ...] = ()
     acceptance: Acceptance | None = None
+    # (line, col) of the ``network`` keyword when parsed from text
+    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -120,23 +130,28 @@ class NetworkSpec:
         object.__setattr__(self, "conditions", tuple(self.conditions))
 
 
+# The two types' former names: `perfbench` still builds networks under
+# them, and its next change (ROADMAP item 2) retires them.
+FactorRef, NetworkSpec = NetFactor, NetworkDef
+
+
 @dataclass(frozen=True)
 class CompiledNetwork:
     """All factor-qualified references resolved to flat indices."""
 
-    spec: NetworkSpec
+    spec: NetworkDef
     factors: tuple[Nfioa, ...]  # alias-named, initial overrides applied
     index: ProductIndex
     channels: tuple[Channel, ...]
     conditions: tuple[Condition, ...]
 
 
-def _alias_index(spec: NetworkSpec) -> dict[str, int]:
+def _alias_index(spec: NetworkDef) -> dict[str, int]:
     seen: dict[str, int] = {}
-    for i, ref in enumerate(spec.factors):
-        if ref.alias in seen:
-            raise WiringError(f"factor alias {ref.alias!r} used twice")
-        seen[ref.alias] = i
+    for i, f in enumerate(spec.factors):
+        if f.alias in seen:
+            raise WiringError(f"factor alias {f.alias!r} used twice")
+        seen[f.alias] = i
     return seen
 
 
@@ -154,14 +169,16 @@ def _component_index(comps, key: Union[int, str], what: str) -> int:
     return hits[0]
 
 
-def compile_network(spec: NetworkSpec) -> CompiledNetwork:
+def compile_network(spec: NetworkDef) -> CompiledNetwork:
     by_alias = _alias_index(spec)
     factors = []
-    for ref in spec.factors:
-        a = ref.automaton
-        if ref.initial is not None:
-            a = with_initial(a, ref.initial)
-        factors.append(replace(a, name=ref.alias))
+    for f in spec.factors:
+        a = f.ref
+        if not isinstance(a, Nfioa):
+            raise WiringError(f"factor {f.alias!r} still names {a!r}; resolve the document first")
+        if f.initial is not None:
+            a = with_initial(a, f.initial)
+        factors.append(replace(a, name=f.alias))
     factors = tuple(factors)
     index = ProductIndex.for_factors(factors)
 
@@ -248,7 +265,7 @@ class BuiltNetwork:
     restricted: RestrictedAutomaton | None
 
     @property
-    def spec(self) -> NetworkSpec:
+    def spec(self) -> NetworkDef:
         return self.compiled.spec
 
     @property
@@ -256,7 +273,7 @@ class BuiltNetwork:
         return self.compiled.spec.name
 
 
-def build_network(spec: NetworkSpec) -> BuiltNetwork:
+def build_network(spec: NetworkDef) -> BuiltNetwork:
     compiled = compile_network(spec)
     lazy = LazyProduct(compiled.factors, name=spec.name)
     if compiled.channels:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fioa
 from fioa import (
     Acceptance,
     Channel,
@@ -20,11 +21,11 @@ from fioa import (
     ComponentAlphabet,
     Condition,
     ConditionSpec,
-    FactorRef,
     InvalidAutomaton,
     IoPattern,
+    NetFactor,
+    NetworkDef,
     Nfioa,
-    NetworkSpec,
     PatternSpec,
     Scope,
     WiringError,
@@ -42,12 +43,12 @@ from fioa.network import BuiltNetwork
 from fioa.product import LazyProduct, acceptance_within
 
 
-def mutex_spec(**kwargs) -> NetworkSpec:
-    return NetworkSpec(
+def mutex_spec(**kwargs) -> NetworkDef:
+    return NetworkDef(
         name="pair",
         factors=(
-            FactorRef("u", examples.user_role()),
-            FactorRef("c", examples.server_role()),
+            NetFactor("u", examples.user_role()),
+            NetFactor("c", examples.server_role()),
         ),
         **kwargs,
     )
@@ -59,11 +60,11 @@ class TestCompile:
         assert [f.name for f in compiled.factors] == ["u", "c"]
 
     def test_duplicate_alias_is_rejected(self):
-        spec = NetworkSpec(
+        spec = NetworkDef(
             name="dup",
             factors=(
-                FactorRef("u", examples.user_role()),
-                FactorRef("u", examples.server_role()),
+                NetFactor("u", examples.user_role()),
+                NetFactor("u", examples.server_role()),
             ),
         )
         with pytest.raises(WiringError, match="used twice"):
@@ -95,11 +96,11 @@ class TestCompile:
 
     def test_ambiguous_component_name_needs_an_index(self):
         relay = examples.build("mitm").networks["relay"]
-        spec = NetworkSpec(
+        spec = NetworkDef(
             name="wrap",
             factors=(
-                FactorRef("u", examples.user_role()),
-                FactorRef("m", relay.automaton),
+                NetFactor("u", examples.user_role()),
+                NetFactor("m", relay.automaton),
             ),
             channels=(ChannelSpec("u", "svc", "m", "svc"),),
         )
@@ -107,20 +108,25 @@ class TestCompile:
             compile_network(spec)
 
     def test_initial_override_is_applied(self):
-        spec = NetworkSpec(
+        spec = NetworkDef(
             name="late",
-            factors=(FactorRef("u", examples.user_role(), initial=("crit",)),),
+            factors=(NetFactor("u", examples.user_role(), initial=("crit",)),),
         )
         compiled = compile_network(spec)
         assert compiled.factors[0].initial == ("crit",)
 
     def test_initial_override_must_name_a_state(self):
-        spec = NetworkSpec(
+        spec = NetworkDef(
             name="late",
-            factors=(FactorRef("u", examples.user_role(), initial=("nowhere",)),),
+            factors=(NetFactor("u", examples.user_role(), initial=("nowhere",)),),
         )
         with pytest.raises(WiringError):
             compile_network(spec)
+
+    def test_an_unresolved_network_is_refused(self):
+        # Parsed, the administrator's factors still name their machines.
+        with pytest.raises(WiringError, match=r"factor 'c' still names 'Server'; resolve the document first"):
+            build_network(examples.administrator_def())
 
     def test_condition_arity_must_match_scoped_width(self):
         spec = mutex_spec(
@@ -173,12 +179,12 @@ class TestCompile:
         """Timer, a two-slot relay and a server: the relay's state, input and
         output slots are 1 and 2, the server's are 3 in each vector."""
         relay = examples.build("mitm").networks["relay"].automaton
-        spec = NetworkSpec(
+        spec = NetworkDef(
             name="offsets",
             factors=(
-                FactorRef("t", examples.timer_role()),
-                FactorRef("m", relay),
-                FactorRef("c", examples.server_role()),
+                NetFactor("t", examples.timer_role()),
+                NetFactor("m", relay),
+                NetFactor("c", examples.server_role()),
             ),
             channels=(ChannelSpec("m", 1, "c", "svc"),),
             conditions=(
@@ -206,7 +212,7 @@ def _spec_parts(seq, none):
     """A factor, a channel and a condition, with `seq` for every sequence
     and `none` for every omitted pattern."""
     return (
-        FactorRef("u", examples.user_role(), seq(["try"])),
+        NetFactor("u", examples.user_role(), seq(["try"])),
         ChannelSpec("u", "svc", "c", "svc"),
         ConditionSpec("no_try", seq(["try"]), seq(["*"]), none, none, seq(["u"])),
     )
@@ -223,11 +229,22 @@ def _user_from_lists() -> Nfioa:
 # Each case: a value built from lists and None patterns, and the same
 # value built from its normal form.
 _NORMAL_FORMS = {
-    "FactorRef": lambda: (_spec_parts(list, None)[0], _spec_parts(tuple, PatternSpec.any())[0]),
+    "NetFactor": lambda: (_spec_parts(list, None)[0], _spec_parts(tuple, PatternSpec.any())[0]),
     "ConditionSpec": lambda: (_spec_parts(list, None)[2], _spec_parts(tuple, PatternSpec.any())[2]),
-    "NetworkSpec": lambda: (
-        NetworkSpec("n", *([part] for part in _spec_parts(list, None))),
-        NetworkSpec("n", *((part,) for part in _spec_parts(tuple, PatternSpec.any()))),
+    "NetworkDef": lambda: (
+        NetworkDef("n", *([part] for part in _spec_parts(list, None))),
+        NetworkDef("n", *((part,) for part in _spec_parts(tuple, PatternSpec.any()))),
+    ),
+    # A parsed network carries its position, which equality ignores.
+    "NetworkDef parsed": lambda: (
+        NetworkDef(
+            "closed_mutex",
+            [NetFactor("u", "User"), NetFactor("c", "Server")],
+            [ChannelSpec("u", "svc", "c", "svc"), ChannelSpec("c", "svc", "u", "svc")],
+            [],
+            Acceptance.muller([frozenset(examples.MUTEX_CYCLE)]),
+        ),
+        examples.document("mutex").networks[0],
     ),
     "ComponentAlphabet": lambda: (ComponentAlphabet("c", ["x"]), ComponentAlphabet("c", {"x"})),
     "Condition": lambda: (
@@ -244,6 +261,9 @@ class TestNormalForm:
         given, normal = _NORMAL_FORMS[case]()
         assert given == normal
         assert hash(given) == hash(normal)
+
+    def test_the_former_names_are_the_merged_types(self):
+        assert fioa.FactorRef is fioa.NetFactor and fioa.NetworkSpec is fioa.NetworkDef
 
     def test_replace_with_a_transition_list_is_still_validated(self):
         user = examples.user_role()
@@ -390,13 +410,13 @@ class TestTokenRings:
                 assert in_crit <= 1, (name, cfg)
 
 
-def pairwise_mutex_spec(n: int, wired: bool) -> NetworkSpec:
+def pairwise_mutex_spec(n: int, wired: bool) -> NetworkDef:
     """n users; condition mx_i_j denies u_j entering crit while u_i is in
     crit.  Wired, u0 talks to a server over both service channels."""
-    factors = [FactorRef(f"u{i}", examples.user_role()) for i in range(n)]
+    factors = [NetFactor(f"u{i}", examples.user_role()) for i in range(n)]
     channels = ()
     if wired:
-        factors.append(FactorRef("c", examples.server_role()))
+        factors.append(NetFactor("c", examples.server_role()))
         channels = (ChannelSpec("u0", "svc", "c", "svc"), ChannelSpec("c", "svc", "u0", "svc"))
     conditions = tuple(
         ConditionSpec(f"mx_{i}_{j}", ("crit", "try"), ("crit", "crit"), on=(f"u{i}", f"u{j}"))
@@ -404,7 +424,7 @@ def pairwise_mutex_spec(n: int, wired: bool) -> NetworkSpec:
         for j in range(n)
         if i != j
     )
-    return NetworkSpec(f"mutex{n}", tuple(factors), channels, conditions)
+    return NetworkDef(f"mutex{n}", tuple(factors), channels, conditions)
 
 
 class TestPairwiseMutex:

@@ -93,3 +93,26 @@ def test_the_package_surface_loads_on_first_use():
     assert report["star"] == sorted(report["all"])
     assert report["misplaced"] == []
     assert report["not_in_dir"] == []
+
+
+_DATACLASS_PROBE = """
+import contextlib, dataclasses, io, json, sys
+from fioa.cli import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli(sys.argv[1:])
+defined = {
+    id(value): f"{name}.{value.__qualname__}"
+    for name, module in list(sys.modules.items()) if name.startswith("fioa")
+    for value in vars(module).values()
+    if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == name
+}
+print(json.dumps([code, sorted(defined.values())]))
+"""
+
+
+def test_validate_defines_few_value_types():
+    """`fioa validate` defines at most 20 dataclasses: one `NetworkDef`
+    and its `NetFactor`s describe a network from text to build."""
+    code, defined = _fresh(_DATACLASS_PROBE, "validate", MUTEX)
+    assert code == 0
+    assert len(defined) <= 20, defined
