@@ -8,8 +8,10 @@ excited configurations, the build's wall seconds and the process's peak
 resident memory (maxrss).  For each coord size two more processes build
 `coord<n>`, n users kept in pairwise mutual exclusion by n(n-1)
 conditions on `mutex`'s machines: eager (states, kept transitions,
-reachable states) and, as `coord<n>w`, wired to a server
-(configurations, edges, excited configurations).  For each ring size up
+reachable states, then the verdicts of the two plain checks,
+`is_consistent_cond` with its anchor count and `is_quasi_deterministic`,
+each timed on the built automaton in that order) and, as `coord<n>w`,
+wired to a server (configurations, edges, excited configurations).  For each ring size up
 to 6 one more process resolves the ring twice and times
 `trace_equivalent` of the ring against its copy on its own: the verdict
 must be `equal`, with a sufficient bound of the configuration count
@@ -68,11 +70,12 @@ KNOWN = {
     7: (280665, 469476, 239841),
 }
 
-# coord n: eager (states, kept transitions, reachable states) and wired
-# (configurations, edges, excited configurations).
+# coord n: eager (states, kept transitions, reachable states, consistent,
+# anchors, quasi-deterministic) and wired (configurations, edges, excited
+# configurations).
 KNOWN_COORD = {
-    5: {"eager": (1024, 4245, 648), "wired": (1296, 3348, 648)},
-    6: {"eager": (4096, 19890, 2187), "wired": (4374, 12879, 2187)},
+    5: {"eager": (1024, 4245, 648, False, 0, False), "wired": (1296, 3348, 648)},
+    6: {"eager": (4096, 19890, 2187, False, 0, False), "wired": (4374, 12879, 2187)},
 }
 # ring n against its copy, for n up to `EQUIV_MAX`: (configurations,
 # equal, sufficient bound), the last two always True and configurations
@@ -88,7 +91,7 @@ COUNTS = {
     "ring": ("configurations", "edges", "excited"),
     "equiv": ("configurations", "equal", "sufficient_bound"),
     "queries": ("census_edges", "dot_edges"),
-    "eager": ("states", "transitions", "reachable"),
+    "eager": ("states", "transitions", "reachable", "consistent", "anchors", "quasidet"),
     "wired": ("configurations", "edges", "excited"),
     "validate": (),
 }
@@ -100,7 +103,10 @@ COUNTS = {
 CHILD = """
 import json, resource, sys, time
 from dataclasses import replace
-from fioa import edge_census, examples, export_dot, reachable_states, trace_equivalent
+from fioa import (
+    edge_census, examples, export_dot, is_consistent_cond, is_quasi_deterministic, reachable_states,
+    trace_equivalent,
+)
 from fioa.dsl import NetFactor, NetworkDef, resolve
 from fioa.network import ChannelSpec, ConditionSpec
 
@@ -148,6 +154,13 @@ elif kind == "queries":
 elif kind == "eager":
     a = built.automaton
     counts = (len(a.states), len(a.transitions), len(reachable_states(a)))
+    start = time.perf_counter()
+    consistency = is_consistent_cond(a)
+    parts["consistency_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    quasidet = is_quasi_deterministic(a)
+    parts["quasidet_s"] = time.perf_counter() - start
+    counts += (consistency.ok, len(consistency.anchors), quasidet.ok)
 else:
     g = built.restricted.graph
     counts = (len(g.nodes), g.edge_count, sum(c.pending is not None for c in g.nodes))
@@ -229,7 +242,7 @@ def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
     out["samples"] = [{"seconds": s["seconds"], **s["parts"], "maxrss_mb": s["maxrss_mb"]} for s in samples]
     shown = [f"{v} {k}" for k, v in zip(COUNTS[kind], known)]
     shown += [f"{out['seconds']:.3f} s"]
-    shown += [f"{part} {out[part] * 1000:.1f} ms" for part in samples[0]["parts"]]
+    shown += [f"{part} {out[part] * 1000:.2f} ms" for part in samples[0]["parts"]]
     shown += [f"{out['maxrss_mb']:.0f} MB"]
     print(f"{label} {name}: {', '.join(shown)}", flush=True)
     return out

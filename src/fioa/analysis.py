@@ -321,12 +321,12 @@ class _EventView:
     shortest distinguishing trace are those of that walk.  Each
     configuration's closure and each node's events with their next nodes
     are computed the first time a walk asks for them and kept for the rest
-    of that walk, so a bounded walk touches only the configurations it
-    reaches.
+    of that walk, so a bounded walk expands only the configurations it
+    reaches; every configuration's `pending` is read once, up front.
     """
 
     def __init__(self, r: RestrictedAutomaton):
-        self._nodes = r.graph.nodes
+        self._pend = [c.pending for c in r.graph.nodes]
         self._succ = r.graph.succ
         self._closures: dict[int, frozenset[int]] = {}
         # One frozenset per distinct node: the closures of many excited
@@ -340,27 +340,44 @@ class _EventView:
         """The senders among `c` and every configuration it reaches by edges
         that send nothing.
 
-        The walk over the closure reads every edge once, and records a
-        configuration as a sender when one of its edges has an event.
-        Callers look in `_closures` first; this computes and records it.
+        A configuration whose only edge sends nothing has its successor's
+        closure, so a chain of them is followed to a configuration whose
+        closure is known, or that sends or branches; a chain that comes
+        back on itself (a silent cycle) stops where it does.  The walk over
+        the closure of the chain's end reads every edge once, and records a
+        configuration as a sender when one of its edges has an event.  The
+        result is recorded for the end and for every configuration on the
+        chain.  Callers look in `_closures` first; this computes and
+        records it.
         """
-        nodes, succ = self._nodes, self._succ
-        seen = {c}
-        todo = [c]
-        senders = []
-        while todo:
-            s = todo.pop()
-            sends = False
-            for t in succ[s]:
-                if nodes[t].pending is not None:
-                    sends = True
-                elif t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-            if sends:
-                senders.append(s)
-        got = frozenset(senders)
-        got = self._closures[c] = self._shared.setdefault(got, got)
+        pend, succ, closures = self._pend, self._succ, self._closures
+        chain: set[int] = set()
+        got = None
+        while c not in chain and len(ts := succ[c]) == 1 and pend[ts[0]] is None:
+            chain.add(c)
+            c = ts[0]
+            got = closures.get(c)
+            if got is not None:
+                break
+        if got is None:
+            seen = {c}
+            todo = [c]
+            senders = []
+            while todo:
+                s = todo.pop()
+                sends = False
+                for t in succ[s]:
+                    if pend[t] is not None:
+                        sends = True
+                    elif t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+                if sends:
+                    senders.append(s)
+            got = frozenset(senders)
+            got = closures[c] = self._shared.setdefault(got, got)
+        for k in chain:
+            closures[k] = got
         return got
 
     def steps(self, senders: frozenset) -> tuple[tuple[Event, ...], tuple[frozenset, ...]]:
@@ -371,12 +388,12 @@ class _EventView:
         """
         got = self._steps.get(senders)
         if got is None:
-            nodes, succ = self._nodes, self._succ
+            pend, succ = self._pend, self._succ
             closures = self._closures
             sent: dict[Event, frozenset] = {}
             for c in senders:
                 for t in succ[c]:
-                    ev = nodes[t].pending
+                    ev = pend[t]
                     if ev is not None:
                         nxt = closures.get(t)
                         if nxt is None:

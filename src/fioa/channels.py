@@ -47,6 +47,8 @@ from .product import LazyProduct, MoveTable, acceptance_within, automaton_table,
 
 CONFIG_CAP = 2 * 10**6
 RUN_CAP = 100_000
+# The key under which `cbr` keeps a plain automaton's restriction.
+_PLAIN = "_plain_restriction"
 
 
 class Channel(NamedTuple):
@@ -332,9 +334,19 @@ def cbr(
     read.  Its states are the source's, or for a lazy product those of the
     graph's nodes, with the product's acceptance `acceptance_within` them;
     both are computed here, so the recipe holds no product.
+
+    The plain restriction, `cbr(a)` of an `Nfioa` with no channels, no
+    conditions, no `name` and the default `cap`, is explored once per
+    automaton: it is kept on `a` (outside its fields, so not in `==`,
+    `hash` or `repr`, and not carried over by `dataclasses.replace`), and
+    a second plain call returns the same object.  Every other call
+    explores afresh.
     """
     new_channels = tuple(Channel(*c) for c in channels)
     conditions = tuple(conditions)
+    plain = isinstance(source, Nfioa) and not (new_channels or conditions or name) and cap == CONFIG_CAP
+    if plain and (kept := source.__dict__.get(_PLAIN)) is not None:
+        return kept
     if isinstance(source, RestrictedAutomaton):
         return cbr(
             source.base,
@@ -358,7 +370,11 @@ def cbr(
     else:
         states, acceptance = source.states, source.acceptance
     flat = FlatRecipe(name, states, source.inputs, source.outputs, source.initial, acceptance, graph)
-    return RestrictedAutomaton(flat, chans, graph, conditions, name)
+    r = RestrictedAutomaton(flat, chans, graph, conditions, name)
+    if plain:
+        # Beside the fields, as `BuiltOnRead` stores its value.
+        source.__dict__[_PLAIN] = r
+    return r
 
 
 def enabled(r: RestrictedAutomaton, c: Configuration) -> tuple[Edge, ...]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from functools import cache, partial
 from typing import Callable
 
 from .channels import (
@@ -87,7 +86,11 @@ def _network(env: ResolvedDocument, name: str) -> BuiltNetwork:
 def _graph(env: ResolvedDocument, name: str) -> RestrictedAutomaton:
     """A name's configuration graph: a wired network's restriction, else the
     name's flat automaton restricted by no channels (a channel-free
-    network's eager build already carries only what its conditions kept)."""
+    network's eager build already carries only what its conditions kept).
+
+    Both are kept, the first on the network and the second by `cbr` on the
+    automaton, so each name is explored once per process, however many
+    checks read it."""
     built = env.networks.get(name)
     if built is not None and built.restricted is not None:
         return built.restricted
@@ -120,10 +123,8 @@ def _nondeterminism(a: Nfioa) -> str | None:
     return None
 
 
-def _run_directive(
-    env: ResolvedDocument, kind: str, target: str, graph: Callable[[str], RestrictedAutomaton]
-) -> tuple[bool, str]:
-    """One check on `target`, whose configuration graph `graph` gives.
+def _run_directive(env: ResolvedDocument, kind: str, target: str) -> tuple[bool, str]:
+    """One check on `target`, whose configuration graph `_graph` gives.
 
     Only `valid` and `deterministic` read the flat automaton; the others
     answer from the graph, so a wired network's `base` is not built for them.
@@ -134,7 +135,7 @@ def _run_directive(
             return True, f"{len(a.states)} states"
         why = _nondeterminism(a)
         return why is None, why or "at most one move per state and input"
-    r = graph(target)
+    r = _graph(env, target)
     if kind == "wellformed":
         wf = is_well_formed(r)
         if wf.ok:
@@ -195,11 +196,9 @@ def cmd_validate(args) -> int:
                 f"{len(reachable_states(a))} reachable"
             )
     failures = 0
-    # Each target's graph is explored once, however many checks read it.
-    graph = cache(partial(_graph, env))
     for d in doc.directives:
         try:
-            ok, detail = _run_directive(env, d.kind, d.target, graph)
+            ok, detail = _run_directive(env, d.kind, d.target)
         except PreconditionError as exc:
             ok, detail = False, str(exc)
         print(f"check {d.kind} {d.target}: {'ok' if ok else 'FAIL'} ({detail})")
@@ -305,7 +304,7 @@ def cmd_check(args) -> int:
             print(f"factor {ref.alias}: {'unaffected' if ok else 'affected'}")
             affected += 0 if ok else 1
         return EX_FAIL if affected else EX_OK
-    ok, detail = _run_directive(env, args.kind, args.network, partial(_graph, env))
+    ok, detail = _run_directive(env, args.kind, args.network)
     print(f"{args.kind}: {'yes' if ok else 'no'} ({detail})")
     return EX_OK if ok else EX_FAIL
 

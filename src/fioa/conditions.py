@@ -26,7 +26,9 @@ state can satisfy.
 
 A plain automaton is its restriction by no channels, so the checks here
 that take one (`is_quasi_deterministic`, `is_consistent_cond`) answer
-from `cbr(a)`, each configuration read as its state.
+from `cbr(a)`, each configuration read as its state.  That restriction is
+explored once per automaton and kept on it, so the second check reads
+the graph the first one explored.
 """
 
 from __future__ import annotations

@@ -583,6 +583,58 @@ class TestEventViewAgainstTheNaiveClosures:
         lockstep = oracle.Lockstep()
         assert all(self._check(lockstep, r, naive) for r, naive in corpus_oracle)
 
+    def test_chains_of_single_silent_moves(self):
+        """Sending `a` leads into a silent 2-cycle of configurations with one
+        move each, which sends nothing; sending `b` leads down a chain of
+        single silent moves to a sender, whose send leads back to the
+        initial configuration through one more.  Every configuration on a
+        chain gets the closure of the chain's end.  The copy drops that
+        last send."""
+        T = lambda s, t, i="", o="": Transition((s,), (t,), (i,), (o,))
+        transitions = {
+            T("p0", "p1", o="a"), T("p1", "c0", i="a"), T("c0", "c1"), T("c1", "c0"),
+            T("p0", "p2", o="b"), T("p2", "d0", i="b"), T("d0", "d1"), T("d1", "d2"),
+            T("d2", "d3", o="a"), T("d3", "p0", i="a"),
+        }
+        states = sorted({t.source for t in transitions})
+        a = Nfioa(
+            name="chains",
+            states=states,
+            inputs=(ComponentAlphabet("in", "ab"),),
+            outputs=(ComponentAlphabet("out", "ab"),),
+            initial=("p0",),
+            acceptance=Acceptance.final(states),
+            transitions=transitions,
+        )
+        loop = (Channel(0, 0),)
+        cut = replace(a, name="cut", transitions=transitions - {T("d2", "d3", o="a")})
+        r, copy = cbr(a, loop), cbr(cut, loop)
+        n, n_copy = oracle.explore([a], loop), oracle.explore([cut], loop)
+        ev_a, ev_b = (loop[0], "a"), (loop[0], "b")
+        number = {(c.state[0], c.excited): i for i, c in enumerate(r.graph.nodes)}
+
+        view = fioa.analysis._EventView(r)
+        first = dict(zip(*view.steps(view.initial)))
+        assert first == {ev_a: frozenset(), ev_b: frozenset({number["d2", False]})}
+        cycle = [("p1", True), ("c0", False), ("c1", False)]
+        chain = [("p2", True), ("d0", False), ("d1", False), ("d2", False)]
+        assert {view._closures[number[k]] for k in cycle} == {frozenset()}
+        assert {view._closures[number[k]] for k in chain} == {first[ev_b]}
+        # `d3`'s one silent move ends at the initial configuration, whose
+        # closure is known.
+        assert dict(zip(*view.steps(first[ev_b]))) == {ev_a: view.initial}
+        assert view._closures[number["d3", True]] is view.initial
+
+        lockstep = oracle.Lockstep()
+        assert self._check(lockstep, r, n) and self._check(lockstep, copy, n_copy)
+        assert lockstep.silent_cycles > 0
+        assert trace_language(r, 5) == lockstep.trace_language(n, 5)
+        for bound in (None, 1, 2, 3):
+            for (r1, n1), (r2, n2) in (((r, n), (copy, n_copy)), ((copy, n_copy), (r, n))):
+                got = trace_equivalent(r1, r2, bound=bound)
+                assert got == lockstep.trace_equivalent(n1, n2, bound), (r1.name, bound)
+                assert got.distinguishing == (None if bound == 1 else (ev_b, ev_a))
+
     def test_random_networks(self, generated):
         lockstep = oracle.Lockstep()
         cut = sum(self._check(lockstep, built.restricted, case.naive) > 0 for case, built in generated)

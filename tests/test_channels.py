@@ -39,6 +39,7 @@ from fioa import (
     export_dot,
     flatten,
     is_consistent,
+    is_consistent_cond,
     is_protocol,
     is_quasi_deterministic,
     is_well_formed,
@@ -52,6 +53,7 @@ from fioa import (
 )
 from fioa.analysis import law_instance
 from fioa.channels import ALL_EDGE_CLASSES, FlatRecipe, _sccs, check_channels
+from fioa.conditions import Condition
 from fioa.core import active_slot
 
 
@@ -706,6 +708,87 @@ class TestCaps:
             if len(seen) > 100:
                 break
         assert (current, expanded, waiting) == (done + 1, done, 101 - done - 1)
+
+
+class TestPlainRestrictionIsKept:
+    """`cbr(a)` of a plain automaton, with no channels, conditions, name or
+    cap, is explored once and kept on `a`; every other call explores."""
+
+    @staticmethod
+    def _loop() -> Nfioa:
+        """Sends `a` and then `b` to itself when wired by `Channel(0, 0)`."""
+        T = lambda s, t, i="", o="": Transition((s,), (t,), (i,), (o,))
+        transitions = {T("p0", "p1", o="a"), T("p1", "p2", i="a"), T("p2", "p3", o="b"), T("p3", "p0", i="b")}
+        states = sorted({t.source for t in transitions})
+        return Nfioa(
+            name="loop",
+            states=states,
+            inputs=(ComponentAlphabet("in", "ab"),),
+            outputs=(ComponentAlphabet("out", "ab"),),
+            initial=("p0",),
+            acceptance=Acceptance.final(states),
+            transitions=transitions,
+        )
+
+    def test_a_second_plain_call_returns_the_kept_restriction(self):
+        a = self._loop()
+        before = (hash(a), repr(a), replace(a))
+        r = cbr(a)
+        assert cbr(a) is r and cbr(a, ()) is r
+        assert (hash(a), repr(a), replace(a)) == before and a == before[2]
+        # `replace` builds a new automaton, which explores afresh.
+        renamed = replace(a, name="x")
+        assert cbr(renamed) is not r and cbr(renamed).graph == r.graph
+
+    def test_other_calls_explore(self):
+        a = self._loop()
+        r = cbr(a)
+        never = Condition("never", ("nowhere",), ("*",))
+        for other in (cbr(a, name="other"), cbr(a, conditions=(never,)), cbr(a, [Channel(0, 0)])):
+            assert other is not r
+        assert cbr(a, name="other").graph == r.graph
+        assert cbr(a, [Channel(0, 0)]).graph != r.graph
+        # Neither a product nor a restriction is kept.
+        lazy = LazyProduct((a,))
+        assert cbr(lazy) is not cbr(lazy)
+        assert cbr(r) is not cbr(r)
+
+    def test_a_smaller_cap_still_fails_after_the_plain_call(self):
+        a = self._loop()
+        r = cbr(a)
+        with pytest.raises(CapacityExceeded, match="cap of 1 exceeded"):
+            cbr(a, cap=1)
+        assert cbr(a) is r
+
+    def test_a_failed_call_keeps_nothing(self, monkeypatch):
+        a = self._loop()
+
+        def full(table, *, cap):
+            raise CapacityExceeded(f"configuration cap of {cap} exceeded")
+
+        monkeypatch.setattr(fioa.channels, "_explore", full)
+        with pytest.raises(CapacityExceeded):
+            cbr(a)
+        monkeypatch.undo()
+        assert vars(a) == vars(replace(a))
+        assert cbr(a) is cbr(a)
+
+    def test_a_pickled_automaton_equals_the_kept_one(self):
+        a = self._loop()
+        r = cbr(a)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a)
+        assert cbr(copy).graph == cbr(replace(a)).graph == r.graph
+
+    def test_the_plain_checks_explore_once(self, monkeypatch):
+        a = replace(examples.user_role())  # a new automaton, nothing kept yet
+        calls, real = [], fioa.channels._explore
+        monkeypatch.setattr(fioa.channels, "_explore", lambda *x, **kw: calls.append(1) or real(*x, **kw))
+        consistent, quasidet = is_consistent_cond(a), is_quasi_deterministic(a)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        fresh = replace(a)
+        assert (consistent, quasidet) == (is_consistent_cond(fresh), is_quasi_deterministic(fresh))
 
 
 class TestFlatAutomatonOnRead:

@@ -478,9 +478,11 @@ def test_the_scale_benchmark_checks_the_frozen_sizes(tmp_path):
     # `--quick` builds coord5, eager and wired.
     assert sorted(run["coord"]) == ["5"]
     eager, wired = run["coord"]["5"]["eager"], run["coord"]["5"]["wired"]
-    assert (eager["states"], eager["transitions"], eager["reachable"]) == bench.KNOWN_COORD[5]["eager"]
+    shape = ("states", "transitions", "reachable", "consistent", "anchors", "quasidet")
+    assert tuple(eager[k] for k in shape) == bench.KNOWN_COORD[5]["eager"] == (1024, 4245, 648, False, 0, False)
     assert (wired["configurations"], wired["edges"], wired["excited"]) == bench.KNOWN_COORD[5]["wired"]
     assert eager["seconds"] > 0 and wired["maxrss_mb"] > 0
+    assert eager["consistency_s"] > 0 and eager["quasidet_s"] > 0
 
 
 def test_the_oracle_prints_the_frozen_sizes():
