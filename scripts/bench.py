@@ -11,8 +11,8 @@ conditions on `mutex`'s machines: eager (states, kept transitions,
 reachable states, then the verdicts of the two plain checks,
 `is_consistent_cond` with its anchor count and `is_quasi_deterministic`,
 each timed on the built automaton in that order) and, as `coord<n>w`,
-wired to a server (configurations, edges, excited configurations).  For each ring size up
-to 6 one more process resolves the ring twice and times
+wired to a server (configurations, edges, excited configurations).  For
+each ring size up to 6 one more process resolves the ring twice and times
 `trace_equivalent` of the ring against its copy on its own: the verdict
 must be `equal`, with a sufficient bound of the configuration count
 squared.  (ring7 has no equivalence figure: the process would hold two

@@ -773,7 +773,7 @@ class TestPlainRestrictionIsKept:
         assert vars(a) == vars(replace(a))
         assert cbr(a) is cbr(a)
 
-    def test_a_pickled_automaton_equals_the_kept_one(self):
+    def test_a_pickled_copy_equals_the_automaton(self):
         a = self._loop()
         r = cbr(a)
         copy = pickle.loads(pickle.dumps(a))
