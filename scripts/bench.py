@@ -20,8 +20,13 @@ squared.  (ring7 has no equivalence figure: the process would hold two
 process builds the ring and times two queries separately, `edge_census`
 and `export_dot`, each `QUERY_CALLS` times, and reports the best call of
 each: every call's census must count every edge once and its DOT text
-write one ` -> ` line per edge.  The counts must equal `KNOWN` and
-`KNOWN_COORD`; any other count or verdict fails the run (exit 1), so
+write one ` -> ` line per edge.  For each ring size up to 6 another
+process builds the ring and takes a seeded random run of `RUN_STEPS`
+steps (`run(r, "random", RUN_STEPS, seed=n)`) `QUERY_CALLS` times,
+reporting the best call as `run_s`: every call must take every step and
+visit the number of excited configurations in `KNOWN_RUNS`.  The counts
+must equal `KNOWN`, `KNOWN_RUNS` and `KNOWN_COORD`; any other count or
+verdict fails the run (exit 1), so
 `--quick` serves as a CI gate.  For each corpus file, `python -m fioa
 validate FILE` runs in its own process and reports its wall seconds from
 launch to exit, interpreter start-up included, and its peak resident
@@ -87,10 +92,23 @@ QUERIES_MAX = 6
 # Calls of each query per process.  The best call is the figure: one
 # call's time swings too widely to show a 10% change.
 QUERY_CALLS = 5
+# ring n's seeded random run, for n up to `RUNS_MAX`: (steps, excited
+# configurations among the run's configurations) at `RUN_STEPS` steps and
+# seed n.  A run that draws differently visits a different number.
+RUN_STEPS = 100_000
+RUNS_MAX = 6
+KNOWN_RUNS = {
+    2: (RUN_STEPS, 53889),
+    3: (RUN_STEPS, 53652),
+    4: (RUN_STEPS, 53626),
+    5: (RUN_STEPS, 53628),
+    6: (RUN_STEPS, 53633),
+}
 COUNTS = {
     "ring": ("configurations", "edges", "excited"),
     "equiv": ("configurations", "equal", "sufficient_bound"),
     "queries": ("census_edges", "dot_edges"),
+    "runs": ("steps", "excited"),
     "eager": ("states", "transitions", "reachable", "consistent", "anchors", "quasidet"),
     "wired": ("configurations", "edges", "excited"),
     "validate": (),
@@ -105,14 +123,14 @@ import json, resource, sys, time
 from dataclasses import replace
 from fioa import (
     edge_census, examples, export_dot, is_consistent_cond, is_quasi_deterministic, reachable_states,
-    trace_equivalent,
+    run, trace_equivalent,
 )
 from fioa.dsl import NetFactor, NetworkDef, resolve
 from fioa.network import ChannelSpec, ConditionSpec
 
 kind, n = sys.argv[1], int(sys.argv[2])
 parts = {}
-if kind in ("ring", "equiv", "queries"):
+if kind in ("ring", "equiv", "queries", "runs"):
     doc, name = examples.ring_document(n), f"ring{n}"
 else:
     name = f"coord{n}" + ("w" if kind == "wired" else "")
@@ -151,6 +169,16 @@ elif kind == "queries":
     (counts,) = seen  # a call counting differently stops the run
     parts = {"census_s": min(census_s), "dot_s": min(dot_s)}
     seconds = sum(parts.values())
+elif kind == "runs":
+    r, seen, run_s = built.restricted, set(), []
+    for _ in range(int(sys.argv[3])):
+        start = time.perf_counter()
+        res = run(r, "random", int(sys.argv[4]), seed=n)
+        run_s.append(time.perf_counter() - start)
+        seen.add((len(res), sum(c.pending is not None for c in res.configs)))
+    (counts,) = seen  # a call drawing differently stops the run
+    parts = {"run_s": min(run_s)}
+    seconds = parts["run_s"]
 elif kind == "eager":
     a = built.automaton
     counts = (len(a.states), len(a.transitions), len(reachable_states(a)))
@@ -178,10 +206,11 @@ def measure(src: Path, kind: str, n: int) -> dict:
     ring build (`kind` "ring"), a coord network build ("eager" or
     "wired"), a ring against its copy ("equiv"), or a ring's census and
     DOT export ("queries", the best of `QUERY_CALLS` calls of each in
-    `parts`)."""
+    `parts`), or a ring's seeded random run ("runs", the best of
+    `QUERY_CALLS` calls)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, kind, str(n), str(QUERY_CALLS)],
+        [sys.executable, "-c", CHILD, kind, str(n), str(QUERY_CALLS), str(RUN_STEPS)],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -228,6 +257,7 @@ def figure(label: str, kind: str, n: int, known: tuple, samples: list) -> dict:
         "ring": f"ring{n}",
         "equiv": f"ring{n} equiv",
         "queries": f"ring{n} queries",
+        "runs": f"ring{n} runs",
         "eager": f"coord{n}",
         "wired": f"coord{n}w",
         "validate": f"validate {n}",
@@ -257,12 +287,13 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
     tree alike.
     """
     runs = {
-        label: {**commit_of(src), "rings": {}, "equiv": {}, "queries": {}, "coord": {}, "corpus": {}}
+        label: {**commit_of(src), "rings": {}, "equiv": {}, "queries": {}, "runs": {}, "coord": {}, "corpus": {}}
         for label, src in trees.items()
     }
     figures = [("ring", n, KNOWN[n]) for n in sizes]
     figures += [("equiv", n, (KNOWN[n][0], True, KNOWN[n][0] ** 2)) for n in sizes if n <= EQUIV_MAX]
     figures += [("queries", n, (KNOWN[n][1], KNOWN[n][1])) for n in sizes if n <= QUERIES_MAX]
+    figures += [("runs", n, KNOWN_RUNS[n]) for n in sizes if n <= RUNS_MAX]
     figures += [(kind, n, KNOWN_COORD[n][kind]) for n in coord_sizes for kind in ("eager", "wired")]
     figures += [("validate", name, ()) for name in CORPUS]
     order = list(trees)
@@ -276,7 +307,7 @@ def bench(trees: dict, sizes, coord_sizes, repeat: int) -> dict:
             out = figure(label, kind, n, known, samples[label])
             if kind == "ring":
                 runs[label]["rings"][str(n)] = out
-            elif kind in ("equiv", "queries"):
+            elif kind in ("equiv", "queries", "runs"):
                 runs[label][kind][str(n)] = out
             elif kind == "validate":
                 runs[label]["corpus"][n] = out

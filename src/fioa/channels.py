@@ -22,7 +22,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
+from operator import not_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
@@ -429,10 +430,14 @@ class WellFormedness(NamedTuple):
 
 
 def is_well_formed(r: RestrictedAutomaton) -> WellFormedness:
-    """Every excited configuration must be able to consume its character."""
-    for c, ts in zip(r.graph.nodes, r.graph.moves):
-        if c.pending is not None and not ts:
-            return WellFormedness(False, c)
+    """Every excited configuration must be able to consume its character.
+
+    Only a configuration with no edges can be stuck, so only those are read.
+    """
+    nodes = r.graph.nodes
+    for i in compress(count(), map(not_, r.graph.succ)):
+        if nodes[i].pending is not None:
+            return WellFormedness(False, nodes[i])
     return WellFormedness(True, None)
 
 
@@ -590,11 +595,14 @@ def run(
 ) -> Union[Run, tuple[Run, ...]]:
     """Walk the configuration graph under a scheduling policy.
 
-    `random` resolves choices with a seeded generator; `scripted` takes an
-    explicit choice index per step and fails loudly when the index does
-    not exist; `exhaustive` returns every run that either deadlocks or
-    reaches the step bound, and stops with `CapacityExceeded` past
-    `RUN_CAP` of them.
+    `random` resolves choices with `random.Random(seed)`: with n moves
+    enabled it takes move `randrange(n)` in edge order, drawn inline by
+    the same rejection sampling on `getrandbits(n.bit_length())`, and a
+    one-move step draws too, so a seed replays the same run.  `scripted`
+    takes an explicit choice index per step and fails loudly when the
+    index does not exist; `exhaustive` returns every run that either
+    deadlocks or reaches the step bound, and stops with
+    `CapacityExceeded` past `RUN_CAP` of them.
     """
     wf = is_well_formed(r)
     if not wf.ok:
@@ -605,19 +613,29 @@ def run(
     start = r.graph.initial
     if scheduler == "scripted" and script is None:
         raise SchedulerError("scripted scheduler needs a choice list")
-    if scheduler in ("random", "scripted"):
-        draw = random.Random(seed).randrange if scheduler == "random" else None
-        steps = script[:step_bound] if draw is None else range(step_bound)
+    if scheduler == "random":
+        getrandbits = random.Random(seed).getrandbits
         configs, trans = [start], []
         i = 0
-        for choice in steps:
+        for _ in range(step_bound):
+            js = succ[i]
+            n = len(js)
+            if not n:
+                break
+            k = n.bit_length()
+            choice = getrandbits(k)
+            while choice >= n:
+                choice = getrandbits(k)
+            trans.append(moves[i][choice])
+            i = js[choice]
+            configs.append(nodes[i])
+        return Run(tuple(configs), tuple(trans))
+    if scheduler == "scripted":
+        configs, trans = [start], []
+        i = 0
+        for choice in script[:step_bound]:
             ts = moves[i]
-            if draw is not None:
-                if not ts:
-                    break
-                # the same draw as `rng.choice(ts)`, so seeded runs replay
-                choice = draw(len(ts))
-            elif not (0 <= choice < len(ts)):
+            if not (0 <= choice < len(ts)):
                 raise SchedulerError(
                     f"step {len(trans)}: choice {choice} out of range "
                     f"({len(ts)} enabled at {config_str(r, nodes[i])})"

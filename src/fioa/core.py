@@ -12,7 +12,7 @@ concatenate them without special cases.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Collection, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidAutomaton, WiringError
@@ -151,6 +151,11 @@ class Nfioa:
         diags = validate(self)
         if diags:
             raise InvalidAutomaton(diags)
+
+    def __getstate__(self) -> dict:
+        # Only the fields: what an operator keeps beside them (`cbr`'s
+        # plain restriction) is rebuilt when the copy needs it.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def state_width(self) -> int:

@@ -658,10 +658,12 @@ class TestNodeNumbers:
             if not is_well_formed(r).ok:
                 continue
             g = r.graph
+            bound = 2_000 if r.name == "ring3" else 30
             for seed in (0, 1, 2):
-                got = run(r, "random", 30, seed=seed)
-                assert (got.configs, got.transitions) == oracle.run(naive, 30, random.Random(seed).choice), r.name
-                lengths[len(got) == 30] += 1
+                got = run(r, "random", bound, seed=seed)
+                assert (got.configs, got.transitions) == oracle.run(naive, bound, random.Random(seed).choice), r.name
+                lengths[len(got) == bound] += 1
+                lengths["ring3"] += len(got) == 2_000
             rng, script = random.Random(r.name), []
 
             def pick(es):
@@ -684,6 +686,28 @@ class TestNodeNumbers:
             assert tuple((x.configs, x.transitions) for x in runs) == oracle.runs(naive, 3), r.name
             lengths["branching"] += len(runs) > 1
         assert lengths[True] and lengths[False] and lengths["branching"]
+        assert lengths["ring3"] == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+    def test_random_runs_draw_as_randrange(self, n):
+        """n self-loops on one state: each step takes move `randrange(n)` of
+        the seeded generator, drawn in sequence, at every bit length of n."""
+        chars = "abcdefghijklmnopq"[:n]
+        a = Nfioa(
+            name="loops",
+            states=[("s",)],
+            inputs=(ComponentAlphabet("in", chars),),
+            outputs=(),
+            initial=("s",),
+            acceptance=Acceptance.final([("s",)]),
+            transitions=[Transition(("s",), ("s",), (c,), ()) for c in chars],
+        )
+        moves = cbr(a).graph.moves[0]
+        assert len(moves) == n
+        for seed in range(10):
+            rng = random.Random(seed)
+            got = run(cbr(a), "random", 50, seed=seed)
+            assert [moves.index(t) for t in got.transitions] == [rng.randrange(n) for _ in range(50)]
 
 
 class TestCaps:
@@ -775,9 +799,13 @@ class TestPlainRestrictionIsKept:
 
     def test_a_pickled_copy_equals_the_automaton(self):
         a = self._loop()
+        before = pickle.dumps(a)
         r = cbr(a)
-        copy = pickle.loads(pickle.dumps(a))
+        # What `cbr` keeps on `a` stays out of the pickle and the copy.
+        assert pickle.dumps(a) == before
+        copy = pickle.loads(before)
         assert copy == a and hash(copy) == hash(a)
+        assert vars(copy) == vars(replace(a))
         assert cbr(copy).graph == cbr(replace(a)).graph == r.graph
 
     def test_the_plain_checks_explore_once(self, monkeypatch):

@@ -475,6 +475,9 @@ def test_the_scale_benchmark_checks_the_frozen_sizes(tmp_path):
     queries = run["queries"]["2"]
     assert (queries["census_edges"], queries["dot_edges"]) == (RING_SIZES[2][1],) * 2
     assert queries["census_s"] > 0 and queries["dot_s"] > 0
+    runs = run["runs"]["2"]
+    assert (runs["steps"], runs["excited"]) == bench.KNOWN_RUNS[2] == (100_000, 53889)
+    assert runs["run_s"] > 0
     # `--quick` builds coord5, eager and wired.
     assert sorted(run["coord"]) == ["5"]
     eager, wired = run["coord"]["5"]["eager"], run["coord"]["5"]["wired"]
